@@ -137,7 +137,7 @@ def check_one(current_path: pathlib.Path, baseline_path) -> list:
         marker = "FAIL" if regressed else "ok"
         print(
             f"  [{marker}] {'.'.join(path):28s} {desc}: "
-            f"baseline {base:g} -> current {cur:g} ({ratio:+.1%} of baseline)"
+            f"baseline {base:g} -> current {cur:g} ({ratio - 1:+.1%} vs baseline)"
         )
         if regressed:
             failures.append(f"{name}: {desc}")

@@ -39,7 +39,6 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     if (fp != held_cl_fp) {
       local_lock =
           co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
-      if (v->dead) co_return outcome;
     }
     auto it = v->ShardFor(fp).changelogs.find(fp);
     if (it != v->ShardFor(fp).changelogs.end()) {
@@ -83,13 +82,11 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     rm.body = collect;
     co_await ctx_.dirty_tracker->RemoveAndMulticast(ctx_, v, fp, seq,
                                                     std::move(rm));
-    if (v->dead) co_return outcome;
 
     auto slot = w->slot;
     ctx_.sim->ScheduleAfter(ctx_.config->agg_reply_timeout,
                             [slot] { slot->Set(false); });
     complete = co_await slot->Wait();
-    if (v->dead) co_return outcome;
     if (w->pending.empty()) {
       complete = true;
     }
@@ -116,7 +113,6 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     const uint64_t max_seq = w->collected[i].entries.back().seq;
     co_await ApplyEntries(v, dir, src, fp,
                           std::move(w->collected[i].entries), held_inode_key);
-    if (v->dead) co_return outcome;
     // Classify AFTER the apply: ApplyEntries drops entries silently when
     // the directory is unknown here, and a rename can commit while the
     // apply waits on the inode lock — a pre-apply check would ack (and so
@@ -127,7 +123,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     psw::Fingerprint ifp = 0;
     const bool live =
         v->LookupDirIndex(dir, &ikey, &ifp) && v->kv.Get(ikey).has_value();
-    if (!live && ctx_.config->moved_rebind) {
+    if (!live) {
       const ServerVolatile::MovedDir* tomb = v->FindMovedTombstone(
           dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
       if (tomb != nullptr) {
@@ -179,15 +175,15 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
       continue;
     }
     if (rebinder_ != nullptr) {
-      sim::Spawn(rebinder_->RebindMovedLogDetached(v, row.dir, fp, row.new_fp,
-                                                   row.applied_seq,
-                                                   /*from_aggregation=*/true));
+      sim::Spawn(rebinder_->RebindMovedLog(v, row.dir, fp, row.new_fp,
+                                           row.applied_seq,
+                                           /*from_aggregation=*/true),
+                 v.get());
     }
   }
   v->ShardFor(fp).last_agg_complete[fp] = ctx_.Now();
   v->ShardFor(fp).agg_waits.erase(fp);
 
-  outcome.ok = true;
   if (defer_done) {
     outcome.deferred_done = done;
   } else {
@@ -209,7 +205,6 @@ void Aggregation::SendAggDone(net::MsgPtr done_msg) {
 
 sim::Task<void> Aggregation::GateAndAggregate(VolPtr v, psw::Fingerprint fp) {
   auto gate = co_await v->ShardFor(fp).agg_gates.AcquireExclusive(FpKey(fp));
-  if (v->dead) co_return;
   co_await RunAggregation(v, fp, std::nullopt, 0, "", false);
 }
 
@@ -229,13 +224,12 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     // BEFORE applying (PushEngine::ApplySection, RunAggregation's apply
     // phase, SyncParentUpdate) and route a kMoved/moved-row rebind verdict
     // instead; this silent drop is only reached for genuinely removed
-    // directories or with moved_rebind off.
+    // directories.
     co_return;
   }
   LockTable::Handle lock;
   if (ikey != held_inode_key) {
     lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
-    if (v->dead) co_return;
   }
 
   // The hwm mark is tracked in a local and written through BumpHwm — not a
@@ -283,7 +277,7 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     co_return;
   }
 
-  // Per-entry commit-stamp LWW (lww_resolve): each name's last applied write
+  // Per-entry commit-stamp LWW: each name's last applied write
   // keeps a stamp row, and an entry whose (ts, origin, src, seq) stamp is
   // older than the row no-ops. Within one lane seqs are FIFO with
   // non-decreasing timestamps, so this never fires for plain traffic — it
@@ -300,40 +294,34 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
   // entry row rather than adding one, and the directory's entry count must
   // say so (the size half of the phantom-dirent gap).
   const uint64_t final_seq = todo.back().seq;
-  if (ctx_.config->lww_resolve) {
-    std::vector<ChangeLogEntry> kept;
-    kept.reserve(todo.size());
-    std::map<std::string, bool> present_override;  // in-batch sequences
-    for (ChangeLogEntry& e : todo) {
-      const LwwStamp incoming{e.timestamp, ctx_.config->cluster_id, src,
-                              e.seq};
-      const std::string skey = LwwStampKey(dir, e.name);
-      auto row = v->kv.Get(skey);
-      if (row.has_value() && incoming < LwwStamp::Decode(*row)) {
-        ctx_.stats->wan_conflicts_lww++;
-        continue;  // a newer write already resolved this name
-      }
-      const bool creates =
-          e.op == OpType::kCreate || e.op == OpType::kMkdir;
-      auto ov = present_override.find(e.name);
-      const bool present =
-          ov != present_override.end()
-              ? ov->second
-              : v->kv.Get(EntryKey(dir, e.name)).has_value();
-      e.size_delta = creates ? (present ? 0 : 1) : (present ? -1 : 0);
-      present_override[e.name] = creates;
-      v->kv.Put(skey, incoming.Encode());
-      kept.push_back(std::move(e));
+  std::vector<ChangeLogEntry> kept;
+  kept.reserve(todo.size());
+  std::map<std::string, bool> present_override;  // in-batch sequences
+  for (ChangeLogEntry& e : todo) {
+    const LwwStamp incoming{e.timestamp, ctx_.config->cluster_id, src, e.seq};
+    const std::string skey = LwwStampKey(dir, e.name);
+    auto row = v->kv.Get(skey);
+    if (row.has_value() && incoming < LwwStamp::Decode(*row)) {
+      ctx_.stats->wan_conflicts_lww++;
+      continue;  // a newer write already resolved this name
     }
-    todo = std::move(kept);
-    if (todo.empty()) {
-      bump_hwm(final_seq);
-      co_return;
-    }
+    const bool creates = e.op == OpType::kCreate || e.op == OpType::kMkdir;
+    auto ov = present_override.find(e.name);
+    const bool present = ov != present_override.end()
+                             ? ov->second
+                             : v->kv.Get(EntryKey(dir, e.name)).has_value();
+    e.size_delta = creates ? (present ? 0 : 1) : (present ? -1 : 0);
+    present_override[e.name] = creates;
+    v->kv.Put(skey, incoming.Encode());
+    kept.push_back(std::move(e));
+  }
+  todo = std::move(kept);
+  if (todo.empty()) {
+    bump_hwm(final_seq);
+    co_return;
   }
 
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     co_return;  // directory vanished under a concurrent rmdir
@@ -363,29 +351,28 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       rec.result_mtime = max_ts;
       rec.batch_token = batch_token;
       ctx_.durable->wal.Append(kWalEntryApply, rec.Encode());
-      sim::Spawn([](ServerContext* ctx, VolPtr vol, InodeId d,
-                    ChangeLogEntry entry,
-                    std::shared_ptr<sim::JoinCounter> jc) -> sim::Task<void> {
-        co_await ctx->cpu->Run(ctx->costs->wal_append_batched +
-                               ctx->costs->changelog_apply_entry);
-        if (!vol->dead) {
-          const std::string ekey = EntryKey(d, entry.name);
-          if (entry.op == OpType::kCreate || entry.op == OpType::kMkdir) {
-            vol->kv.Put(ekey, EncodeEntryValue(entry.entry_type));
-          } else {
-            vol->kv.Delete(ekey);
-          }
-        }
-        jc->Done();
-      }(&ctx_, v, dir, e, join));
+      // Each fan-out leg signals the join even when cancelled, so the
+      // apply's frame never waits on a leg that died with the incarnation.
+      sim::Spawn(
+          [](ServerContext* ctx, VolPtr vol, InodeId d, ChangeLogEntry entry,
+             std::shared_ptr<sim::JoinCounter> jc) -> sim::Task<void> {
+            sim::ScopeExit join_done([&jc] { jc->Done(); });
+            co_await ctx->cpu->Run(ctx->costs->wal_append_batched +
+                                   ctx->costs->changelog_apply_entry);
+            const std::string ekey = EntryKey(d, entry.name);
+            if (entry.op == OpType::kCreate || entry.op == OpType::kMkdir) {
+              vol->kv.Put(ekey, EncodeEntryValue(entry.entry_type));
+            } else {
+              vol->kv.Delete(ekey);
+            }
+          }(&ctx_, v, dir, e, join),
+          v.get());
     }
     co_await join->Wait();
-    if (v->dead) co_return;
     attr.size = result_size;
     attr.mtime = max_ts;
     attr.atime = std::max(attr.atime, max_ts);
     co_await ctx_.cpu->Run(ctx_.costs->attr_merge_apply);
-    if (v->dead) co_return;
     v->kv.Put(ikey, attr.Encode());
     bump_hwm(final_seq);
   } else {
@@ -403,13 +390,10 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       rec.result_mtime = std::max(attr.mtime, e.timestamp);
       rec.batch_token = batch_token;
       co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-      if (v->dead) co_return;
       ctx_.durable->wal.Append(kWalEntryApply, rec.Encode());
       co_await ctx_.cpu->Run(ctx_.costs->dir_update_cpu);
-      if (v->dead) co_return;
       co_await sim::Delay(
           ctx_.sim, ctx_.costs->dir_update_critical - ctx_.costs->dir_update_cpu);
-      if (v->dead) co_return;
       const std::string ekey = EntryKey(dir, e.name);
       if (e.op == OpType::kCreate || e.op == OpType::kMkdir) {
         v->kv.Put(ekey, EncodeEntryValue(e.entry_type));
@@ -453,7 +437,6 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
 
   // Fig 6 step 5: insert the removed directory into the invalidation list
   // *before* snapshotting, so racing double-inode ops fail their checks.
@@ -466,7 +449,6 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
   if (it == v->ShardFor(fp).agg_sessions.end()) {
     auto lock =
         co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
-    if (v->dead) co_return;
     // Re-check: a concurrent collect may have created the session while we
     // waited for the lock; keep the first session's lock and drop ours.
     it = v->ShardFor(fp).agg_sessions.find(fp);
@@ -476,7 +458,7 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
       session.lock = std::move(lock);
       session.started_at = ctx_.Now();
       it = v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session)).first;
-      sim::Spawn(ResponderSessionWatchdog(v, fp, msg->agg_seq));
+      sim::Spawn(ResponderSessionWatchdog(v, fp, msg->agg_seq), v.get());
     } else {
       it->second.seq = std::max(it->second.seq, msg->agg_seq);
     }
@@ -539,9 +521,10 @@ void Aggregation::HandleAggDone(const AggDone& done, VolPtr v) {
       if (row.src_server != ctx_.config->index) {
         continue;
       }
-      sim::Spawn(rebinder_->RebindMovedLogDetached(v, row.dir, done.fp,
-                                                   row.new_fp, row.applied_seq,
-                                                   /*from_aggregation=*/true));
+      sim::Spawn(rebinder_->RebindMovedLog(v, row.dir, done.fp, row.new_fp,
+                                           row.applied_seq,
+                                           /*from_aggregation=*/true),
+                 v.get());
     }
   }
   auto it = v->ShardFor(done.fp).agg_sessions.find(done.fp);
@@ -574,7 +557,6 @@ sim::Task<void> Aggregation::ResponderSessionWatchdog(VolPtr v,
                                                       uint64_t seq) {
   while (true) {
     co_await sim::Delay(ctx_.sim, ctx_.config->responder_session_timeout);
-    if (v->dead) co_return;
     auto it = v->ShardFor(fp).agg_sessions.find(fp);
     if (it == v->ShardFor(fp).agg_sessions.end()) {
       co_return;  // finished normally

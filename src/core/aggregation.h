@@ -41,7 +41,6 @@ class Aggregation {
   void SetRebinder(PushEngine* rebinder) { rebinder_ = rebinder; }
 
   struct Outcome {
-    bool ok = false;
     net::MsgPtr deferred_done;  // AggDone to multicast (when defer_done)
   };
 

@@ -48,7 +48,6 @@ sim::Task<void> EvictSwitchCacheEntry(ServerContext& ctx, VolPtr v,
     ctx.sim->ScheduleAfter(ctx.config->cache_evict_timeout,
                            [slot] { slot->Set(0); });
     const int result = co_await slot->Wait();
-    if (v->dead) co_return;
     if (result != 0) {
       acked = true;
       break;

@@ -310,22 +310,6 @@ void Cluster::WarmClient(SwitchFsClient& client) const {
   }
 }
 
-void Cluster::Checkpoint() {
-  for (auto& d : durables_) {
-    // Truncate the longest applied prefix.
-    uint64_t up_to = 0;
-    for (const kv::WalRecord& r : d->wal.records()) {
-      if (!r.applied) {
-        break;
-      }
-      up_to = r.lsn;
-    }
-    if (up_to > 0) {
-      d->wal.TruncateUpTo(up_to);
-    }
-  }
-}
-
 void AccumulateServerStats(ServerStats& total, const ServerStats& st) {
   total.ops += st.ops;
   total.aggregations += st.aggregations;

@@ -122,9 +122,6 @@ class Cluster : public ClusterContext, public FsWorld {
   // Seeds a client's path cache with every preloaded directory.
   void WarmClient(SwitchFsClient& client) const;
 
-  // Truncates the applied prefix of every server's WAL (checkpoint).
-  void Checkpoint();
-
   // --- WAN replication wiring (src/wan/) ---
   // Points every server's capture hook at the cluster's replicator (null
   // detaches; servers added later by AddServerAndRebalance inherit it).

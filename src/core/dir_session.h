@@ -4,13 +4,12 @@
 // the four baseline servers so the stream semantics are identical across
 // systems. Two session flavours:
 //
-//  * Snapshot sessions (baselines; SwitchFS with `snapshot_sessions`) copy
-//    the entry list at open. The snapshot is immutable: a page stream never
-//    drops an entry that was committed before the open (SwitchFS aggregates
-//    under the agg gate first, so deferred pre-open entries are in the list)
-//    and never duplicates an entry across pages — concurrent creates/
-//    unlinks/renames mutate the live entry list, not the snapshot.
-//  * Cursor sessions (SwitchFS default) store only the scan position — the
+//  * Snapshot sessions (baselines) copy the entry list at open. The
+//    snapshot is immutable: a page stream never drops an entry that was
+//    committed before the open and never duplicates an entry across pages —
+//    concurrent creates/unlinks/renames mutate the live entry list, not the
+//    snapshot.
+//  * Cursor sessions (SwitchFS) store only the scan position — the
 //    KV key of the last served entry — and each page does a bounded KV seek
 //    from it. OpenDir is O(1) instead of O(directory). The entry keyspace
 //    is ordered and deletes remove keys outright (no tombstone rows), so
@@ -69,13 +68,11 @@ struct DirSession {
   // SwitchFS). Monotone per directory, so two handles can be ordered by
   // freshness.
   int64_t snapshot_at = 0;
-  bool cursor = false;            // cursor session (no pinned snapshot)
   std::vector<DirEntry> entries;  // snapshot sessions: key-ordered copy
 
-  // Page-sequenced stream state (SwitchFS, both flavours).
+  // Page-sequenced stream state (SwitchFS cursor sessions).
   uint64_t next_page = 0;   // sequence number the stream serves next
-  uint64_t offset = 0;      // snapshot: index of the next unserved entry
-  std::string cursor_key;   // cursor: KV key of the last served entry
+  std::string cursor_key;   // KV key of the last served entry
   bool at_end = false;      // the stream has served its final entry
   DirPage last_page;        // cached last-served page (idempotent re-serve)
 
@@ -106,9 +103,7 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
 
   // Opens a cursor session: no snapshot copy, O(1).
   DirSession& OpenCursor(const InodeId& dir, int64_t now) {
-    DirSession& s = Open(dir, {}, now);
-    s.cursor = true;
-    return s;
+    return Open(dir, {}, now);
   }
 
   // Live session or nullptr; refreshes the inactivity clock on a hit and

@@ -26,9 +26,7 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
     sim::CrossShardScope link_xs(co_await sim::discipline::CurrentChainId{});
     auto lock = co_await v->ShardForKey(akey).inode_locks.AcquireExclusive(akey);
     link_xs.Release();
-    if (v->dead) co_return UnavailableError();
     co_await ctx_.cpu->Run(ctx_.costs->kv_get);
-    if (v->dead) co_return UnavailableError();
     auto value = v->kv.Get(akey);
     if (!value.has_value()) {
       co_return NotFoundError("attributes object missing");
@@ -46,11 +44,9 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
         rec.inode_value = attrs.Encode();
       }
       co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-      if (v->dead) co_return UnavailableError();
       ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
       co_await ctx_.cpu->Run(attrs.nlink == 0 ? ctx_.costs->kv_delete
                                               : ctx_.costs->kv_put);
-      if (v->dead) co_return UnavailableError();
       if (attrs.nlink == 0) {
         v->kv.Delete(akey);
       } else {
@@ -67,7 +63,6 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
   msg->delta = delta;
   msg->attr = attr_delta;
   auto r = co_await ctx_.rpc->Call(ctx_.cluster->ServerNode(attr_server), msg);
-  if (v->dead) co_return UnavailableError();
   if (!r.ok()) {
     co_return r.status();
   }
@@ -84,12 +79,10 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
 sim::Task<void> LinkManager::HandleLinkRefUpdate(net::Packet p, VolPtr v) {
   const auto* msg = static_cast<const LinkRefUpdate*>(p.body.get());
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
   auto resp = std::make_shared<LinkRefUpdateResp>();
   Attr attrs;
   Status s = co_await UpdateLinkCount(v, msg->file_id, ctx_.config->index,
                                       msg->delta, &attrs, msg->attr);
-  if (v->dead) co_return;
   resp->status = s.ok() ? StatusCode::kOk : s.code();
   resp->nlink = attrs.nlink;
   resp->attrs = attrs;
@@ -99,13 +92,10 @@ sim::Task<void> LinkManager::HandleLinkRefUpdate(net::Packet p, VolPtr v) {
 sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
   const auto* msg = static_cast<const LinkConvert*>(p.body.get());
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
   const std::string ikey = InodeKey(msg->pid, msg->name);
   auto resp = std::make_shared<LinkConvertResp>();
   auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) co_return;
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     resp->status = StatusCode::kNotFound;
@@ -123,7 +113,6 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
     lock.Release();
     Status s = co_await UpdateLinkCount(
         v, attr.id, static_cast<uint32_t>(attr.size), +1, nullptr);
-    if (v->dead) co_return;
     resp->status = s.ok() ? StatusCode::kOk : s.code();
     resp->file_id = attr.id;
     resp->attr_server = static_cast<uint32_t>(attr.size);
@@ -136,7 +125,6 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
   // shared object, which later updates cannot evict by this fingerprint.
   // Drop it before the rewrite commits, under the exclusive inode lock.
   co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(msg->pid, msg->name));
-  if (v->dead) co_return;
   Attr attrs = attr;
   attrs.nlink = 2;  // the original name plus the new link
   Attr ref;
@@ -149,7 +137,6 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
     rec.inode_key = AttrKey(attr.id);
     rec.inode_value = attrs.Encode();
     co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    if (v->dead) co_return;
     ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
   }
   {
@@ -158,11 +145,9 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
     rec.inode_key = ikey;
     rec.inode_value = ref.Encode();
     co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    if (v->dead) co_return;
     ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
   }
   co_await ctx_.cpu->Run(2 * ctx_.costs->kv_put);
-  if (v->dead) co_return;
   v->kv.Put(AttrKey(attr.id), attrs.Encode());
   v->kv.Put(ikey, ref.Encode());
   resp->status = StatusCode::kOk;
@@ -175,7 +160,6 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   ctx_.stats->ops++;
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
   const PathRef& dst = req->ref;
   const PathRef& src = req->ref2;
   const std::string ikey = InodeKey(dst.pid, dst.name);
@@ -183,13 +167,10 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
 
   auto cl_lock =
       co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
-  if (v->dead) co_return;
   auto ino_lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) co_return;
   co_await ctx_.cpu->Run(ctx_.costs->path_check *
                          static_cast<sim::SimTime>(1 + dst.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(dst.ancestors);
   if (!stale.empty()) {
     ctx_.stats->stale_cache_bounces++;
@@ -197,7 +178,6 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
-  if (v->dead) co_return;
   if (v->kv.Contains(ikey)) {
     ctx_.RespondStatus(p, StatusCode::kAlreadyExists);
     co_return;
@@ -210,7 +190,6 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   const psw::Fingerprint sfp = FingerprintOf(src.pid, src.name);
   auto r = co_await ctx_.rpc->Call(
       ctx_.cluster->ServerNode(ctx_.OwnerOf(sfp)), convert);
-  if (v->dead) co_return;
   if (!r.ok()) {
     ctx_.RespondStatus(p, StatusCode::kUnavailable);
     co_return;
@@ -234,7 +213,6 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
     auto append_lock =
         co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
             ClAppendKey(pfp, dst.pid));
-    if (v->dead) co_return;
     // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
     ChangeLog& clog = v->GetChangeLog(pfp, dst.pid);
     ChangeLogEntry entry;
@@ -254,20 +232,16 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
     rec.entry = entry;
     rec.has_entry = true;
     co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    if (v->dead) co_return;
     entry.wal_lsn = ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
     co_await ctx_.cpu->Run(ctx_.costs->kv_put);
-    if (v->dead) co_return;
     v->kv.Put(ikey, ref.Encode());
     co_await ctx_.cpu->Run(ctx_.costs->changelog_append);
-    if (v->dead) co_return;
     clog.Restore(entry);
   }
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = ref;
   co_await publisher_.PublishUpdate(&p, v, pfp, dst.pid, resp);
-  if (v->dead) co_return;
   push_.MaybeSchedulePush(v, pfp, dst.pid);
 }
 

@@ -81,28 +81,48 @@ class SFS_LOCKABLE LockTable {
     uint64_t hold_id_ = 0;
   };
 
-  sim::Task<Handle> AcquireShared(std::string key) {
-    Slot* slot = Ref(key);
-    auto guard = co_await slot->mu.AcquireShared();
-    uint64_t hold_id = 0;
+  // `co_await table.AcquireExclusive(key)` yields a held Handle. A plain
+  // awaitable over the slot's SharedMutex: the grant lands in the Handle
+  // that await_resume returns, so a chain cancelled at this resume
+  // (src/sim/task.h) drops the Handle and releases the lock and the slot.
+  class [[nodiscard]] Acquirer {
+   public:
+    Acquirer(LockTable* table, std::string key, bool exclusive)
+        : table_(table),
+          key_(std::move(key)),
+          exclusive_(exclusive),
+          inner_(&table_->Ref(key_)->mu, exclusive) {}
+    bool await_ready() {
 #if SFS_DISCIPLINE_CHECKS
-    hold_id = sim::DisciplineChecker::OnAcquired(
-        co_await sim::discipline::CurrentChainId{}, class_,
-        /*exclusive=*/false, key, shard_);
+      // The awaiting chain, published by its await_transform just before.
+      chain_ = sim::discipline::CurrentChain();
 #endif
-    co_return Handle(this, std::move(key), std::move(guard), hold_id);
-  }
+      return inner_.await_ready();
+    }
+    void await_suspend(std::coroutine_handle<> h) { inner_.await_suspend(h); }
+    Handle await_resume() {
+      sim::SharedMutex::Guard guard = inner_.await_resume();
+      uint64_t hold_id = 0;
+#if SFS_DISCIPLINE_CHECKS
+      hold_id = sim::DisciplineChecker::OnAcquired(
+          chain_, table_->class_, exclusive_, key_, table_->shard_);
+#endif
+      return Handle(table_, std::move(key_), std::move(guard), hold_id);
+    }
 
-  sim::Task<Handle> AcquireExclusive(std::string key) {
-    Slot* slot = Ref(key);
-    auto guard = co_await slot->mu.AcquireExclusive();
-    uint64_t hold_id = 0;
-#if SFS_DISCIPLINE_CHECKS
-    hold_id = sim::DisciplineChecker::OnAcquired(
-        co_await sim::discipline::CurrentChainId{}, class_,
-        /*exclusive=*/true, key, shard_);
-#endif
-    co_return Handle(this, std::move(key), std::move(guard), hold_id);
+   private:
+    LockTable* table_;
+    std::string key_;
+    bool exclusive_;
+    sim::SharedMutex::Acquirer inner_;
+    uint64_t chain_ = 0;
+  };
+
+  Acquirer AcquireShared(std::string key) {
+    return Acquirer(this, std::move(key), /*exclusive=*/false);
+  }
+  Acquirer AcquireExclusive(std::string key) {
+    return Acquirer(this, std::move(key), /*exclusive=*/true);
   }
 
   size_t slot_count() const { return slots_.size(); }

@@ -48,16 +48,16 @@ void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
       ctx_.stats->push_paced_drains++;
       if (!st.idle_timer_armed) {
         st.idle_timer_armed = true;
-        sim::Spawn(OwnerIdleTimer(v, shard, owner));
+        sim::Spawn(OwnerIdleTimer(v, shard, owner), v.get());
       }
       return;
     }
-    sim::Spawn(DrainOwner(v, shard, owner));
+    sim::Spawn(DrainOwner(v, shard, owner), v.get());
     return;
   }
   if (!st.idle_timer_armed) {
     st.idle_timer_armed = true;
-    sim::Spawn(OwnerIdleTimer(v, shard, owner));
+    sim::Spawn(OwnerIdleTimer(v, shard, owner), v.get());
   }
 }
 
@@ -93,7 +93,6 @@ sim::Task<void> PushEngine::OwnerIdleTimer(VolPtr v, size_t shard,
   while (true) {
     const uint64_t seen = v->ShardAt(shard).pushers[owner].activity;
     co_await sim::Delay(ctx_.sim, ctx_.config->push_idle_timeout);
-    if (v->dead) co_return;
     // sfs-lint: allow(borrow-across-suspend, pushers is a std::map whose slots are never erased — the reference is node-stable across suspensions)
     auto& st = v->ShardAt(shard).pushers[owner];
     if (st.ready.empty()) {
@@ -118,7 +117,7 @@ void PushEngine::ArmRetry(VolPtr v, size_t shard, uint32_t owner) {
       std::min(st.backoff_shift + 1, ctx_.config->push_retry_max_backoff_shift);
   if (!st.retry_timer_armed) {
     st.retry_timer_armed = true;
-    sim::Spawn(RetryTimer(v, shard, owner));
+    sim::Spawn(RetryTimer(v, shard, owner), v.get());
   }
 }
 
@@ -129,7 +128,6 @@ sim::Task<void> PushEngine::RetryTimer(VolPtr v, size_t shard,
   const int shift = std::max(1, v->ShardAt(shard).pushers[owner].backoff_shift);
   const sim::SimTime delay = ctx_.config->push_retry_backoff << (shift - 1);
   co_await sim::Delay(ctx_.sim, delay);
-  if (v->dead) co_return;
   v->ShardAt(shard).pushers[owner].retry_timer_armed = false;
   co_await DrainOwner(v, shard, owner);
 }
@@ -146,10 +144,8 @@ sim::Task<void> PushEngine::DrainOwnerBarrier(VolPtr v, uint32_t owner) {
     // still unapplied.
     while (v->ShardAt(shard).pushers[owner].draining) {
       co_await sim::Delay(ctx_.sim, sim::Microseconds(20));
-      if (v->dead) co_return;
     }
     co_await DrainOwnerImpl(v, shard, owner, /*to_completion=*/true);
-    if (v->dead) co_return;
   }
 }
 
@@ -185,7 +181,6 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       const psw::Fingerprint fp = want[i].first;
       auto lock =
           co_await v->ShardAt(shard).changelog_locks.AcquireShared(FpKey(fp));
-      if (v->dead) co_return;
       for (; i < want.size() && want[i].first == fp && budget > 0; ++i) {
         st.ready.erase(want[i]);
         auto logs = v->ShardAt(shard).changelogs.find(fp);
@@ -235,7 +230,6 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
         PushResp::AckedDir row =
             co_await ApplySection(v, pd.dir, req->src_server, pd.fp,
                                   std::move(pd.entries), pd.batch_token);
-        if (v->dead) co_return;
         acked.push_back(row);
         v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
         ArmOwnerQuietTimer(v, pd.fp);
@@ -246,7 +240,6 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
         batch_entries += pd.entries.size();
       }
       auto r = co_await ctx_.rpc->Call(ctx_.cluster->ServerNode(owner), req);
-      if (v->dead) co_return;
       const auto* resp = r.ok() ? net::MsgAs<PushResp>(*r) : nullptr;
       if (resp == nullptr || resp->status != StatusCode::kOk) {
         // Owner unreachable (or replied garbage): re-queue the sections and
@@ -311,7 +304,6 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       const uint64_t acked_seq = row == nullptr ? 0 : row->acked_seq;
       auto lock = co_await v->ShardAt(shard).changelog_locks.AcquireExclusive(
           FpKey(pd.fp));
-      if (v->dead) co_return;
       auto logs = v->ShardAt(shard).changelogs.find(pd.fp);
       if (logs == v->ShardAt(shard).changelogs.end()) {
         continue;
@@ -342,7 +334,6 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
     for (const Rebind& rb : rebinds) {
       co_await RebindMovedLog(v, rb.dir, rb.old_fp, rb.new_fp, rb.applied_seq,
                               /*from_aggregation=*/false);
-      if (v->dead) co_return;
     }
     progressed = progressed || !rebinds.empty();
     if (!progressed) {
@@ -360,7 +351,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       ctx_.stats->push_paced_drains++;
       if (!st.idle_timer_armed) {
         st.idle_timer_armed = true;
-        sim::Spawn(OwnerIdleTimer(v, shard, owner));
+        sim::Spawn(OwnerIdleTimer(v, shard, owner), v.get());
       }
       break;
     }
@@ -374,7 +365,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       // pusher exists for.
       if (!st.idle_timer_armed) {
         st.idle_timer_armed = true;
-        sim::Spawn(OwnerIdleTimer(v, shard, owner));
+        sim::Spawn(OwnerIdleTimer(v, shard, owner), v.get());
       }
       break;
     }
@@ -415,17 +406,15 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   //  * genuinely removed -> ack the section's max seq so the source trims
   //    the obsolete backlog instead of re-pushing it forever.
   if (!v->LookupDirIndex(dir, &ikey, &fp) || !v->kv.Get(ikey).has_value()) {
-    if (ctx_.config->moved_rebind) {
-      const ServerVolatile::MovedDir* moved = v->FindMovedTombstone(
-          dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
-      if (moved != nullptr) {
-        row.status = PushResp::SectionStatus::kMoved;
-        row.new_fp = moved->new_fp;
-        row.new_owner = moved->new_owner;
-        row.rename_epoch = moved->epoch;
-        row.acked_seq = moved->AppliedFor(src, section_fp);
-        co_return row;
-      }
+    const ServerVolatile::MovedDir* moved = v->FindMovedTombstone(
+        dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
+    if (moved != nullptr) {
+      row.status = PushResp::SectionStatus::kMoved;
+      row.new_fp = moved->new_fp;
+      row.new_owner = moved->new_owner;
+      row.rename_epoch = moved->epoch;
+      row.acked_seq = moved->AppliedFor(src, section_fp);
+      co_return row;
     }
     row.acked_seq = max_seq;
     if (batch_token != 0) {
@@ -449,21 +438,9 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   // leaves a window where a concurrent lookup re-installs the stale attr
   // between the evict round trip and the apply's KV write.
   auto ino_lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) {
-    row.acked_seq = 0;
-    co_return row;
-  }
   co_await EvictSwitchCacheEntry(ctx_, v, fp);
-  if (v->dead) {
-    row.acked_seq = 0;
-    co_return row;
-  }
   co_await agg_.ApplyEntries(v, dir, src, section_fp, std::move(entries),
                              ikey, batch_token);
-  if (v->dead) {
-    row.acked_seq = 0;
-    co_return row;
-  }
   auto it = v->hwm.find({dir, src, section_fp});
   row.acked_seq = it == v->hwm.end() ? 0 : it->second;
   // Commit the section's token AFTER the apply: the WAL records carrying it
@@ -486,16 +463,16 @@ sim::Task<void> PushEngine::ApplySectionTask(
     VolPtr v, PushReq::PerDir pd, uint32_t src,
     std::shared_ptr<std::vector<PushResp::AckedDir>> rows, size_t slot,
     std::shared_ptr<sim::JoinCounter> jc) {
+  // Runs even when the chain is cancelled: HandlePush's join must resolve so
+  // its frame (and the captured shared state) unwinds.
+  sim::ScopeExit settle([&v, &jc] {
+    v->inflight_push_sections--;
+    jc->Done();
+  });
   (*rows)[slot] = co_await ApplySection(v, pd.dir, src, pd.fp,
                                         std::move(pd.entries), pd.batch_token);
-  if (!v->dead) {
-    v->inflight_push_sections--;
-    v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
-    ArmOwnerQuietTimer(v, pd.fp);
-  }
-  // Unconditional, dead or not: HandlePush's join must resolve so its frame
-  // (and the captured shared state) unwinds.
-  jc->Done();
+  v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
+  ArmOwnerQuietTimer(v, pd.fp);
 }
 
 sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
@@ -506,13 +483,11 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
   }
   ctx_.stats->pushes_received++;
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
   auto resp = std::make_shared<PushResp>();
   resp->status = StatusCode::kOk;
   // Busy signal for adaptive pacing: sections are counted in-flight while
   // they apply (each decrements as it completes, so by reply time the count
-  // reflects the OTHER pushes still applying). Dead incarnations skip the
-  // unwind — the counter is volatile and dies with them.
+  // reflects the OTHER pushes still applying, cancelled sections included).
   v->inflight_push_sections += static_cast<int>(msg->dirs.size());
   // Fan the sections out onto their shards' apply lanes: each lane applies
   // serially, lanes run concurrently on the CpuPool, and rows land at their
@@ -535,7 +510,6 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
         });
   }
   co_await jc->Wait();
-  if (v->dead) co_return;
   resp->acked = std::move(*rows);
   if (ctx_.config->push_busy_threshold > 0 &&
       v->inflight_push_sections > ctx_.config->push_busy_threshold) {
@@ -547,7 +521,7 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
   ctx_.rpc->Respond(p, resp);
 }
 
-sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
+sim::Task<void> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
                                            psw::Fingerprint old_fp,
                                            psw::Fingerprint new_fp,
                                            uint64_t applied_seq,
@@ -556,7 +530,7 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
     // Degenerate verdict (a chained rename led back to the same
     // fingerprint): the log is already keyed correctly; re-keying onto
     // itself would self-append forever in DrainInto.
-    co_return false;
+    co_return;
   }
   size_t moved_entries = 0;
   {
@@ -573,17 +547,14 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
     if (old_fp < new_fp) {
       first = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
           FpKey(old_fp));
-      if (v->dead) co_return false;
       second = co_await v->ShardFor(new_fp).changelog_locks.AcquireExclusive(
           FpKey(new_fp));
     } else {
       first = co_await v->ShardFor(new_fp).changelog_locks.AcquireExclusive(
           FpKey(new_fp));
-      if (v->dead) co_return false;
       second = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
           FpKey(old_fp));
     }
-    if (v->dead) co_return false;
 
     // Per-log append mutexes, in key order: DrainInto renumbers the target
     // log and drains the source, and rename/link commit legs append to
@@ -595,7 +566,6 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
       append_first =
           co_await v->ShardFor(old_fp).changelog_append_locks.AcquireExclusive(
               ClAppendKey(old_fp, dir));
-      if (v->dead) co_return false;
       // sfs-lint: allow(append-innermost, same-class pair in ClAppendKey order — deadlock-free; the rebind must hold both ends to renumber)
       append_second =
           co_await v->ShardFor(new_fp).changelog_append_locks.AcquireExclusive(
@@ -604,31 +574,27 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
       append_first =
           co_await v->ShardFor(new_fp).changelog_append_locks.AcquireExclusive(
               ClAppendKey(new_fp, dir));
-      if (v->dead) co_return false;
       // sfs-lint: allow(append-innermost, same-class pair in ClAppendKey order — deadlock-free; the rebind must hold both ends to renumber)
       append_second =
           co_await v->ShardFor(old_fp).changelog_append_locks.AcquireExclusive(
               ClAppendKey(old_fp, dir));
     }
-    if (v->dead) co_return false;
 
     auto logs = v->ShardFor(old_fp).changelogs.find(old_fp);
     if (logs == v->ShardFor(old_fp).changelogs.end()) {
-      co_return false;  // already rebound (push and aggregation verdicts race)
+      co_return;  // already rebound (push and aggregation verdicts race)
     }
     auto lit = logs->second.find(dir);
     if (lit == logs->second.end()) {
-      co_return false;
+      co_return;
     }
     ChangeLog* from = &lit->second;  // value-stable across map rehashes
     // The prefix the old owner applied before the rename migrated with the
     // directory's entry list; re-keying it would double-count the directory
     // size at the new owner. Trim it as acknowledged.
-    const size_t before = from->size();
     for (uint64_t lsn : from->AckUpTo(applied_seq)) {
       ctx_.durable->wal.MarkApplied(lsn);
     }
-    const size_t trimmed = before - from->size();
     v->ShardFor(old_fp).pushers[ctx_.OwnerOf(old_fp)].ready.erase(
         {old_fp, dir});
     if (!from->empty()) {
@@ -643,7 +609,7 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
       // is bounded to the same-name case and to sources whose eager verdict
       // fetch (EagerRebindMoved) lost the race with a client op through the
       // new path — and it is settled at the apply: the per-name LWW stamp
-      // (ServerConfig::lww_resolve) drops the stale old-era entry when it
+      // (Aggregation::ApplyEntries) drops the stale old-era entry when it
       // arrives after the newer same-name write, so the inversion can no
       // longer materialize a phantom dirent or resurrect a deleted one.
       moved_entries = from->DrainInto(v->GetChangeLog(new_fp, dir));
@@ -655,7 +621,7 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
     // the marks and re-chains through the next verdict; the owner-side
     // resolved-prefix bridge (ApplyEntries) absorbs the seq gap.
     if (moved_entries == 0) {
-      co_return trimmed > 0;  // trimming the applied prefix is progress too
+      co_return;
     }
     if (from_aggregation) {
       ctx_.stats->agg_rebinds++;
@@ -670,18 +636,7 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
   // re-push delivers the entries regardless, so an overflow only costs
   // dirty-bit visibility until then (the insert_exhausted exposure).
   co_await ctx_.dirty_tracker->Insert(ctx_, v, new_fp, dir, nullptr, nullptr);
-  if (v->dead) co_return true;
   MaybeSchedulePush(v, new_fp, dir);
-  co_return true;
-}
-
-sim::Task<void> PushEngine::RebindMovedLogDetached(VolPtr v, InodeId dir,
-                                                   psw::Fingerprint old_fp,
-                                                   psw::Fingerprint new_fp,
-                                                   uint64_t applied_seq,
-                                                   bool from_aggregation) {
-  co_await RebindMovedLog(v, dir, old_fp, new_fp, applied_seq,
-                          from_aggregation);
 }
 
 sim::Task<void> PushEngine::EagerRebindMoved(VolPtr v, InodeId dir,
@@ -691,7 +646,6 @@ sim::Task<void> PushEngine::EagerRebindMoved(VolPtr v, InodeId dir,
   {
     auto lock = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
         FpKey(old_fp));
-    if (v->dead) co_return;
     auto logs = v->ShardFor(old_fp).changelogs.find(old_fp);
     if (logs == v->ShardFor(old_fp).changelogs.end()) {
       co_return;
@@ -730,27 +684,26 @@ void PushEngine::ArmOwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
     return;  // synchronous mode never defers
   }
   if (v->ShardFor(fp).quiet_timer_armed.insert(fp).second) {
-    sim::Spawn(OwnerQuietTimer(v, fp));
+    sim::Spawn(OwnerQuietTimer(v, fp), v.get());
   }
 }
 
 sim::Task<void> PushEngine::OwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
-  while (true) {
-    co_await sim::Delay(ctx_.sim, ctx_.config->owner_quiet_period);
-    if (v->dead) {
-      // Dead incarnation: unwind the armed marker so the state carries no
-      // phantom timer (the replacement incarnation starts fresh anyway).
-      v->ShardFor(fp).quiet_timer_armed.erase(fp);
-      co_return;
-    }
-    auto it = v->ShardFor(fp).last_push.find(fp);
-    const int64_t last =
-        it == v->ShardFor(fp).last_push.end() ? 0 : it->second;
-    if (ctx_.Now() - last >= ctx_.config->owner_quiet_period) {
-      break;
+  {
+    // The armed marker goes however the wait ends — a crash cancelling it
+    // included — so no state carries a phantom timer.
+    sim::ScopeExit disarm(
+        [&v, fp] { v->ShardFor(fp).quiet_timer_armed.erase(fp); });
+    while (true) {
+      co_await sim::Delay(ctx_.sim, ctx_.config->owner_quiet_period);
+      auto it = v->ShardFor(fp).last_push.find(fp);
+      const int64_t last =
+          it == v->ShardFor(fp).last_push.end() ? 0 : it->second;
+      if (ctx_.Now() - last >= ctx_.config->owner_quiet_period) {
+        break;
+      }
     }
   }
-  v->ShardFor(fp).quiet_timer_armed.erase(fp);
   // Quiet period elapsed: aggregate proactively so the next read finds the
   // directory in normal state (§5.3).
   co_await agg_.GateAndAggregate(v, fp);

@@ -74,18 +74,11 @@ class PushEngine {
   // directory's entry list), moves the rest into the new-fingerprint log
   // with re-assigned seqs, re-inserts the dirty bit through the tracker, and
   // enqueues the log on the new owner's pusher. Safe to call twice for the
-  // same verdict (the second call finds no log and no-ops). Returns true if
-  // entries were re-keyed. `from_aggregation` selects which rebind counters
-  // advance.
-  sim::Task<bool> RebindMovedLog(VolPtr v, InodeId dir, psw::Fingerprint old_fp,
+  // same verdict (the second call finds no log and no-ops).
+  // `from_aggregation` selects which rebind counters advance.
+  sim::Task<void> RebindMovedLog(VolPtr v, InodeId dir, psw::Fingerprint old_fp,
                                  psw::Fingerprint new_fp, uint64_t applied_seq,
                                  bool from_aggregation);
-  // Spawn-friendly wrapper (sim::Spawn takes Task<void>).
-  sim::Task<void> RebindMovedLogDetached(VolPtr v, InodeId dir,
-                                         psw::Fingerprint old_fp,
-                                         psw::Fingerprint new_fp,
-                                         uint64_t applied_seq,
-                                         bool from_aggregation);
   // Eager reaction to the rename's invalidation broadcast: for a log with
   // pending entries, triggers an immediate push toward the old owner so its
   // kMoved verdict (the only holder of the authoritative pre-rename applied
@@ -121,8 +114,8 @@ class PushEngine {
                                              uint64_t batch_token);
   // One pushed section routed onto its shard's apply lane (HandlePush fans a
   // batch out through these): applies, records the row at `slot`, bumps the
-  // shard's push clock, and signals `jc` unconditionally — even on a dead
-  // incarnation — so the response assembly never hangs.
+  // shard's push clock, and signals `jc` unconditionally — even when a crash
+  // cancels it — so the response assembly never hangs.
   sim::Task<void> ApplySectionTask(
       VolPtr v, PushReq::PerDir pd, uint32_t src,
       std::shared_ptr<std::vector<PushResp::AckedDir>> rows, size_t slot,

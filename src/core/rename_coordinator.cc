@@ -16,7 +16,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   ctx_.stats->ops++;
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& src = req->ref;
   const PathRef& dst = req->ref2;
@@ -59,7 +58,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     look->pid = src.pid;
     look->name = src.name;
     auto lr = co_await ctx_.rpc->Call(s_node, look);
-    if (v->dead) co_return;
     if (lr.ok()) {
       const auto* lresp = net::MsgAs<LookupResp>(*lr);
       if (lresp != nullptr && lresp->status == StatusCode::kOk &&
@@ -68,7 +66,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
         agg->fp = sfp;
         auto ar = co_await ctx_.rpc->Call(s_node, agg);
         (void)ar;
-        if (v->dead) co_return;
       }
     }
   }
@@ -87,7 +84,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     txn_opts.timeout = sim::Milliseconds(20);
     txn_opts.max_attempts = 3;
     auto r = co_await ctx_.rpc->Call(legs[i].node, prep, txn_opts);
-    if (v->dead) co_return;
     if (!r.ok()) {
       failure = StatusCode::kUnavailable;
       break;
@@ -123,7 +119,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
       abort->parent_entry_name = legs[i].name;
       auto r = co_await ctx_.rpc->Call(legs[i].node, abort);
       (void)r;
-      if (v->dead) co_return;
     }
     ctx_.RespondStatus(p, failure);
     co_return;
@@ -154,7 +149,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
   commit_opts.timeout = sim::Milliseconds(20);
   commit_opts.max_attempts = 3;
   auto r1 = co_await ctx_.rpc->Call(s_node, scommit, commit_opts);
-  if (v->dead) co_return;
 
   std::vector<DirEntry> moved_entries;
   if (r1.ok()) {
@@ -177,7 +171,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
   dcommit->install = src_attr.is_dir();
   auto r2 = co_await ctx_.rpc->Call(d_node, dcommit, commit_opts);
   (void)r2;
-  if (v->dead) co_return;
 
   if (src_attr.is_dir()) {
     // The directory's cached path mappings are now stale everywhere. The
@@ -188,11 +181,9 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     v->inval.Add(src_attr.id, ctx_.Now());
     auto bcast = std::make_shared<InvalBroadcast>();
     bcast->id = src_attr.id;
-    if (ctx_.config->moved_rebind) {
-      bcast->moved = true;
-      bcast->old_fp = sfp;
-      bcast->new_fp = dfp;
-    }
+    bcast->moved = true;
+    bcast->old_fp = sfp;
+    bcast->new_fp = dfp;
     net::Packet mc;
     mc.dst = net::kServerMulticast;
     mc.ds.origin = ctx_.node_id();
@@ -204,11 +195,9 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     mc.mc.fingerprint = sfp;
     mc.body = bcast;
     ctx_.rpc->Send(std::move(mc));
-    if (ctx_.config->moved_rebind) {
-      // The multicast does not loop back to this server: rebind our own
-      // old-era log for the directory, if any.
-      sim::Spawn(push_.EagerRebindMoved(v, src_attr.id, sfp, dfp));
-    }
+    // The multicast does not loop back to this server: rebind our own
+    // old-era log for the directory, if any.
+    sim::Spawn(push_.EagerRebindMoved(v, src_attr.id, sfp, dfp), v.get());
   }
   ctx_.RespondStatus(p, StatusCode::kOk);
 }
@@ -217,13 +206,10 @@ sim::Task<void> RenameCoordinator::HandleRenamePrepare(net::Packet p,
                                                        VolPtr v) {
   const auto* msg = static_cast<const RenamePrepare*>(p.body.get());
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch + ctx_.costs->txn_prepare);
-  if (v->dead) co_return;
   const std::string ikey = InodeKey(msg->pid, msg->name);
   auto resp = std::make_shared<RenamePrepareResp>();
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) co_return;
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (msg->must_exist && !value.has_value()) {
     resp->status = StatusCode::kNotFound;
@@ -249,7 +235,6 @@ sim::Task<void> RenameCoordinator::HandleRenamePrepare(net::Packet p,
 sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
   const auto* msg = static_cast<const RenameCommit*>(p.body.get());
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch + ctx_.costs->txn_commit);
-  if (v->dead) co_return;
   const std::string leg_key =
       InodeKey(msg->parent_dir, msg->parent_entry_name);
   auto it = v->txn_locks.find(msg->txn_id ^ HashString(leg_key));
@@ -306,8 +291,7 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     // takes over the directory's applied high-water marks (rename era
     // boundary): kMoved verdicts serve them, and the live rows are erased so
     // a directory that later returns here starts a fresh dedup era.
-    const bool install_tombstone =
-        msg->moved_tombstone && ctx_.config->moved_rebind;
+    const bool install_tombstone = msg->moved_tombstone;
     const uint64_t moved_epoch = static_cast<uint64_t>(ctx_.Now());
     std::vector<std::pair<uint32_t, uint64_t>> moved_applied;
     if (install_tombstone) {
@@ -336,7 +320,6 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     co_await EvictSwitchCacheEntry(
         ctx_, v, FingerprintOf(msg->parent_dir, msg->parent_entry_name),
         EvictLockWitness::kExternal);
-    if (v->dead) co_return;
 
     // Per-log append mutex: commit legs cannot take the fp-group change-log
     // lock (it would invert the upsert's cl-then-inode order and deadlock),
@@ -350,18 +333,15 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
           co_await v->ShardFor(msg->parent_fp)
               .changelog_append_locks.AcquireExclusive(
                   ClAppendKey(msg->parent_fp, msg->parent_dir));
-      if (v->dead) co_return;
       clog = &v->GetChangeLog(msg->parent_fp, msg->parent_dir);
       entry.seq = clog->last_appended_seq() + 1;
       rec.entry = entry;
     }
     co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    if (v->dead) co_return;
     const uint64_t lsn = ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
 
     co_await ctx_.cpu->Run(msg->delete_inode ? ctx_.costs->kv_delete
                                              : ctx_.costs->kv_put);
-    if (v->dead) co_return;
     if (msg->delete_inode) {
       auto old = v->kv.Get(key);
       v->kv.Delete(key);
@@ -413,7 +393,6 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     }
     if (clog != nullptr) {
       co_await ctx_.cpu->Run(ctx_.costs->changelog_append);
-      if (v->dead) co_return;
       entry.wal_lsn = lsn;
       // Re-obtain the log rather than reuse `clog`: the append mutex held
       // above excludes concurrent appends and rebind renumbering, but the
@@ -426,7 +405,6 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
   if (msg->log_parent_update) {
     co_await publisher_.PublishUpdate(nullptr, v, msg->parent_fp,
                                       msg->parent_dir, nullptr);
-    if (v->dead) co_return;
     push_.MaybeSchedulePush(v, msg->parent_fp, msg->parent_dir);
   }
   v->txn_locks.erase(msg->txn_id ^ HashString(leg_key));
@@ -436,9 +414,7 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
 sim::Task<void> RenameCoordinator::HandleAggregateReq(net::Packet p, VolPtr v) {
   const auto* msg = static_cast<const AggregateReq*>(p.body.get());
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
-  if (v->dead) co_return;
   co_await agg_.GateAndAggregate(v, msg->fp);
-  if (v->dead) co_return;
   ctx_.rpc->Respond(p, net::MakeMsg<Ack>());
 }
 

@@ -110,6 +110,10 @@ void SwitchServer::OnRequest(net::Packet p) {
     return;
   }
   VolPtr v = vol_;
+  // Handler chains are bound to the incarnation they were dispatched to.
+  const auto spawn = [inc = v.get()](sim::Task<void> task) {
+    sim::Spawn(std::move(task), inc);
+  };
   switch (p.body->type) {
     case MetaReq::kType: {
       if (!serving_) {
@@ -121,47 +125,47 @@ void SwitchServer::OnRequest(net::Packet p) {
         case OpType::kCreate:
         case OpType::kMkdir:
         case OpType::kUnlink:
-          sim::Spawn(HandleUpsert(std::move(p), std::move(v)));
+          spawn(HandleUpsert(std::move(p), std::move(v)));
           break;
         case OpType::kRmdir:
-          sim::Spawn(HandleRmdir(std::move(p), std::move(v)));
+          spawn(HandleRmdir(std::move(p), std::move(v)));
           break;
         case OpType::kStatDir:
         case OpType::kReaddir:
-          sim::Spawn(HandleDirRead(std::move(p), std::move(v)));
+          spawn(HandleDirRead(std::move(p), std::move(v)));
           break;
         case OpType::kOpenDir:
-          sim::Spawn(HandleOpenDir(std::move(p), std::move(v)));
+          spawn(HandleOpenDir(std::move(p), std::move(v)));
           break;
         case OpType::kReaddirPage:
-          sim::Spawn(HandleReaddirPage(std::move(p), std::move(v)));
+          spawn(HandleReaddirPage(std::move(p), std::move(v)));
           break;
         case OpType::kCloseDir:
-          sim::Spawn(HandleCloseDir(std::move(p), std::move(v)));
+          spawn(HandleCloseDir(std::move(p), std::move(v)));
           break;
         case OpType::kBatchStat:
-          sim::Spawn(HandleBatchStat(std::move(p), std::move(v)));
+          spawn(HandleBatchStat(std::move(p), std::move(v)));
           break;
         case OpType::kBatchStatDir:
-          sim::Spawn(HandleBatchStatDir(std::move(p), std::move(v)));
+          spawn(HandleBatchStatDir(std::move(p), std::move(v)));
           break;
         case OpType::kSetAttr:
-          sim::Spawn(HandleSetAttr(std::move(p), std::move(v)));
+          spawn(HandleSetAttr(std::move(p), std::move(v)));
           break;
         case OpType::kBulkInsert:
-          sim::Spawn(HandleBulkInsert(std::move(p), std::move(v)));
+          spawn(HandleBulkInsert(std::move(p), std::move(v)));
           break;
         case OpType::kStat:
         case OpType::kOpen:
         case OpType::kClose:
         case OpType::kChmod:
-          sim::Spawn(HandleFileOp(std::move(p), std::move(v)));
+          spawn(HandleFileOp(std::move(p), std::move(v)));
           break;
         case OpType::kRename:
-          sim::Spawn(rename_.HandleRename(std::move(p), std::move(v)));
+          spawn(rename_.HandleRename(std::move(p), std::move(v)));
           break;
         case OpType::kLink:
-          sim::Spawn(links_.HandleLink(std::move(p), std::move(v)));
+          spawn(links_.HandleLink(std::move(p), std::move(v)));
           break;
         default:
           RespondStatus(p, StatusCode::kInvalidArgument);
@@ -174,13 +178,13 @@ void SwitchServer::OnRequest(net::Packet p) {
         RespondStatus(p, StatusCode::kUnavailable);
         return;
       }
-      sim::Spawn(HandleLookup(std::move(p), std::move(v)));
+      spawn(HandleLookup(std::move(p), std::move(v)));
       break;
     case AggEntries::kType:
       agg_.HandleAggEntries(std::move(p), std::move(v));
       break;
     case PushReq::kType:
-      sim::Spawn(push_.HandlePush(std::move(p), std::move(v)));
+      spawn(push_.HandlePush(std::move(p), std::move(v)));
       break;
     case MarkScattered::kType: {
       const auto* msg = static_cast<const MarkScattered*>(p.body.get());
@@ -207,7 +211,7 @@ void SwitchServer::OnRequest(net::Packet p) {
       break;
     }
     case AggregateReq::kType:
-      sim::Spawn(rename_.HandleAggregateReq(std::move(p), std::move(v)));
+      spawn(rename_.HandleAggregateReq(std::move(p), std::move(v)));
       break;
     case RenamePrepare::kType: {
       // Cross-shard handoff (sanctioned flow #1, rename legs): the prepare
@@ -236,7 +240,7 @@ void SwitchServer::OnRequest(net::Packet p) {
       break;
     }
     case InvalCloneReq::kType:
-      sim::Spawn(HandleInvalClone(std::move(p), std::move(v)));
+      spawn(HandleInvalClone(std::move(p), std::move(v)));
       break;
     case LinkConvert::kType: {
       // Cross-shard handoff (sanctioned flow #2, hard-link splits): the
@@ -251,7 +255,7 @@ void SwitchServer::OnRequest(net::Packet p) {
       break;
     }
     case LinkRefUpdate::kType:
-      sim::Spawn(links_.HandleLinkRefUpdate(std::move(p), std::move(v)));
+      spawn(links_.HandleLinkRefUpdate(std::move(p), std::move(v)));
       break;
     default:
       break;
@@ -260,12 +264,15 @@ void SwitchServer::OnRequest(net::Packet p) {
 
 void SwitchServer::OnRaw(net::Packet p) {
   VolPtr v = vol_;
+  const auto spawn = [inc = v.get()](sim::Task<void> task) {
+    sim::Spawn(std::move(task), inc);
+  };
   if (p.has_ds_op() && p.ds.op == net::DsOp::kInsert) {
     if (p.ds.ret) {
       HandleInsertAck(p, v);  // mirror copy: release signal (7b)
     } else {
       // Address-rewriter redirect: we own the parent; apply synchronously.
-      sim::Spawn(HandleInsertFallback(std::move(p), std::move(v)));
+      spawn(HandleInsertFallback(std::move(p), std::move(v)));
     }
     return;
   }
@@ -288,7 +295,7 @@ void SwitchServer::OnRaw(net::Packet p) {
   }
   switch (p.body->type) {
     case AggCollect::kType:
-      sim::Spawn(agg_.HandleAggCollect(std::move(p), std::move(v)));
+      spawn(agg_.HandleAggCollect(std::move(p), std::move(v)));
       break;
     case AggDone::kType:
       agg_.HandleAggDone(*static_cast<const AggDone*>(p.body.get()), v);
@@ -299,13 +306,12 @@ void SwitchServer::OnRaw(net::Packet p) {
     case InvalBroadcast::kType: {
       const auto* msg = static_cast<const InvalBroadcast*>(p.body.get());
       v->inval.Add(msg->id, Now());
-      if (msg->moved && config_.moved_rebind) {
+      if (msg->moved) {
         // Rename rebind hint: re-key our old-era change-log for the moved
         // directory now, before any client can have re-resolved the new
         // path (keeps old-era entries ordered ahead of same-name new-era
         // ones; see InvalBroadcast in messages.h).
-        sim::Spawn(push_.EagerRebindMoved(v, msg->id, msg->old_fp,
-                                          msg->new_fp));
+        spawn(push_.EagerRebindMoved(v, msg->id, msg->old_fp, msg->new_fp));
       }
       break;
     }
@@ -322,7 +328,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;
   const std::string ikey = InodeKey(ref.pid, ref.name);
@@ -335,15 +340,12 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   // shard router maps to one shard — same fp, same shard for both tables.
   auto cl_lock =
       co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
-  if (v->dead) co_return;
   auto ino_lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) co_return;
 
   // Step 3: validation — invalidation list, then existence.
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -351,7 +353,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto existing = v->kv.Get(ikey);
 
   Attr attr;
@@ -390,7 +391,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
         // count reaches zero (§5.5).
         Status ls = co_await links_.UpdateLinkCount(
             v, attr.id, static_cast<uint32_t>(attr.size), -1, nullptr);
-        if (v->dead) co_return;
         if (!ls.ok()) {
           // A failed decrement leaves the refcount untouched; surfacing the
           // error beats unlinking the entry and stranding the attributes
@@ -414,7 +414,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   // are never installed). Runs under the exclusive inode lock, so no read
   // can install a pre-write record after this returns (see cache_evict.h).
   co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
-  if (v->dead) co_return;
 
   // Step 4: persistent commit (WAL). The per-log append mutex pins the
   // captured seq across the WAL/KV suspensions: rename and link commit legs
@@ -425,7 +424,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
     auto append_lock =
         co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
             ClAppendKey(pfp, ref.pid));
-    if (v->dead) co_return;
     // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
     ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
     entry.seq = clog.last_appended_seq() + 1;
@@ -441,12 +439,10 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
     rec.entry = entry;
     rec.has_entry = true;
     co_await cpu_.Run(costs_->wal_append);
-    if (v->dead) co_return;
     const uint64_t lsn = durable_->wal.Append(kWalOpCommit, rec.Encode());
 
     // Step 5: execute locally.
     co_await cpu_.Run(rec.inode_delete ? costs_->kv_delete : costs_->kv_put);
-    if (v->dead) co_return;
     if (rec.inode_delete) {
       v->kv.Delete(ikey);
     } else {
@@ -459,7 +455,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
       }
     }
     co_await cpu_.Run(costs_->changelog_append);
-    if (v->dead) co_return;
     entry.wal_lsn = lsn;
     clog.Restore(entry);
   }
@@ -470,7 +465,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   if (!config_.async_updates) {
     // Conventional synchronous update (Baseline of §7.3.1).
     Status s = co_await SyncParentUpdate(v, pfp, ref.pid);
-    if (v->dead) co_return;
     if (!s.ok()) {
       // Owner unreachable: the entry stays pending; it will be flushed by a
       // later push. The op itself is committed, so report success.
@@ -481,7 +475,6 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
 
   // Step 6/7: mark scattered, reply via the ack path, release locks (RAII).
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
-  if (v->dead) co_return;
   push_.MaybeSchedulePush(v, pfp, ref.pid);
 }
 
@@ -491,7 +484,6 @@ sim::Task<void> SwitchServer::PublishUpdate(const net::Packet* client_req,
                                             net::MsgPtr client_resp) {
   const tracker::InsertResult res = co_await ctx_.dirty_tracker->Insert(
       ctx_, v, fp, dir, client_req, client_resp);
-  if (v->dead) co_return;
   if (res == tracker::InsertResult::kOverflow) {
     // Tracker full or unreachable: apply the parent update synchronously at
     // its owner so the deferred entry is visible without the dirty set.
@@ -499,7 +491,6 @@ sim::Task<void> SwitchServer::PublishUpdate(const net::Packet* client_req,
     // Best-effort: on failure the entries simply stay pending for a later
     // push — the op itself is already committed.
     (void)co_await SyncParentUpdate(v, fp, dir);
-    if (v->dead) co_return;
   }
   if (res != tracker::InsertResult::kDelivered && client_req != nullptr) {
     rpc_.Respond(*client_req, client_resp);
@@ -559,16 +550,13 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
           co_await sim::discipline::CurrentChainId{});
       ino_lock =
           co_await v->ShardForKey(dkey).inode_locks.AcquireExclusive(dkey);
-      if (v->dead) co_return UnavailableError();
       co_await EvictSwitchCacheEntry(ctx_, v, fp);
-      if (v->dead) co_return UnavailableError();
     }
     // dkey is empty exactly when the lookup failed and no lock is held (and
     // a conditional-operator temporary inside a co_await expression would
     // trip the GCC 12 frame-slot miscompile noted in HandleChmod).
     co_await agg_.ApplyEntries(v, dir, config_.index, fp, std::move(entries),
                                dkey);
-    if (v->dead) co_return UnavailableError();
     ino_lock.Release();
     // Classify AFTER the apply: ApplyEntries drops entries silently when
     // the directory is unknown here, and a rename can commit while the
@@ -578,8 +566,7 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
     // ReplayWalInto — matching PushEngine::ApplySection.)
     std::string ikey;
     psw::Fingerprint ifp = 0;
-    if (config_.moved_rebind && (!v->LookupDirIndex(dir, &ikey, &ifp) ||
-                                 !v->kv.Get(ikey).has_value())) {
+    if (!v->LookupDirIndex(dir, &ikey, &ifp) || !v->kv.Get(ikey).has_value()) {
       const ServerVolatile::MovedDir* tomb =
           v->FindMovedTombstone(dir, Now(), config_.moved_tombstone_ttl);
       if (tomb != nullptr) {
@@ -588,9 +575,10 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
         // this group's change-log lock, so an inline rebind would
         // self-deadlock. The op itself is committed; visibility follows
         // the rebound push.
-        sim::Spawn(push_.RebindMovedLogDetached(
-            v, dir, fp, tomb->new_fp, tomb->AppliedFor(config_.index, fp),
-            /*from_aggregation=*/false));
+        sim::Spawn(push_.RebindMovedLog(v, dir, fp, tomb->new_fp,
+                                        tomb->AppliedFor(config_.index, fp),
+                                        /*from_aggregation=*/false),
+                   v.get());
         co_return OkStatus();
       }
     }
@@ -612,7 +600,6 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
   pd.batch_token = v->push_token_counter++;
   push->dirs.push_back(std::move(pd));
   auto r = co_await rpc_.Call(cluster_->ServerNode(OwnerOf(fp)), push);
-  if (v->dead) co_return UnavailableError();
   if (!r.ok()) {
     co_return r.status();
   }
@@ -627,9 +614,9 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
         // Renamed away at the owner: trim only the pre-rename applied prefix
         // and re-key the rest (detached — see the local branch). The op is
         // committed either way.
-        sim::Spawn(push_.RebindMovedLogDetached(v, dir, fp, row.new_fp,
-                                                row.acked_seq,
-                                                /*from_aggregation=*/false));
+        sim::Spawn(push_.RebindMovedLog(v, dir, fp, row.new_fp, row.acked_seq,
+                                        /*from_aggregation=*/false),
+                   v.get());
         co_return OkStatus();
       }
       acked_seq = row.acked_seq;
@@ -667,11 +654,9 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
   }
   stats_.fallbacks++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
   uint64_t acked_seq = env->backlog.empty() ? 0 : env->backlog.back().seq;
   co_await agg_.ApplyEntries(v, env->dir, env->src_server, env->fp,
                              env->backlog, "");
-  if (v->dead) co_return;
   {
     // A backlog for a renamed-away directory must not be acked at max seq
     // (ApplyEntries drops it silently): ack only the pre-rename applied
@@ -682,8 +667,8 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
     // stale dir-index row; see ReplayWalInto / PushEngine::ApplySection).
     std::string ikey;
     psw::Fingerprint ifp = 0;
-    if (config_.moved_rebind && (!v->LookupDirIndex(env->dir, &ikey, &ifp) ||
-                                 !v->kv.Get(ikey).has_value())) {
+    if (!v->LookupDirIndex(env->dir, &ikey, &ifp) ||
+        !v->kv.Get(ikey).has_value()) {
       const ServerVolatile::MovedDir* tomb = v->FindMovedTombstone(
           env->dir, Now(), config_.moved_tombstone_ttl);
       if (tomb != nullptr) {
@@ -776,7 +761,6 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
   LockTable::Handle gate;
   while (true) {
     gate = co_await v->ShardFor(dir_fp).agg_gates.AcquireShared(FpKey(dir_fp));
-    if (v->dead) co_return LockTable::Handle();
     if (!scattered) {
       break;
     }
@@ -790,7 +774,6 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
     gate.Release();
     auto xgate =
         co_await v->ShardFor(dir_fp).agg_gates.AcquireExclusive(FpKey(dir_fp));
-    if (v->dead) co_return LockTable::Handle();
     bool need_agg = false;
     {
       auto& complete = v->ShardFor(dir_fp).last_agg_complete;
@@ -799,7 +782,6 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
     }
     if (need_agg) {
       co_await agg_.RunAggregation(v, dir_fp, std::nullopt, 0, "", false);
-      if (v->dead) co_return LockTable::Handle();
     }
     xgate.Release();
     scattered = false;
@@ -811,20 +793,16 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;
   const psw::Fingerprint dir_fp = FingerprintOf(ref.pid, ref.name);
   const std::string ikey = InodeKey(ref.pid, ref.name);
 
   LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
-  if (v->dead) co_return;
 
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  if (v->dead) co_return;
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -832,7 +810,6 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     RespondStatus(p, StatusCode::kNotFound);
@@ -851,7 +828,6 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
     // any uncached read's; later deferred updates evict via their kInsert
     // switch traversal).
     co_await cpu_.Run(costs_->reply_build);
-    if (v->dead) co_return;
     RespondWithInstall(p, resp, v, attr, Now());
     co_return;
   }
@@ -870,10 +846,8 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
                      });
     co_await cpu_.Run(static_cast<sim::SimTime>(n) *
                       (costs_->kv_scan_per_entry + costs_->readdir_per_entry));
-    if (v->dead) co_return;
   }
   co_await cpu_.Run(costs_->reply_build);
-  if (v->dead) co_return;
   rpc_.Respond(p, resp);
 }
 
@@ -885,24 +859,20 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;
   const psw::Fingerprint dir_fp = FingerprintOf(ref.pid, ref.name);
   const std::string ikey = InodeKey(ref.pid, ref.name);
 
   // Aggregate ONCE at open (§5.2.2 under the agg gate): every entry
-  // committed before the open is in the list the snapshot below pins, so
+  // committed before the open lands in the keyspace the cursor walks, so
   // the page stream can never drop a pre-open entry. Pages themselves skip
-  // the gate — they serve the pinned snapshot.
+  // the gate.
   LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
-  if (v->dead) co_return;
 
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  if (v->dead) co_return;
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -910,7 +880,6 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     RespondStatus(p, StatusCode::kNotFound);
@@ -922,44 +891,20 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
     co_return;
   }
 
-  // Open-time cost is the A/B lever (`snapshot_sessions`): a snapshot
-  // session copies the entry list here — the stream's one O(directory)
-  // scan, charged at open — and is immune to concurrent creates/unlinks/
-  // renames, including a rename or rmdir of the directory itself (the
-  // session outlives the directory's presence and keeps serving the pinned
-  // listing). The default cursor session stores only a scan position, so
-  // OpenDir is O(1) and each page charges its own bounded seek+scan
-  // (HandleReaddirPage); pre-open entries are still never lost — the
-  // aggregation above lands them in the live keyspace the cursor walks.
+  // A cursor session stores only a scan position, so OpenDir is O(1) and
+  // each page charges its own bounded seek+scan (HandleReaddirPage);
+  // pre-open entries are never lost — the aggregation above lands them in
+  // the live keyspace the cursor walks. The entry count is advisory, from
+  // the aggregated directory size (no scan).
   // Sessions are minted by (and live on) the directory fingerprint's shard;
   // the session id embeds the shard index so page/close/watchdog route back
   // without knowing the fingerprint. The LRU cap divides across shards (at
   // least 1 each) so one hot directory's scanners cannot evict every other
   // shard's cursors; the shard-local counter feeds the per-shard satellite
   // test, the global stat keeps the historical aggregate visible.
-  uint64_t session_id = 0;
-  uint64_t dir_entries = 0;
-  if (config_.snapshot_sessions) {
-    std::vector<DirEntry> entries;
-    v->kv.ScanPrefix(EntryPrefix(attr.id),
-                     [&](const std::string& k, const std::string& val) {
-                       entries.push_back(DirEntry{
-                           std::string(EntryNameFromKey(k)),
-                           DecodeEntryValue(val)});
-                       return true;
-                     });
-    co_await cpu_.Run(static_cast<sim::SimTime>(entries.size()) *
-                      costs_->kv_scan_per_entry);
-    if (v->dead) co_return;
-    dir_entries = entries.size();
-    session_id = v->ShardFor(dir_fp)
-                     .dir_sessions.Open(attr.id, std::move(entries), Now())
-                     .id;
-  } else {
-    // Advisory entry count from the aggregated directory size (no scan).
-    dir_entries = attr.size;
-    session_id = v->ShardFor(dir_fp).dir_sessions.OpenCursor(attr.id, Now()).id;
-  }
+  const uint64_t session_id =
+      v->ShardFor(dir_fp).dir_sessions.OpenCursor(attr.id, Now()).id;
+  const uint64_t dir_entries = attr.size;
   stats_.dir_opens++;
   const size_t shard_cap =
       config_.max_dir_sessions == 0
@@ -969,21 +914,19 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
       v->ShardFor(dir_fp).dir_sessions.EvictLruOverCap(shard_cap);
   v->ShardFor(dir_fp).dir_sessions_evicted += evicted;
   stats_.dir_sessions_evicted += evicted;
-  sim::Spawn(DirSessionWatchdog(v, session_id));
+  sim::Spawn(DirSessionWatchdog(v, session_id), v.get());
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   resp->dir_session = session_id;
   resp->dir_entries = dir_entries;
   co_await cpu_.Run(costs_->reply_build);
-  if (v->dead) co_return;
   rpc_.Respond(p, resp);
 }
 
 sim::Task<void> SwitchServer::DirSessionWatchdog(VolPtr v, uint64_t session_id) {
   while (true) {
     co_await sim::Delay(sim_, config_.dir_session_ttl);
-    if (v->dead) co_return;
     const size_t before = v->SessionShard(session_id).dir_sessions.size();
     if (v->SessionShard(session_id)
             .dir_sessions.ExpireIfIdle(session_id, Now(),
@@ -1000,7 +943,6 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   // SwitchFS streams are page-sequenced: req->cookie is the page's sequence
   // number, so a prefetching client can issue page p+1 while page p is in
@@ -1029,7 +971,6 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
       co_await cpu_.Run(static_cast<sim::SimTime>(page.entries.size()) *
                             costs_->readdir_per_entry +
                         costs_->reply_build);
-      if (v->dead) co_return;
       auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
       resp->entries = std::move(page.entries);
       resp->next_cookie = page.next_cookie;
@@ -1049,7 +990,7 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
       if (session->at_end) {
         // Idempotent tail re-read past the end.
         page.at_end = true;
-      } else if (session->cursor) {
+      } else {
         // Bounded KV seek from the last served key. Deletes remove entry
         // keys outright (no tombstone rows), so a deleted cursor is skipped
         // implicitly by upper_bound and a key is served at most once.
@@ -1075,28 +1016,21 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
               EntryKey(session->dir, page.entries.back().name);
         }
         page.at_end = !budget_stop;
-        // Satellite of the cursor design: the scan cost moves from OpenDir
-        // (where the snapshot path pays it all at once) to the page that
-        // performs it.
+        // The scan is charged to the page that performs it.
         scan_cost = static_cast<sim::SimTime>(page.entries.size()) *
                     costs_->kv_scan_per_entry;
-      } else {
-        page = DirSessionTable::PageOf(*session, session->offset,
-                                       config_.mtu_entries, config_.mtu_bytes);
-        session->offset = page.next_cookie;
       }
       page.next_cookie = want + 1;
       session->at_end = page.at_end;
       session->next_page = want + 1;
       session->last_page = page;
 
-      // Per-page accounting: this page's scan (cursor sessions only) plus
-      // its marshalling and reply build.
+      // Per-page accounting: this page's scan plus its marshalling and
+      // reply build.
       co_await cpu_.Run(scan_cost +
                         static_cast<sim::SimTime>(page.entries.size()) *
                             costs_->readdir_per_entry +
                         costs_->reply_build);
-      if (v->dead) co_return;
       stats_.dir_pages++;
       stats_.dir_page_entries += page.entries.size();
 
@@ -1116,7 +1050,6 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
       co_return;
     }
     co_await sim::Delay(sim_, 1000);  // park ~1µs; jitter reorders sub-µs
-    if (v->dead) co_return;
   }
 }
 
@@ -1124,7 +1057,6 @@ sim::Task<void> SwitchServer::HandleCloseDir(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
   v->SessionShard(req->dir_session).dir_sessions.Close(req->dir_session);
   RespondStatus(p, StatusCode::kOk);
 }
@@ -1138,7 +1070,6 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
   stats_.ops++;
   stats_.batch_stats++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->batch_status.reserve(req->targets.size());
@@ -1149,10 +1080,8 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
     const std::string ikey = InodeKey(ref.pid, ref.name);
     auto lock =
         co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-    if (v->dead) co_return;
     co_await cpu_.Run(costs_->path_check *
                       static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-    if (v->dead) co_return;
     auto stale = v->inval.Check(ref.ancestors);
     if (!stale.empty()) {
       // Per-target verdict; the batch itself stays kOk so healthy targets
@@ -1165,7 +1094,6 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
       continue;
     }
     co_await cpu_.Run(costs_->kv_get);
-    if (v->dead) co_return;
     auto value = v->kv.Get(ikey);
     if (!value.has_value()) {
       resp->batch_status.push_back(StatusCode::kNotFound);
@@ -1179,7 +1107,6 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
       Attr shared;
       Status s = co_await links_.UpdateLinkCount(
           v, attr.id, static_cast<uint32_t>(attr.size), /*delta=*/0, &shared);
-      if (v->dead) co_return;
       if (!s.ok()) {
         resp->batch_status.push_back(s.code());
         continue;
@@ -1190,7 +1117,6 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
     resp->batch_status.push_back(StatusCode::kOk);
   }
   co_await cpu_.Run(costs_->reply_build);
-  if (v->dead) co_return;
   rpc_.Respond(p, resp);
 }
 
@@ -1199,7 +1125,6 @@ sim::Task<void> SwitchServer::HandleBatchStatDir(net::Packet p, VolPtr v) {
   stats_.ops++;
   stats_.batch_stat_dirs++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->batch_status.reserve(req->targets.size());
@@ -1217,12 +1142,9 @@ sim::Task<void> SwitchServer::HandleBatchStatDir(net::Packet p, VolPtr v) {
     // is single-fingerprint (the batch could not pre-query N groups).
     LockTable::Handle gate =
         co_await GateDirRead(v, p, *req, dir_fp, req->scattered_hint);
-    if (v->dead) co_return;
     auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-    if (v->dead) co_return;
     co_await cpu_.Run(costs_->path_check *
                       static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-    if (v->dead) co_return;
     auto stale = v->inval.Check(ref.ancestors);
     if (!stale.empty()) {
       // Per-target verdict, as in HandleBatchStat: healthy targets still
@@ -1235,7 +1157,6 @@ sim::Task<void> SwitchServer::HandleBatchStatDir(net::Packet p, VolPtr v) {
       continue;
     }
     co_await cpu_.Run(costs_->kv_get);
-    if (v->dead) co_return;
     auto value = v->kv.Get(ikey);
     if (!value.has_value()) {
       resp->batch_status.push_back(StatusCode::kNotFound);
@@ -1250,7 +1171,6 @@ sim::Task<void> SwitchServer::HandleBatchStatDir(net::Packet p, VolPtr v) {
     resp->batch_status.push_back(StatusCode::kOk);
   }
   co_await cpu_.Run(costs_->reply_build);
-  if (v->dead) co_return;
   rpc_.Respond(p, resp);
 }
 
@@ -1259,16 +1179,13 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
   stats_.ops++;
   stats_.setattrs++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;
   const std::string ikey = InodeKey(ref.pid, ref.name);
   auto lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) co_return;
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -1276,7 +1193,6 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     RespondStatus(p, StatusCode::kNotFound);
@@ -1291,7 +1207,6 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     Status s = co_await links_.UpdateLinkCount(
         v, attr.id, static_cast<uint32_t>(attr.size), /*delta=*/0, &shared,
         req->delta);
-    if (v->dead) co_return;
     if (!s.ok()) {
       RespondStatus(p, s.code());
       co_return;
@@ -1299,7 +1214,6 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
     resp->attr = shared;
     co_await cpu_.Run(costs_->reply_build);
-    if (v->dead) co_return;
     rpc_.Respond(p, resp);
     co_return;
   }
@@ -1307,7 +1221,6 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
   if (req->delta.ApplyTo(attr, Now())) {
     // In-switch cache: evict before the commit, under the exclusive lock.
     co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
-    if (v->dead) co_return;
     // Commit through the WAL like every other mutation (the legacy chmod
     // path mutated the KV row only, losing the change across a crash).
     OpCommitRecord rec;
@@ -1315,10 +1228,8 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     rec.inode_key = ikey;
     rec.inode_value = attr.Encode();
     co_await cpu_.Run(costs_->wal_append);
-    if (v->dead) co_return;
     durable_->wal.Append(kWalOpCommit, rec.Encode());
     co_await cpu_.Run(costs_->kv_put);
-    if (v->dead) co_return;
     v->kv.Put(ikey, attr.Encode());
     if (req->delta.set_mode && attr.is_dir() && attr.id != RootId()) {
       // Permission changes on directories invalidate client caches (§4.2);
@@ -1341,7 +1252,6 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   co_await cpu_.Run(costs_->reply_build);
-  if (v->dead) co_return;
   rpc_.Respond(p, resp);
 }
 
@@ -1354,7 +1264,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   stats_.ops++;
   stats_.bulk_inserts++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;  // the shared parent; names in bulk_names
   const psw::Fingerprint pfp = ref.parent_fp;
@@ -1365,7 +1274,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   // All locks are held through the commit.
   auto cl_lock =
       co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
-  if (v->dead) co_return;
   std::vector<size_t> order(req->bulk_names.size());
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = i;
@@ -1390,14 +1298,12 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
     ino_locks.push_back(
         co_await v->ShardForKey(name_key).inode_locks.AcquireExclusive(
             name_key));
-    if (v->dead) co_return;
   }
   bulk_xs.Release();
 
   // One validation pass for the shared parent path.
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -1416,7 +1322,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   for (size_t i = 0; i < req->bulk_names.size(); ++i) {
     const std::string& name = req->bulk_names[i];
     co_await cpu_.Run(costs_->kv_get);
-    if (v->dead) co_return;
     if (v->kv.Get(InodeKey(ref.pid, name)).has_value() ||
         !admitted.insert(name).second) {
       resp->batch_status[i] = StatusCode::kAlreadyExists;
@@ -1426,7 +1331,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   }
   if (admitted_idx.empty()) {
     co_await cpu_.Run(costs_->reply_build);
-    if (v->dead) co_return;
     rpc_.Respond(p, resp);
     co_return;
   }
@@ -1438,7 +1342,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
     const psw::Fingerprint target_cache_fp =
         FingerprintOf(ref.pid, req->bulk_names[i]);
     co_await EvictSwitchCacheEntry(ctx_, v, target_cache_fp);
-    if (v->dead) co_return;
   }
 
   // Persistent commit: ONE WAL record covers the whole batch. The per-log
@@ -1451,7 +1354,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
     auto append_lock =
         co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
             ClAppendKey(pfp, ref.pid));
-    if (v->dead) co_return;
     // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
     ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
     uint64_t seq = clog.last_appended_seq();
@@ -1481,17 +1383,14 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
     co_await cpu_.Run(costs_->wal_append +
                       static_cast<sim::SimTime>(rec.items.size() - 1) *
                           costs_->wal_append_batched);
-    if (v->dead) co_return;
     const uint64_t lsn = durable_->wal.Append(kWalBulkCommit, rec.Encode());
 
     co_await cpu_.Run(static_cast<sim::SimTime>(rec.items.size()) *
                       costs_->kv_put);
-    if (v->dead) co_return;
     for (const BulkCommitRecord::Item& item : rec.items) {
       v->kv.Put(item.inode_key, item.inode_value);
     }
     co_await cpu_.Run(costs_->changelog_append);
-    if (v->dead) co_return;
     // Entries ack in FIFO order, so the shared record may be marked applied
     // only when its LAST entry acks — the others carry lsn 0 (a no-op for
     // Wal::MarkApplied). A partial ack followed by a crash replays the
@@ -1509,7 +1408,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
     // unreachable: the entries stay pending for a later push; the batch
     // itself is committed, so report the verdicts.
     (void)co_await SyncParentUpdate(v, pfp, ref.pid);
-    if (v->dead) co_return;
     rpc_.Respond(p, resp);
     co_return;
   }
@@ -1517,7 +1415,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   // One deferred-update publication covers the batch (they share the
   // parent's dirty-set slot), and at most one push is scheduled.
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
-  if (v->dead) co_return;
   push_.MaybeSchedulePush(v, pfp, ref.pid);
 }
 
@@ -1529,7 +1426,6 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;
   const psw::Fingerprint target_fp = FingerprintOf(ref.pid, ref.name);
@@ -1545,7 +1441,6 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   auto gate =
       co_await v->ShardFor(target_fp).agg_gates.AcquireExclusive(
           FpKey(target_fp));
-  if (v->dead) co_return;
   sim::CrossShardScope rmdir_xs(co_await sim::discipline::CurrentChainId{});
   LockTable::Handle cl_first;
   LockTable::Handle cl_second;
@@ -1555,7 +1450,6 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   } else if (pfp < target_fp) {
     cl_first = co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(
         FpKey(pfp));
-    if (v->dead) co_return;
     cl_second =
         co_await v->ShardFor(target_fp).changelog_locks.AcquireExclusive(
             FpKey(target_fp));
@@ -1563,13 +1457,10 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
     cl_first =
         co_await v->ShardFor(target_fp).changelog_locks.AcquireExclusive(
             FpKey(target_fp));
-    if (v->dead) co_return;
     cl_second = co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(
         FpKey(pfp));
   }
-  if (v->dead) co_return;
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) co_return;
   // Everything further this chain locks (RunAggregation's applies, the
   // append mutex) stays on the target group's shard or changes class, so
   // the witness can end here.
@@ -1577,7 +1468,6 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
 
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -1585,7 +1475,6 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     RespondStatus(p, StatusCode::kNotFound);
@@ -1605,10 +1494,8 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   // responders' release until after commit (Fig 6 step 12).
   auto outcome = co_await agg_.RunAggregation(v, target_fp, attr.id, target_fp,
                                               ikey, /*defer_done=*/true);
-  if (v->dead) co_return;
 
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   value = v->kv.Get(ikey);
   if (!value.has_value()) {
     agg_.SendAggDone(outcome.deferred_done);
@@ -1625,13 +1512,11 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
 
   // In-switch cache: the directory's attr must not survive its removal.
   co_await EvictSwitchCacheEntry(ctx_, v, target_fp);
-  if (v->dead) co_return;
 
   // Step 8: commit (append mutex: see HandleUpsert's commit section).
   {
     auto append_lock = co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
         ClAppendKey(pfp, ref.pid));
-    if (v->dead) co_return;
     // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
     ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
     ChangeLogEntry entry;
@@ -1651,21 +1536,17 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
     rec.entry = entry;
     rec.has_entry = true;
     co_await cpu_.Run(costs_->wal_append);
-    if (v->dead) co_return;
     entry.wal_lsn = durable_->wal.Append(kWalOpCommit, rec.Encode());
 
     co_await cpu_.Run(costs_->kv_delete);
-    if (v->dead) co_return;
     v->kv.Delete(ikey);
     v->kv.Delete(DirIndexKey(attr.id));
     co_await cpu_.Run(costs_->changelog_append);
-    if (v->dead) co_return;
     clog.Restore(entry);
   }
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
-  if (v->dead) co_return;
 
   // Step 12: let the responders release their locks and mark WALs.
   agg_.SendAggDone(outcome.deferred_done);
@@ -1680,13 +1561,11 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
 
   const PathRef& ref = req->ref;
   if (req->op == OpType::kClose) {
     // close releases client-side state only; servers just acknowledge.
     co_await cpu_.Run(costs_->reply_build);
-    if (v->dead) co_return;
     RespondStatus(p, StatusCode::kOk);
     co_return;
   }
@@ -1702,10 +1581,8 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   } else {
     lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
   }
-  if (v->dead) co_return;
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  if (v->dead) co_return;
   auto stale = v->inval.Check(ref.ancestors);
   if (!stale.empty()) {
     stats_.stale_cache_bounces++;
@@ -1713,7 +1590,6 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     RespondStatus(p, StatusCode::kNotFound);
@@ -1734,7 +1610,6 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
     Status s = co_await links_.UpdateLinkCount(v, attr.id,
                                                static_cast<uint32_t>(attr.size),
                                                /*delta=*/0, &shared, delta);
-    if (v->dead) co_return;
     if (!s.ok()) {
       RespondStatus(p, s.code());
       co_return;
@@ -1742,7 +1617,6 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
     auto resp2 = std::make_shared<MetaResp>(StatusCode::kOk);
     resp2->attr = shared;
     co_await cpu_.Run(costs_->reply_build);
-    if (v->dead) co_return;
     rpc_.Respond(p, resp2);
     co_return;
   }
@@ -1750,11 +1624,9 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
     // In-switch cache: evict before the KV commit (chmod's commit point),
     // under the exclusive lock.
     co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
-    if (v->dead) co_return;
     attr.mode = req->mode;
     attr.ctime = Now();
     co_await cpu_.Run(costs_->kv_put);
-    if (v->dead) co_return;
     v->kv.Put(ikey, attr.Encode());
     if (attr.is_dir() && attr.id != RootId()) {
       // Permission changes on directories invalidate client caches (§4.2).
@@ -1776,7 +1648,6 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   co_await cpu_.Run(costs_->reply_build);
-  if (v->dead) co_return;
   // stat/open piggyback a cache install; chmod requests carry no mc.kRead
   // stamp, so the helper degrades to a plain respond for them.
   RespondWithInstall(p, resp, v, attr, Now());
@@ -1785,13 +1656,10 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
 sim::Task<void> SwitchServer::HandleLookup(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const LookupReq*>(p.body.get());
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
   const std::string ikey = InodeKey(req->pid, req->name);
   auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  if (v->dead) co_return;
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + req->ancestors.size()));
-  if (v->dead) co_return;
   auto resp = std::make_shared<LookupResp>();
   auto stale = v->inval.Check(req->ancestors);
   if (!stale.empty()) {
@@ -1802,7 +1670,6 @@ sim::Task<void> SwitchServer::HandleLookup(net::Packet p, VolPtr v) {
     co_return;
   }
   co_await cpu_.Run(costs_->kv_get);
-  if (v->dead) co_return;
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     // Negative results are never installed: nothing would evict them (the
@@ -1877,7 +1744,7 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
           e.wal_lsn = r.lsn;
           v.GetChangeLog(rec.parent_fp, rec.parent_dir).Restore(std::move(e));
         }
-        if (rec.has_moved_tombstone && config_.moved_rebind) {
+        if (rec.has_moved_tombstone) {
           // Re-install the moved tombstone so rename-away stays
           // distinguishable from removed across a crash of the old owner
           // (in-flight change-logs elsewhere still need the rebind verdict).
@@ -1958,14 +1825,12 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
         // entries that won their comparison at runtime, so replay applies
         // them unconditionally; the stamps only need to be correct for
         // FUTURE arrivals (a late cross-era or WAN entry after recovery).
-        if (config_.lww_resolve) {
-          const LwwStamp stamp{rec.entry.timestamp, config_.cluster_id,
-                               rec.src_server, rec.entry.seq};
-          const std::string skey = LwwStampKey(rec.dir, rec.entry.name);
-          auto srow = v.kv.Get(skey);
-          if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-            v.kv.Put(skey, stamp.Encode());
-          }
+        const LwwStamp stamp{rec.entry.timestamp, config_.cluster_id,
+                             rec.src_server, rec.entry.seq};
+        const std::string skey = LwwStampKey(rec.dir, rec.entry.name);
+        auto srow = v.kv.Get(skey);
+        if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
+          v.kv.Put(skey, stamp.Encode());
         }
         Attr attr = Attr::Decode(*value);
         attr.size = rec.result_size;
@@ -2020,6 +1885,9 @@ sim::Task<void> SwitchServer::Recover() {
   ReplayWalInto(*v);
   vol_ = v;
   rpc_.SetEnabled(true);
+  // The rest of recovery acts as the new incarnation: a crash mid-recovery
+  // cancels it like any handler, and Recover() then returns quietly.
+  co_await sim::BindTo{v.get()};
 
   // Charge the redo cost: dominated by per-record work (§7.7).
   const size_t records = durable_->wal.record_count();
@@ -2028,7 +1896,6 @@ sim::Task<void> SwitchServer::Recover() {
     const size_t n = std::min(chunk, records - i);
     co_await cpu_.Run(static_cast<sim::SimTime>(n) *
                       costs_->wal_replay_per_record);
-    if (v->dead) co_return;
   }
 
   SeedRoot();  // re-seed if we own the root
@@ -2036,9 +1903,7 @@ sim::Task<void> SwitchServer::Recover() {
   // Flush rebuilt backlogs and re-aggregate owned directories so interrupted
   // aggregations complete (§A.1).
   co_await FlushAllChangeLogs();
-  if (v->dead) co_return;
   co_await AggregateAllOwnedDirs();
-  if (v->dead) co_return;
 
   // Clone the invalidation list from a healthy peer (§5.4.2).
   for (uint32_t s = 0; s < cluster_->ServerCount(); ++s) {
@@ -2047,7 +1912,6 @@ sim::Task<void> SwitchServer::Recover() {
     }
     auto r = co_await rpc_.Call(cluster_->ServerNode(s),
                                 net::MakeMsg<InvalCloneReq>());
-    if (v->dead) co_return;
     if (r.ok()) {
       if (const auto* resp = net::MsgAs<InvalCloneResp>(*r)) {
         v->inval.Merge(resp->entries);
@@ -2081,13 +1945,19 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   // The WAN analog of PushEngine::ApplySection, minus the change-log ack
   // machinery: resolve the directory, take its inode lock, settle the entry
   // through the per-name LWW stamp, and persist a kWalWanApply record before
-  // mutating. jc->Done() is unconditional (dead or not) so the applier's
-  // join always resolves.
-  if (v->dead) {
-    result->failed++;
+  // mutating. Every exit tallies its outcome and signals jc, so the
+  // applier's join always resolves; a crash-cancelled apply counts as
+  // `failed` (the applier withholds the batch ack and the origin re-ships).
+  // The inode lock is declared first so it is released after jc signals.
+  LockTable::Handle lock;
+  int* outcome = &result->failed;
+  sim::ScopeExit settle([&outcome, &jc] {
+    ++*outcome;
     jc->Done();
-    co_return;
-  }
+  });
+  // The lane may start this thunk after the incarnation died; decide
+  // nothing from a dead incarnation's state.
+  co_await sim::SafePoint{};
   std::string ikey;
   psw::Fingerprint fp = 0;
   if (!v->LookupDirIndex(we.dir, &ikey, &fp) ||
@@ -2096,16 +1966,10 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
     // re-ship cannot make it applicable (a later mkdir of the same path
     // mints a fresh id at its own cluster).
     stats_.wan_entries_dropped++;
-    result->dropped++;
-    jc->Done();
+    outcome = &result->dropped;
     co_return;
   }
-  auto lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
-  if (v->dead) {
-    result->failed++;
-    jc->Done();
-    co_return;
-  }
+  lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
   const LwwStamp incoming{we.entry.timestamp, we.origin_cluster,
                           we.src_server, we.entry.seq};
   const std::string skey = LwwStampKey(we.dir, we.entry.name);
@@ -2114,21 +1978,14 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
     // A newer write (local or from another origin) already resolved this
     // name — the conflict settles the same way at every cluster.
     stats_.wan_conflicts_lww++;
-    result->conflicts++;
-    jc->Done();
+    outcome = &result->conflicts;
     co_return;
   }
   co_await EvictSwitchCacheEntry(ctx_, v, fp);
-  if (v->dead) {
-    result->failed++;
-    jc->Done();
-    co_return;
-  }
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
     stats_.wan_entries_dropped++;
-    result->dropped++;
-    jc->Done();
+    outcome = &result->dropped;
     co_return;
   }
   Attr attr = Attr::Decode(*value);
@@ -2149,11 +2006,6 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   rec.result_mtime = std::max(attr.mtime, we.entry.timestamp);
   durable_->wal.Append(kWalWanApply, rec.Encode());
   co_await cpu_.Run(costs_->wal_append_batched + costs_->changelog_apply_entry);
-  if (v->dead) {
-    result->failed++;
-    jc->Done();
-    co_return;
-  }
   const std::string ekey = EntryKey(we.dir, we.entry.name);
   if (creates) {
     v->kv.Put(ekey, EncodeEntryValue(we.entry.entry_type));
@@ -2166,13 +2018,11 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   attr.atime = std::max(attr.atime, rec.result_mtime);
   v->kv.Put(ikey, attr.Encode());
   stats_.wan_entries_applied++;
-  result->applied++;
-  jc->Done();
+  outcome = &result->applied;
 }
 
 sim::Task<void> SwitchServer::HandleInvalClone(net::Packet p, VolPtr v) {
   co_await cpu_.Run(costs_->op_dispatch);
-  if (v->dead) co_return;
   auto resp = std::make_shared<InvalCloneResp>();
   resp->entries = v->inval.Snapshot();
   rpc_.Respond(p, resp);
@@ -2180,6 +2030,7 @@ sim::Task<void> SwitchServer::HandleInvalClone(net::Packet p, VolPtr v) {
 
 sim::Task<void> SwitchServer::FlushAllChangeLogs() {
   VolPtr v = vol_;
+  co_await sim::BindTo{v.get()};  // a crash of this server ends the flush
   std::set<uint32_t> owners;
   for (size_t i = 0; i < v->num_shards(); ++i) {
     for (const auto& [fp, dirs] : v->ShardAt(i).changelogs) {
@@ -2193,12 +2044,12 @@ sim::Task<void> SwitchServer::FlushAllChangeLogs() {
   }
   for (uint32_t owner : owners) {
     co_await push_.DrainOwnerBarrier(v, owner);
-    if (v->dead) co_return;
   }
 }
 
 sim::Task<void> SwitchServer::AggregateAllOwnedDirs() {
   VolPtr v = vol_;
+  co_await sim::BindTo{v.get()};  // a crash of this server ends the sweep
   std::vector<psw::Fingerprint> fps;
   v->kv.ScanPrefix(kDirIndexPrefix,
                    [&](const std::string&, const std::string& value) {
@@ -2215,7 +2066,6 @@ sim::Task<void> SwitchServer::AggregateAllOwnedDirs() {
       continue;
     }
     co_await agg_.GateAndAggregate(v, fp);
-    if (v->dead) co_return;
   }
 }
 

@@ -14,10 +14,11 @@
 // dirty-set overflow fallback, §6.2), and crash/recovery (§5.4.2, §A.1).
 //
 // Request handlers are coroutines; each captures a shared_ptr to the
-// server's volatile state (ServerVolatile) so a simulated crash can
-// atomically invalidate every in-flight handler (they observe `dead` at
-// their next resume and abandon work) while the replacement state recovers
-// from the WAL.
+// server's volatile state (ServerVolatile) and is spawned as a chain bound
+// to it (sim::Spawn, src/sim/task.h). A simulated crash marks that state
+// dead, so every in-flight chain throws sim::Cancelled at its next resume
+// and unwinds through its RAII guards — no handler checks liveness itself —
+// while the replacement state recovers from the WAL.
 #ifndef SRC_CORE_SERVER_H_
 #define SRC_CORE_SERVER_H_
 
@@ -70,6 +71,7 @@ class SwitchServer : public UpdatePublisher {
   size_t PendingChangeLogEntries() const;
   size_t KvSize() const { return vol_->kv.size(); }
   const ShardedKv& kv_for_test() const { return vol_->kv; }
+  size_t wal_records_for_test() const { return durable_->wal.record_count(); }
   InvalidationList& invalidation_for_test() { return vol_->inval; }
   bool OwnerScatteredForTest(psw::Fingerprint fp) const {
     return vol_->ShardFor(fp).owner_scattered.count(fp) > 0;
@@ -89,8 +91,8 @@ class SwitchServer : public UpdatePublisher {
   // Queues one WAN-replicated entry onto its directory's shard apply lane
   // (the same serial lanes push-batch sections apply through). Outcomes are
   // tallied into `result`; `jc` resolves when the entry has been applied,
-  // LWW-dropped, or abandoned by a dead incarnation (counted as `failed`, so
-  // the applier withholds the batch ack and the origin re-ships).
+  // LWW-dropped, or cancelled by a crash (counted as `failed`, so the
+  // applier withholds the batch ack and the origin re-ships).
   void EnqueueWanApply(const WanEntry& entry,
                        std::shared_ptr<WanApplyResult> result,
                        std::shared_ptr<sim::JoinCounter> jc);
@@ -141,8 +143,8 @@ class SwitchServer : public UpdatePublisher {
   sim::Task<void> HandleBulkInsert(net::Packet p, VolPtr v);
   // Ensures the directory group's deferred entries are applied before a
   // read: dirty-set check, then aggregation under the exclusive agg gate if
-  // needed; returns a held SHARED gate handle (empty if the incarnation
-  // died). Shared by statdir/readdir, OpenDir and BatchStatDir.
+  // needed; returns a held SHARED gate handle. Shared by statdir/readdir,
+  // OpenDir and BatchStatDir.
   // `force_scattered` skips the tracker consult and treats the directory as
   // dirty (multi-target requests whose tracker hint channel is
   // single-fingerprint).

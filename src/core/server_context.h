@@ -7,10 +7,11 @@
 // CPU pool, RPC endpoint, and stats; ServerContext is a non-owning view over
 // them with the small derived helpers (Now, owner lookup, responders) every
 // module needs. The per-incarnation volatile state (ServerVolatile) is a
-// shared_ptr handed to each coroutine handler at spawn time: a simulated
-// crash atomically replaces it and flags the old incarnation `dead`, so
-// in-flight handlers abandon work at their next resume while the replacement
-// recovers from the WAL.
+// shared_ptr handed to each coroutine handler at spawn time, and it is the
+// sim::Incarnation every handler chain is bound to (sim::Spawn): a simulated
+// crash atomically replaces it and flags the old one dead, so each in-flight
+// chain throws sim::Cancelled at its next resume and unwinds through its
+// guards while the replacement recovers from the WAL.
 #ifndef SRC_CORE_SERVER_CONTEXT_H_
 #define SRC_CORE_SERVER_CONTEXT_H_
 
@@ -92,14 +93,10 @@ struct ServerConfig {
   // consecutive failure up to push_retry_max_backoff_shift doublings.
   sim::SimTime push_retry_backoff = sim::Microseconds(200);
   int push_retry_max_backoff_shift = 6;
-  // Rename-vs-removal disambiguation (§5.2 rename race): the source leg of a
+  // Moved-tombstone retention (§5.2 rename race: the source leg of a
   // directory rename installs a moved tombstone so in-flight change-log
   // entries keyed to the old fingerprint are re-keyed to the new owner
-  // instead of trimmed. Off = pre-tombstone behavior (rename-away
-  // indistinguishable from removal; raced entries are lost) — A/B lever for
-  // the rename-race tests.
-  bool moved_rebind = true;
-  // Moved-tombstone retention. This is the change-log retention horizon for
+  // instead of trimmed). This is the change-log retention horizon for
   // rebinds: a tombstone must outlive any source's unacked backlog for the
   // old fingerprint (pushes retry with backoff capped at
   // push_retry_backoff << push_retry_max_backoff_shift, so seconds dwarf the
@@ -117,10 +114,6 @@ struct ServerConfig {
   // kStaleHandle and the client re-opens. The watchdog reuses the responder-
   // session pattern; the TTL must dwarf the per-page RPC cadence (~µs).
   sim::SimTime dir_session_ttl = sim::Milliseconds(20);
-  // A/B lever: pin an O(directory) snapshot at OpenDir (the PR-5 behavior)
-  // instead of the default KV-cursor sessions (O(1) open, per-page bounded
-  // seek, live POSIX-readdir semantics for concurrent mutations).
-  bool snapshot_sessions = false;
   // Table-wide session cap: past it, the least-recently-used session is
   // evicted (kStaleHandle on its next page) so a crash-looping scanner
   // abandoning handles cannot bloat the owner. 0 = uncapped.
@@ -148,14 +141,6 @@ struct ServerConfig {
   // clusters stamping the same simulated instant still resolve
   // deterministically and identically everywhere.
   uint32_t cluster_id = 0;
-  // Per-entry commit-timestamp last-writer-wins at the apply: each dirent
-  // write keeps a stamp row ("w" + dir + name) and an incoming entry whose
-  // stamp is older no-ops. Closes the phantom-dirent old-era/new-era
-  // ordering gap (a rebound old-era entry can arrive after a same-name
-  // new-era entry; seq dedup lanes are per-fingerprint and cannot see the
-  // inversion) and is the conflict resolver for WAN replays. Off restores
-  // the pre-LWW arrival-order behavior (A/B lever for the regression test).
-  bool lww_resolve = true;
 };
 
 // Context the cluster provides to servers and clients.
@@ -193,8 +178,8 @@ class WanSink {
 };
 
 // Shared tally of one WAN batch's fan-out across owner shard lanes
-// (src/wan/applier.cc joins on it). `failed` counts entries a dead server
-// incarnation dropped — the applier refuses to ack the batch so the origin
+// (src/wan/applier.cc joins on it). `failed` counts entries whose apply a
+// server crash cancelled — the applier refuses to ack the batch so the origin
 // re-ships it after recovery (per-entry LWW + idempotent redo absorb the
 // overlap). `dropped` counts directories unknown at this cluster (outside
 // the shared namespace, or removed here) — those ARE acked; re-shipping
@@ -293,7 +278,8 @@ struct ServerStats {
 // field (Cluster::TotalStats, the geo harness). Defined in cluster.cc.
 void AccumulateServerStats(ServerStats& total, const ServerStats& add);
 
-// Volatile state of one server incarnation (wiped on crash). Its containers
+// Volatile state of one server incarnation (wiped on crash; the
+// sim::Incarnation its handler chains are bound to). Its containers
 // are mutated by concurrently-interleaved coroutine handlers, so references,
 // pointers, and iterators into them must not live across a co_await
 // (sfs-lint rule borrow-across-suspend).
@@ -304,7 +290,7 @@ void AccumulateServerStats(ServerStats& total, const ServerStats& add);
 // crash/incarnation state, the invalidation list, hwm dedup lanes and moved
 // tombstones (consulted across rename-era fingerprints), rename transaction
 // locks, switch-cache bookkeeping, and the push idempotency tokens.
-struct SFS_SUSPENSION_SHARED ServerVolatile {
+struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   // Relocated to shard.h (the shards own them); aliases keep module
   // signatures readable.
   using AggWait = core::AggWait;
@@ -382,7 +368,6 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
     }
   }
 
-  bool dead = false;
   // The fingerprint-group shards. Never index directly outside the router
   // helpers below (sfs-lint rule cross-shard-direct): resolve a shard at op
   // entry via ShardFor/ShardForKey/SessionShard and route cross-shard work
@@ -533,9 +518,10 @@ enum class ShardLane {
 };
 
 // Enqueues `fn` on shard `shard`'s lane and ensures a drain is running.
-// Tasks are retained (and still drained) across `v->dead` — the thunks
-// themselves no-op on a dead incarnation, and draining keeps their captured
-// completion state (JoinCounters, response slots) from leaking.
+// Lane tasks are chains bound to `v`. Tasks are retained (and still drained)
+// after a crash: each is cancelled at its first await, and draining lets its
+// scope guards settle the captured completion state (JoinCounters, WAN
+// tallies) instead of leaking it.
 //
 // `fn` must be a PLAIN (non-coroutine) callable that builds its Task from a
 // coroutine function taking the state as parameters (copied into the

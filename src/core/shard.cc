@@ -141,10 +141,11 @@ uint64_t ShardedKv::deletes() const {
 
 namespace {
 
-// Serial apply drainer: one in flight per shard. Runs to queue exhaustion
-// and keeps draining even when the incarnation died — thunks no-op on dead
-// themselves, and abandoning queued thunks would leak their captured
-// completion state (JoinCounters, RPC response slots).
+// Serial apply drainer: one in flight per shard, bound to the incarnation.
+// Runs to queue exhaustion even after a crash: each thunk is then cancelled
+// at its first await, and starting it lets its scope guards settle the
+// captured completion state (JoinCounters, WAN tallies) that abandoning it
+// would leak.
 sim::Task<void> DrainApplyLane(VolPtr v, size_t shard) {
   for (;;) {
     if (v->ShardAt(shard).apply_queue.empty()) {
@@ -153,7 +154,11 @@ sim::Task<void> DrainApplyLane(VolPtr v, size_t shard) {
     }
     auto fn = std::move(v->ShardAt(shard).apply_queue.front());
     v->ShardAt(shard).apply_queue.pop_front();
-    co_await fn();
+    try {
+      co_await fn();
+    } catch (const sim::Cancelled&) {
+      // The incarnation died; keep draining.
+    }
   }
 }
 
@@ -164,7 +169,7 @@ void DispatchHandoffs(VolPtr v, size_t shard) {
   while (!v->ShardAt(shard).handoff_queue.empty()) {
     auto fn = std::move(v->ShardAt(shard).handoff_queue.front());
     v->ShardAt(shard).handoff_queue.pop_front();
-    sim::Spawn(fn());
+    sim::Spawn(fn(), v.get());
   }
 }
 
@@ -176,7 +181,7 @@ void EnqueueShardTask(VolPtr v, size_t shard, ShardLane lane,
     v->ShardAt(shard).apply_queue.push_back(std::move(fn));
     if (!v->ShardAt(shard).apply_draining) {
       v->ShardAt(shard).apply_draining = true;
-      sim::Spawn(DrainApplyLane(v, shard));
+      sim::Spawn(DrainApplyLane(v, shard), v.get());
     }
     return;
   }
@@ -197,7 +202,7 @@ void KickShardDrains(VolPtr v) {
   for (size_t i = 0; i < v->num_shards(); ++i) {
     if (!v->ShardAt(i).apply_queue.empty() && !v->ShardAt(i).apply_draining) {
       v->ShardAt(i).apply_draining = true;
-      sim::Spawn(DrainApplyLane(v, i));
+      sim::Spawn(DrainApplyLane(v, i), v.get());
     }
     DispatchHandoffs(v, i);
   }

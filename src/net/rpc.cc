@@ -24,10 +24,12 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
   p.mc = opts.mc;
   p.rpc = RpcHeader{call_id, id_, /*is_response=*/false};
   p.body = std::move(request);
+  // However the call ends (reply, retries exhausted, endpoint down, or the
+  // caller's chain cancelled mid-wait), its pending slot goes with it.
+  sim::ScopeExit forget([this, call_id] { pending_.erase(call_id); });
 
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     if (!enabled_) {
-      pending_.erase(call_id);
       co_return UnavailableError("caller endpoint down");
     }
     if (attempt > 0) {
@@ -39,11 +41,9 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
     sim_->ScheduleAfter(opts.timeout, [slot] { slot->Set(nullptr); });
     MsgPtr resp = co_await slot->Wait();
     if (resp != nullptr) {
-      pending_.erase(call_id);
       co_return resp;
     }
   }
-  pending_.erase(call_id);
   co_return TimeoutError("rpc retries exhausted");
 }
 

@@ -6,31 +6,42 @@
 #ifndef SRC_SIM_CPU_H_
 #define SRC_SIM_CPU_H_
 
+#include <coroutine>
 #include <cstdint>
+#include <deque>
 
 #include "src/sim/simulator.h"
-#include "src/sim/sync.h"
-#include "src/sim/task.h"
 #include "src/sim/time.h"
 
 namespace switchfs::sim {
 
 class CpuPool {
  public:
-  CpuPool(Simulator* sim, int cores)
-      : sim_(sim), cores_(cores), slots_(sim, cores) {}
+  CpuPool(Simulator* sim, int cores) : sim_(sim), cores_(cores), idle_(cores) {}
 
-  // Occupies one core for `cost` simulated time (FIFO queueing when all
-  // cores are busy).
-  Task<void> Run(SimTime cost) {
-    co_await slots_.Acquire();
-    busy_time_ += cost;
-    co_await Delay(sim_, cost);
-    slots_.Release();
-  }
+  // One charge: occupies a core for `cost` simulated time, queueing FIFO
+  // when all cores are busy. A plain awaitable, not a coroutine: the pool
+  // outlives server incarnations and a charge always runs to its end, so a
+  // chain cancelled by a crash (src/sim/task.h) frees its core at the
+  // instant an uncancelled one would. It lives in the awaiting frame until
+  // that frame resumes, so the run queue and the events point at it.
+  struct [[nodiscard]] Charge {
+    CpuPool* pool;
+    SimTime cost;
+    std::coroutine_handle<> waiter;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      waiter = h;
+      pool->Submit(this);
+    }
+    void await_resume() const noexcept {}
+  };
+
+  Charge Run(SimTime cost) { return Charge{this, cost, {}}; }
 
   int cores() const { return cores_; }
-  size_t run_queue_length() const { return slots_.waiter_count(); }
+  size_t run_queue_length() const { return queue_.size(); }
   // Total core-nanoseconds consumed; used by benches to report utilization.
   SimTime busy_time() const { return busy_time_; }
   double Utilization(SimTime elapsed) const {
@@ -42,9 +53,36 @@ class CpuPool {
   }
 
  private:
+  void Submit(Charge* c) {
+    if (queue_.empty() && idle_ > 0) {
+      idle_--;
+      Start(c);
+      return;
+    }
+    queue_.push_back(c);
+  }
+  void Start(Charge* c) {
+    busy_time_ += c->cost;
+    sim_->ScheduleAfter(c->cost, [c] {
+      c->pool->Finish();
+      c->waiter.resume();
+    });
+  }
+  // Hands the core straight to the next queued charge (FIFO), else idles it.
+  void Finish() {
+    if (queue_.empty()) {
+      idle_++;
+      return;
+    }
+    Charge* next = queue_.front();
+    queue_.pop_front();
+    sim_->ScheduleAfter(0, [next] { next->pool->Start(next); });
+  }
+
   Simulator* sim_;
   int cores_;
-  Semaphore slots_;
+  int idle_;
+  std::deque<Charge*> queue_;
   SimTime busy_time_ = 0;
 };
 

@@ -14,6 +14,7 @@ sim::Task<InsertResult> DedicatedTracker::Insert(core::ServerContext& ctx,
                                                  const core::InodeId& dir,
                                                  const net::Packet* client_req,
                                                  net::MsgPtr client_resp) {
+  (void)v;
   (void)dir;
   (void)client_req;
   (void)client_resp;
@@ -22,7 +23,6 @@ sim::Task<InsertResult> DedicatedTracker::Insert(core::ServerContext& ctx,
   op->fp = fp;
   op->origin_server = ctx.config->index;
   auto r = co_await ctx.rpc->Call(server_->node_id(), op);
-  if (v->dead) co_return InsertResult::kPublished;
   const auto* resp = r.ok() ? net::MsgAs<core::TrackerResp>(*r) : nullptr;
   if (resp == nullptr || !resp->ok) {
     // Overflow — or an unreachable tracker, which degrades the same way.
@@ -36,6 +36,7 @@ sim::Task<void> DedicatedTracker::RemoveAndMulticast(core::ServerContext& ctx,
                                                      psw::Fingerprint fp,
                                                      uint64_t seq,
                                                      net::Packet rm) {
+  (void)v;
   auto op = std::make_shared<core::TrackerOp>();
   op->op = net::DsOp::kRemove;
   op->fp = fp;
@@ -43,7 +44,6 @@ sim::Task<void> DedicatedTracker::RemoveAndMulticast(core::ServerContext& ctx,
   op->origin_server = ctx.config->index;
   auto r = co_await ctx.rpc->Call(server_->node_id(), op);
   (void)r;  // stale removes and tracker outages both resolve conservatively
-  if (v->dead) co_return;
   rm.ds.origin = ctx.node_id();  // multicast exclusion key
   ctx.rpc->Send(std::move(rm));
 }

@@ -22,7 +22,6 @@ sim::Task<InsertResult> OwnerTracker::Insert(core::ServerContext& ctx,
     auto r = co_await ctx.rpc->Call(ctx.cluster->ServerNode(ctx.OwnerOf(fp)),
                                     msg);
     (void)r;  // on timeout the push path repairs visibility
-    if (v->dead) co_return InsertResult::kPublished;
   }
   co_return InsertResult::kPublished;
 }

@@ -114,12 +114,10 @@ sim::Task<void> ReplicatedTracker::WaitWhileRebuilding() {
 }
 
 sim::Task<net::MsgPtr> ReplicatedTracker::CallHeadWithFailover(
-    core::ServerContext& ctx, core::VolPtr v,
-    std::shared_ptr<core::TrackerOp> op) {
+    core::ServerContext& ctx, std::shared_ptr<core::TrackerOp> op) {
   for (int round = 0; round < config_.op_retry_rounds; ++round) {
     if (rebuilding_) {
       co_await WaitWhileRebuilding();
-      if (v->dead) co_return nullptr;
     }
     const int head = head_index();
     if (head < 0) {
@@ -127,7 +125,6 @@ sim::Task<net::MsgPtr> ReplicatedTracker::CallHeadWithFailover(
     }
     auto r = co_await ctx.rpc->Call(nodes_[head]->node_id(), op,
                                     config_.op_call);
-    if (v->dead) co_return nullptr;
     if (!r.ok()) {
       SuspectIndex(head);
       continue;
@@ -151,6 +148,7 @@ sim::Task<InsertResult> ReplicatedTracker::Insert(core::ServerContext& ctx,
                                                   const core::InodeId& dir,
                                                   const net::Packet* client_req,
                                                   net::MsgPtr client_resp) {
+  (void)v;
   (void)dir;
   (void)client_req;
   (void)client_resp;
@@ -158,8 +156,7 @@ sim::Task<InsertResult> ReplicatedTracker::Insert(core::ServerContext& ctx,
   op->op = net::DsOp::kInsert;
   op->fp = fp;
   op->origin_server = ctx.config->index;
-  net::MsgPtr r = co_await CallHeadWithFailover(ctx, v, op);
-  if (v->dead) co_return InsertResult::kPublished;
+  net::MsgPtr r = co_await CallHeadWithFailover(ctx, op);
   const auto* resp = net::MsgAs<core::TrackerResp>(r);
   if (resp == nullptr || !resp->ok) {
     // Chain unavailable within the retry budget, or a genuine dirty-set
@@ -175,6 +172,7 @@ sim::Task<void> ReplicatedTracker::RemoveAndMulticast(core::ServerContext& ctx,
                                                       psw::Fingerprint fp,
                                                       uint64_t seq,
                                                       net::Packet rm) {
+  (void)v;
   auto op = std::make_shared<core::TrackerOp>();
   op->op = net::DsOp::kRemove;
   op->fp = fp;
@@ -184,9 +182,8 @@ sim::Task<void> ReplicatedTracker::RemoveAndMulticast(core::ServerContext& ctx,
   // the entry is gone downstream, and on total failure the aggregation
   // proceeds regardless: a leftover tracker entry only costs one spurious
   // aggregation on a later read.
-  net::MsgPtr r = co_await CallHeadWithFailover(ctx, v, op);
+  net::MsgPtr r = co_await CallHeadWithFailover(ctx, op);
   (void)r;
-  if (v->dead) co_return;
   rm.ds.origin = ctx.node_id();
   ctx.rpc->Send(std::move(rm));
 }

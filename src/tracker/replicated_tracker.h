@@ -104,10 +104,9 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
   // Shared write-path scaffolding: sends `op` to the current head, waiting
   // out rebuilds and suspecting unresponsive / chain-faulted replicas
   // between rounds. Returns the first usable TrackerResp, or nullptr once
-  // the retry budget is exhausted, every replica is down, or `v` died.
+  // the retry budget is exhausted or every replica is down.
   sim::Task<net::MsgPtr> CallHeadWithFailover(
-      core::ServerContext& ctx, core::VolPtr v,
-      std::shared_ptr<core::TrackerOp> op);
+      core::ServerContext& ctx, std::shared_ptr<core::TrackerOp> op);
 
   sim::Simulator* sim_;
   core::ClusterContext* cluster_;

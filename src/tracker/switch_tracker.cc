@@ -59,7 +59,6 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
     ctx.sim->ScheduleAfter(ctx.config->insert_ack_timeout,
                            [slot] { slot->Set(0); });
     result = co_await slot->Wait();
-    if (v->dead) co_return InsertResult::kDelivered;
     if (result != 0) {
       break;
     }

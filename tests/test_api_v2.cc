@@ -429,16 +429,14 @@ INSTANTIATE_TEST_SUITE_P(AllFiveSystems, ApiV2Suite,
 // SwitchFS property test: paged readdir under a create/unlink/rename storm
 // ---------------------------------------------------------------------------
 
-// Parameter: (seed, snapshot_sessions) — the storm must hold under both the
-// O(1)-open KV-cursor sessions (default) and the frozen-snapshot lever.
-class PagedReaddirStorm
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+// Parameter: seed. The storm must hold over the O(1)-open KV-cursor
+// sessions.
+class PagedReaddirStorm : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
-  const uint64_t seed = std::get<0>(GetParam());
+  const uint64_t seed = GetParam();
   ClusterConfig cfg = SmallClusterConfig(4);
   cfg.seed = seed;
-  cfg.server_template.snapshot_sessions = std::get<1>(GetParam());
   FsHarness fs(cfg);
 
   // Phase A (quiesced): the pre-open population the stream must not lose.
@@ -453,8 +451,8 @@ TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
   // Phase B: a slow scanner pages through the directory while workers storm
   // it with creates/unlinks/renames of THEIR OWN files (pre-open entries are
   // never touched, so the no-loss assertion is exact) and a renamer moves
-  // the directory itself mid-scan (the snapshot session is pinned at the
-  // owner that built it).
+  // the directory itself mid-scan (the session lives at the owner that
+  // opened it).
   std::vector<std::string> scanned;  // names in page order (dup check)
   bool oversize = false;
   Status scan_status = InternalError("not run");
@@ -533,8 +531,8 @@ TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
       }
     }(clients[w].get(), &current_dir, w, seed));
   }
-  // The directory itself moves mid-scan: pages must keep serving the pinned
-  // snapshot from the session's owner.
+  // The directory itself moves mid-scan: pages keep coming from the
+  // session's owner.
   bool renamed = false;
   sim::Spawn([](sim::Simulator* sm, SwitchFsClient* c, std::string* dir,
                 bool* renamed) -> sim::Task<void> {
@@ -574,13 +572,11 @@ TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, PagedReaddirStorm,
-    ::testing::Combine(::testing::Values(21, 22, 23, 24), ::testing::Bool()),
-    [](const auto& info) {
-      return std::string(std::get<1>(info.param) ? "snapshot" : "cursor") +
-             "_seed" + std::to_string(std::get<0>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, PagedReaddirStorm,
+                         ::testing::Values(21, 22, 23, 24),
+                         [](const auto& info) {
+                           return "cursor_seed" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // SwitchFS property test: cursor-session edits AT the cursor

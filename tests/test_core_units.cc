@@ -37,6 +37,33 @@ TEST(LockTable, SlotsAreReclaimedWhenIdle) {
   EXPECT_EQ(table.slot_count(), 0u);  // last release reclaims the slot
 }
 
+// A waiter whose chain is cancelled while queued: the grant handed to it
+// lands in its Handle, so the unwind releases the lock AND the slot.
+TEST(LockTable, CancelledWaiterReleasesGrantAndSlot) {
+  sim::Simulator sim;
+  LockTable table(&sim);
+  sim::Incarnation inc;
+  std::vector<std::string> order;
+  sim::Spawn([](sim::Simulator* s, LockTable* t,
+                std::vector<std::string>* o) -> sim::Task<void> {
+    auto h = co_await t->AcquireExclusive("k");
+    co_await sim::Delay(s, 10);
+    o->push_back("holder");
+  }(&sim, &table, &order));
+  sim::Spawn([](LockTable* t, std::vector<std::string>* o) -> sim::Task<void> {
+    auto h = co_await t->AcquireShared("k");
+    o->push_back("cancelled reader");
+  }(&table, &order), &inc);
+  sim::Spawn([](LockTable* t, std::vector<std::string>* o) -> sim::Task<void> {
+    auto h = co_await t->AcquireExclusive("k");
+    o->push_back("writer");
+  }(&table, &order));
+  sim.ScheduleAt(5, [&inc] { inc.dead = true; });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"holder", "writer"}));
+  EXPECT_EQ(table.slot_count(), 0u);
+}
+
 TEST(LockTable, MixedSharedExclusiveFifo) {
   sim::Simulator sim;
   LockTable table(&sim);

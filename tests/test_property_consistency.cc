@@ -233,8 +233,7 @@ TEST_P(RenameStormSweep, NoCommittedDirentVanishes) {
   }
 
   // The storm must actually exercise the race: entries committed under old
-  // fingerprints were re-keyed, not trimmed (with moved_rebind off they are
-  // trimmed and the exact-listing checks below fail).
+  // fingerprints were re-keyed, not trimmed.
   const auto st = fs.cluster.TotalStats();
   EXPECT_GT(st.entries_rebound + st.agg_entries_rebound, 0u);
 

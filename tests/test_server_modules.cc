@@ -601,40 +601,6 @@ TEST(PushEngineModule, RenameRacedPushRebindsToNewOwner) {
   }
 }
 
-// A/B companion: with the tombstone lookup disabled (moved_rebind off — the
-// pre-tombstone protocol), the same race trims the committed entries as if
-// the directory had been removed, and they never reach the new location.
-// This is exactly the data-loss window the tombstone closes.
-TEST(PushEngineModule, RenameRacedPushTrimsWhenRebindDisabled) {
-  PushHarness h;
-  h.src.config.moved_rebind = false;
-  h.owner.config.moved_rebind = false;
-  const InodeId parent = RootId();
-  const std::string old_name = h.NameOwnedBy(parent, 1, "dvo");
-  const std::string new_name = h.NameOwnedBy(parent, 0, "dvn");
-  const psw::Fingerprint old_fp = FingerprintOf(parent, old_name);
-  const InodeId dir = h.SeedDirAt(h.src, parent, new_name, 801);
-  ServerVolatile::MovedDir tomb;
-  tomb.old_fp = old_fp;
-  tomb.new_fp = FingerprintOf(parent, new_name);
-  tomb.new_owner = 0;
-  tomb.epoch = 7;
-  tomb.installed_at = h.sim.Now();
-  h.owner.vol->InstallMovedTombstone(dir, tomb);
-
-  h.AppendAndSchedule(old_fp, dir, 3);
-  h.sim.Run();
-
-  EXPECT_EQ(h.src.stats.pushes_rebound, 0u);
-  EXPECT_EQ(h.src.stats.entries_rebound, 0u);
-  EXPECT_EQ(h.SrcPending(old_fp, dir), 0u) << "trimmed as obsolete";
-  EXPECT_EQ(h.src.stats.entries_applied + h.owner.stats.entries_applied, 0u)
-      << "the committed creates are lost — nothing ever applied";
-  auto value = h.src.vol->kv.Get(InodeKey(parent, new_name));
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(Attr::Decode(*value).size, 0u);
-}
-
 // The kMoved verdict's acked_seq carries the prefix the old owner applied
 // before the rename (it migrated with the directory's entry list): the
 // source trims that prefix and rebinds only the unapplied suffix, so nothing

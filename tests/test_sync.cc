@@ -1,8 +1,10 @@
 // Tests for coroutine synchronization primitives: mutual exclusion, FIFO
-// fairness, reader batching, handoff correctness under racing acquires, and
-// the OneShot completion slot used by the RPC layer.
+// fairness, reader batching, handoff correctness under racing acquires, the
+// OneShot completion slot used by the RPC layer, and cancellation of chains
+// bound to an incarnation.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -285,6 +287,155 @@ TEST(CpuPool, SingleCoreSerializes) {
   }
   sim.Run();
   EXPECT_EQ(finish_times, (std::vector<SimTime>{10, 20, 30}));
+}
+
+// ---- chains bound to an incarnation (cancellation) -------------------------
+
+// A leaf the bound chain awaits: it inherits the binding.
+Task<void> SleepyLeaf(Simulator* sim, SimTime d, bool* finished) {
+  co_await Delay(sim, d);
+  *finished = true;  // never reached once the incarnation died
+}
+
+TEST(BoundChain, KilledMidLeafUnwindsAndReleasesItsLock) {
+  Simulator sim;
+  Mutex mu(&sim);
+  Incarnation inc;
+  bool leaf_finished = false;
+  bool after_leaf = false;
+  Spawn([](Simulator* s, Mutex* m, bool* lf, bool* after) -> Task<void> {
+    auto guard = co_await m->Acquire();
+    co_await SleepyLeaf(s, 100, lf);
+    *after = true;
+  }(&sim, &mu, &leaf_finished, &after_leaf), &inc);
+  sim.ScheduleAt(50, [&inc] { inc.dead = true; });
+  // An unbound waiter queued behind the doomed holder.
+  SimTime acquired_at = -1;
+  Spawn([](Simulator* s, Mutex* m, SimTime* at) -> Task<void> {
+    auto guard = co_await m->Acquire();
+    *at = s->Now();
+  }(&sim, &mu, &acquired_at));
+  sim.Run();
+  EXPECT_FALSE(leaf_finished);
+  EXPECT_FALSE(after_leaf);
+  // Cancelled at the leaf's resume (t=100), not at the kill: the unwind
+  // released the guard there and the lock passed on.
+  EXPECT_EQ(acquired_at, 100);
+  EXPECT_FALSE(mu.locked());
+}
+
+TEST(BoundChain, KilledWhileQueuedOnALockReleasesTheGrant) {
+  Simulator sim;
+  Mutex mu(&sim);
+  Incarnation inc;
+  std::vector<std::string> order;
+  // Unbound holder: keeps the lock until t=100.
+  Spawn([](Simulator* s, Mutex* m, std::vector<std::string>* o)
+            -> Task<void> {
+    auto guard = co_await m->Acquire();
+    co_await Delay(s, 100);
+    o->push_back("holder");
+  }(&sim, &mu, &order));
+  // Bound waiter: queued behind the holder, killed while queued.
+  Spawn([](Mutex* m, std::vector<std::string>* o) -> Task<void> {
+    auto guard = co_await m->Acquire();
+    o->push_back("doomed");
+  }(&mu, &order), &inc);
+  // Unbound waiter behind it.
+  Spawn([](Simulator* s, Mutex* m, std::vector<std::string>* o)
+            -> Task<void> {
+    auto guard = co_await m->Acquire();
+    o->push_back("next@" + std::to_string(s->Now()));
+  }(&sim, &mu, &order));
+  sim.ScheduleAt(50, [&inc] { inc.dead = true; });
+  sim.Run();
+  // The grant handed to the dead waiter at t=100 sat in its guard when the
+  // waiter resumed and threw, so unwinding passed the lock on.
+  EXPECT_EQ(order, (std::vector<std::string>{"holder", "next@100"}));
+  EXPECT_FALSE(mu.locked());
+  EXPECT_EQ(mu.waiter_count(), 0u);
+}
+
+TEST(BoundChain, ScopeGuardStillSignalsItsJoinCounter) {
+  Simulator sim;
+  Incarnation inc;
+  auto jc = std::make_shared<JoinCounter>(&sim, 1);
+  bool joined = false;
+  bool body_finished = false;
+  Spawn([](Simulator* s, std::shared_ptr<JoinCounter> j,
+           bool* finished) -> Task<void> {
+    ScopeExit done([&j] { j->Done(); });
+    co_await Delay(s, 100);
+    *finished = true;
+  }(&sim, jc, &body_finished), &inc);
+  Spawn([](std::shared_ptr<JoinCounter> j, bool* out) -> Task<void> {
+    co_await j->Wait();
+    *out = true;
+  }(jc, &joined));
+  sim.ScheduleAt(10, [&inc] { inc.dead = true; });
+  sim.Run();
+  EXPECT_FALSE(body_finished);
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(jc->remaining(), 0);
+}
+
+TEST(BoundChain, UnboundChainOnTheSameSimulatorNeverCancels) {
+  Simulator sim;
+  CpuPool cpu(&sim, 1);
+  Incarnation inc;
+  int bound_steps = 0;
+  int unbound_steps = 0;
+  auto worker = [&](int* steps) -> Task<void> {
+    for (int i = 0; i < 3; ++i) {
+      co_await cpu.Run(10);
+      ++*steps;
+    }
+  };
+  Spawn(worker(&bound_steps), &inc);
+  Spawn(worker(&unbound_steps));
+  sim.ScheduleAt(15, [&inc] { inc.dead = true; });
+  sim.Run();
+  // The bound chain finished its first charge at t=10 and died during its
+  // second, which still held the core for its full cost (t=20..30); the
+  // unbound chain ran all three charges.
+  EXPECT_EQ(bound_steps, 1);
+  EXPECT_EQ(unbound_steps, 3);
+  EXPECT_EQ(cpu.busy_time(), 50);
+  EXPECT_EQ(sim.Now(), 50);
+}
+
+TEST(BoundChain, BindToMakesTheCoroutineAQuietRoot) {
+  Simulator sim;
+  Incarnation inc;
+  bool inner_finished = false;
+  bool caller_resumed = false;
+  auto bound_part = [](Simulator* s, const Incarnation* i,
+                       bool* finished) -> Task<void> {
+    co_await BindTo{i};
+    co_await SleepyLeaf(s, 100, finished);
+  };
+  Spawn([](Simulator* s, const Incarnation* i, bool* finished, bool* resumed,
+           auto part) -> Task<void> {
+    co_await part(s, i, finished);  // the caller itself stays unbound
+    *resumed = true;
+  }(&sim, &inc, &inner_finished, &caller_resumed, bound_part));
+  sim.ScheduleAt(50, [&inc] { inc.dead = true; });
+  sim.Run();
+  EXPECT_FALSE(inner_finished);
+  EXPECT_TRUE(caller_resumed);
+}
+
+TEST(BoundChain, SafePointCancelsBeforeTheFirstRealAwait) {
+  Simulator sim;
+  Incarnation inc;
+  inc.dead = true;
+  bool acted = false;
+  Spawn([](bool* a) -> Task<void> {
+    co_await SafePoint{};
+    *a = true;
+  }(&acted), &inc);
+  sim.Run();
+  EXPECT_FALSE(acted);
 }
 
 }  // namespace

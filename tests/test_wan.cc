@@ -337,37 +337,6 @@ TEST(PhantomDirentLww, StaleOlderWriteIsDroppedAtApply) {
   EXPECT_GE(fs.cluster.TotalStats().wan_conflicts_lww, 1u);
 }
 
-// With the resolver off (ServerConfig::lww_resolve=false — the A/B lever),
-// the same sequence materializes the dirent: proves the gate is live.
-TEST(PhantomDirentLww, LeverOffKeepsLegacyOrdering) {
-  ClusterConfig cfg = SmallClusterConfig();
-  cfg.server_template.lww_resolve = false;
-  FsHarness fs(cfg);
-  const Cluster::PreloadedDir& dir = fs.cluster.PreloadMkdir("/d");
-  fs.cluster.WarmClient(*fs.client);
-
-  core::WanEntry we;
-  we.dir = dir.id;
-  we.dir_fp = dir.fp;
-  we.origin_cluster = 9;
-  we.src_server = 0;
-  we.entry.seq = 1;
-  we.entry.timestamp = sim::Seconds(100);
-  we.entry.op = OpType::kUnlink;
-  we.entry.name = "x";
-  we.entry.entry_type = FileType::kFile;
-  auto result = std::make_shared<core::WanApplyResult>();
-  auto jc = std::make_shared<sim::JoinCounter>(&fs.cluster.sim(), 1);
-  fs.cluster.server(fs.cluster.ring().Owner(dir.fp))
-      .EnqueueWanApply(we, result, jc);
-  fs.cluster.sim().Run();
-
-  ASSERT_TRUE(fs.Create("/d/x").ok());
-  auto listing = fs.Readdir("/d");
-  ASSERT_TRUE(listing.ok());
-  EXPECT_EQ(listing->size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Rename-storm with NAME REUSE across rename eras (derived from the PR-4
 // sweep): workers recycle a small name pool while the renamer moves the
