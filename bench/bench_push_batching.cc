@@ -91,33 +91,17 @@ void PrintRow(const Row& r) {
       r.dirs_per_packet, r.entries_per_packet, r.apply_keps, r.total_ms);
 }
 
-void EmitJson(const char* path, const Row& per_dir, const Row& per_owner,
-              double ratio) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  auto emit = [f](const char* key, const Row& r, const char* tail) {
-    std::fprintf(f,
-                 "  \"%s\": {\"kops\": %.1f, \"mean_us\": %.2f, "
-                 "\"ops\": %llu, \"push_packets\": %llu, "
-                 "\"push_failures\": %llu, \"packets_per_op\": %.4f, "
-                 "\"dirs_per_packet\": %.2f, \"entries_per_packet\": %.2f, "
-                 "\"apply_keps\": %.1f, \"total_ms\": %.2f}%s\n",
-                 key, r.kops, r.mean_us,
-                 static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.packets),
-                 static_cast<unsigned long long>(r.failures),
-                 r.packets_per_op, r.dirs_per_packet, r.entries_per_packet,
-                 r.apply_keps, r.total_ms, tail);
-  };
-  std::fprintf(f, "{\n  \"bench\": \"push_batching\", \"dirs\": %d, "
-               "\"servers\": %u,\n", kDirs, kServers);
-  emit("per_dir", per_dir, ",");
-  emit("per_owner", per_owner, ",");
-  std::fprintf(f, "  \"packet_reduction\": %.2f\n}\n", ratio);
-  std::fclose(f);
+void AddRow(Report& report, const std::string& key, const Row& r) {
+  report.Set(key + ".kops", r.kops, 1);
+  report.Set(key + ".mean_us", r.mean_us, 2);
+  report.Set(key + ".ops", r.ops);
+  report.Set(key + ".push_packets", r.packets);
+  report.Set(key + ".push_failures", r.failures);
+  report.Set(key + ".packets_per_op", r.packets_per_op, 4);
+  report.Set(key + ".dirs_per_packet", r.dirs_per_packet, 2);
+  report.Set(key + ".entries_per_packet", r.entries_per_packet, 2);
+  report.Set(key + ".apply_keps", r.apply_keps, 1);
+  report.Set(key + ".total_ms", r.total_ms, 2);
 }
 
 }  // namespace
@@ -153,9 +137,13 @@ int main() {
   std::printf("end-to-end (burst + full drain): %.2f -> %.2f ms\n",
               per_dir.total_ms, per_owner.total_ms);
 
-  if (const char* path = std::getenv("SFS_BENCH_JSON")) {
-    EmitJson(path, per_dir, per_owner, ratio);
-    std::printf("wrote %s\n", path);
-  }
+  Report report;
+  report.Set("bench", "push_batching");
+  report.Set("dirs", kDirs);
+  report.Set("servers", kServers);
+  AddRow(report, "per_dir", per_dir);
+  AddRow(report, "per_owner", per_owner);
+  report.Set("packet_reduction", ratio, 2);
+  report.Write();
   return 0;
 }

@@ -8,7 +8,7 @@
 // entries after one page's worth of work past the open.
 //
 // Two paged rows: the sequential one-page-at-a-time drain, and the
-// pipelined client (prefetch_pages speculative page RPCs in flight, their
+// pipelined client (kPrefetchPages speculative page RPCs in flight, their
 // scans overlapped across the owner's cores). The pipeline is what makes
 // paged strictly FASTER than monolithic on total time, not just on first
 // page: the same per-entry scan work runs concurrently instead of on one
@@ -155,7 +155,7 @@ int main() {
       (void)co_await paged_client->CloseDir(*handle);
       seq->total_ms = sim::ToMicros(sm.Now() - t0) / 1e3;
     }
-    // Pipelined drain: the client's Readdir keeps prefetch_pages speculative
+    // Pipelined drain: the client's Readdir keeps kPrefetchPages speculative
     // page RPCs in flight; the owner overlaps their scans across its cores.
     {
       const sim::SimTime t0 = sm.Now();
@@ -257,33 +257,24 @@ int main() {
                         static_cast<double>(bulk.packets)
                   : 0.0);
 
-  if (const char* path = std::getenv("SFS_BENCH_JSON")) {
-    FILE* f = std::fopen(path, "w");
-    if (f != nullptr) {
-      std::fprintf(
-          f,
-          "{\n  \"bench\": \"readdir_paging\", \"entries\": %llu, "
-          "\"servers\": %u,\n"
-          "  \"mono\": {\"total_ms\": %.3f, \"first_ms\": %.3f, "
-          "\"packets\": %llu, \"max_packet_entries\": %llu},\n"
-          "  \"paged\": {\"total_ms\": %.3f, \"first_ms\": %.3f, "
-          "\"packets\": %llu, \"max_packet_entries\": %llu, "
-          "\"seq_total_ms\": %.3f},\n"
-          "  \"bulk_insert\": {\"entries\": %llu, \"loop_ms\": %.3f, "
-          "\"loop_packets\": %llu, \"bulk_ms\": %.3f, \"bulk_packets\": "
-          "%llu}\n}\n",
-          static_cast<unsigned long long>(kEntries), kServers, mono.total_ms,
-          mono.first_ms, static_cast<unsigned long long>(mono.packets),
-          static_cast<unsigned long long>(mono.max_packet_entries),
-          paged.total_ms, paged.first_ms,
-          static_cast<unsigned long long>(paged.packets),
-          static_cast<unsigned long long>(paged.max_packet_entries),
-          seq.total_ms, static_cast<unsigned long long>(kBulkN), loop.ms,
-          static_cast<unsigned long long>(loop.packets), bulk.ms,
-          static_cast<unsigned long long>(bulk.packets));
-      std::fclose(f);
-      std::printf("wrote %s\n", path);
-    }
-  }
+  Report report;
+  report.Set("bench", "readdir_paging");
+  report.Set("entries", kEntries);
+  report.Set("servers", kServers);
+  report.Set("mono.total_ms", mono.total_ms, 3);
+  report.Set("mono.first_ms", mono.first_ms, 3);
+  report.Set("mono.packets", mono.packets);
+  report.Set("mono.max_packet_entries", mono.max_packet_entries);
+  report.Set("paged.total_ms", paged.total_ms, 3);
+  report.Set("paged.first_ms", paged.first_ms, 3);
+  report.Set("paged.packets", paged.packets);
+  report.Set("paged.max_packet_entries", paged.max_packet_entries);
+  report.Set("paged.seq_total_ms", seq.total_ms, 3);
+  report.Set("bulk_insert.entries", kBulkN);
+  report.Set("bulk_insert.loop_ms", loop.ms, 3);
+  report.Set("bulk_insert.loop_packets", loop.packets);
+  report.Set("bulk_insert.bulk_ms", bulk.ms, 3);
+  report.Set("bulk_insert.bulk_packets", bulk.packets);
+  report.Write();
   return 0;
 }

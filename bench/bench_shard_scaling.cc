@@ -229,30 +229,13 @@ void PrintRow(const Row& r) {
               r.drain_ms);
 }
 
-void EmitJson(const char* path, const Row& one, const Row& four,
-              double speedup) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  auto emit = [f](const char* key, const Row& r, const char* tail) {
-    std::fprintf(f,
-                 "  \"%s\": {\"sections\": %llu, \"entries\": %llu, "
-                 "\"entries_applied\": %llu, \"batches_deduped\": %llu, "
-                 "\"apply_keps\": %.1f, \"drain_ms\": %.3f}%s\n",
-                 key, static_cast<unsigned long long>(r.sections),
-                 static_cast<unsigned long long>(r.entries),
-                 static_cast<unsigned long long>(r.applied),
-                 static_cast<unsigned long long>(r.deduped), r.apply_keps,
-                 r.drain_ms, tail);
-  };
-  std::fprintf(f, "{\n  \"bench\": \"shard_scaling\", \"dirs\": %d,\n", kDirs);
-  emit("one_shard", one, ",");
-  emit("four_shard", four, ",");
-  std::fprintf(f, "  \"speedup\": %.2f,\n  \"speedup_floor\": 2.0\n}\n",
-               speedup);
-  std::fclose(f);
+void AddRow(Report& report, const std::string& key, const Row& r) {
+  report.Set(key + ".sections", r.sections);
+  report.Set(key + ".entries", r.entries);
+  report.Set(key + ".entries_applied", r.applied);
+  report.Set(key + ".batches_deduped", r.deduped);
+  report.Set(key + ".apply_keps", r.apply_keps, 1);
+  report.Set(key + ".drain_ms", r.drain_ms, 3);
 }
 
 }  // namespace
@@ -288,9 +271,13 @@ int main() {
               static_cast<unsigned long long>(one.deduped),
               static_cast<unsigned long long>(four.deduped));
 
-  if (const char* path = std::getenv("SFS_BENCH_JSON")) {
-    EmitJson(path, one, four, speedup);
-    std::printf("wrote %s\n", path);
-  }
+  Report report;
+  report.Set("bench", "shard_scaling");
+  report.Set("dirs", kDirs);
+  AddRow(report, "one_shard", one);
+  AddRow(report, "four_shard", four);
+  report.Set("speedup", speedup, 2);
+  report.Set("speedup_floor", 2.0, 1);
+  report.Write();
   return 0;
 }

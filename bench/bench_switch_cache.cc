@@ -87,33 +87,15 @@ void PrintRow(const Row& r) {
               static_cast<unsigned long long>(r.server_ops));
 }
 
-void EmitJson(const char* path, const Row& off, const Row& on,
-              double speedup) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  auto emit = [f](const char* key, const Row& r, const char* tail) {
-    std::fprintf(f,
-                 "  \"%s\": {\"kops\": %.1f, \"mean_us\": %.2f, "
-                 "\"p99_us\": %.2f, \"ops\": %llu, \"hit_rate\": %.4f, "
-                 "\"installs\": %llu, \"evicts\": %llu, "
-                 "\"server_ops\": %llu}%s\n",
-                 key, r.kops, r.mean_us, r.p99_us,
-                 static_cast<unsigned long long>(r.ops), r.hit_rate,
-                 static_cast<unsigned long long>(r.installs),
-                 static_cast<unsigned long long>(r.evicts),
-                 static_cast<unsigned long long>(r.server_ops), tail);
-  };
-  std::fprintf(f,
-               "{\n  \"bench\": \"switch_cache\", \"dirs\": %d, "
-               "\"files_per_dir\": %d, \"servers\": %u,\n",
-               kDirs, kFilesPerDir, kServers);
-  emit("uncached", off, ",");
-  emit("cached", on, ",");
-  std::fprintf(f, "  \"speedup\": %.2f\n}\n", speedup);
-  std::fclose(f);
+void AddRow(Report& report, const std::string& key, const Row& r) {
+  report.Set(key + ".kops", r.kops, 1);
+  report.Set(key + ".mean_us", r.mean_us, 2);
+  report.Set(key + ".p99_us", r.p99_us, 2);
+  report.Set(key + ".ops", r.ops);
+  report.Set(key + ".hit_rate", r.hit_rate, 4);
+  report.Set(key + ".installs", r.installs);
+  report.Set(key + ".evicts", r.evicts);
+  report.Set(key + ".server_ops", r.server_ops);
 }
 
 }  // namespace
@@ -143,9 +125,14 @@ int main() {
               static_cast<unsigned long long>(off.server_ops),
               static_cast<unsigned long long>(on.server_ops));
 
-  if (const char* path = std::getenv("SFS_BENCH_JSON")) {
-    EmitJson(path, off, on, speedup);
-    std::printf("wrote %s\n", path);
-  }
+  Report report;
+  report.Set("bench", "switch_cache");
+  report.Set("dirs", kDirs);
+  report.Set("files_per_dir", kFilesPerDir);
+  report.Set("servers", kServers);
+  AddRow(report, "uncached", off);
+  AddRow(report, "cached", on);
+  report.Set("speedup", speedup, 2);
+  report.Write();
   return 0;
 }

@@ -131,7 +131,7 @@ BurstResult RunBurst(core::TrackerMode mode) {
   return out;
 }
 
-void Report(const char* label, const BurstResult& r) {
+void PrintBurst(const char* label, const BurstResult& r) {
   const size_t crash_bin = static_cast<size_t>(r.crash_at / kWindow);
   double pre = 0;
   size_t pre_bins = 0;
@@ -190,9 +190,9 @@ int main() {
               "visible/acked");
 
   BurstResult dedicated = RunBurst(switchfs::core::TrackerMode::kDedicatedServer);
-  Report("DedicatedServer", dedicated);
+  PrintBurst("DedicatedServer", dedicated);
   BurstResult replicated = RunBurst(switchfs::core::TrackerMode::kReplicated);
-  Report("Replicated(3)", replicated);
+  PrintBurst("Replicated(3)", replicated);
 
   const bool ok_dedicated = dedicated.verified_sizes == dedicated.completed;
   const bool ok_replicated = replicated.verified_sizes == replicated.completed;

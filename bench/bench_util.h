@@ -1,12 +1,14 @@
 // Shared helpers for the figure/table reproduction benches: system
-// factories, op-count scaling, and aligned table output. Every bench prints
-// the rows/series of its paper figure; see EXPERIMENTS.md for the mapping
-// and the paper-vs-measured record.
+// factories, op-count scaling, aligned table output, and the JSON report
+// that scripts/bench_check.py gates. Every bench prints the rows/series of
+// its paper figure.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +105,106 @@ inline void PrintHeader(const std::string& title) {
 inline void PrintKops(const char* label, double ops_per_sec) {
   std::printf("%-22s %10.1f Kops/s\n", label, ops_per_sec / 1e3);
 }
+
+// One bench's JSON document. Keys keep insertion order, and a dotted key
+// nests: Set("per_owner.apply_keps", ...) sets apply_keps inside the
+// per_owner object, the same path scripts/bench_check.py reads. Setting a
+// key again replaces its value in place. Keys and strings are written
+// verbatim, so they must not need JSON escaping.
+class Report {
+ public:
+  template <std::integral T>
+  void Set(const std::string& key, T value) {
+    Put(key, std::to_string(value));
+  }
+  void Set(const std::string& key, const std::string& value) {
+    Put(key, "\"" + value + "\"");
+  }
+  // A double printed with a fixed number of decimals ("%.*f").
+  void Set(const std::string& key, double value, int decimals) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+    Put(key, buf);
+  }
+
+  // Top-level members one per line; nested objects on one line each.
+  std::string ToJson() const {
+    std::string out = "{\n";
+    for (size_t i = 0; i < root_.members.size(); ++i) {
+      out += i == 0 ? "  " : ",\n  ";
+      AppendMember(root_.members[i], &out);
+    }
+    out += "\n}\n";
+    return out;
+  }
+
+  // Writes the document to $SFS_BENCH_JSON when it is set and prints
+  // "wrote <path>". A document that cannot be written exits the bench
+  // nonzero, so the gate never reads a stale or missing file.
+  void Write() const {
+    const char* path = std::getenv("SFS_BENCH_JSON");
+    if (path == nullptr) {
+      return;
+    }
+    std::ofstream out(path);
+    out << ToJson();
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", path);
+      std::exit(1);
+    }
+    std::printf("wrote %s\n", path);
+  }
+
+ private:
+  struct Node {
+    std::string key;
+    std::string value;          // rendered scalar; empty for an object
+    std::vector<Node> members;  // object members, in insertion order
+  };
+
+  void Put(const std::string& key, std::string value) {
+    Node* node = &root_;
+    size_t begin = 0;
+    while (true) {
+      const size_t dot = key.find('.', begin);
+      const std::string part = key.substr(begin, dot - begin);
+      Node* child = nullptr;
+      for (Node& m : node->members) {
+        if (m.key == part) {
+          child = &m;
+          break;
+        }
+      }
+      if (child == nullptr) {
+        node->members.push_back(Node{part, "", {}});
+        child = &node->members.back();
+      }
+      node = child;
+      if (dot == std::string::npos) {
+        break;
+      }
+      begin = dot + 1;
+    }
+    node->value = std::move(value);
+  }
+
+  static void AppendMember(const Node& n, std::string* out) {
+    *out += "\"" + n.key + "\": ";
+    if (n.members.empty()) {
+      *out += n.value;
+      return;
+    }
+    *out += "{";
+    for (size_t i = 0; i < n.members.size(); ++i) {
+      *out += i == 0 ? "" : ", ";
+      AppendMember(n.members[i], out);
+    }
+    *out += "}";
+  }
+
+  Node root_;
+};
 
 }  // namespace switchfs::bench
 

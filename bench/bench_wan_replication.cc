@@ -148,35 +148,6 @@ void PrintRow(const Row& r) {
               static_cast<unsigned long long>(r.conflicts));
 }
 
-void EmitJson(const char* path, const std::vector<Row>& rows,
-              double volume_ratio) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"wan_replication\", \"sites\": 2, "
-               "\"workers_per_site\": %d, \"dirs\": %d,\n",
-               kWorkersPerSite, kDirs);
-  for (const Row& r : rows) {
-    std::fprintf(f,
-                 "  \"%s\": {\"lag_ms\": %d, \"ops_per_site\": %llu, "
-                 "\"write_ms\": %.3f, \"conv_ms\": %.3f, \"batches\": %llu, "
-                 "\"applied\": %llu, \"conflicts\": %llu},\n",
-                 r.label.c_str(), r.lag_ms,
-                 static_cast<unsigned long long>(r.ops_per_site), r.write_ms,
-                 r.conv_ms, static_cast<unsigned long long>(r.batches),
-                 static_cast<unsigned long long>(r.applied),
-                 static_cast<unsigned long long>(r.conflicts));
-  }
-  std::fprintf(f,
-               "  \"volume_ratio\": %.3f,\n  \"volume_ratio_budget\": %.1f\n"
-               "}\n",
-               volume_ratio, kVolumeRatioBudget);
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace switchfs::bench
 
@@ -221,10 +192,23 @@ int main() {
               static_cast<unsigned long long>(conflict_off.conflicts),
               static_cast<unsigned long long>(conflict_heavy.conflicts));
 
-  if (const char* path = std::getenv("SFS_BENCH_JSON")) {
-    EmitJson(path, {lag5, lag20, lag80, vol2x, conflict_off, conflict_heavy},
-             volume_ratio);
-    std::printf("wrote %s\n", path);
+  Report report;
+  report.Set("bench", "wan_replication");
+  report.Set("sites", 2);
+  report.Set("workers_per_site", kWorkersPerSite);
+  report.Set("dirs", kDirs);
+  for (const Row& r :
+       {lag5, lag20, lag80, vol2x, conflict_off, conflict_heavy}) {
+    report.Set(r.label + ".lag_ms", r.lag_ms);
+    report.Set(r.label + ".ops_per_site", r.ops_per_site);
+    report.Set(r.label + ".write_ms", r.write_ms, 3);
+    report.Set(r.label + ".conv_ms", r.conv_ms, 3);
+    report.Set(r.label + ".batches", r.batches);
+    report.Set(r.label + ".applied", r.applied);
+    report.Set(r.label + ".conflicts", r.conflicts);
   }
+  report.Set("volume_ratio", volume_ratio, 3);
+  report.Set("volume_ratio_budget", kVolumeRatioBudget, 1);
+  report.Write();
   return 0;
 }

@@ -192,9 +192,7 @@ sim::Task<void> BaselineServer::HandleMeta(net::Packet p) {
     case OpType::kStat:
     case OpType::kOpen:
     case OpType::kClose:
-    case OpType::kChmod:
     case OpType::kStatDir:
-    case OpType::kReaddir:
       co_await DoRead(p, *req);
       break;
     case OpType::kOpenDir:
@@ -512,8 +510,7 @@ sim::Task<void> BaselineServer::DoRmdir(net::Packet p, const MetaReq& req) {
 
 sim::Task<void> BaselineServer::DoRead(net::Packet p, const MetaReq& req) {
   const PathRef& ref = req.ref;
-  const bool dir_read =
-      req.op == OpType::kStatDir || req.op == OpType::kReaddir;
+  const bool dir_read = req.op == OpType::kStatDir;
 
   co_await cpu_.Run(ReadOverhead());
   if (req.op == OpType::kClose) {
@@ -545,19 +542,6 @@ sim::Task<void> BaselineServer::DoRead(net::Packet p, const MetaReq& req) {
       co_return;
     }
     resp->attr = Attr::Decode(*value);
-    if (req.op == OpType::kReaddir && req.want_entries) {
-      size_t n = 0;
-      kv_.ScanPrefix(EntryPrefix(dir),
-                     [&](const std::string& k, const std::string& val) {
-                       resp->entries.push_back(
-                           DirEntry{std::string(core::EntryNameFromKey(k)),
-                                    core::DecodeEntryValue(val)});
-                       ++n;
-                       return true;
-                     });
-      co_await cpu_.Run(static_cast<sim::SimTime>(n) *
-                        (costs_->kv_scan_per_entry + costs_->readdir_per_entry));
-    }
   } else {
     const std::string ikey = InodeKey(ref.pid, ref.name);
     auto lock = co_await locks_.AcquireShared(ikey);
@@ -568,11 +552,6 @@ sim::Task<void> BaselineServer::DoRead(net::Packet p, const MetaReq& req) {
       co_return;
     }
     resp->attr = Attr::Decode(*value);
-    if (req.op == OpType::kChmod) {
-      resp->attr.mode = req.mode;
-      co_await cpu_.Run(costs_->kv_put);
-      kv_.Put(ikey, resp->attr.Encode());
-    }
   }
   co_await cpu_.Run(costs_->reply_build);
   rpc_.Respond(p, resp);
@@ -625,7 +604,6 @@ sim::Task<void> BaselineServer::DoOpenDir(net::Packet p, const MetaReq& req) {
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   resp->dir_session = session.id;
-  resp->dir_entries = session.entries.size();
   co_await cpu_.Run(costs_->reply_build);
   rpc_.Respond(p, resp);
 }
@@ -724,8 +702,7 @@ sim::Task<void> BaselineServer::DoSetAttr(net::Packet p, const MetaReq& req) {
   if (req.delta.ApplyTo(attr, sim_->Now())) {
     // WAL-backed like the other synchronous mutations. (The identity row is
     // authoritative for path resolution; the emulated systems keep the
-    // directory content row's mode in sync only lazily, a simplification
-    // shared with the pre-v2 chmod path.)
+    // directory content row's mode in sync only lazily.)
     co_await cpu_.Run(costs_->wal_append + costs_->kv_put);
     wal_.Append(1, ikey);
     kv_.Put(ikey, attr.Encode());
@@ -1156,12 +1133,10 @@ sim::Task<StatusOr<PathRef>> BaselineClient::ResolveParent(
 }
 
 sim::Task<BaselineClient::OpResult> BaselineClient::Issue(
-    OpType op, const std::string& path, bool want_entries,
-    const core::AttrDelta* delta) {
+    OpType op, const std::string& path, const core::AttrDelta* delta) {
   OpResult out;
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  const bool dir_read = op == OpType::kStatDir || op == OpType::kReaddir ||
-                        op == OpType::kOpenDir;
+  const bool dir_read = op == OpType::kStatDir || op == OpType::kOpenDir;
 
   for (int attempt = 0; attempt < 12; ++attempt) {
     std::string top = path == "/" ? "/" : std::string(SplitPath(path)[0]);
@@ -1199,7 +1174,6 @@ sim::Task<BaselineClient::OpResult> BaselineClient::Issue(
     auto req = std::make_shared<MetaReq>();
     req->op = op;
     req->ref = ref;
-    req->want_entries = want_entries;
     req->top = top;  // CephFS subtree routing key
     if (delta != nullptr) {
       req->delta = *delta;
@@ -1223,7 +1197,6 @@ sim::Task<BaselineClient::OpResult> BaselineClient::Issue(
     }
     out.status = Status(resp->status);
     out.attr = resp->attr;
-    out.entries = resp->entries;
     out.dir_session = resp->dir_session;
     out.next_cookie = resp->next_cookie;
     out.at_end = resp->at_end;
@@ -1268,52 +1241,52 @@ sim::Task<BaselineClient::OpResult> BaselineClient::IssueSessionOp(
 }
 
 sim::Task<Status> BaselineClient::Create(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kCreate, path, false);
+  OpResult r = co_await Issue(OpType::kCreate, path);
   co_return r.status;
 }
 sim::Task<Status> BaselineClient::Unlink(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kUnlink, path, false);
+  OpResult r = co_await Issue(OpType::kUnlink, path);
   co_return r.status;
 }
 sim::Task<Status> BaselineClient::Mkdir(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kMkdir, path, false);
+  OpResult r = co_await Issue(OpType::kMkdir, path);
   co_return r.status;
 }
 sim::Task<Status> BaselineClient::Rmdir(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kRmdir, path, false);
+  OpResult r = co_await Issue(OpType::kRmdir, path);
   if (r.status.ok()) {
     cache_.ErasePath(path);
   }
   co_return r.status;
 }
 sim::Task<StatusOr<Attr>> BaselineClient::Stat(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kStat, path, false);
+  OpResult r = co_await Issue(OpType::kStat, path);
   if (!r.status.ok()) {
     co_return r.status;
   }
   co_return r.attr;
 }
 sim::Task<StatusOr<Attr>> BaselineClient::StatDir(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kStatDir, path, false);
+  OpResult r = co_await Issue(OpType::kStatDir, path);
   if (!r.status.ok()) {
     co_return r.status;
   }
   co_return r.attr;
 }
 sim::Task<StatusOr<Attr>> BaselineClient::Open(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kOpen, path, false);
+  OpResult r = co_await Issue(OpType::kOpen, path);
   if (!r.status.ok()) {
     co_return r.status;
   }
   co_return r.attr;
 }
 sim::Task<Status> BaselineClient::Close(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kClose, path, false);
+  OpResult r = co_await Issue(OpType::kClose, path);
   co_return r.status;
 }
 sim::Task<Status> BaselineClient::SetAttr(const std::string& path,
                                           const core::AttrDelta& delta) {
-  OpResult r = co_await Issue(OpType::kSetAttr, path, false, &delta);
+  OpResult r = co_await Issue(OpType::kSetAttr, path, &delta);
   co_return r.status;
 }
 
@@ -1321,7 +1294,7 @@ sim::Task<Status> BaselineClient::SetAttr(const std::string& path,
 
 sim::Task<StatusOr<core::DirHandle>> BaselineClient::OpenDir(
     const std::string& path) {
-  OpResult r = co_await Issue(OpType::kOpenDir, path, false);
+  OpResult r = co_await Issue(OpType::kOpenDir, path);
   if (!r.status.ok()) {
     co_return r.status;
   }

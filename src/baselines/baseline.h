@@ -260,7 +260,6 @@ class BaselineClient : public core::MetadataService {
   sim::Task<StatusOr<core::CachedDir>> ResolveDir(const std::string& path);
   sim::Task<StatusOr<core::PathRef>> ResolveParent(const std::string& path);
   sim::Task<OpResult> Issue(core::OpType op, const std::string& path,
-                            bool want_entries,
                             const core::AttrDelta* delta = nullptr);
   // Session-addressed ops (ReaddirPage / CloseDir): routed straight to the
   // home server pinned in the handle state, no path resolution.

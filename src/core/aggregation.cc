@@ -12,6 +12,14 @@
 #include "src/tracker/dirty_tracker.h"
 
 namespace switchfs::core {
+namespace {
+
+// Collect round: how long the initiator waits for every server's reply
+// before re-multicasting with a fresh sequence number, and how many times.
+constexpr sim::SimTime kAggReplyTimeout = sim::Milliseconds(2);
+constexpr int kAggMaxRetries = 12;
+
+}  // namespace
 
 sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     VolPtr v, psw::Fingerprint fp, std::optional<InodeId> invalidate,
@@ -58,8 +66,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   // Remove the fingerprint and multicast the collect request; retry with a
   // fresh sequence number until every server has replied (§5.4.1).
   bool complete = w->pending.empty();
-  for (int attempt = 0; attempt <= ctx_.config->agg_max_retries && !complete;
-       ++attempt) {
+  for (int attempt = 0; attempt <= kAggMaxRetries && !complete; ++attempt) {
     if (attempt > 0) {
       ctx_.stats->agg_retries++;
     }
@@ -84,8 +91,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
                                                     std::move(rm));
 
     auto slot = w->slot;
-    ctx_.sim->ScheduleAfter(ctx_.config->agg_reply_timeout,
-                            [slot] { slot->Set(false); });
+    ctx_.sim->ScheduleAfter(kAggReplyTimeout, [slot] { slot->Set(false); });
     complete = co_await slot->Wait();
     if (w->pending.empty()) {
       complete = true;

@@ -1,6 +1,5 @@
 #include "src/core/client.h"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <utility>
@@ -13,6 +12,19 @@
 #include "src/tracker/dirty_tracker.h"
 
 namespace switchfs::core {
+namespace {
+
+// Retry budget of one operation, and the pause before re-trying a stale
+// cache, timeout or unavailable verdict.
+constexpr int kMaxOpRetries = 12;
+constexpr sim::SimTime kRetryBackoff = sim::Microseconds(200);
+// Depth of the Readdir prefetch pipeline: how many page RPCs are kept in
+// flight at once. SwitchFS page cookies are sequence numbers, so the
+// client can speculatively request page p+1..p+k while consuming page p;
+// the owner overlaps their scans across its cores.
+constexpr int kPrefetchPages = 3;
+
+}  // namespace
 
 SwitchFsClient::SwitchFsClient(sim::Simulator* sim, net::Network* net,
                                ClusterContext* cluster,
@@ -141,7 +153,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
   OpResult out;
   co_await sim::Delay(sim_, costs_->client_op_cost);
 
-  for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
     PathRef ref;
     if (path == "/" && call.dir_target) {
       // The root's inode is keyed (0, "/"). NOTE: assign(n, c) rather than a
@@ -157,7 +169,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
         if (resolved.status().code() == StatusCode::kStaleCache ||
             resolved.status().code() == StatusCode::kTimeout ||
             resolved.status().code() == StatusCode::kUnavailable) {
-          co_await sim::Delay(sim_, config_.retry_backoff);
+          co_await sim::Delay(sim_, kRetryBackoff);
           continue;
         }
         out.status = resolved.status();
@@ -192,7 +204,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
 
     auto r = co_await rpc_.Call(dst, req, opts);
     if (!r.ok()) {
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     // Switch cache hit: the data plane synthesized the reply from its way
@@ -215,7 +227,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
       continue;
     }
     if (resp->status == StatusCode::kUnavailable) {
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     out.status = Status(resp->status);
@@ -240,7 +252,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueSessionOp(
   // Transport-level retries only: the session either answers or is gone.
   // kUnavailable (owner recovering) maps to kStaleHandle — the recovering
   // incarnation wiped its session table, so the stream cannot resume.
-  for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
     auto req = std::make_shared<MetaReq>();
     req->op = op;
     req->dir_session = session;
@@ -251,7 +263,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueSessionOp(
         out.status = StaleHandleError("dir session unreachable");
         co_return out;
       }
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     const MetaResp* resp = UnwrapResponse(*r);
@@ -420,7 +432,6 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::Readdir(
   // Speculation is safe because SwitchFS pages are served (and re-served)
   // idempotently by sequence number; a stale handle on ANY in-flight page
   // restarts the whole scan, exactly like the base implementation.
-  const int window = std::max(1, config_.prefetch_pages);
   constexpr int kMaxRestarts = 4;
   for (int attempt = 0; attempt <= kMaxRestarts; ++attempt) {
     auto handle = co_await OpenDir(path);
@@ -430,7 +441,7 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::Readdir(
     std::vector<DirEntry> all;
     std::deque<std::shared_ptr<PageSlot>> inflight;
     uint64_t next_cookie = kDirStreamStart;
-    for (int i = 0; i < window; ++i) {
+    for (int i = 0; i < kPrefetchPages; ++i) {
       auto slot = std::make_shared<PageSlot>(sim_);
       sim::Spawn(FetchPage(*handle, next_cookie++, slot));
       inflight.push_back(std::move(slot));
@@ -493,7 +504,7 @@ sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
   // RPCs, per-target verdicts, retries) is shared with the baselines.
   co_return co_await RunBatchStat(
       sim_, rpc_, cache_, paths, OpType::kBatchStat, /*scattered_hint=*/false,
-      config_.max_op_retries, config_.retry_backoff, config_.call,
+      kMaxOpRetries, kRetryBackoff, config_.call,
       [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
         auto ref = co_await ResolveParent(path);
         if (!ref.ok()) {
@@ -519,8 +530,8 @@ sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStatDir(
   // past the tight default call deadline, so reuse the OpenDir-scale one.
   co_return co_await RunBatchStat(
       sim_, rpc_, cache_, paths, OpType::kBatchStatDir,
-      config_.batch_stat_dir_hint, config_.max_op_retries,
-      config_.retry_backoff, config_.opendir_call,
+      config_.batch_stat_dir_hint, kMaxOpRetries, kRetryBackoff,
+      config_.opendir_call,
       [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
         auto ref = co_await ResolveParent(path);
         if (!ref.ok()) {
@@ -543,7 +554,7 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
     std::string dir_path, InodeId dir, psw::Fingerprint parent_fp,
     uint32_t owner, const std::vector<std::string>& names,
     std::vector<size_t> idxs, std::vector<Status>* out) {
-  for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
     // Re-resolve the directory each attempt for fresh ancestors (the
     // identity — pid and change-log fingerprint — is pinned by the handle).
     auto resolved = co_await ResolveDir(dir_path);
@@ -551,7 +562,7 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
       if (resolved.status().code() == StatusCode::kStaleCache ||
           resolved.status().code() == StatusCode::kTimeout ||
           resolved.status().code() == StatusCode::kUnavailable) {
-        co_await sim::Delay(sim_, config_.retry_backoff);
+        co_await sim::Delay(sim_, kRetryBackoff);
         continue;
       }
       for (size_t i : idxs) {
@@ -570,7 +581,7 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
     }
     auto r = co_await rpc_.Call(cluster_->ServerNode(owner), req, config_.call);
     if (!r.ok()) {
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     const MetaResp* resp = UnwrapResponse(*r);
@@ -587,7 +598,7 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
       continue;
     }
     if (resp->status == StatusCode::kUnavailable) {
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     if (resp->status != StatusCode::kOk) {
@@ -662,7 +673,7 @@ sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
 sim::Task<Status> SwitchFsClient::Link(const std::string& src,
                                        const std::string& dst) {
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
     auto s = co_await ResolveParent(src);
     if (!s.ok()) {
       if (s.status().code() == StatusCode::kStaleCache) {
@@ -686,7 +697,7 @@ sim::Task<Status> SwitchFsClient::Link(const std::string& src,
         cluster_->ServerNode(cluster_->ring().Owner(target_fp)), req,
         config_.txn_call);
     if (!r.ok()) {
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     const MetaResp* resp = UnwrapResponse(*r);
@@ -707,7 +718,7 @@ sim::Task<Status> SwitchFsClient::Link(const std::string& src,
 sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
                                          const std::string& to) {
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
     auto src = co_await ResolveParent(from);
     if (!src.ok()) {
       if (src.status().code() == StatusCode::kStaleCache) {
@@ -730,7 +741,7 @@ sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
         cluster_->ServerNode(config_.rename_coordinator), req,
         config_.txn_call);
     if (!r.ok()) {
-      co_await sim::Delay(sim_, config_.retry_backoff);
+      co_await sim::Delay(sim_, kRetryBackoff);
       continue;
     }
     const MetaResp* resp = UnwrapResponse(*r);

@@ -30,8 +30,6 @@ class SwitchFsClient : public MetadataService {
     // (in-network query header or tracker pre-query). Null skips the hook.
     tracker::DirtyTracker* dirty_tracker = nullptr;
     uint32_t rename_coordinator = 0;
-    int max_op_retries = 12;
-    sim::SimTime retry_backoff = sim::Microseconds(200);
     net::CallOptions call = [] {
       net::CallOptions o;
       o.timeout = sim::Milliseconds(2);
@@ -58,11 +56,6 @@ class SwitchFsClient : public MetadataService {
       o.max_attempts = 3;
       return o;
     }();
-    // Depth of the Readdir prefetch pipeline: how many page RPCs are kept in
-    // flight at once. SwitchFS page cookies are sequence numbers, so the
-    // client can speculatively request page p+1..p+k while consuming page p;
-    // the owner overlaps their scans across its cores. 1 disables prefetch.
-    int prefetch_pages = 3;
     // Transport page budget for BulkInsert chunking — must match the
     // servers' mtu_bytes / mtu_entries (cluster MakeClient copies them).
     int mtu_bytes = 1400;
@@ -107,7 +100,7 @@ class SwitchFsClient : public MetadataService {
   sim::Task<Status> Rename(const std::string& from,
                            const std::string& to) override;
   // Pipelined whole-directory listing: overrides the base one-page-at-a-time
-  // drain with a `prefetch_pages`-deep window of speculative page RPCs.
+  // drain with a kPrefetchPages-deep window of speculative page RPCs.
   // Pages are served idempotently by sequence number, so speculation is
   // safe; a kStaleHandle on any page restarts the scan like the base path.
   sim::Task<StatusOr<std::vector<DirEntry>>> Readdir(

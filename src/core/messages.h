@@ -80,7 +80,6 @@ struct MetaResp : net::Message {
   uint64_t dir_session = 0;  // kOpenDir: session the pages are served from
   uint64_t next_cookie = 0;  // kReaddirPage: pass to the next page call
   bool at_end = false;       // kReaddirPage: stream exhausted
-  uint64_t dir_entries = 0;  // kOpenDir: snapshot cardinality (observability)
   // kBatchStat verdicts, parallel to MetaReq::targets. A per-target
   // kStaleCache points at stale_ids (union across targets); the overall
   // `status` stays kOk so healthy targets in the batch still resolve.
@@ -238,7 +237,7 @@ struct PushResp : net::Message {
   };
   std::vector<AckedDir> acked;
   // Adaptive pacing hint (ns): non-zero when this owner's apply backlog is
-  // deep (ServerConfig::push_busy_threshold). The source pusher defers its
+  // deep (kPushBusyThreshold in push_engine.cc). The source pusher defers its
   // next MTU-triggered drain toward this owner by this long, letting the
   // idle timer coalesce a bigger batch instead of hammering a busy owner.
   int64_t retry_after = 0;
@@ -408,22 +407,22 @@ struct MarkScattered : net::Message {
   psw::Fingerprint fp = 0;
 };
 
-// Directory-id invalidation broadcast (rename / chmod of a directory). For
-// renames it doubles as the eager moved_fp signal: on receipt every server
-// cleans up an empty stale-era (old_fp, id) change-log slot, or — if it
-// holds pending entries — pushes toward the old owner immediately so the
-// kMoved verdict re-keys them with the tombstone's authoritative applied
-// marks. Fetching the verdict now, rather than at the next idle timeout,
-// keeps old-era entries ordered ahead of new-era entries for the same name:
-// the broadcast is one hop and the verdict one round trip, while a client
-// op via the new path needs the rename response plus at least one
-// resolution RPC. The verdict / AggDone moved rows remain the catch-up for
-// servers that never see the broadcast.
+// Directory-id invalidation broadcast (rename / SetAttr mode change of a
+// directory). For renames it doubles as the eager moved_fp signal: on
+// receipt every server cleans up an empty stale-era (old_fp, id) change-log
+// slot, or — if it holds pending entries — pushes toward the old owner
+// immediately so the kMoved verdict re-keys them with the tombstone's
+// authoritative applied marks. Fetching the verdict now, rather than at the
+// next idle timeout, keeps old-era entries ordered ahead of new-era entries
+// for the same name: the broadcast is one hop and the verdict one round
+// trip, while a client op via the new path needs the rename response plus
+// at least one resolution RPC. The verdict / AggDone moved rows remain the
+// catch-up for servers that never see the broadcast.
 struct InvalBroadcast : net::Message {
   static constexpr uint32_t kType = 123;
   InvalBroadcast() : Message(kType) {}
   InodeId id;
-  // Rename-only rebind hint (moved = true); chmod broadcasts leave it unset.
+  // Rename-only rebind hint (moved = true); SetAttr broadcasts leave it unset.
   bool moved = false;
   psw::Fingerprint old_fp = 0;
   psw::Fingerprint new_fp = 0;

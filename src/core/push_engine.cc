@@ -11,6 +11,20 @@
 #include "src/tracker/dirty_tracker.h"
 
 namespace switchfs::core {
+namespace {
+
+// Base delay before re-trying a failed push to an owner; doubles per
+// consecutive failure up to kPushRetryMaxBackoffShift doublings.
+constexpr sim::SimTime kPushRetryBackoff = sim::Microseconds(200);
+constexpr int kPushRetryMaxBackoffShift = 6;
+// Adaptive push pacing: when an owner's in-flight apply backlog exceeds
+// kPushBusyThreshold sections, its PushResp carries a retry_after hint of
+// kPushPaceHint and source pushers defer their next non-urgent drain by
+// that long.
+constexpr int kPushBusyThreshold = 8;
+constexpr sim::SimTime kPushPaceHint = sim::Microseconds(200);
+
+}  // namespace
 
 void PushEngine::EnqueueBacklog(VolPtr v, psw::Fingerprint fp,
                                 const InodeId& dir) {
@@ -113,8 +127,7 @@ sim::Task<void> PushEngine::OwnerIdleTimer(VolPtr v, size_t shard,
 
 void PushEngine::ArmRetry(VolPtr v, size_t shard, uint32_t owner) {
   auto& st = v->ShardAt(shard).pushers[owner];
-  st.backoff_shift =
-      std::min(st.backoff_shift + 1, ctx_.config->push_retry_max_backoff_shift);
+  st.backoff_shift = std::min(st.backoff_shift + 1, kPushRetryMaxBackoffShift);
   if (!st.retry_timer_armed) {
     st.retry_timer_armed = true;
     sim::Spawn(RetryTimer(v, shard, owner), v.get());
@@ -126,7 +139,7 @@ sim::Task<void> PushEngine::RetryTimer(VolPtr v, size_t shard,
   // A successful MTU-triggered drain may reset backoff_shift while this
   // timer is pending; clamp so the shift stays well-defined.
   const int shift = std::max(1, v->ShardAt(shard).pushers[owner].backoff_shift);
-  const sim::SimTime delay = ctx_.config->push_retry_backoff << (shift - 1);
+  const sim::SimTime delay = kPushRetryBackoff << (shift - 1);
   co_await sim::Delay(ctx_.sim, delay);
   v->ShardAt(shard).pushers[owner].retry_timer_armed = false;
   co_await DrainOwner(v, shard, owner);
@@ -511,11 +524,10 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
   }
   co_await jc->Wait();
   resp->acked = std::move(*rows);
-  if (ctx_.config->push_busy_threshold > 0 &&
-      v->inflight_push_sections > ctx_.config->push_busy_threshold) {
+  if (v->inflight_push_sections > kPushBusyThreshold) {
     // Deep apply queue: hint the source to defer its next non-urgent drain
     // (it coalesces a bigger batch behind its idle timer instead).
-    resp->retry_after = ctx_.config->push_pace_hint;
+    resp->retry_after = kPushPaceHint;
     ctx_.stats->push_pace_hints++;
   }
   ctx_.rpc->Respond(p, resp);

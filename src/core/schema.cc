@@ -24,10 +24,6 @@ const char* OpTypeName(OpType op) {
       return "open";
     case OpType::kClose:
       return "close";
-    case OpType::kLookup:
-      return "lookup";
-    case OpType::kChmod:
-      return "chmod";
     case OpType::kLink:
       return "link";
     case OpType::kOpenDir:

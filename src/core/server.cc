@@ -158,7 +158,6 @@ void SwitchServer::OnRequest(net::Packet p) {
         case OpType::kStat:
         case OpType::kOpen:
         case OpType::kClose:
-        case OpType::kChmod:
           spawn(HandleFileOp(std::move(p), std::move(v)));
           break;
         case OpType::kRename:
@@ -554,7 +553,7 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
     }
     // dkey is empty exactly when the lookup failed and no lock is held (and
     // a conditional-operator temporary inside a co_await expression would
-    // trip the GCC 12 frame-slot miscompile noted in HandleChmod).
+    // trip the GCC 12 frame-slot miscompile noted in src/sim/task.h).
     co_await agg_.ApplyEntries(v, dir, config_.index, fp, std::move(entries),
                                dkey);
     ino_lock.Release();
@@ -894,8 +893,7 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   // A cursor session stores only a scan position, so OpenDir is O(1) and
   // each page charges its own bounded seek+scan (HandleReaddirPage);
   // pre-open entries are never lost — the aggregation above lands them in
-  // the live keyspace the cursor walks. The entry count is advisory, from
-  // the aggregated directory size (no scan).
+  // the live keyspace the cursor walks.
   // Sessions are minted by (and live on) the directory fingerprint's shard;
   // the session id embeds the shard index so page/close/watchdog route back
   // without knowing the fingerprint. The LRU cap divides across shards (at
@@ -904,7 +902,6 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   // test, the global stat keeps the historical aggregate visible.
   const uint64_t session_id =
       v->ShardFor(dir_fp).dir_sessions.OpenCursor(attr.id, Now()).id;
-  const uint64_t dir_entries = attr.size;
   stats_.dir_opens++;
   const size_t shard_cap =
       config_.max_dir_sessions == 0
@@ -919,7 +916,6 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   resp->dir_session = session_id;
-  resp->dir_entries = dir_entries;
   co_await cpu_.Run(costs_->reply_build);
   rpc_.Respond(p, resp);
 }
@@ -1571,16 +1567,7 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   }
 
   const std::string ikey = InodeKey(ref.pid, ref.name);
-  const bool write = req->op == OpType::kChmod;
-  // NOTE: never combine co_await with the conditional operator — GCC 12
-  // miscompiles `c ? co_await a : co_await b` (shared frame slots for the
-  // branch temporaries corrupt RAII state).
-  LockTable::Handle lock;
-  if (write) {
-    lock = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  } else {
-    lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  }
+  auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
   auto stale = v->inval.Check(ref.ancestors);
@@ -1598,18 +1585,11 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   Attr attr = Attr::Decode(*value);
   if (attr.type == FileType::kReference) {
     // Hard link: the real attributes live in the shared object (§5.5).
-    AttrDelta delta;
-    if (req->op == OpType::kChmod) {
-      delta.set_mode = true;
-      delta.mode = req->mode;
-    }
     Attr shared;
-    // A failed update (attributes owner unreachable) must surface — the
-    // mutation did NOT commit, and replying kOk would hand the client a
-    // default-constructed Attr as the new truth (see HandleSetAttr's leg).
-    Status s = co_await links_.UpdateLinkCount(v, attr.id,
-                                               static_cast<uint32_t>(attr.size),
-                                               /*delta=*/0, &shared, delta);
+    // A failed read (attributes owner unreachable) must surface: replying
+    // kOk would hand the client a default-constructed Attr.
+    Status s = co_await links_.UpdateLinkCount(
+        v, attr.id, static_cast<uint32_t>(attr.size), /*delta=*/0, &shared);
     if (!s.ok()) {
       RespondStatus(p, s.code());
       co_return;
@@ -1620,36 +1600,10 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
     rpc_.Respond(p, resp2);
     co_return;
   }
-  if (req->op == OpType::kChmod) {
-    // In-switch cache: evict before the KV commit (chmod's commit point),
-    // under the exclusive lock.
-    co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
-    attr.mode = req->mode;
-    attr.ctime = Now();
-    co_await cpu_.Run(costs_->kv_put);
-    v->kv.Put(ikey, attr.Encode());
-    if (attr.is_dir() && attr.id != RootId()) {
-      // Permission changes on directories invalidate client caches (§4.2).
-      // The root is exempt: clients cannot re-look it up (it has no parent),
-      // and servers check root permissions directly.
-      v->inval.Add(attr.id, Now());
-      auto bcast = std::make_shared<InvalBroadcast>();
-      bcast->id = attr.id;
-      net::Packet mc;
-      mc.dst = net::kServerMulticast;
-      mc.ds.origin = node_id();
-      // Defense-in-depth evict stamp (see HandleSetAttr's broadcast).
-      mc.mc.op = net::McOp::kEvict;
-      mc.mc.fingerprint = FingerprintOf(ref.pid, ref.name);
-      mc.body = bcast;
-      rpc_.Send(std::move(mc));
-    }
-  }
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   co_await cpu_.Run(costs_->reply_build);
-  // stat/open piggyback a cache install; chmod requests carry no mc.kRead
-  // stamp, so the helper degrades to a plain respond for them.
+  // stat/open piggyback a cache install.
   RespondWithInstall(p, resp, v, attr, Now());
 }
 
@@ -1696,6 +1650,46 @@ void SwitchServer::Crash() {
   rpc_.SetEnabled(false);
   rpc_.ResetVolatileState();
 }
+
+namespace {
+
+// Idempotent redo of one committed dirent apply, local (kWalEntryApply) or
+// geo-replicated (kWalWanApply): the entry row, the name's LWW stamp
+// (max-merge), and the absolute directory size/mtime the runtime apply
+// computed. Records exist only for entries that won their comparison at
+// runtime, so replay applies them unconditionally; the stamps only need to
+// be correct for FUTURE arrivals (a late cross-era or WAN entry after
+// recovery). A directory removed later in the log is skipped.
+void RedoDirentApply(ServerVolatile& v, const InodeId& dir,
+                     const ChangeLogEntry& entry, const LwwStamp& stamp,
+                     uint64_t result_size, int64_t result_mtime) {
+  std::string ikey;
+  psw::Fingerprint fp = 0;
+  if (!v.LookupDirIndex(dir, &ikey, &fp)) {
+    return;
+  }
+  auto value = v.kv.Get(ikey);
+  if (!value.has_value()) {
+    return;
+  }
+  const std::string ekey = EntryKey(dir, entry.name);
+  if (entry.op == OpType::kCreate || entry.op == OpType::kMkdir) {
+    v.kv.Put(ekey, EncodeEntryValue(entry.entry_type));
+  } else {
+    v.kv.Delete(ekey);
+  }
+  const std::string skey = LwwStampKey(dir, entry.name);
+  auto srow = v.kv.Get(skey);
+  if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
+    v.kv.Put(skey, stamp.Encode());
+  }
+  Attr attr = Attr::Decode(*value);
+  attr.size = result_size;
+  attr.mtime = std::max(attr.mtime, result_mtime);
+  v.kv.Put(ikey, attr.Encode());
+}
+
+}  // namespace
 
 void SwitchServer::ReplayWalInto(ServerVolatile& v) {
   for (const kv::WalRecord& r : durable_->wal.records()) {
@@ -1805,72 +1799,19 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
           break;  // already applied (idempotent redo)
         }
         high = rec.entry.seq;
-        std::string ikey;
-        psw::Fingerprint fp = 0;
-        if (!v.LookupDirIndex(rec.dir, &ikey, &fp)) {
-          break;  // directory removed later in the log
-        }
-        auto value = v.kv.Get(ikey);
-        if (!value.has_value()) {
-          break;
-        }
-        const std::string ekey = EntryKey(rec.dir, rec.entry.name);
-        if (rec.entry.op == OpType::kCreate ||
-            rec.entry.op == OpType::kMkdir) {
-          v.kv.Put(ekey, EncodeEntryValue(rec.entry.entry_type));
-        } else {
-          v.kv.Delete(ekey);
-        }
-        // Rebuild the name's LWW stamp (max-merge). Records exist only for
-        // entries that won their comparison at runtime, so replay applies
-        // them unconditionally; the stamps only need to be correct for
-        // FUTURE arrivals (a late cross-era or WAN entry after recovery).
-        const LwwStamp stamp{rec.entry.timestamp, config_.cluster_id,
-                             rec.src_server, rec.entry.seq};
-        const std::string skey = LwwStampKey(rec.dir, rec.entry.name);
-        auto srow = v.kv.Get(skey);
-        if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-          v.kv.Put(skey, stamp.Encode());
-        }
-        Attr attr = Attr::Decode(*value);
-        attr.size = rec.result_size;
-        attr.mtime = std::max(attr.mtime, rec.result_mtime);
-        v.kv.Put(ikey, attr.Encode());
+        RedoDirentApply(v, rec.dir, rec.entry,
+                        LwwStamp{rec.entry.timestamp, config_.cluster_id,
+                                 rec.src_server, rec.entry.seq},
+                        rec.result_size, rec.result_mtime);
         break;
       }
       case kWalWanApply: {
-        // Geo-replicated apply (idempotent redo, mirroring kWalEntryApply):
-        // re-apply the entry, restore the absolute directory attributes the
-        // runtime apply computed, and max-merge the origin's LWW stamp so
-        // post-recovery arrivals still resolve against it.
+        // Geo-replicated apply: the stamp carries the origin cluster.
         WanApplyRecord rec = WanApplyRecord::Decode(r.payload);
-        std::string ikey;
-        psw::Fingerprint fp = 0;
-        if (!v.LookupDirIndex(rec.dir, &ikey, &fp)) {
-          break;  // directory removed later in the log
-        }
-        auto value = v.kv.Get(ikey);
-        if (!value.has_value()) {
-          break;
-        }
-        const std::string ekey = EntryKey(rec.dir, rec.entry.name);
-        if (rec.entry.op == OpType::kCreate ||
-            rec.entry.op == OpType::kMkdir) {
-          v.kv.Put(ekey, EncodeEntryValue(rec.entry.entry_type));
-        } else {
-          v.kv.Delete(ekey);
-        }
-        const LwwStamp stamp{rec.entry.timestamp, rec.origin_cluster,
-                             rec.src_server, rec.entry.seq};
-        const std::string skey = LwwStampKey(rec.dir, rec.entry.name);
-        auto srow = v.kv.Get(skey);
-        if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-          v.kv.Put(skey, stamp.Encode());
-        }
-        Attr attr = Attr::Decode(*value);
-        attr.size = rec.result_size;
-        attr.mtime = std::max(attr.mtime, rec.result_mtime);
-        v.kv.Put(ikey, attr.Encode());
+        RedoDirentApply(v, rec.dir, rec.entry,
+                        LwwStamp{rec.entry.timestamp, rec.origin_cluster,
+                                 rec.src_server, rec.entry.seq},
+                        rec.result_size, rec.result_mtime);
         break;
       }
       default:

@@ -72,10 +72,6 @@ class SwitchServer : public UpdatePublisher {
   size_t KvSize() const { return vol_->kv.size(); }
   const ShardedKv& kv_for_test() const { return vol_->kv; }
   size_t wal_records_for_test() const { return durable_->wal.record_count(); }
-  InvalidationList& invalidation_for_test() { return vol_->inval; }
-  bool OwnerScatteredForTest(psw::Fingerprint fp) const {
-    return vol_->ShardFor(fp).owner_scattered.count(fp) > 0;
-  }
   // Read-only shard-state access (per-shard counters, session tables).
   const ServerVolatile& vol_for_test() const { return *vol_; }
 
@@ -128,7 +124,7 @@ class SwitchServer : public UpdatePublisher {
   sim::Task<void> HandleUpsert(net::Packet p, VolPtr v);   // create/mkdir/delete
   sim::Task<void> HandleRmdir(net::Packet p, VolPtr v);
   sim::Task<void> HandleDirRead(net::Packet p, VolPtr v);  // statdir/readdir
-  sim::Task<void> HandleFileOp(net::Packet p, VolPtr v);   // stat/open/close/chmod
+  sim::Task<void> HandleFileOp(net::Packet p, VolPtr v);   // stat/open/close
   sim::Task<void> HandleLookup(net::Packet p, VolPtr v);
   // MetadataService v2: directory streams, batched lookups, attr deltas.
   sim::Task<void> HandleOpenDir(net::Packet p, VolPtr v);

@@ -89,25 +89,20 @@ struct ServerConfig {
   // packet (the pre-batching behavior, kept for the A/B bench).
   bool batch_pushes = true;
   sim::SimTime push_idle_timeout = sim::Microseconds(300);
-  // Base delay before re-trying a failed push to an owner; doubles per
-  // consecutive failure up to push_retry_max_backoff_shift doublings.
-  sim::SimTime push_retry_backoff = sim::Microseconds(200);
-  int push_retry_max_backoff_shift = 6;
   // Moved-tombstone retention (§5.2 rename race: the source leg of a
   // directory rename installs a moved tombstone so in-flight change-log
   // entries keyed to the old fingerprint are re-keyed to the new owner
   // instead of trimmed). This is the change-log retention horizon for
   // rebinds: a tombstone must outlive any source's unacked backlog for the
   // old fingerprint (pushes retry with backoff capped at
-  // push_retry_backoff << push_retry_max_backoff_shift, so seconds dwarf the
-  // retry cadence). After expiry a late push for the moved directory
-  // degrades to the removed-directory trim. Expired lazily on lookup.
+  // kPushRetryBackoff << kPushRetryMaxBackoffShift in push_engine.cc, so
+  // seconds dwarf the retry cadence). After expiry a late push for the
+  // moved directory degrades to the removed-directory trim. Expired lazily
+  // on lookup.
   sim::SimTime moved_tombstone_ttl = sim::Seconds(10);
   sim::SimTime owner_quiet_period = sim::Microseconds(400);
   sim::SimTime insert_ack_timeout = sim::Microseconds(150);
   int insert_max_attempts = 100;
-  sim::SimTime agg_reply_timeout = sim::Milliseconds(2);
-  int agg_max_retries = 12;
   sim::SimTime responder_session_timeout = sim::Milliseconds(20);
   // Directory-stream sessions (MetadataService v2): inactivity TTL of an
   // OpenDir snapshot at the owner. A page call after expiry gets
@@ -130,12 +125,6 @@ struct ServerConfig {
   // down, in which case the cache died with it.
   sim::SimTime cache_evict_timeout = sim::Microseconds(150);
   int cache_evict_max_attempts = 100;
-  // Adaptive push pacing: when an owner's in-flight apply backlog exceeds
-  // push_busy_threshold sections, its PushResp carries a retry_after hint of
-  // push_pace_hint and source pushers defer their next non-urgent drain by
-  // that long. 0 threshold disables the hint.
-  int push_busy_threshold = 8;
-  sim::SimTime push_pace_hint = sim::Microseconds(200);
   // Geo-replication identity: which cluster this server belongs to. Part of
   // every LWW commit stamp (the tie-break after the timestamp), so two
   // clusters stamping the same simulated instant still resolve
@@ -200,83 +189,21 @@ struct DurableState {
   uint64_t id_counter = 1;  // inode-id generation must not repeat
 };
 
-// Protocol counters surfaced to tests and benches.
+// Protocol counters surfaced to tests and benches. Every counter is declared
+// once, in server_stats.def, which generates the fields and the member-wise
+// sum (Cluster::TotalStats, the geo harness).
 struct ServerStats {
-  uint64_t ops = 0;
-  uint64_t aggregations = 0;
-  uint64_t agg_retries = 0;
-  uint64_t entries_applied = 0;
-  uint64_t entries_deduped = 0;
-  // Push-path counters. pushes_sent counts PushReq packets whose RPC round
-  // trip succeeded; failures and owner-local applies are counted separately
-  // (they never hit the network).
-  uint64_t pushes_sent = 0;
-  uint64_t pushes_local = 0;
-  uint64_t push_failures = 0;
-  uint64_t push_dirs_sent = 0;     // PerDir sections across sent packets
-  uint64_t push_entries_sent = 0;  // entries across sent packets
-  uint64_t pushes_received = 0;
-  // moved_fp rebinds (§5.2 rename race): change-logs re-keyed to a renamed
-  // directory's new fingerprint instead of trimmed, counted at the source
-  // performing the rebind. pushes_rebound/entries_rebound come from kMoved
-  // PushResp sections; agg_rebinds/agg_entries_rebound from AggDone moved
-  // rows (the aggregation-path equivalent).
-  uint64_t pushes_rebound = 0;
-  uint64_t entries_rebound = 0;
-  uint64_t agg_rebinds = 0;
-  uint64_t agg_entries_rebound = 0;
-  uint64_t fallbacks = 0;
-  uint64_t stale_cache_bounces = 0;
-  uint64_t wal_replayed = 0;
-  // MetadataService v2 (directory streams, batched lookups, setattr).
-  uint64_t dir_opens = 0;
-  uint64_t dir_pages = 0;           // ReaddirPage calls served
-  uint64_t dir_page_entries = 0;    // entries across served pages
-  uint64_t dir_sessions_expired = 0;  // watchdog/lazy TTL expiries
-  uint64_t dir_sessions_evicted = 0;  // LRU evictions past max_dir_sessions
-  uint64_t stale_handle_bounces = 0;  // pages against dead sessions
-  uint64_t batch_stats = 0;           // BatchStat requests served
-  uint64_t batch_stat_targets = 0;    // targets across those requests
-  uint64_t batch_stat_dirs = 0;       // BatchStatDir requests served
-  uint64_t setattrs = 0;
-  uint64_t bulk_inserts = 0;          // BulkInsert requests served
-  uint64_t bulk_insert_entries = 0;   // entries across those requests
-  // Dirty-set inserts whose ack retry budget ran out (the entry stays in the
-  // change-log; the push path repairs tracker visibility).
-  uint64_t insert_exhausted = 0;
-  // In-switch metadata read cache (owner side): installs piggybacked on read
-  // replies, pre-commit evict round trips, and evict retry budgets that ran
-  // out (the write proceeded; see ServerConfig::cache_evict_max_attempts).
-  uint64_t cache_installs = 0;
-  uint64_t cache_evicts = 0;
-  uint64_t cache_evict_exhausted = 0;
-  // Adaptive push pacing: PushResps stamped with a retry_after hint (owner
-  // side) and drains deferred by a received hint (source side).
-  uint64_t push_pace_hints = 0;
-  uint64_t push_paced_drains = 0;
-  // Sharded owner: push-batch sections whose (dir, src) idempotency token
-  // was already committed (duplicate delivery no-oped and re-acked), and
-  // cross-shard handoff tasks enqueued (rename legs, hard-link splits).
-  uint64_t push_batches_deduped = 0;
-  uint64_t cross_shard_handoffs = 0;
-  // WAN replication (src/wan/). Shipped/catch-up counters are bumped by the
-  // cluster-level replicator (registered into Cluster::TotalStats as an
-  // extra stats block); applied/conflict counters are bumped by the owner
-  // server applying (or LWW-dropping) an entry. wan_conflicts_lww also
-  // counts LOCAL cross-era LWW drops (the phantom-dirent resolver) — the
-  // same comparison at the same apply point.
-  uint64_t wan_batches_shipped = 0;
-  uint64_t wan_entries_applied = 0;
-  uint64_t wan_conflicts_lww = 0;
-  uint64_t wan_catchup_replays = 0;
-  // WAN entries dropped because the directory is unknown at this cluster
-  // (outside the shared replicated namespace, or removed here).
-  uint64_t wan_entries_dropped = 0;
-};
+#define SFS_SERVER_STAT(name) uint64_t name = 0;
+#include "src/core/server_stats.def"
+#undef SFS_SERVER_STAT
 
-// Member-wise counter sum — the one place that enumerates every ServerStats
-// field (Cluster::TotalStats, the geo harness). Defined in cluster.cc.
-void AccumulateServerStats(ServerStats& total, const ServerStats& add);
+  ServerStats& operator+=(const ServerStats& add) {
+#define SFS_SERVER_STAT(name) name += add.name;
+#include "src/core/server_stats.def"
+#undef SFS_SERVER_STAT
+    return *this;
+  }
+};
 
 // Volatile state of one server incarnation (wiped on crash; the
 // sim::Incarnation its handler chains are bound to). Its containers

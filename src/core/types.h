@@ -145,8 +145,6 @@ enum class OpType : uint8_t {
   kReaddir = 7,
   kOpen = 8,
   kClose = 9,
-  kLookup = 10,
-  kChmod = 11,
   kLink = 12,
   // MetadataService v2 (directory handles, batched lookups, attr deltas).
   kOpenDir = 13,

@@ -10,6 +10,10 @@
 //  * Spawn() detaches a Task<void>; the wrapper frame self-destroys when the
 //    task completes.
 //
+// NOTE: never combine co_await with the conditional operator. GCC 12
+// miscompiles `c ? co_await a : co_await b`: the branch temporaries share
+// frame slots, which corrupts RAII state. Assign from an if/else instead.
+//
 // Cancellation: a chain of coroutines can be bound to an Incarnation (a
 // server's volatile state, which a crash marks dead). The binding is made at
 // the chain's root — Spawn(task, incarnation), or a coroutine that binds

@@ -80,8 +80,6 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
   // Kills a replica. Detection stays lazy: the next op that hits the dead
   // node starts the failover.
   void CrashNode(int i) { nodes_[i]->Crash(); }
-  // Starts failover immediately (benches that want a deterministic start).
-  void TriggerFailover(int node_index) { SuspectIndex(node_index); }
 
   bool rebuilding() const { return rebuilding_; }
   uint64_t failovers() const { return failovers_; }

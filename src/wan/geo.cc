@@ -89,7 +89,7 @@ bool GeoCluster::Converged() const {
 core::SwitchServer::Stats GeoCluster::TotalStats() const {
   core::SwitchServer::Stats total;
   for (const auto& c : clusters_) {
-    core::AccumulateServerStats(total, c->TotalStats());
+    total += c->TotalStats();
   }
   return total;
 }

@@ -102,7 +102,6 @@ sim::Task<Status> Execute(core::MetadataService& client, const Op& op,
       }
       co_return OkStatus();
     }
-    case core::OpType::kChmod:  // pre-v2 tag for the same op class
     case core::OpType::kSetAttr: {
       // chmod-class delta; 0640/0641 differ from the 0644 creation default,
       // so the first setattr per file always commits through the WAL.

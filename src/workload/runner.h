@@ -30,7 +30,7 @@ struct Op {
   //  * kReaddirPage — paged scan: OpenDir(path), drain the page stream,
   //    CloseDir; one Op covers the whole scan.
   //  * kBatchStat — stat burst: one BatchStat over `batch`.
-  //  * kSetAttr — chmod-class delta on `path` (kChmod maps here too).
+  //  * kSetAttr — chmod-class delta on `path` (the mix's chmod class).
   std::vector<std::string> batch;
 };
 

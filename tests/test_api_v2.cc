@@ -757,7 +757,7 @@ TEST(PagedReaddirFaults, PrefetchedScanSurvivesOwnerCrashViaRescan) {
   auto scanner = fs.cluster.MakeClient();
   sim::Spawn([](SwitchFsClient* c,
                 StatusOr<std::vector<DirEntry>>* out) -> sim::Task<void> {
-    *out = co_await c->Readdir("/big");  // prefetch_pages-deep pipeline
+    *out = co_await c->Readdir("/big");  // kPrefetchPages-deep pipeline
   }(scanner.get(), &listing));
   sim::Spawn([](Cluster* cluster, uint32_t owner) -> sim::Task<void> {
     // Crash while the scan has prefetched pages in flight, then recover so

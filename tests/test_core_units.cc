@@ -1,7 +1,7 @@
 // Unit tests for core building blocks that the protocol suites exercise only
 // indirectly: the reference-counted lock table, the client cache, the
 // timestamped invalidation list, change-log compaction state, schema keys,
-// and consistent-hash placement.
+// consistent-hash placement, and the server counter sum.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +15,7 @@
 #include "src/core/lock_table.h"
 #include "src/core/placement.h"
 #include "src/core/schema.h"
+#include "src/core/server_context.h"
 #include "src/sim/simulator.h"
 
 namespace switchfs::core {
@@ -294,6 +295,31 @@ TEST(Attr, EncodeDecodeRoundTripIncludingReferences) {
   EXPECT_EQ(b.mode, 0640u);
   EXPECT_EQ(b.size, 3u);
   EXPECT_EQ(b.nlink, 4u);
+}
+
+// Walks the counter list: every counter gets a distinct value in both
+// blocks, and += must sum each one. The struct must hold exactly the listed
+// counters, so a counter declared outside server_stats.def (and therefore
+// missing from +=) fails here.
+TEST(ServerStats, PlusEqualsSumsEveryListedCounter) {
+  ServerStats total;
+  ServerStats add;
+  uint64_t n = 0;
+#define SFS_SERVER_STAT(name) \
+  ++n;                        \
+  total.name = n;             \
+  add.name = 1000 * n;
+#include "src/core/server_stats.def"
+#undef SFS_SERVER_STAT
+  EXPECT_EQ(sizeof(ServerStats), n * sizeof(uint64_t));
+
+  total += add;
+  n = 0;
+#define SFS_SERVER_STAT(name) \
+  ++n;                        \
+  EXPECT_EQ(total.name, 1001 * n) << #name;
+#include "src/core/server_stats.def"
+#undef SFS_SERVER_STAT
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Hard-link tests (§5.5): the reference/attributes split, link-count
-// lifecycle across links and unlinks, cross-server attribute reads, chmod on
-// linked files, and WAL recovery of split inodes.
+// lifecycle across links and unlinks, cross-server attribute reads, chmod
+// (SetAttr) on linked files, and WAL recovery of split inodes.
 #include <gtest/gtest.h>
 
 #include "tests/switchfs_test_util.h"
@@ -95,16 +95,34 @@ TEST(SwitchFsLinks, ChmodOnLinkUpdatesSharedAttributes) {
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
   ASSERT_TRUE(Link(fs, "/d/f", "/d/l").ok());
-  // chmod through one name is visible through the other.
-  StatusOr<Attr> after = InternalError("");
-  fs.Run([](SwitchFsClient* c, StatusOr<Attr>* out) -> sim::Task<void> {
-    // The client API routes chmod via Issue(kChmod) using MetaReq::mode.
-    // Exercise it server-side through Open+Stat with a direct chmod message.
-    co_await c->Stat("/d/f");
-    *out = co_await c->Stat("/d/l");
-  }(fs.client.get(), &after));
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->nlink, 2u);
+  // chmod (SetAttr of the mode) through the link name lands in the shared
+  // attributes object, so the original name sees it.
+  Status set = InternalError("");
+  fs.Run([](SwitchFsClient* c, Status* out) -> sim::Task<void> {
+    AttrDelta delta;
+    delta.set_mode = true;
+    delta.mode = 0600;
+    *out = co_await c->SetAttr("/d/l", delta);
+  }(fs.client.get(), &set));
+  ASSERT_TRUE(set.ok()) << set.ToString();
+  auto st = fs.Stat("/d/f");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->mode, 0600u);
+  EXPECT_EQ(st->nlink, 2u);
+
+  // The mode is committed through the WAL: it survives every server
+  // crashing and recovering.
+  for (uint32_t s = 0; s < fs.cluster.ServerCount(); ++s) {
+    fs.cluster.CrashServer(s);
+    fs.Run(fs.cluster.RecoverServer(s));
+  }
+  st = fs.Stat("/d/f");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->mode, 0600u);
+  st = fs.Stat("/d/l");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->mode, 0600u);
+  EXPECT_EQ(st->nlink, 2u);
 }
 
 TEST(SwitchFsLinks, LinksSurviveCrashRecovery) {

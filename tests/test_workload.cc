@@ -1,10 +1,11 @@
 // Workload-layer tests: generator semantics, runner measurement windows,
-// trace structure, and a cross-system smoke run proving every FsWorld can be
-// driven by the same harness.
+// trace structure, a cross-system smoke run proving every FsWorld can be
+// driven by the same harness, and the bench JSON report.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "bench/bench_util.h"
 #include "src/baselines/baseline.h"
 #include "src/core/cluster.h"
 #include "src/workload/data_service.h"
@@ -320,6 +321,36 @@ TEST(Runner, EndToEndWithDataServiceTransfersBytes) {
   EXPECT_EQ(result.completed, trace.total_ops());
   EXPECT_GT(data.transfers(), 0u);
   EXPECT_GT(data.bytes_moved(), 80u * 128 * 1024);
+}
+
+TEST(BenchReport, DottedKeysNestInInsertionOrderWithFixedDecimals) {
+  bench::Report report;
+  report.Set("bench", "demo");
+  report.Set("dirs", 256);
+  report.Set("per_owner.apply_keps", 29.74, 1);
+  report.Set("per_owner.ops", uint64_t{576});
+  report.Set("ratio", 6.6481, 2);
+  report.Set("per_owner.rate", 0.5, 4);
+  report.Set("dirs", 64);  // replaced in place, keeps its position
+  EXPECT_EQ(report.ToJson(),
+            "{\n"
+            "  \"bench\": \"demo\",\n"
+            "  \"dirs\": 64,\n"
+            "  \"per_owner\": {\"apply_keps\": 29.7, \"ops\": 576, "
+            "\"rate\": 0.5000},\n"
+            "  \"ratio\": 6.65\n"
+            "}\n");
+}
+
+TEST(BenchReport, UnwritableJsonExitsNonzero) {
+  bench::Report report;
+  report.Set("bench", "demo");
+  EXPECT_EXIT(
+      {
+        setenv("SFS_BENCH_JSON", "/dev/null/report.json", 1);
+        report.Write();
+      },
+      ::testing::ExitedWithCode(1), "cannot write /dev/null/report.json");
 }
 
 }  // namespace
