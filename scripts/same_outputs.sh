@@ -4,22 +4,27 @@
 # SFS_BENCH_SCALE=small from two build directories, then diffs each
 # binary's stdout, exit status and bench JSON.
 #
+#   scripts/same_outputs.sh --against GIT_REF
 #   scripts/same_outputs.sh PARENT_BUILD CHANGE_BUILD
 #
-# Both builds must come from the same CMake configuration (e.g. a parent
-# checkout built with `cmake -B build -S .`). Outputs are kept under $OUT
-# (default: a fresh temporary directory) for inspection. Exits nonzero if
-# any output differs.
+# --against exports GIT_REF (e.g. HEAD~1) with `git archive` into a
+# temporary directory, builds it with the default CMake configuration, builds
+# this checkout into build/ the same way, and compares the two; the
+# temporary tree is removed on exit. The two-directory form compares builds
+# made by hand, which must come from the same CMake configuration. Outputs
+# are kept under $OUT (default: a fresh temporary directory) for inspection;
+# JOBS (default: nproc) sets the build parallelism. Exits nonzero if any
+# output differs.
 set -euo pipefail
 
-if [[ $# -ne 2 ]]; then
-  echo "usage: $0 PARENT_BUILD CHANGE_BUILD" >&2
+usage() {
+  echo "usage: $0 --against GIT_REF | $0 PARENT_BUILD CHANGE_BUILD" >&2
   exit 2
-fi
+}
+
+[[ $# -eq 2 ]] || usage
 cd "$(dirname "$0")/.."
-PARENT=$(cd "$1" && pwd)
-CHANGE=$(cd "$2" && pwd)
-OUT=${OUT:-$(mktemp -d)}
+JOBS=${JOBS:-$(nproc)}
 
 binaries=()
 for src in examples/*.cpp; do
@@ -30,6 +35,27 @@ for src in bench/bench_*.cc; do
     binaries+=("$(basename "$src" .cc)")
   fi
 done
+
+# Configures and builds just the compared binaries of source tree $1 into $2.
+build_tree() {
+  cmake -B "$2" -S "$1" > /dev/null
+  cmake --build "$2" -j "$JOBS" --target "${binaries[@]}" > /dev/null
+}
+
+if [[ $1 == --against ]]; then
+  ref_tree=$(mktemp -d)
+  trap 'rm -rf "$ref_tree"' EXIT
+  git archive "$2" | tar -x -C "$ref_tree"
+  echo "building $2 in $ref_tree/build and this checkout in build/"
+  build_tree "$ref_tree" "$ref_tree/build"
+  build_tree . build
+  PARENT=$ref_tree/build
+  CHANGE=$(pwd)/build
+else
+  PARENT=$(cd "$1" && pwd)
+  CHANGE=$(cd "$2" && pwd)
+fi
+OUT=${OUT:-$(mktemp -d)}
 
 # Runs every binary of one build into $OUT/<side>/.
 run_side() {

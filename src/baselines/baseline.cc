@@ -1505,7 +1505,7 @@ sim::Task<Status> BaselineClient::Rename(const std::string& from,
     req->top = std::string(SplitPath(from)[0]);
     req->top2 = std::string(SplitPath(to)[0]);
     auto r = co_await rpc_.Call(
-        cluster_->ServerNode(cluster_->config().rename_coordinator), req,
+        cluster_->ServerNode(core::kRenameCoordinator), req,
         txn_call_);
     if (!r.ok()) {
       co_await sim::Delay(sim_, sim::Microseconds(100));

@@ -60,7 +60,6 @@ struct BaselineConfig {
   sim::CostModel costs;
   net::Network::FaultConfig faults;
   uint64_t seed = 42;
-  uint32_t rename_coordinator = 0;
   // MetadataService v2 directory streams: pages fill to the transport byte
   // budget (DirEntryWireSize per entry) with mtu_entries as the hard
   // entry-count cap, plus the session-inactivity TTL. Named after

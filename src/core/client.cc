@@ -362,8 +362,8 @@ sim::Task<Status> SwitchFsClient::SetAttr(const std::string& path,
 sim::Task<StatusOr<DirHandle>> SwitchFsClient::OpenDir(
     const std::string& path) {
   // OpenDir is the consistency point of the stream: the owner aggregates
-  // under the agg gate (dirty-tracker pre-read hook attached) and pins the
-  // snapshot session the pages will be served from.
+  // under the agg gate (dirty-tracker pre-read hook attached) and opens the
+  // cursor session the pages will be served from.
   MetaCall call = MetaCall::DirRead(OpType::kOpenDir, /*want_entries=*/false);
   OpResult r = co_await IssueOp(call, path);
   if (!r.status.ok()) {
@@ -738,7 +738,7 @@ sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
     req->ref = *src;
     req->ref2 = *dst;
     auto r = co_await rpc_.Call(
-        cluster_->ServerNode(config_.rename_coordinator), req,
+        cluster_->ServerNode(kRenameCoordinator), req,
         config_.txn_call);
     if (!r.ok()) {
       co_await sim::Delay(sim_, kRetryBackoff);

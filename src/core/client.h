@@ -29,7 +29,6 @@ class SwitchFsClient : public MetadataService {
     // The cluster's dirty-set tracker; directory reads run its pre-read hook
     // (in-network query header or tracker pre-query). Null skips the hook.
     tracker::DirtyTracker* dirty_tracker = nullptr;
-    uint32_t rename_coordinator = 0;
     net::CallOptions call = [] {
       net::CallOptions o;
       o.timeout = sim::Milliseconds(2);
@@ -46,10 +45,10 @@ class SwitchFsClient : public MetadataService {
       return o;
     }();
     // OpenDir is the directory stream's one heavyweight op: the owner
-    // aggregates and scans the whole entry list into the session snapshot,
-    // which is O(directory) work (a million-entry directory scans for
-    // ~140 ms of simulated time). Pages stay on the tight `call` deadline —
-    // they are mtu-bounded — but the open needs a directory-scale one.
+    // aggregates every deferred entry of the directory before it opens the
+    // cursor, so the open's cost scales with the pending backlog. Pages stay
+    // on the tight `call` deadline — each scans one mtu-bounded page — but
+    // the open needs a directory-scale one.
     net::CallOptions opendir_call = [] {
       net::CallOptions o;
       o.timeout = sim::Seconds(2);
@@ -105,9 +104,9 @@ class SwitchFsClient : public MetadataService {
   // safe; a kStaleHandle on any page restarts the scan like the base path.
   sim::Task<StatusOr<std::vector<DirEntry>>> Readdir(
       const std::string& path) override;
-  // Whole-directory listing in ONE RPC (the pre-v2 shape). Kept as the A/B
-  // lever for bench_readdir_paging and for recovery tooling; the inherited
-  // MetadataService::Readdir pages through OpenDir/ReaddirPage instead.
+  // Whole-directory listing in ONE RPC (the pre-v2 shape), the baseline
+  // bench_readdir_paging measures paging against; Readdir pages through
+  // OpenDir/ReaddirPage instead.
   sim::Task<StatusOr<std::vector<DirEntry>>> ReaddirMonolithic(
       const std::string& path);
   // Hard link (§5.5): `dst` becomes another name for `src`'s file. Not part

@@ -104,7 +104,6 @@ Cluster::~Cluster() = default;
 std::unique_ptr<SwitchFsClient> Cluster::MakeClient() {
   SwitchFsClient::Config cc;
   cc.dirty_tracker = dirty_tracker_.get();
-  cc.rename_coordinator = config_.server_template.rename_coordinator;
   cc.mtu_bytes = config_.server_template.mtu_bytes;
   cc.mtu_entries = config_.server_template.mtu_entries;
   cc.switch_cache = config_.server_template.switch_cache;

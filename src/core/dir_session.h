@@ -139,12 +139,9 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
   }
 
   // Table-wide cap: evicts least-recently-used sessions until at most `cap`
-  // remain (0 = uncapped). Returns the number evicted; the abandoned
-  // handles surface as kStaleHandle on their next page call.
+  // remain. Returns the number evicted; the abandoned handles surface as
+  // kStaleHandle on their next page call.
   size_t EvictLruOverCap(size_t cap) {
-    if (cap == 0) {
-      return 0;
-    }
     size_t evicted = 0;
     while (sessions_.size() > cap) {
       auto victim = sessions_.begin();

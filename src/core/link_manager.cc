@@ -8,6 +8,7 @@
 #include "src/core/cache_evict.h"
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
+#include "src/core/write_path.h"
 #include "src/sim/discipline.h"
 
 namespace switchfs::core {
@@ -43,15 +44,15 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
       if (!rec.inode_delete) {
         rec.inode_value = attrs.Encode();
       }
-      co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-      ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-      co_await ctx_.cpu->Run(attrs.nlink == 0 ? ctx_.costs->kv_delete
-                                              : ctx_.costs->kv_put);
-      if (attrs.nlink == 0) {
-        v->kv.Delete(akey);
-      } else {
-        v->kv.Put(akey, attrs.Encode());
-      }
+      const sim::SimTime kv_cost =
+          rec.inode_delete ? ctx_.costs->kv_delete : ctx_.costs->kv_put;
+      co_await CommitOp(ctx_, v, rec, kv_cost, [&] {
+        if (rec.inode_delete) {
+          v->kv.Delete(akey);
+        } else {
+          v->kv.Put(akey, rec.inode_value);
+        }
+      });
     }
     if (out != nullptr) {
       *out = attrs;
@@ -169,11 +170,9 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
       co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
   auto ino_lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  co_await ctx_.cpu->Run(ctx_.costs->path_check *
-                         static_cast<sim::SimTime>(1 + dst.ancestors.size()));
-  auto stale = v->inval.Check(dst.ancestors);
+  co_await ctx_.cpu->Run(PathCheckCost(ctx_, dst.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, dst.ancestors);
   if (!stale.empty()) {
-    ctx_.stats->stale_cache_bounces++;
     ctx_.RespondStale(p, std::move(stale));
     co_return;
   }
@@ -206,38 +205,20 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   ref.type = FileType::kReference;
   ref.size = conv->attr_server;
 
-  {
-    // Per-log append mutex (see HandleRenameCommit): this leg appends while
-    // holding only the destination inode lock, so the captured seq must be
-    // pinned against concurrent appends/renumbering across the WAL await.
-    auto append_lock =
-        co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-            ClAppendKey(pfp, dst.pid));
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, dst.pid);
-    ChangeLogEntry entry;
-    entry.timestamp = ctx_.Now();
-    entry.op = OpType::kCreate;
-    entry.name = dst.name;
-    entry.entry_type = FileType::kFile;
-    entry.size_delta = 1;
-    entry.seq = clog.last_appended_seq() + 1;
-
-    OpCommitRecord rec;
-    rec.op = OpType::kLink;
-    rec.inode_key = ikey;
-    rec.inode_value = ref.Encode();
-    rec.parent_dir = dst.pid;
-    rec.parent_fp = pfp;
-    rec.entry = entry;
-    rec.has_entry = true;
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    entry.wal_lsn = ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-    co_await ctx_.cpu->Run(ctx_.costs->kv_put);
-    v->kv.Put(ikey, ref.Encode());
-    co_await ctx_.cpu->Run(ctx_.costs->changelog_append);
-    clog.Restore(entry);
-  }
+  OpCommitRecord rec;
+  rec.op = OpType::kLink;
+  rec.inode_key = ikey;
+  rec.inode_value = ref.Encode();
+  rec.parent_dir = dst.pid;
+  rec.parent_fp = pfp;
+  rec.entry.timestamp = ctx_.Now();
+  rec.entry.op = OpType::kCreate;
+  rec.entry.name = dst.name;
+  rec.entry.entry_type = FileType::kFile;
+  rec.entry.size_delta = 1;
+  rec.has_entry = true;
+  co_await CommitOp(ctx_, v, rec, ctx_.costs->kv_put,
+                    [&] { v->kv.Put(ikey, rec.inode_value); });
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = ref;

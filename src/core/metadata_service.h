@@ -8,14 +8,14 @@
 //  * OpenDir / ReaddirPage / CloseDir replace the monolithic everything-in-
 //    one-RPC directory listing. OpenDir makes the directory consistent once
 //    (SwitchFS: dirty-set check + aggregation under the owner's agg gate)
-//    and pins an owner-side snapshot session; ReaddirPage serves bounded
-//    pages from that snapshot via an opaque cookie. The page stream never
-//    drops an entry committed before the open and never duplicates an entry
-//    across pages, regardless of concurrent creates/unlinks/renames — they
-//    land in the live entry list, not the pinned snapshot. Sessions expire
-//    server-side after an inactivity TTL (and die with an owner crash);
-//    a page call against a dead session fails with kStaleHandle and the
-//    caller re-opens.
+//    and opens an owner-side session; ReaddirPage serves bounded pages via
+//    an opaque cookie. SwitchFS sessions are KV cursors (a resume key; each
+//    page scans on from it), the baselines' are positional snapshots. The
+//    page stream never drops an entry committed before the open and never
+//    duplicates an entry across pages, regardless of concurrent
+//    creates/unlinks/renames. Sessions expire server-side after an
+//    inactivity TTL (and die with an owner crash); a page call against a
+//    dead session fails with kStaleHandle and the caller re-opens.
 //  * BatchStat amortizes lookup fan-out: the client groups targets by owner
 //    placement and ships one multi-target request per server (the read-path
 //    mirror of the per-owner push batching).

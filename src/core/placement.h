@@ -17,6 +17,10 @@
 
 namespace switchfs::core {
 
+// Server index that coordinates every rename (§5.2: renames run as
+// distributed transactions through one central coordinator).
+inline constexpr uint32_t kRenameCoordinator = 0;
+
 class HashRing {
  public:
   static constexpr int kVnodesPerServer = 64;

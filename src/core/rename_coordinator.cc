@@ -9,6 +9,7 @@
 #include "src/core/cache_evict.h"
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
+#include "src/core/write_path.h"
 
 namespace switchfs::core {
 
@@ -250,27 +251,26 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
   }
 
   net::MsgPtr reply = net::MakeMsg<Ack>();
-  ChangeLogEntry entry;
-  if (msg->log_parent_update) {
-    entry.timestamp = ctx_.Now();
-    entry.op = msg->parent_op == OpType::kCreate
-                   ? (msg->parent_entry_type == FileType::kDirectory
-                          ? OpType::kMkdir
-                          : OpType::kCreate)
-                   : (msg->parent_entry_type == FileType::kDirectory
-                          ? OpType::kRmdir
-                          : OpType::kUnlink);
-    entry.name = msg->parent_entry_name;
-    entry.entry_type = msg->parent_entry_type;
-    entry.size_delta = msg->parent_op == OpType::kCreate ? 1 : -1;
-  }
-
   if (msg->delete_inode || msg->put_inode) {
     OpCommitRecord rec;
     rec.op = OpType::kRename;
     rec.parent_dir = msg->parent_dir;
     rec.parent_fp = msg->parent_fp;
     rec.has_entry = msg->log_parent_update;
+    if (rec.has_entry) {
+      ChangeLogEntry& entry = rec.entry;
+      entry.timestamp = ctx_.Now();
+      entry.op = msg->parent_op == OpType::kCreate
+                     ? (msg->parent_entry_type == FileType::kDirectory
+                            ? OpType::kMkdir
+                            : OpType::kCreate)
+                     : (msg->parent_entry_type == FileType::kDirectory
+                            ? OpType::kRmdir
+                            : OpType::kUnlink);
+      entry.name = msg->parent_entry_name;
+      entry.entry_type = msg->parent_entry_type;
+      entry.size_delta = msg->parent_op == OpType::kCreate ? 1 : -1;
+    }
     // The leg's inode key is recomputed from the parent update fields: the
     // leg's (pid, name) is exactly (parent_dir, parent_entry_name).
     const std::string key = InodeKey(msg->parent_dir, msg->parent_entry_name);
@@ -321,85 +321,65 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
         ctx_, v, FingerprintOf(msg->parent_dir, msg->parent_entry_name),
         EvictLockWitness::kExternal);
 
-    // Per-log append mutex: commit legs cannot take the fp-group change-log
-    // lock (it would invert the upsert's cl-then-inode order and deadlock),
-    // so without it the seq captured here went stale against a concurrent
-    // append or moved_fp renumber during the WAL suspension below — the
-    // ROADMAP PR-4 follow-up exposure. Innermost lock; held through Restore.
-    LockTable::Handle append_lock;
-    ChangeLog* clog = nullptr;
-    if (msg->log_parent_update) {
-      append_lock =
-          co_await v->ShardFor(msg->parent_fp)
-              .changelog_append_locks.AcquireExclusive(
-                  ClAppendKey(msg->parent_fp, msg->parent_dir));
-      clog = &v->GetChangeLog(msg->parent_fp, msg->parent_dir);
-      entry.seq = clog->last_appended_seq() + 1;
-      rec.entry = entry;
-    }
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    const uint64_t lsn = ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-
-    co_await ctx_.cpu->Run(msg->delete_inode ? ctx_.costs->kv_delete
-                                             : ctx_.costs->kv_put);
-    if (msg->delete_inode) {
+    // Commit legs cannot take the fp-group change-log lock (it would invert
+    // the upsert's cl-then-inode order and deadlock); CommitOp's per-log
+    // append mutex is what pins the parent entry's seq.
+    const sim::SimTime kv_cost =
+        msg->delete_inode ? ctx_.costs->kv_delete : ctx_.costs->kv_put;
+    co_await CommitOp(ctx_, v, rec, kv_cost, [&] {
+      if (!msg->delete_inode) {
+        v->kv.Put(key, rec.inode_value);
+        if (msg->inode.type == FileType::kDirectory) {
+          // Arrival era hygiene: drop dead-era lanes for the directory.
+          v->TakeHwmRows(msg->inode.id, 0);
+          v->kv.Put(DirIndexKey(msg->inode.id),
+                    EncodeDirIndex(key, FingerprintOf(msg->parent_dir,
+                                                      msg->parent_entry_name)));
+          for (const DirEntry& e : msg->install_entries) {
+            v->kv.Put(EntryKey(msg->inode.id, e.name),
+                      EncodeEntryValue(e.type));
+          }
+        }
+        return;
+      }
       auto old = v->kv.Get(key);
       v->kv.Delete(key);
-      if (old.has_value()) {
-        Attr attr = Attr::Decode(*old);
-        if (attr.is_dir()) {
-          // Export the entry list; it moves with the inode to the new owner.
-          auto blob = std::make_shared<EntryListBlob>();
-          blob->dir = attr.id;
-          v->kv.ScanPrefix(EntryPrefix(attr.id),
-                           [&](const std::string& k, const std::string& val) {
-                             blob->entries.push_back(
-                                 DirEntry{std::string(EntryNameFromKey(k)),
-                                          DecodeEntryValue(val)});
-                             return true;
-                           });
-          for (const DirEntry& e : blob->entries) {
-            v->kv.Delete(EntryKey(attr.id, e.name));
-          }
-          v->kv.Delete(DirIndexKey(attr.id));
-          if (install_tombstone) {
-            // In place of the bare removal: record where the directory went,
-            // so a push/aggregation that finds it gone re-keys instead of
-            // trimming (PushResp::kMoved / AggDone moved rows).
-            ServerVolatile::MovedDir tomb;
-            tomb.old_fp = rec.moved_old_fp;
-            tomb.new_fp = msg->moved_new_fp;
-            tomb.new_owner = msg->moved_new_owner;
-            tomb.epoch = moved_epoch;
-            tomb.installed_at = ctx_.Now();
-            tomb.applied = std::move(moved_applied);
-            v->InstallMovedTombstone(msg->moved_dir, tomb);
-          }
-          reply = blob;
-        }
+      if (!old.has_value()) {
+        return;
       }
-    } else {
-      v->kv.Put(key, rec.inode_value);
-      if (msg->inode.type == FileType::kDirectory) {
-        // Arrival era hygiene: drop dead-era lanes for the directory.
-        v->TakeHwmRows(msg->inode.id, 0);
-        v->kv.Put(DirIndexKey(msg->inode.id),
-                  EncodeDirIndex(key, FingerprintOf(msg->parent_dir,
-                                                    msg->parent_entry_name)));
-        for (const DirEntry& e : msg->install_entries) {
-          v->kv.Put(EntryKey(msg->inode.id, e.name), EncodeEntryValue(e.type));
-        }
+      Attr attr = Attr::Decode(*old);
+      if (!attr.is_dir()) {
+        return;
       }
-    }
-    if (clog != nullptr) {
-      co_await ctx_.cpu->Run(ctx_.costs->changelog_append);
-      entry.wal_lsn = lsn;
-      // Re-obtain the log rather than reuse `clog`: the append mutex held
-      // above excludes concurrent appends and rebind renumbering, but the
-      // slot map itself is not under it, so a stale pointer is still not
-      // worth the risk across the suspensions above.
-      v->GetChangeLog(msg->parent_fp, msg->parent_dir).Restore(entry);
-    }
+      // Export the entry list; it moves with the inode to the new owner.
+      auto blob = std::make_shared<EntryListBlob>();
+      blob->dir = attr.id;
+      v->kv.ScanPrefix(EntryPrefix(attr.id),
+                       [&](const std::string& k, const std::string& val) {
+                         blob->entries.push_back(
+                             DirEntry{std::string(EntryNameFromKey(k)),
+                                      DecodeEntryValue(val)});
+                         return true;
+                       });
+      for (const DirEntry& e : blob->entries) {
+        v->kv.Delete(EntryKey(attr.id, e.name));
+      }
+      v->kv.Delete(DirIndexKey(attr.id));
+      if (install_tombstone) {
+        // In place of the bare removal: record where the directory went,
+        // so a push/aggregation that finds it gone re-keys instead of
+        // trimming (PushResp::kMoved / AggDone moved rows).
+        ServerVolatile::MovedDir tomb;
+        tomb.old_fp = rec.moved_old_fp;
+        tomb.new_fp = msg->moved_new_fp;
+        tomb.new_owner = msg->moved_new_owner;
+        tomb.epoch = moved_epoch;
+        tomb.installed_at = ctx_.Now();
+        tomb.applied = std::move(moved_applied);
+        v->InstallMovedTombstone(msg->moved_dir, tomb);
+      }
+      reply = blob;
+    });
   }
 
   if (msg->log_parent_update) {

@@ -8,6 +8,7 @@
 #include "src/core/cache_record.h"
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
+#include "src/core/write_path.h"
 #include "src/sim/discipline.h"
 #include "src/sim/task.h"
 #include "src/tracker/dirty_tracker.h"
@@ -343,11 +344,9 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
 
   // Step 3: validation — invalidation list, then existence.
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -355,9 +354,9 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   auto existing = v->kv.Get(ikey);
 
   Attr attr;
-  ChangeLogEntry entry;
-  entry.timestamp = Now();
-  entry.name = ref.name;
+  OpCommitRecord rec;
+  rec.entry.timestamp = Now();
+  rec.entry.name = ref.name;
   switch (req->op) {
     case OpType::kCreate:
     case OpType::kMkdir: {
@@ -370,9 +369,9 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
                                             : FileType::kFile;
       attr.mode = req->mode;
       attr.ctime = attr.mtime = attr.atime = Now();
-      entry.op = req->op;
-      entry.entry_type = attr.type;
-      entry.size_delta = 1;
+      rec.entry.op = req->op;
+      rec.entry.entry_type = attr.type;
+      rec.entry.size_delta = 1;
       break;
     }
     case OpType::kUnlink: {
@@ -398,9 +397,9 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
           co_return;
         }
       }
-      entry.op = OpType::kUnlink;
-      entry.entry_type = FileType::kFile;
-      entry.size_delta = -1;
+      rec.entry.op = OpType::kUnlink;
+      rec.entry.entry_type = FileType::kFile;
+      rec.entry.size_delta = -1;
       break;
     }
     default:
@@ -414,65 +413,35 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   // can install a pre-write record after this returns (see cache_evict.h).
   co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
 
-  // Step 4: persistent commit (WAL). The per-log append mutex pins the
-  // captured seq across the WAL/KV suspensions: rename and link commit legs
-  // append to this log WITHOUT the fp-group lock (taking it would invert
-  // the cl-then-inode order), so the group lock alone does not serialize
-  // sequence assignment.
-  {
-    auto append_lock =
-        co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-            ClAppendKey(pfp, ref.pid));
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
-    entry.seq = clog.last_appended_seq() + 1;
-    OpCommitRecord rec;
-    rec.op = req->op;
-    rec.inode_key = ikey;
-    rec.inode_delete = req->op == OpType::kUnlink;
-    if (!rec.inode_delete) {
-      rec.inode_value = attr.Encode();
-    }
-    rec.parent_dir = ref.pid;
-    rec.parent_fp = pfp;
-    rec.entry = entry;
-    rec.has_entry = true;
-    co_await cpu_.Run(costs_->wal_append);
-    const uint64_t lsn = durable_->wal.Append(kWalOpCommit, rec.Encode());
-
-    // Step 5: execute locally.
-    co_await cpu_.Run(rec.inode_delete ? costs_->kv_delete : costs_->kv_put);
+  // Steps 4-5: persistent commit (WAL), then execute locally.
+  rec.op = req->op;
+  rec.inode_key = ikey;
+  rec.inode_delete = req->op == OpType::kUnlink;
+  if (!rec.inode_delete) {
+    rec.inode_value = attr.Encode();
+  }
+  rec.parent_dir = ref.pid;
+  rec.parent_fp = pfp;
+  rec.has_entry = true;
+  const sim::SimTime kv_cost =
+      rec.inode_delete ? costs_->kv_delete : costs_->kv_put;
+  co_await CommitOp(ctx_, v, rec, kv_cost, [&] {
     if (rec.inode_delete) {
       v->kv.Delete(ikey);
-    } else {
-      v->kv.Put(ikey, rec.inode_value);
-      if (req->op == OpType::kMkdir) {
-        // New directory: its fingerprint group is this very key's hash, so
-        // we are its owner; index id -> inode key for aggregation applies.
-        v->kv.Put(DirIndexKey(attr.id),
-                  EncodeDirIndex(ikey, FingerprintOf(ref.pid, ref.name)));
-      }
+      return;
     }
-    co_await cpu_.Run(costs_->changelog_append);
-    entry.wal_lsn = lsn;
-    clog.Restore(entry);
-  }
+    v->kv.Put(ikey, rec.inode_value);
+    if (req->op == OpType::kMkdir) {
+      // New directory: its fingerprint group is this very key's hash, so
+      // we are its owner; index id -> inode key for aggregation applies.
+      v->kv.Put(DirIndexKey(attr.id),
+                EncodeDirIndex(ikey, FingerprintOf(ref.pid, ref.name)));
+    }
+  });
 
+  // Steps 6-7: publish the parent update, reply, release locks (RAII).
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
-
-  if (!config_.async_updates) {
-    // Conventional synchronous update (Baseline of §7.3.1).
-    Status s = co_await SyncParentUpdate(v, pfp, ref.pid);
-    if (!s.ok()) {
-      // Owner unreachable: the entry stays pending; it will be flushed by a
-      // later push. The op itself is committed, so report success.
-    }
-    rpc_.Respond(p, resp);
-    co_return;
-  }
-
-  // Step 6/7: mark scattered, reply via the ack path, release locks (RAII).
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
   push_.MaybeSchedulePush(v, pfp, ref.pid);
 }
@@ -481,6 +450,16 @@ sim::Task<void> SwitchServer::PublishUpdate(const net::Packet* client_req,
                                             VolPtr v, psw::Fingerprint fp,
                                             const InodeId& dir,
                                             net::MsgPtr client_resp) {
+  if (!config_.async_updates) {
+    // Conventional synchronous update (the Baseline of §7.3.1 / Fig 14).
+    // Best-effort: on failure the entries stay pending for a later push —
+    // the op itself is already committed, so it still succeeds.
+    (void)co_await SyncParentUpdate(v, fp, dir);
+    if (client_req != nullptr) {
+      rpc_.Respond(*client_req, client_resp);
+    }
+    co_return;
+  }
   const tracker::InsertResult res = co_await ctx_.dirty_tracker->Insert(
       ctx_, v, fp, dir, client_req, client_resp);
   if (res == tracker::InsertResult::kOverflow) {
@@ -539,8 +518,8 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
     psw::Fingerprint dfp = 0;
     LockTable::Handle ino_lock;
     if (v->LookupDirIndex(dir, &dkey, &dfp)) {
-      // Sanctioned cross-shard pair: the awaiting op chain (sync-mode
-      // create/unlink, tracker-overflow fallback) still holds ITS target's
+      // Sanctioned cross-shard pair: the awaiting op chain (a sync-mode
+      // writer, tracker-overflow fallback) still holds ITS target's
       // inode lock on that key's shard, and the parent directory's group
       // can live on another shard. The pair is deadlock-free — op chains
       // always lock child-then-parent, and parent keys are distinct from
@@ -800,11 +779,9 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
   LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
 
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -831,9 +808,9 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
     co_return;
   }
   if (req->op == OpType::kReaddir && req->want_entries) {
-    // Monolithic listing (A/B + recovery tooling): one scan AND the full
-    // marshalling land on this single request — the paged path instead
-    // charges the scan once at OpenDir and marshalling per page.
+    // Monolithic listing (bench_readdir_paging's baseline): one scan AND the
+    // full marshalling land on this single request — the paged path
+    // instead charges each page's own scan and marshalling.
     size_t n = 0;
     v->kv.ScanPrefix(EntryPrefix(attr.id),
                      [&](const std::string& k, const std::string& val) {
@@ -870,11 +847,9 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
 
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -904,9 +879,7 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
       v->ShardFor(dir_fp).dir_sessions.OpenCursor(attr.id, Now()).id;
   stats_.dir_opens++;
   const size_t shard_cap =
-      config_.max_dir_sessions == 0
-          ? 0
-          : std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
+      std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
   const uint64_t evicted =
       v->ShardFor(dir_fp).dir_sessions.EvictLruOverCap(shard_cap);
   v->ShardFor(dir_fp).dir_sessions_evicted += evicted;
@@ -1076,16 +1049,13 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
     const std::string ikey = InodeKey(ref.pid, ref.name);
     auto lock =
         co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-    co_await cpu_.Run(costs_->path_check *
-                      static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-    auto stale = v->inval.Check(ref.ancestors);
+    co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+    auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
     if (!stale.empty()) {
       // Per-target verdict; the batch itself stays kOk so healthy targets
       // still resolve. stale_ids accumulates the union for the client.
-      stats_.stale_cache_bounces++;
-      for (InodeId& id : stale) {
-        resp->stale_ids.push_back(id);
-      }
+      resp->stale_ids.insert(resp->stale_ids.end(), stale.begin(),
+                             stale.end());
       resp->batch_status.push_back(StatusCode::kStaleCache);
       continue;
     }
@@ -1139,16 +1109,13 @@ sim::Task<void> SwitchServer::HandleBatchStatDir(net::Packet p, VolPtr v) {
     LockTable::Handle gate =
         co_await GateDirRead(v, p, *req, dir_fp, req->scattered_hint);
     auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-    co_await cpu_.Run(costs_->path_check *
-                      static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-    auto stale = v->inval.Check(ref.ancestors);
+    co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+    auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
     if (!stale.empty()) {
       // Per-target verdict, as in HandleBatchStat: healthy targets still
       // resolve; stale_ids accumulates the union for the client.
-      stats_.stale_cache_bounces++;
-      for (InodeId& id : stale) {
-        resp->stale_ids.push_back(id);
-      }
+      resp->stale_ids.insert(resp->stale_ids.end(), stale.begin(),
+                             stale.end());
       resp->batch_status.push_back(StatusCode::kStaleCache);
       continue;
     }
@@ -1180,11 +1147,9 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
   const std::string ikey = InodeKey(ref.pid, ref.name);
   auto lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -1223,10 +1188,8 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     rec.op = OpType::kSetAttr;
     rec.inode_key = ikey;
     rec.inode_value = attr.Encode();
-    co_await cpu_.Run(costs_->wal_append);
-    durable_->wal.Append(kWalOpCommit, rec.Encode());
-    co_await cpu_.Run(costs_->kv_put);
-    v->kv.Put(ikey, attr.Encode());
+    co_await CommitOp(ctx_, v, rec, costs_->kv_put,
+                      [&] { v->kv.Put(ikey, rec.inode_value); });
     if (req->delta.set_mode && attr.is_dir() && attr.id != RootId()) {
       // Permission changes on directories invalidate client caches (§4.2);
       // the root is exempt (clients cannot re-look it up).
@@ -1298,11 +1261,9 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   bulk_xs.Release();
 
   // One validation pass for the shared parent path.
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -1399,15 +1360,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   }
   stats_.bulk_insert_entries += rec.items.size();
 
-  if (!config_.async_updates) {
-    // Conventional synchronous update (Baseline of §7.3.1). Owner
-    // unreachable: the entries stay pending for a later push; the batch
-    // itself is committed, so report the verdicts.
-    (void)co_await SyncParentUpdate(v, pfp, ref.pid);
-    rpc_.Respond(p, resp);
-    co_return;
-  }
-
   // One deferred-update publication covers the batch (they share the
   // parent's dirty-set slot), and at most one push is scheduled.
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
@@ -1462,11 +1414,9 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   // the witness can end here.
   rmdir_xs.Release();
 
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -1509,37 +1459,23 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   // In-switch cache: the directory's attr must not survive its removal.
   co_await EvictSwitchCacheEntry(ctx_, v, target_fp);
 
-  // Step 8: commit (append mutex: see HandleUpsert's commit section).
-  {
-    auto append_lock = co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-        ClAppendKey(pfp, ref.pid));
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
-    ChangeLogEntry entry;
-    entry.timestamp = Now();
-    entry.op = OpType::kRmdir;
-    entry.name = ref.name;
-    entry.entry_type = FileType::kDirectory;
-    entry.size_delta = -1;
-    entry.seq = clog.last_appended_seq() + 1;
-
-    OpCommitRecord rec;
-    rec.op = OpType::kRmdir;
-    rec.inode_key = ikey;
-    rec.inode_delete = true;
-    rec.parent_dir = ref.pid;
-    rec.parent_fp = pfp;
-    rec.entry = entry;
-    rec.has_entry = true;
-    co_await cpu_.Run(costs_->wal_append);
-    entry.wal_lsn = durable_->wal.Append(kWalOpCommit, rec.Encode());
-
-    co_await cpu_.Run(costs_->kv_delete);
+  // Step 8: commit.
+  OpCommitRecord rec;
+  rec.op = OpType::kRmdir;
+  rec.inode_key = ikey;
+  rec.inode_delete = true;
+  rec.parent_dir = ref.pid;
+  rec.parent_fp = pfp;
+  rec.entry.timestamp = Now();
+  rec.entry.op = OpType::kRmdir;
+  rec.entry.name = ref.name;
+  rec.entry.entry_type = FileType::kDirectory;
+  rec.entry.size_delta = -1;
+  rec.has_entry = true;
+  co_await CommitOp(ctx_, v, rec, costs_->kv_delete, [&] {
     v->kv.Delete(ikey);
     v->kv.Delete(DirIndexKey(attr.id));
-    co_await cpu_.Run(costs_->changelog_append);
-    clog.Restore(entry);
-  }
+  });
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
@@ -1568,11 +1504,9 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
 
   const std::string ikey = InodeKey(ref.pid, ref.name);
   auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + ref.ancestors.size()));
-  auto stale = v->inval.Check(ref.ancestors);
+  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
+  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     RespondStale(p, std::move(stale));
     co_return;
   }
@@ -1612,12 +1546,10 @@ sim::Task<void> SwitchServer::HandleLookup(net::Packet p, VolPtr v) {
   co_await cpu_.Run(costs_->op_dispatch);
   const std::string ikey = InodeKey(req->pid, req->name);
   auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  co_await cpu_.Run(costs_->path_check *
-                    static_cast<sim::SimTime>(1 + req->ancestors.size()));
+  co_await cpu_.Run(PathCheckCost(ctx_, req->ancestors));
   auto resp = std::make_shared<LookupResp>();
-  auto stale = v->inval.Check(req->ancestors);
+  auto stale = CheckAncestors(ctx_, *v, req->ancestors);
   if (!stale.empty()) {
-    stats_.stale_cache_bounces++;
     resp->status = StatusCode::kStaleCache;
     resp->stale_ids = std::move(stale);
     rpc_.Respond(p, resp);
@@ -1821,10 +1753,13 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
 }
 
 sim::Task<void> SwitchServer::Recover() {
-  // Fresh volatile incarnation.
+  // Fresh volatile incarnation. The root is seeded (if we own it) before the
+  // replay: its rows come from no WAL record, and the replayed applies of
+  // its entries need them.
   auto v = std::make_shared<ServerVolatile>(sim_, config_.shard_count);
-  ReplayWalInto(*v);
   vol_ = v;
+  SeedRoot();
+  ReplayWalInto(*v);
   rpc_.SetEnabled(true);
   // The rest of recovery acts as the new incarnation: a crash mid-recovery
   // cancels it like any handler, and Recover() then returns quietly.
@@ -1838,8 +1773,6 @@ sim::Task<void> SwitchServer::Recover() {
     co_await cpu_.Run(static_cast<sim::SimTime>(n) *
                       costs_->wal_replay_per_record);
   }
-
-  SeedRoot();  // re-seed if we own the root
 
   // Flush rebuilt backlogs and re-aggregate owned directories so interrupted
   // aggregations complete (§A.1).

@@ -12,6 +12,9 @@
 // The server itself keeps the client-facing upsert/read handlers (§5.2.1,
 // §5.2.3), the deferred-update publication machinery (insert-ack wait,
 // dirty-set overflow fallback, §6.2), and crash/recovery (§5.4.2, §A.1).
+// Every writer, here and in the modules, runs §5.2.1's steps 3-7 through
+// the same three functions: CheckAncestors and CommitOp (write_path.h), then
+// PublishUpdate.
 //
 // Request handlers are coroutines; each captures a shared_ptr to the
 // server's volatile state (ServerVolatile) and is spawned as a chain bound
@@ -101,11 +104,12 @@ class SwitchServer : public UpdatePublisher {
   MigrationBatch ExtractMisplaced(const HashRing& ring);
   void InstallBatch(const MigrationBatch& batch);
 
-  // UpdatePublisher: publishes a deferred parent update — marks the directory
-  // scattered via the configured tracker and waits for the ack (or the
-  // overflow fallback). `client_req` non-null: the insert-ack multicast
-  // carries `client_resp` to the client; null: internal update (rename and
-  // link legs), acks return to us only.
+  // UpdatePublisher (§5.2.1 steps 6-7, every writer's one publish
+  // decision): marks the directory scattered via the configured tracker and
+  // waits for the ack (or the overflow fallback); with async_updates off it
+  // applies the parent update synchronously instead. `client_req` non-null:
+  // `client_resp` reaches the client (in async mode, on the insert-ack
+  // multicast); null: internal update (rename legs), acks return to us only.
   sim::Task<void> PublishUpdate(const net::Packet* client_req, VolPtr v,
                                 psw::Fingerprint fp, const InodeId& dir,
                                 net::MsgPtr client_resp) override;
@@ -154,7 +158,7 @@ class SwitchServer : public UpdatePublisher {
 
   // ---- asynchronous update machinery ----
   // Synchronous parent update at the parent's owner (Baseline mode §7.3.1 and
-  // dedicated-tracker overflow fallback).
+  // the tracker-overflow fallback; both reached through PublishUpdate).
   sim::Task<Status> SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
                                      const InodeId& dir);
   // Rebind-safe change-log trim (re-finds the log; see definition).

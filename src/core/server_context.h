@@ -105,15 +105,14 @@ struct ServerConfig {
   int insert_max_attempts = 100;
   sim::SimTime responder_session_timeout = sim::Milliseconds(20);
   // Directory-stream sessions (MetadataService v2): inactivity TTL of an
-  // OpenDir snapshot at the owner. A page call after expiry gets
+  // OpenDir cursor session at the owner. A page call after expiry gets
   // kStaleHandle and the client re-opens. The watchdog reuses the responder-
   // session pattern; the TTL must dwarf the per-page RPC cadence (~µs).
   sim::SimTime dir_session_ttl = sim::Milliseconds(20);
   // Table-wide session cap: past it, the least-recently-used session is
   // evicted (kStaleHandle on its next page) so a crash-looping scanner
-  // abandoning handles cannot bloat the owner. 0 = uncapped.
+  // abandoning handles cannot bloat the owner.
   size_t max_dir_sessions = 4096;
-  uint32_t rename_coordinator = 0;  // server index of the rename coordinator
   // In-switch metadata read cache (requires TrackerMode::kSwitch — the cache
   // lives in the same data plane as the dirty set). Off by default; the
   // bench/test A/B lever. When on, owners piggyback installs on lookup/stat
@@ -503,12 +502,15 @@ struct ServerContext {
   }
 };
 
-// Narrow interface the rename and hard-link modules use to publish a deferred
-// parent update through the configured tracker: marks the directory scattered
-// (switch insert / dedicated tracker / owner set) and waits for the ack or
-// the overflow fallback. Implemented by SwitchServer, which owns the insert
-// retry machinery. `client_req` non-null: the insert-ack multicast carries
-// `client_resp` to the client; null: internal update, acks return to us only.
+// Steps 6-7 of every writer's commit (§5.2.1; steps 3-5 are in
+// write_path.h): publishes a deferred parent update through the configured
+// tracker — marks the directory scattered (switch insert / dedicated tracker
+// / owner set) and waits for the ack or the overflow fallback — or, with
+// async_updates off (Fig 14's Baseline), applies it at the parent's owner
+// before returning. Implemented by SwitchServer, which owns the insert retry
+// machinery. `client_req` non-null: `client_resp` reaches the client (in
+// async mode, on the insert-ack multicast); null: internal update, acks
+// return to us only.
 class UpdatePublisher {
  public:
   virtual ~UpdatePublisher() = default;

@@ -94,6 +94,26 @@ class FsHarness {
     }(client.get(), from, to, &out));
     return out;
   }
+  Status Link(const std::string& src, const std::string& dst) {
+    Status out = InternalError("not run");
+    Run([](SwitchFsClient* c, const std::string s, const std::string d,
+           Status* o) -> sim::Task<void> {
+      *o = co_await c->Link(s, d);
+    }(client.get(), src, dst, &out));
+    return out;
+  }
+  // chmod through SetAttr (mode only).
+  Status Chmod(const std::string& path, uint32_t mode) {
+    AttrDelta delta;
+    delta.set_mode = true;
+    delta.mode = mode;
+    Status out = InternalError("not run");
+    Run([](SwitchFsClient* c, const std::string p, AttrDelta d,
+           Status* o) -> sim::Task<void> {
+      *o = co_await c->SetAttr(p, d);
+    }(client.get(), path, delta, &out));
+    return out;
+  }
 
   Cluster cluster;
   std::unique_ptr<SwitchFsClient> client;

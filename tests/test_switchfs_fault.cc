@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/strings.h"
@@ -117,34 +118,87 @@ TEST(SwitchFsFault, OverflowFallsBackToSynchronousUpdate) {
   EXPECT_EQ(sd->size, 19u);
 }
 
-TEST(SwitchFsFault, ServerCrashRecoversCommittedState) {
-  FsHarness fs;
+// Parameter: async_updates. Every committed mutation — whichever writer
+// committed it, deferred or synchronous parent update — must survive a crash
+// of every server via WAL replay (§5.4.2).
+class ServerCrashReplay : public ::testing::TestWithParam<bool> {};
+
+std::set<std::string> Names(const StatusOr<std::vector<DirEntry>>& listing) {
+  std::set<std::string> names;
+  if (listing.ok()) {
+    for (const DirEntry& e : *listing) {
+      names.insert(e.name);
+    }
+  }
+  return names;
+}
+
+TEST_P(ServerCrashReplay, ServerCrashRecoversCommittedState) {
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.async_updates = GetParam();
+  FsHarness fs(cfg);
+  // One commit through every writer: mkdir, create, unlink, rmdir, rename,
+  // link, SetAttr through a link, SetAttr on a directory.
   ASSERT_TRUE(fs.Mkdir("/d").ok());
-  std::set<std::string> created;
+  ASSERT_TRUE(fs.Mkdir("/e").ok());
+  std::set<std::string> in_d;
   for (int i = 0; i < 30; ++i) {
     const std::string name = "f" + std::to_string(i);
     ASSERT_TRUE(fs.Create("/d/" + name).ok());
-    created.insert(name);
+    in_d.insert(name);
   }
-  // Crash every server in turn and recover it; all committed state must
-  // survive via WAL replay (§5.4.2).
+  for (int i = 0; i < 5; ++i) {
+    const std::string name = "f" + std::to_string(i);
+    ASSERT_TRUE(fs.Unlink("/d/" + name).ok());
+    in_d.erase(name);
+  }
+  ASSERT_TRUE(fs.Mkdir("/d/gone").ok());
+  ASSERT_TRUE(fs.Rmdir("/d/gone").ok());
+  ASSERT_TRUE(fs.Mkdir("/e/sub").ok());
+  ASSERT_TRUE(fs.Rename("/d/f5", "/e/moved").ok());
+  in_d.erase("f5");
+  ASSERT_TRUE(fs.Link("/d/f6", "/e/alias").ok());
+  ASSERT_TRUE(fs.Chmod("/e/alias", 0600).ok());
+  ASSERT_TRUE(fs.Chmod("/e/sub", 0700).ok());
+
   for (uint32_t s = 0; s < fs.cluster.ServerCount(); ++s) {
     fs.cluster.CrashServer(s);
     fs.Run(fs.cluster.RecoverServer(s));
     EXPECT_TRUE(fs.cluster.server(s).serving());
     EXPECT_GT(fs.cluster.server(s).stats().wal_replayed, 0u);
   }
-  auto entries = fs.Readdir("/d");
-  ASSERT_TRUE(entries.ok());
-  std::set<std::string> got;
-  for (const DirEntry& e : *entries) {
-    got.insert(e.name);
+
+  EXPECT_EQ(Names(fs.Readdir("/")), (std::set<std::string>{"d", "e"}));
+  EXPECT_EQ(Names(fs.Readdir("/d")), in_d);
+  EXPECT_EQ(Names(fs.Readdir("/e")),
+            (std::set<std::string>{"alias", "moved", "sub"}));
+  const std::pair<const char*, uint64_t> sizes[] = {
+      {"/", 2}, {"/d", in_d.size()}, {"/e", 3}};
+  for (const auto& [dir, size] : sizes) {
+    auto sd = fs.StatDir(dir);
+    ASSERT_TRUE(sd.ok()) << dir;
+    EXPECT_EQ(sd->size, size) << dir;
   }
-  EXPECT_EQ(got, created);
-  auto sd = fs.StatDir("/d");
-  ASSERT_TRUE(sd.ok());
-  EXPECT_EQ(sd->size, 30u);
+  EXPECT_EQ(fs.StatDir("/d/gone").status().code(), StatusCode::kNotFound);
+  for (const char* path : {"/d/f6", "/e/alias"}) {
+    auto st = fs.Stat(path);
+    ASSERT_TRUE(st.ok()) << path;
+    EXPECT_EQ(st->nlink, 2u) << path;
+    EXPECT_EQ(st->mode, 0600u) << path;
+  }
+  auto moved = fs.Stat("/e/moved");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->mode, 0644u);
+  auto sub = fs.StatDir("/e/sub");
+  ASSERT_TRUE(sub.ok());
+  EXPECT_EQ(sub->mode, 0700u);
+  EXPECT_EQ(fs.cluster.TotalPendingChangeLogEntries(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(UpdateModes, ServerCrashReplay, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "Async" : "Sync");
+                         });
 
 TEST(SwitchFsFault, CrashBeforeAggregationDoesNotLoseDeferredUpdates) {
   // Crash a server while its change-logs still hold un-applied entries; the

@@ -8,21 +8,12 @@
 namespace switchfs::core {
 namespace {
 
-Status Link(FsHarness& fs, const std::string& src, const std::string& dst) {
-  Status out = InternalError("");
-  fs.Run([](SwitchFsClient* c, std::string s, std::string d,
-            Status* o) -> sim::Task<void> {
-    *o = co_await c->Link(s, d);
-  }(fs.client.get(), src, dst, &out));
-  return out;
-}
-
 TEST(SwitchFsLinks, LinkSharesAttributesAndCountsReferences) {
   FsHarness fs;
   ASSERT_TRUE(fs.Mkdir("/a").ok());
   ASSERT_TRUE(fs.Mkdir("/b").ok());
   ASSERT_TRUE(fs.Create("/a/orig").ok());
-  ASSERT_TRUE(Link(fs, "/a/orig", "/b/alias").ok());
+  ASSERT_TRUE(fs.Link("/a/orig", "/b/alias").ok());
 
   auto s1 = fs.Stat("/a/orig");
   auto s2 = fs.Stat("/b/alias");
@@ -46,7 +37,7 @@ TEST(SwitchFsLinks, MultipleLinksIncrementCount) {
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(Link(fs, "/d/f", "/d/link" + std::to_string(i)).ok()) << i;
+    ASSERT_TRUE(fs.Link("/d/f", "/d/link" + std::to_string(i)).ok()) << i;
   }
   auto st = fs.Stat("/d/link2");
   ASSERT_TRUE(st.ok());
@@ -60,8 +51,8 @@ TEST(SwitchFsLinks, UnlinkDropsCountUntilAttributesDie) {
   FsHarness fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
-  ASSERT_TRUE(Link(fs, "/d/f", "/d/l1").ok());
-  ASSERT_TRUE(Link(fs, "/d/f", "/d/l2").ok());
+  ASSERT_TRUE(fs.Link("/d/f", "/d/l1").ok());
+  ASSERT_TRUE(fs.Link("/d/f", "/d/l2").ok());
 
   ASSERT_TRUE(fs.Unlink("/d/f").ok());  // the original name goes first
   auto st = fs.Stat("/d/l1");
@@ -85,25 +76,19 @@ TEST(SwitchFsLinks, LinkErrors) {
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
   ASSERT_TRUE(fs.Create("/d/g").ok());
-  EXPECT_EQ(Link(fs, "/d/missing", "/d/x").code(), StatusCode::kNotFound);
-  EXPECT_EQ(Link(fs, "/d/f", "/d/g").code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(Link(fs, "/d", "/d/x").code(), StatusCode::kIsADirectory);
+  EXPECT_EQ(fs.Link("/d/missing", "/d/x").code(), StatusCode::kNotFound);
+  EXPECT_EQ(fs.Link("/d/f", "/d/g").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(fs.Link("/d", "/d/x").code(), StatusCode::kIsADirectory);
 }
 
 TEST(SwitchFsLinks, ChmodOnLinkUpdatesSharedAttributes) {
   FsHarness fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
-  ASSERT_TRUE(Link(fs, "/d/f", "/d/l").ok());
+  ASSERT_TRUE(fs.Link("/d/f", "/d/l").ok());
   // chmod (SetAttr of the mode) through the link name lands in the shared
   // attributes object, so the original name sees it.
-  Status set = InternalError("");
-  fs.Run([](SwitchFsClient* c, Status* out) -> sim::Task<void> {
-    AttrDelta delta;
-    delta.set_mode = true;
-    delta.mode = 0600;
-    *out = co_await c->SetAttr("/d/l", delta);
-  }(fs.client.get(), &set));
+  Status set = fs.Chmod("/d/l", 0600);
   ASSERT_TRUE(set.ok()) << set.ToString();
   auto st = fs.Stat("/d/f");
   ASSERT_TRUE(st.ok());
@@ -129,7 +114,7 @@ TEST(SwitchFsLinks, LinksSurviveCrashRecovery) {
   FsHarness fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
-  ASSERT_TRUE(Link(fs, "/d/f", "/d/l").ok());
+  ASSERT_TRUE(fs.Link("/d/f", "/d/l").ok());
   for (uint32_t s = 0; s < fs.cluster.ServerCount(); ++s) {
     fs.cluster.CrashServer(s);
     fs.Run(fs.cluster.RecoverServer(s));

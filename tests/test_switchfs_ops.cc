@@ -397,16 +397,36 @@ TEST(SwitchFsOps, ReplicatedTrackerModeWorks) {
 }
 
 TEST(SwitchFsOps, SynchronousBaselineModeWorks) {
+  // Fig 14's Baseline: every writer updates its parent in place, so not one
+  // deferred update ever reaches the dirty set.
   ClusterConfig cfg = SmallClusterConfig();
   cfg.async_updates = false;
   FsHarness fs(cfg);
+  const auto expect_size = [&fs](const std::string& dir, uint64_t size) {
+    auto sd = fs.StatDir(dir);
+    ASSERT_TRUE(sd.ok()) << dir;
+    EXPECT_EQ(sd->size, size) << dir;
+  };
   ASSERT_TRUE(fs.Mkdir("/a").ok());
+  ASSERT_TRUE(fs.Mkdir("/b").ok());
+  expect_size("/", 2);
   ASSERT_TRUE(fs.Create("/a/f").ok());
-  auto sd = fs.StatDir("/a");
-  ASSERT_TRUE(sd.ok());
-  EXPECT_EQ(sd->size, 1u);
-  // Synchronous mode never defers: no aggregations should be needed for the
-  // statdir (the quiet-timer path is disabled).
+  ASSERT_TRUE(fs.Create("/a/g").ok());
+  expect_size("/a", 2);
+  ASSERT_TRUE(fs.Unlink("/a/g").ok());
+  expect_size("/a", 1);
+  ASSERT_TRUE(fs.Mkdir("/a/sub").ok());
+  expect_size("/a", 2);
+  ASSERT_TRUE(fs.Rmdir("/a/sub").ok());
+  expect_size("/a", 1);
+  ASSERT_TRUE(fs.Rename("/a/f", "/b/f").ok());
+  expect_size("/a", 0);
+  expect_size("/b", 1);
+  ASSERT_TRUE(fs.Link("/b/f", "/a/l").ok());
+  expect_size("/a", 1);
+  expect_size("/b", 1);
+  expect_size("/", 2);
+  EXPECT_EQ(fs.cluster.data_plane()->stats().inserts, 0u);
   EXPECT_EQ(fs.cluster.TotalPendingChangeLogEntries(), 0u);
 }
 
