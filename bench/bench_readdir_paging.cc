@@ -4,7 +4,7 @@
 // enough to hold the whole directory and a client deadline sized to the
 // server's full scan+marshal time — neither survives contact with real
 // directories ("millions of users" ROADMAP scale) — while the paged stream
-// keeps every packet bounded by the mtu_bytes budget and returns its first
+// keeps every packet bounded by the kPageMtuBytes budget and returns its first
 // entries after one page's worth of work past the open.
 //
 // Two paged rows: the sequential one-page-at-a-time drain, and the

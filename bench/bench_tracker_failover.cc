@@ -72,7 +72,6 @@ BurstResult RunBurst(core::TrackerMode mode) {
   cfg.num_servers = 8;
   cfg.cores_per_server = 4;
   cfg.tracker = mode;
-  cfg.tracker_replicas = 3;
   auto world = std::make_unique<core::Cluster>(cfg);
   auto dirs = wl::PreloadDirs(*world, kDirs);
 

@@ -41,7 +41,7 @@ sim::Task<void> Tour(core::Cluster* /*cluster*/, core::SwitchFsClient* fs) {
 
   // Listing is a cookie-paged stream (MetadataService v2): OpenDir pins an
   // owner-side snapshot — aggregated once, immune to concurrent mutations —
-  // and each page is bounded by mtu_entries.
+  // and each page is bounded by kPageMtuBytes / kPageMtuEntries.
   auto dir = co_await fs->OpenDir("/projects/switchfs");
   std::printf("opendir             -> handle %llu\n",
               static_cast<unsigned long long>(dir->id));

@@ -122,18 +122,7 @@ void BaselineServer::PreloadEntry(const InodeId& dir, const std::string& name,
   kv_.Put(EntryKey(dir, name), core::EncodeEntryValue(t));
 }
 
-sim::SimTime BaselineServer::ReadOverhead() const {
-  switch (config_.kind) {
-    case SystemKind::kCephFS:
-      return costs_->ceph_op_overhead;
-    case SystemKind::kIndexFS:
-      return costs_->indexfs_lease_check;
-    default:
-      return 0;
-  }
-}
-
-sim::SimTime BaselineServer::UpdateOverhead() const {
+sim::SimTime BaselineServer::OpOverhead() const {
   switch (config_.kind) {
     case SystemKind::kCephFS:
       return costs_->ceph_op_overhead;
@@ -334,7 +323,7 @@ sim::Task<void> BaselineServer::DoUpsert(net::Packet p, const MetaReq& req) {
   const std::string parent_top = ref.pid == RootId() ? "/" : top;
   const std::string ikey = InodeKey(ref.pid, ref.name);
 
-  co_await cpu_.Run(UpdateOverhead());
+  co_await cpu_.Run(OpOverhead());
   auto ino_lock = co_await locks_.AcquireExclusive(ikey);
 
   co_await cpu_.Run(costs_->path_check *
@@ -432,7 +421,7 @@ sim::Task<void> BaselineServer::DoRmdir(net::Packet p, const MetaReq& req) {
   const std::string parent_top = ref.pid == RootId() ? "/" : top;
   const std::string ikey = InodeKey(ref.pid, ref.name);
 
-  co_await cpu_.Run(UpdateOverhead());
+  co_await cpu_.Run(OpOverhead());
   auto ino_lock = co_await locks_.AcquireExclusive(ikey);
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
@@ -512,7 +501,7 @@ sim::Task<void> BaselineServer::DoRead(net::Packet p, const MetaReq& req) {
   const PathRef& ref = req.ref;
   const bool dir_read = req.op == OpType::kStatDir;
 
-  co_await cpu_.Run(ReadOverhead());
+  co_await cpu_.Run(OpOverhead());
   if (req.op == OpType::kClose) {
     co_await cpu_.Run(costs_->reply_build);
     RespondStatus(p, StatusCode::kOk);
@@ -563,7 +552,7 @@ sim::Task<void> BaselineServer::DoRead(net::Packet p, const MetaReq& req) {
 
 sim::Task<void> BaselineServer::DoOpenDir(net::Packet p, const MetaReq& req) {
   const PathRef& ref = req.ref;
-  co_await cpu_.Run(ReadOverhead());
+  co_await cpu_.Run(OpOverhead());
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
   auto stale = inval_.Check(ref.ancestors);
@@ -620,7 +609,7 @@ sim::Task<void> BaselineServer::DirSessionWatchdog(uint64_t session_id) {
 
 sim::Task<void> BaselineServer::DoReaddirPage(net::Packet p,
                                               const MetaReq& req) {
-  co_await cpu_.Run(ReadOverhead());
+  co_await cpu_.Run(OpOverhead());
   core::DirSession* session = dir_sessions_.Touch(req.dir_session, sim_->Now(),
                                                   config_.dir_session_ttl);
   if (session == nullptr) {
@@ -629,7 +618,7 @@ sim::Task<void> BaselineServer::DoReaddirPage(net::Packet p,
   }
   // Build before suspending: the watchdog may expire the session mid-await.
   core::DirPage page = core::DirSessionTable::PageOf(
-      *session, req.cookie, config_.mtu_entries, config_.mtu_bytes);
+      *session, req.cookie, core::kPageMtuEntries, core::kPageMtuBytes);
   co_await cpu_.Run(static_cast<sim::SimTime>(page.entries.size()) *
                         costs_->readdir_per_entry +
                     costs_->reply_build);
@@ -647,7 +636,7 @@ sim::Task<void> BaselineServer::DoCloseDir(net::Packet p, const MetaReq& req) {
 }
 
 sim::Task<void> BaselineServer::DoBatchStat(net::Packet p, const MetaReq& req) {
-  co_await cpu_.Run(ReadOverhead());
+  co_await cpu_.Run(OpOverhead());
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->batch_status.reserve(req.targets.size());
   resp->batch_attrs.resize(req.targets.size());
@@ -680,7 +669,7 @@ sim::Task<void> BaselineServer::DoBatchStat(net::Packet p, const MetaReq& req) {
 
 sim::Task<void> BaselineServer::DoSetAttr(net::Packet p, const MetaReq& req) {
   const PathRef& ref = req.ref;
-  co_await cpu_.Run(UpdateOverhead());
+  co_await cpu_.Run(OpOverhead());
   const std::string ikey = InodeKey(ref.pid, ref.name);
   auto lock = co_await locks_.AcquireExclusive(ikey);
   co_await cpu_.Run(costs_->path_check *
@@ -729,7 +718,7 @@ sim::Task<void> BaselineServer::DoBulkInsert(net::Packet p,
   const PathRef& ref = req.ref;  // the shared parent; names in bulk_names
   const std::string top = req.top;
   const std::string parent_top = ref.pid == RootId() ? "/" : top;
-  co_await cpu_.Run(UpdateOverhead());
+  co_await cpu_.Run(OpOverhead());
 
   // Per-entry inode locks in name order, held through the batch.
   std::vector<size_t> order(req.bulk_names.size());
@@ -814,7 +803,7 @@ sim::Task<void> BaselineServer::DoBulkInsert(net::Packet p,
 
 sim::Task<void> BaselineServer::HandleLookup(net::Packet p) {
   const auto* req = static_cast<const LookupReq*>(p.body.get());
-  co_await cpu_.Run(costs_->op_dispatch + ReadOverhead());
+  co_await cpu_.Run(costs_->op_dispatch + OpOverhead());
   const std::string ikey = InodeKey(req->pid, req->name);
   auto lock = co_await locks_.AcquireShared(ikey);
   co_await cpu_.Run(costs_->path_check *
@@ -845,10 +834,6 @@ sim::Task<void> BaselineServer::HandleRename(net::Packet p) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   const PathRef& src = req->ref;
   const PathRef& dst = req->ref2;
-  const std::string src_top =
-      src.ancestors.size() <= 1 ? src.name : std::string();
-  (void)src_top;
-
   const std::string skey = InodeKey(src.pid, src.name);
   const std::string dkey = InodeKey(dst.pid, dst.name);
   if (skey == dkey) {
@@ -1397,7 +1382,6 @@ sim::Task<std::vector<Status>> BaselineClient::BulkInsert(
     by_server[cluster_->placement().FileServer(dir, names[i], top)]
         .push_back(i);
   }
-  const BaselineConfig& cfg = cluster_->config();
   for (auto& [server, idxs] : by_server) {
     size_t start = 0;
     while (start < idxs.size()) {
@@ -1406,7 +1390,7 @@ sim::Task<std::vector<Status>> BaselineClient::BulkInsert(
       while (end < idxs.size() &&
              core::PageHasRoom(used, static_cast<int>(end - start),
                                core::DirEntryWireSize(names[idxs[end]]),
-                               cfg.mtu_bytes, cfg.mtu_entries)) {
+                               core::kPageMtuBytes, core::kPageMtuEntries)) {
         used += core::DirEntryWireSize(names[idxs[end]]);
         ++end;
       }

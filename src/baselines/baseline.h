@@ -60,13 +60,9 @@ struct BaselineConfig {
   sim::CostModel costs;
   net::Network::FaultConfig faults;
   uint64_t seed = 42;
-  // MetadataService v2 directory streams: pages fill to the transport byte
-  // budget (DirEntryWireSize per entry) with mtu_entries as the hard
-  // entry-count cap, plus the session-inactivity TTL. Named after
-  // SwitchFS's MTU-derived bounds so the shared suites can assert one
-  // page-size contract across all five systems.
-  int mtu_bytes = 1400;
-  int mtu_entries = 128;
+  // MetadataService v2 directory streams: the session-inactivity TTL.
+  // Pages fill to the shared kPageMtuBytes / kPageMtuEntries budget
+  // (metadata_service.h), so all five systems keep one page-size contract.
   sim::SimTime dir_session_ttl = sim::Milliseconds(20);
 };
 
@@ -186,9 +182,8 @@ class BaselineServer {
                               const std::string& name, core::FileType type,
                               bool remove);
 
-  // Per-system extra CPU charges.
-  sim::SimTime ReadOverhead() const;
-  sim::SimTime UpdateOverhead() const;
+  // Per-system extra CPU charge of every read and update.
+  sim::SimTime OpOverhead() const;
 
   void RespondStatus(const net::Packet& p, StatusCode code);
 

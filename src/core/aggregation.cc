@@ -8,6 +8,7 @@
 #include "src/core/push_engine.h"
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
+#include "src/core/write_path.h"
 #include "src/sim/sync.h"
 #include "src/tracker/dirty_tracker.h"
 
@@ -104,7 +105,6 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   // entries at their sources. They become AggDone moved rows instead, and
   // each source re-keys its log toward the tombstone's target — the
   // aggregation-path analog of the kMoved push verdict.
-  uint64_t local_max_acked = 0;
   std::map<std::pair<uint32_t, InodeId>, uint64_t> acked;
   std::map<std::pair<uint32_t, InodeId>, AggDone::MovedRow> moved;
   for (size_t i = 0; i < w->collected.size(); ++i) {
@@ -122,9 +122,9 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     // Classify AFTER the apply: ApplyEntries drops entries silently when
     // the directory is unknown here, and a rename can commit while the
     // apply waits on the inode lock — a pre-apply check would ack (and so
-    // trim) entries the rename raced. The inode row is checked as well as
-    // the index: WAL replay can leave a stale dir-index row behind (see
-    // ReplayWalInto), matching PushEngine::ApplySection.
+    // trim) entries the rename raced. The directory is live here only if
+    // its dir-index row resolves to an inode row, as in
+    // PushEngine::ApplySection.
     std::string ikey;
     psw::Fingerprint ifp = 0;
     const bool live =
@@ -154,13 +154,11 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
       if (it == acked.end()) {
         continue;
       }
-      local_max_acked = std::max(local_max_acked, it->second);
       for (uint64_t lsn : log.AckUpTo(it->second)) {
         ctx_.durable->wal.MarkApplied(lsn);
       }
     }
   }
-  (void)local_max_acked;
 
   auto done = std::make_shared<AggDone>();
   done->fp = fp;
@@ -365,21 +363,13 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
             sim::ScopeExit join_done([&jc] { jc->Done(); });
             co_await ctx->cpu->Run(ctx->costs->wal_append_batched +
                                    ctx->costs->changelog_apply_entry);
-            const std::string ekey = EntryKey(d, entry.name);
-            if (entry.op == OpType::kCreate || entry.op == OpType::kMkdir) {
-              vol->kv.Put(ekey, EncodeEntryValue(entry.entry_type));
-            } else {
-              vol->kv.Delete(ekey);
-            }
+            ApplyEntryRow(*vol, d, entry);
           }(&ctx_, v, dir, e, join),
           v.get());
     }
     co_await join->Wait();
-    attr.size = result_size;
-    attr.mtime = max_ts;
-    attr.atime = std::max(attr.atime, max_ts);
     co_await ctx_.cpu->Run(ctx_.costs->attr_merge_apply);
-    v->kv.Put(ikey, attr.Encode());
+    ApplyDirAttr(*v, ikey, attr, result_size, max_ts);
     bump_hwm(final_seq);
   } else {
     // No compaction (+Async ablation): every entry is a full read-modify-
@@ -400,15 +390,8 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       co_await ctx_.cpu->Run(ctx_.costs->dir_update_cpu);
       co_await sim::Delay(
           ctx_.sim, ctx_.costs->dir_update_critical - ctx_.costs->dir_update_cpu);
-      const std::string ekey = EntryKey(dir, e.name);
-      if (e.op == OpType::kCreate || e.op == OpType::kMkdir) {
-        v->kv.Put(ekey, EncodeEntryValue(e.entry_type));
-      } else {
-        v->kv.Delete(ekey);
-      }
-      attr.size = rec.result_size;
-      attr.mtime = rec.result_mtime;
-      v->kv.Put(ikey, attr.Encode());
+      ApplyEntryRow(*v, dir, e);
+      ApplyDirAttr(*v, ikey, attr, rec.result_size, rec.result_mtime);
       bump_hwm(e.seq);
     }
     bump_hwm(final_seq);  // LWW-dropped tail entries are resolved too

@@ -654,8 +654,8 @@ sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
       size_t end = start;
       while (end < idxs.size() &&
              PageHasRoom(used, static_cast<int>(end - start),
-                         DirEntryWireSize(names[idxs[end]]), config_.mtu_bytes,
-                         config_.mtu_entries)) {
+                         DirEntryWireSize(names[idxs[end]]), kPageMtuBytes,
+                         kPageMtuEntries)) {
         used += DirEntryWireSize(names[idxs[end]]);
         ++end;
       }

@@ -55,10 +55,6 @@ class SwitchFsClient : public MetadataService {
       o.max_attempts = 3;
       return o;
     }();
-    // Transport page budget for BulkInsert chunking — must match the
-    // servers' mtu_bytes / mtu_entries (cluster MakeClient copies them).
-    int mtu_bytes = 1400;
-    int mtu_entries = 128;
     // In-switch metadata read cache: stamp lookup/stat requests with an
     // mc.kRead header so the data plane can answer hits without touching the
     // owner (cluster MakeClient copies the servers' setting).

@@ -43,10 +43,9 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         dirty_tracker_ = std::make_unique<tracker::OwnerTracker>();
         break;
       case TrackerMode::kReplicated: {
-        tracker::ReplicatedTrackerConfig rc;
-        rc.replicas = static_cast<int>(config_.tracker_replicas);
         auto replicated = std::make_unique<tracker::ReplicatedTracker>(
-            sim_, net_.get(), this, &config_.costs, rc);
+            sim_, net_.get(), this, &config_.costs,
+            tracker::ReplicatedTrackerConfig{});
         replicated_ = replicated.get();
         dirty_tracker_ = std::move(replicated);
         break;
@@ -104,8 +103,6 @@ Cluster::~Cluster() = default;
 std::unique_ptr<SwitchFsClient> Cluster::MakeClient() {
   SwitchFsClient::Config cc;
   cc.dirty_tracker = dirty_tracker_.get();
-  cc.mtu_bytes = config_.server_template.mtu_bytes;
-  cc.mtu_entries = config_.server_template.mtu_entries;
   cc.switch_cache = config_.server_template.switch_cache;
   // Owner-tracker clusters have a precise server-local dirty test per
   // fingerprint; everything else needs the conservative batch hint.

@@ -42,8 +42,6 @@ struct ClusterConfig {
   bool async_updates = true;
   bool compaction = true;
   TrackerMode tracker = TrackerMode::kSwitch;
-  // kReplicated: chain length of the tracker group (2-3 per NetChain).
-  uint32_t tracker_replicas = 3;
   psw::DataPlaneConfig switch_config;
   net::Network::FaultConfig faults;
   sim::CostModel costs;

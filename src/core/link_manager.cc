@@ -46,13 +46,7 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
       }
       const sim::SimTime kv_cost =
           rec.inode_delete ? ctx_.costs->kv_delete : ctx_.costs->kv_put;
-      co_await CommitOp(ctx_, v, rec, kv_cost, [&] {
-        if (rec.inode_delete) {
-          v->kv.Delete(akey);
-        } else {
-          v->kv.Put(akey, rec.inode_value);
-        }
-      });
+      co_await CommitOp(ctx_, v, rec, kv_cost);
     }
     if (out != nullptr) {
       *out = attrs;
@@ -132,25 +126,20 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
   ref.id = attr.id;
   ref.type = FileType::kReference;
   ref.size = ctx_.config->index;  // attributes stay with the original owner
-  {
-    OpCommitRecord rec;
+  OpCommitRecord recs[2];
+  recs[0].inode_key = AttrKey(attr.id);
+  recs[0].inode_value = attrs.Encode();
+  recs[1].inode_key = ikey;
+  recs[1].inode_value = ref.Encode();
+  for (OpCommitRecord& rec : recs) {
     rec.op = OpType::kLink;
-    rec.inode_key = AttrKey(attr.id);
-    rec.inode_value = attrs.Encode();
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
-    ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-  }
-  {
-    OpCommitRecord rec;
-    rec.op = OpType::kLink;
-    rec.inode_key = ikey;
-    rec.inode_value = ref.Encode();
     co_await ctx_.cpu->Run(ctx_.costs->wal_append);
     ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
   }
   co_await ctx_.cpu->Run(2 * ctx_.costs->kv_put);
-  v->kv.Put(AttrKey(attr.id), attrs.Encode());
-  v->kv.Put(ikey, ref.Encode());
+  for (const OpCommitRecord& rec : recs) {
+    ApplyOpCommit(*v, rec, ctx_.Now());
+  }
   resp->status = StatusCode::kOk;
   resp->file_id = attr.id;
   resp->attr_server = ctx_.config->index;
@@ -217,8 +206,7 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   rec.entry.entry_type = FileType::kFile;
   rec.entry.size_delta = 1;
   rec.has_entry = true;
-  co_await CommitOp(ctx_, v, rec, ctx_.costs->kv_put,
-                    [&] { v->kv.Put(ikey, rec.inode_value); });
+  co_await CommitOp(ctx_, v, rec, ctx_.costs->kv_put);
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = ref;

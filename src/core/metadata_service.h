@@ -61,10 +61,13 @@ inline constexpr uint64_t kDirStreamStart = 0;
 // --- byte-budget page packing (shared by all five systems) ---
 //
 // A readdir page is filled until the next entry would overflow the
-// transport's `mtu_bytes` budget; `mtu_entries` remains only a hard cap.
-// Each entry's wire footprint is its name plus the fixed framing a
-// production page carries per entry: a type tag, a length-prefixed name,
-// and the readdirplus-style attr summary (id + size + mtime).
+// transport's kPageMtuBytes budget; kPageMtuEntries is only a hard cap.
+// BulkInsert chunks its requests by the same budget. Each entry's wire
+// footprint is its name plus the fixed framing a production page carries
+// per entry: a type tag, a length-prefixed name, and the readdirplus-style
+// attr summary (id + size + mtime).
+inline constexpr int kPageMtuBytes = 1400;
+inline constexpr int kPageMtuEntries = 128;
 inline constexpr size_t kDirEntryWireFixed = 19;
 
 inline size_t DirEntryWireSize(const std::string& name) {
@@ -110,8 +113,8 @@ class MetadataService {
   // --- directory streams (v2) ---
   virtual sim::Task<StatusOr<DirHandle>> OpenDir(const std::string& path) = 0;
   // Serves the page at `cookie` (kDirStreamStart begins the stream). Pages
-  // fill to the system's `mtu_bytes` budget (DirEntryWireSize per entry),
-  // with `mtu_entries` as the hard entry-count cap.
+  // fill to the kPageMtuBytes budget (DirEntryWireSize per entry), with
+  // kPageMtuEntries as the hard entry-count cap.
   // Fails with kStaleHandle when the server-side session expired or died.
   virtual sim::Task<StatusOr<DirPage>> ReaddirPage(const DirHandle& handle,
                                                    uint64_t cookie) = 0;

@@ -179,8 +179,8 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
     int budget = ctx_.config->push_mtu_entries;
     // Snapshot at most one batch's worth of keys: every gathered section
     // carries at least one entry, so a batch never spans more than
-    // mtu_entries logs (one log in per-dir mode). Gathered keys are erased,
-    // so successive rounds walk the queue without re-copying it.
+    // push_mtu_entries logs (one log in per-dir mode). Gathered keys are
+    // erased, so successive rounds walk the queue without re-copying it.
     std::vector<std::pair<psw::Fingerprint, InodeId>> want;
     const size_t key_cap = ctx_.config->batch_pushes
                                ? static_cast<size_t>(ctx_.config->push_mtu_entries)
@@ -408,10 +408,10 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   }
   std::string ikey;
   psw::Fingerprint fp = 0;
-  // Directory unknown here: either removed (rmdir raced the push, or WAL
-  // replay left a stale dir-index row without an inode — hence the inode
-  // check; ApplyEntries would drop the entries silently without advancing
-  // the hwm) or renamed away. A live moved tombstone distinguishes the two:
+  // Directory not live here (no dir-index row, or no inode row behind it;
+  // ApplyEntries would drop the entries silently without advancing the
+  // hwm): either removed or renamed away. A live moved tombstone
+  // distinguishes the two:
   //  * renamed away -> kMoved verdict. acked_seq names the prefix this owner
   //    applied before the rename (it migrated with the entry list, so
   //    re-applying at the new owner would double-count); the source re-keys
@@ -430,16 +430,7 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
       co_return row;
     }
     row.acked_seq = max_seq;
-    if (batch_token != 0) {
-      auto& ts = v->push_tokens[{dir, src}];
-      if (ts.fp == section_fp) {
-        ts.token = std::max(ts.token, batch_token);
-        ts.acked_seq = std::max(ts.acked_seq, row.acked_seq);
-      } else {
-        ts = ServerVolatile::PushTokenState{batch_token, row.acked_seq,
-                                            section_fp};
-      }
-    }
+    v->CommitPushToken(dir, src, section_fp, batch_token, row.acked_seq);
     co_return row;
   }
   // In-switch cache: the apply is about to move the directory's attr
@@ -459,16 +450,7 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   // Commit the section's token AFTER the apply: the WAL records carrying it
   // are durable by now, so a crash between apply and ack replays to the same
   // {token, acked_seq} and the duplicate still no-ops.
-  if (batch_token != 0) {
-    auto& ts = v->push_tokens[{dir, src}];
-    if (ts.fp == section_fp) {
-      ts.token = std::max(ts.token, batch_token);
-      ts.acked_seq = std::max(ts.acked_seq, row.acked_seq);
-    } else {
-      ts = ServerVolatile::PushTokenState{batch_token, row.acked_seq,
-                                          section_fp};
-    }
-  }
+  v->CommitPushToken(dir, src, section_fp, batch_token, row.acked_seq);
   co_return row;
 }
 

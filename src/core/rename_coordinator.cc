@@ -271,14 +271,11 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
       entry.entry_type = msg->parent_entry_type;
       entry.size_delta = msg->parent_op == OpType::kCreate ? 1 : -1;
     }
-    // The leg's inode key is recomputed from the parent update fields: the
-    // leg's (pid, name) is exactly (parent_dir, parent_entry_name).
-    const std::string key = InodeKey(msg->parent_dir, msg->parent_entry_name);
-    rec.inode_key = key;
+    // The leg's (pid, name) is exactly (parent_dir, parent_entry_name).
+    rec.inode_key = leg_key;
     rec.inode_delete = msg->delete_inode;
     if (msg->put_inode) {
-      Attr attr = msg->inode;
-      rec.inode_value = attr.Encode();
+      rec.inode_value = msg->inode.Encode();
       // The migrated entry list must be as durable as the attr that counts
       // it: replay without these rows would resurrect the directory with its
       // pre-move size but an empty listing.
@@ -291,23 +288,19 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     // takes over the directory's applied high-water marks (rename era
     // boundary): kMoved verdicts serve them, and the live rows are erased so
     // a directory that later returns here starts a fresh dedup era.
-    const bool install_tombstone = msg->moved_tombstone;
-    const uint64_t moved_epoch = static_cast<uint64_t>(ctx_.Now());
-    std::vector<std::pair<uint32_t, uint64_t>> moved_applied;
-    if (install_tombstone) {
+    if (msg->moved_tombstone) {
       // The fingerprint this tombstone closes: the renamed directory's own
       // (parent, name) hash at this server — the snapshot below must filter
       // the hwm lanes by it BEFORE it lands in the record.
       const psw::Fingerprint departing_fp =
           FingerprintOf(msg->parent_dir, msg->parent_entry_name);
-      moved_applied = v->TakeHwmRows(msg->moved_dir, departing_fp);
       rec.has_moved_tombstone = true;
       rec.moved_dir = msg->moved_dir;
       rec.moved_old_fp = departing_fp;
       rec.moved_new_fp = msg->moved_new_fp;
       rec.moved_new_owner = msg->moved_new_owner;
-      rec.moved_epoch = moved_epoch;
-      rec.moved_applied = moved_applied;
+      rec.moved_epoch = static_cast<uint64_t>(ctx_.Now());
+      rec.moved_applied = v->TakeHwmRows(msg->moved_dir, departing_fp);
     }
 
     // In-switch cache: both legs rewrite the row at this (parent, name)
@@ -326,60 +319,14 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     // append mutex is what pins the parent entry's seq.
     const sim::SimTime kv_cost =
         msg->delete_inode ? ctx_.costs->kv_delete : ctx_.costs->kv_put;
-    co_await CommitOp(ctx_, v, rec, kv_cost, [&] {
-      if (!msg->delete_inode) {
-        v->kv.Put(key, rec.inode_value);
-        if (msg->inode.type == FileType::kDirectory) {
-          // Arrival era hygiene: drop dead-era lanes for the directory.
-          v->TakeHwmRows(msg->inode.id, 0);
-          v->kv.Put(DirIndexKey(msg->inode.id),
-                    EncodeDirIndex(key, FingerprintOf(msg->parent_dir,
-                                                      msg->parent_entry_name)));
-          for (const DirEntry& e : msg->install_entries) {
-            v->kv.Put(EntryKey(msg->inode.id, e.name),
-                      EncodeEntryValue(e.type));
-          }
-        }
-        return;
-      }
-      auto old = v->kv.Get(key);
-      v->kv.Delete(key);
-      if (!old.has_value()) {
-        return;
-      }
-      Attr attr = Attr::Decode(*old);
-      if (!attr.is_dir()) {
-        return;
-      }
-      // Export the entry list; it moves with the inode to the new owner.
+    std::vector<DirEntry> removed = co_await CommitOp(ctx_, v, rec, kv_cost);
+    if (rec.has_moved_tombstone) {
+      // The directory's entry list moves with its inode to the new owner.
       auto blob = std::make_shared<EntryListBlob>();
-      blob->dir = attr.id;
-      v->kv.ScanPrefix(EntryPrefix(attr.id),
-                       [&](const std::string& k, const std::string& val) {
-                         blob->entries.push_back(
-                             DirEntry{std::string(EntryNameFromKey(k)),
-                                      DecodeEntryValue(val)});
-                         return true;
-                       });
-      for (const DirEntry& e : blob->entries) {
-        v->kv.Delete(EntryKey(attr.id, e.name));
-      }
-      v->kv.Delete(DirIndexKey(attr.id));
-      if (install_tombstone) {
-        // In place of the bare removal: record where the directory went,
-        // so a push/aggregation that finds it gone re-keys instead of
-        // trimming (PushResp::kMoved / AggDone moved rows).
-        ServerVolatile::MovedDir tomb;
-        tomb.old_fp = rec.moved_old_fp;
-        tomb.new_fp = msg->moved_new_fp;
-        tomb.new_owner = msg->moved_new_owner;
-        tomb.epoch = moved_epoch;
-        tomb.installed_at = ctx_.Now();
-        tomb.applied = std::move(moved_applied);
-        v->InstallMovedTombstone(msg->moved_dir, tomb);
-      }
+      blob->dir = msg->moved_dir;
+      blob->entries = std::move(removed);
       reply = blob;
-    });
+    }
   }
 
   if (msg->log_parent_update) {

@@ -425,19 +425,7 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   rec.has_entry = true;
   const sim::SimTime kv_cost =
       rec.inode_delete ? costs_->kv_delete : costs_->kv_put;
-  co_await CommitOp(ctx_, v, rec, kv_cost, [&] {
-    if (rec.inode_delete) {
-      v->kv.Delete(ikey);
-      return;
-    }
-    v->kv.Put(ikey, rec.inode_value);
-    if (req->op == OpType::kMkdir) {
-      // New directory: its fingerprint group is this very key's hash, so
-      // we are its owner; index id -> inode key for aggregation applies.
-      v->kv.Put(DirIndexKey(attr.id),
-                EncodeDirIndex(ikey, FingerprintOf(ref.pid, ref.name)));
-    }
-  });
+  co_await CommitOp(ctx_, v, rec, kv_cost);
 
   // Steps 6-7: publish the parent update, reply, release locks (RAII).
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
@@ -539,9 +527,9 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
     // Classify AFTER the apply: ApplyEntries drops entries silently when
     // the directory is unknown here, and a rename can commit while the
     // apply waits on the inode lock — a pre-apply check would let the
-    // blanket trim below swallow entries the rename raced. (Index AND
-    // inode checked: replay can leave a stale dir-index row behind, see
-    // ReplayWalInto — matching PushEngine::ApplySection.)
+    // blanket trim below swallow entries the rename raced. The directory
+    // is live here only if its dir-index row resolves to an inode row, as
+    // in PushEngine::ApplySection.
     std::string ikey;
     psw::Fingerprint ifp = 0;
     if (!v->LookupDirIndex(dir, &ikey, &ifp) || !v->kv.Get(ikey).has_value()) {
@@ -640,9 +628,9 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
     // (ApplyEntries drops it silently): ack only the pre-rename applied
     // prefix, so the source keeps the rest pending and the regular push
     // path re-keys it via the kMoved verdict. Classified AFTER the apply —
-    // a rename can commit while the apply waits on the inode lock — and
-    // with the inode row checked as well as the index (replay can leave a
-    // stale dir-index row; see ReplayWalInto / PushEngine::ApplySection).
+    // a rename can commit while the apply waits on the inode lock. The
+    // directory is live here only if its dir-index row resolves to an inode
+    // row, as in PushEngine::ApplySection.
     std::string ikey;
     psw::Fingerprint ifp = 0;
     if (!v->LookupDirIndex(env->dir, &ikey, &ifp) ||
@@ -970,8 +958,8 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
             [&](const std::string& k, const std::string& val) {
               std::string name(EntryNameFromKey(k));
               if (!PageHasRoom(used, static_cast<int>(page.entries.size()),
-                               DirEntryWireSize(name), config_.mtu_bytes,
-                               config_.mtu_entries)) {
+                               DirEntryWireSize(name), kPageMtuBytes,
+                               kPageMtuEntries)) {
                 budget_stop = true;
                 return false;
               }
@@ -1188,8 +1176,7 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     rec.op = OpType::kSetAttr;
     rec.inode_key = ikey;
     rec.inode_value = attr.Encode();
-    co_await CommitOp(ctx_, v, rec, costs_->kv_put,
-                      [&] { v->kv.Put(ikey, rec.inode_value); });
+    co_await CommitOp(ctx_, v, rec, costs_->kv_put);
     if (req->delta.set_mode && attr.is_dir() && attr.id != RootId()) {
       // Permission changes on directories invalidate client caches (§4.2);
       // the root is exempt (clients cannot re-look it up).
@@ -1344,19 +1331,9 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
 
     co_await cpu_.Run(static_cast<sim::SimTime>(rec.items.size()) *
                       costs_->kv_put);
-    for (const BulkCommitRecord::Item& item : rec.items) {
-      v->kv.Put(item.inode_key, item.inode_value);
-    }
+    ApplyBulkCommit(*v, rec);
     co_await cpu_.Run(costs_->changelog_append);
-    // Entries ack in FIFO order, so the shared record may be marked applied
-    // only when its LAST entry acks — the others carry lsn 0 (a no-op for
-    // Wal::MarkApplied). A partial ack followed by a crash replays the
-    // whole batch; the owner's high-water mark dedups the applied prefix.
-    for (size_t k = 0; k < rec.items.size(); ++k) {
-      ChangeLogEntry entry = rec.items[k].entry;
-      entry.wal_lsn = k + 1 == rec.items.size() ? lsn : 0;
-      clog.Restore(std::move(entry));
-    }
+    RestoreBulkEntries(clog, rec, lsn);
   }
   stats_.bulk_insert_entries += rec.items.size();
 
@@ -1472,10 +1449,7 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   rec.entry.entry_type = FileType::kDirectory;
   rec.entry.size_delta = -1;
   rec.has_entry = true;
-  co_await CommitOp(ctx_, v, rec, costs_->kv_delete, [&] {
-    v->kv.Delete(ikey);
-    v->kv.Delete(DirIndexKey(attr.id));
-  });
+  co_await CommitOp(ctx_, v, rec, costs_->kv_delete);
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   co_await PublishUpdate(&p, v, pfp, ref.pid, resp);
@@ -1583,149 +1557,36 @@ void SwitchServer::Crash() {
   rpc_.ResetVolatileState();
 }
 
-namespace {
-
-// Idempotent redo of one committed dirent apply, local (kWalEntryApply) or
-// geo-replicated (kWalWanApply): the entry row, the name's LWW stamp
-// (max-merge), and the absolute directory size/mtime the runtime apply
-// computed. Records exist only for entries that won their comparison at
-// runtime, so replay applies them unconditionally; the stamps only need to
-// be correct for FUTURE arrivals (a late cross-era or WAN entry after
-// recovery). A directory removed later in the log is skipped.
-void RedoDirentApply(ServerVolatile& v, const InodeId& dir,
-                     const ChangeLogEntry& entry, const LwwStamp& stamp,
-                     uint64_t result_size, int64_t result_mtime) {
-  std::string ikey;
-  psw::Fingerprint fp = 0;
-  if (!v.LookupDirIndex(dir, &ikey, &fp)) {
-    return;
-  }
-  auto value = v.kv.Get(ikey);
-  if (!value.has_value()) {
-    return;
-  }
-  const std::string ekey = EntryKey(dir, entry.name);
-  if (entry.op == OpType::kCreate || entry.op == OpType::kMkdir) {
-    v.kv.Put(ekey, EncodeEntryValue(entry.entry_type));
-  } else {
-    v.kv.Delete(ekey);
-  }
-  const std::string skey = LwwStampKey(dir, entry.name);
-  auto srow = v.kv.Get(skey);
-  if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-    v.kv.Put(skey, stamp.Encode());
-  }
-  Attr attr = Attr::Decode(*value);
-  attr.size = result_size;
-  attr.mtime = std::max(attr.mtime, result_mtime);
-  v.kv.Put(ikey, attr.Encode());
-}
-
-}  // namespace
-
 void SwitchServer::ReplayWalInto(ServerVolatile& v) {
   for (const kv::WalRecord& r : durable_->wal.records()) {
     stats_.wal_replayed++;
     switch (r.type) {
       case kWalOpCommit: {
         OpCommitRecord rec = OpCommitRecord::Decode(r.payload);
-        if (!rec.inode_key.empty()) {
-          if (rec.inode_delete) {
-            v.kv.Delete(rec.inode_key);
-          } else {
-            v.kv.Put(rec.inode_key, rec.inode_value);
-            if (rec.op == OpType::kMkdir ||
-                (rec.op == OpType::kRename && !rec.inode_value.empty())) {
-              Attr attr = Attr::Decode(rec.inode_value);
-              if (attr.is_dir()) {
-                // Rebuild the id -> inode-key index. The key embeds
-                // (pid, name), from which the fingerprint re-derives.
-                const std::string name = rec.inode_key.substr(33);
-                InodeId pid;
-                std::memcpy(pid.w.data(), rec.inode_key.data() + 1, 32);
-                if (rec.op == OpType::kRename) {
-                  // Arrival era boundary, as at runtime: earlier-era applied
-                  // marks replayed from EntryApply records must not dedup
-                  // this era's renumbered entries.
-                  v.TakeHwmRows(attr.id, 0);
-                }
-                v.kv.Put(DirIndexKey(attr.id),
-                         EncodeDirIndex(rec.inode_key,
-                                        FingerprintOf(pid, name)));
-                // Rename destination leg: re-install the migrated entry
-                // list (it is as committed as the attr whose size counts it).
-                for (const DirEntry& e : rec.install_entries) {
-                  v.kv.Put(EntryKey(attr.id, e.name),
-                           EncodeEntryValue(e.type));
-                }
-              }
-            }
-          }
-          // rmdir's inode_delete covers the inode row; any stale dir-index
-          // row is harmless (the inode key it points to is gone, so
-          // ApplyEntries drops obsolete entries).
-        }
+        ApplyOpCommit(v, rec, Now());
         if (rec.has_entry && !r.applied) {
           ChangeLogEntry e = rec.entry;
           e.wal_lsn = r.lsn;
           v.GetChangeLog(rec.parent_fp, rec.parent_dir).Restore(std::move(e));
         }
-        if (rec.has_moved_tombstone) {
-          // Re-install the moved tombstone so rename-away stays
-          // distinguishable from removed across a crash of the old owner
-          // (in-flight change-logs elsewhere still need the rebind verdict).
-          // The TTL restarts at replay time; install order is irrelevant
-          // (newest epoch wins). Departure era boundary, as at runtime: the
-          // tombstone takes over the applied marks, the live rows go — and
-          // so does the dir-index row (the runtime source leg deleted it;
-          // a stale replayed row would mask the tombstone consult).
-          v.kv.Delete(DirIndexKey(rec.moved_dir));
-          v.TakeHwmRows(rec.moved_dir, rec.moved_old_fp);
-          ServerVolatile::MovedDir tomb;
-          tomb.old_fp = rec.moved_old_fp;
-          tomb.new_fp = rec.moved_new_fp;
-          tomb.new_owner = rec.moved_new_owner;
-          tomb.epoch = rec.moved_epoch;
-          tomb.installed_at = Now();
-          tomb.applied = rec.moved_applied;
-          v.InstallMovedTombstone(rec.moved_dir, tomb);
-        }
         break;
       }
       case kWalBulkCommit: {
         BulkCommitRecord rec = BulkCommitRecord::Decode(r.payload);
-        for (const BulkCommitRecord::Item& item : rec.items) {
-          v.kv.Put(item.inode_key, item.inode_value);
-        }
+        ApplyBulkCommit(v, rec);
         if (!r.applied) {
-          // The record is marked applied only once its LAST entry acked, so
-          // an un-applied record restores the whole batch; the owner's
-          // high-water mark dedups any already-applied prefix on re-push.
-          ChangeLog& clog = v.GetChangeLog(rec.parent_fp, rec.parent_dir);
-          for (size_t i = 0; i < rec.items.size(); ++i) {
-            ChangeLogEntry e = rec.items[i].entry;
-            e.wal_lsn = i + 1 == rec.items.size() ? r.lsn : 0;
-            clog.Restore(std::move(e));
-          }
+          RestoreBulkEntries(v.GetChangeLog(rec.parent_fp, rec.parent_dir),
+                             rec, r.lsn);
         }
         break;
       }
       case kWalEntryApply: {
         EntryApplyRecord rec = EntryApplyRecord::Decode(r.payload);
-        if (rec.batch_token != 0) {
-          // Rebuild the duplicate-push filter with ApplySection's commit
-          // logic: era-scoped max-merge of {token, acked_seq} per (dir,
-          // src). Runs before the hwm dedup below — a replayed duplicate
-          // record still names the committed token.
-          auto& ts = v.push_tokens[{rec.dir, rec.src_server}];
-          if (ts.fp == rec.fp && ts.token != 0) {
-            ts.token = std::max(ts.token, rec.batch_token);
-            ts.acked_seq = std::max(ts.acked_seq, rec.entry.seq);
-          } else if (rec.batch_token > ts.token) {
-            ts = ServerVolatile::PushTokenState{rec.batch_token,
-                                                rec.entry.seq, rec.fp};
-          }
-        }
+        // Rebuilds the duplicate-push filter with the live commit rule.
+        // Runs before the hwm dedup below: a replayed duplicate record still
+        // names the committed token.
+        v.CommitPushToken(rec.dir, rec.src_server, rec.fp, rec.batch_token,
+                          rec.entry.seq);
         uint64_t& high = v.hwm[{rec.dir, rec.src_server, rec.fp}];
         if (rec.entry.seq <= high) {
           break;  // already applied (idempotent redo)
@@ -1880,17 +1741,8 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   rec.result_mtime = std::max(attr.mtime, we.entry.timestamp);
   durable_->wal.Append(kWalWanApply, rec.Encode());
   co_await cpu_.Run(costs_->wal_append_batched + costs_->changelog_apply_entry);
-  const std::string ekey = EntryKey(we.dir, we.entry.name);
-  if (creates) {
-    v->kv.Put(ekey, EncodeEntryValue(we.entry.entry_type));
-  } else {
-    v->kv.Delete(ekey);
-  }
-  v->kv.Put(skey, incoming.Encode());
-  attr.size = rec.result_size;
-  attr.mtime = rec.result_mtime;
-  attr.atime = std::max(attr.atime, rec.result_mtime);
-  v->kv.Put(ikey, attr.Encode());
+  RedoDirentApply(*v, we.dir, we.entry, incoming, rec.result_size,
+                  rec.result_mtime);
   stats_.wan_entries_applied++;
   outcome = &result->applied;
 }
@@ -1951,11 +1803,7 @@ SwitchServer::MigrationBatch SwitchServer::ExtractMisplaced(
   // Inodes ("i" keys) move when their (pid, name) hash moves; entry lists
   // and dir-index rows follow their directory's inode.
   v->kv.ScanPrefix("i", [&](const std::string& key, const std::string& value) {
-    const std::string name = key.substr(33);
-    InodeId pid;
-    std::memcpy(pid.w.data(), key.data() + 1, 32);
-    const psw::Fingerprint fp = FingerprintOf(pid, name);
-    if (ring.Owner(fp) != config_.index) {
+    if (ring.Owner(FingerprintFromInodeKey(key)) != config_.index) {
       batch.pairs.emplace_back(key, value);
       doomed.push_back(key);
       Attr attr = Attr::Decode(value);

@@ -172,6 +172,8 @@ class SwitchServer : public UpdatePublisher {
 
   // ---- recovery helpers ----
   sim::Task<void> HandleInvalClone(net::Packet p, VolPtr v);
+  // Redoes every WAL record through the apply function its live commit
+  // ran (write_path.h), then restores unapplied change-log entries.
   void ReplayWalInto(ServerVolatile& v);
 
   // ---- WAN replay (geo-replication apply leg) ----

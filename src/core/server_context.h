@@ -15,6 +15,7 @@
 #ifndef SRC_CORE_SERVER_CONTEXT_H_
 #define SRC_CORE_SERVER_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -74,15 +75,10 @@ struct ServerConfig {
   bool async_updates = true;
   bool compaction = true;
 
-  // Readdir-page packing: pages fill to mtu_bytes of entry wire data
-  // (DirEntryWireSize per entry); mtu_entries is only the hard entry-count
-  // cap. BulkInsert chunks requests by the same budget.
-  int mtu_bytes = 1400;
-  int mtu_entries = 128;
   // §7.5: proactive push once an MTU worth of change-log entries
   // accumulates (also the per-PushReq batch bound). Kept at the historical
-  // 29-entry MTU estimate — page packing moved to mtu_bytes, but the push
-  // path still batches by entry count.
+  // 29-entry MTU estimate — page packing moved to kPageMtuBytes
+  // (metadata_service.h), but the push path still batches by entry count.
   int push_mtu_entries = 29;
   // Batch cross-server pushes per (owner, MTU): one PushReq carries every
   // ready change-log headed to the same owner. Off = one directory per
@@ -370,6 +366,23 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
     psw::Fingerprint fp = 0;
   };
   std::map<std::pair<InodeId, uint32_t>, PushTokenState> push_tokens;
+
+  // Commits a (dir, src) section's batch token (0 = untokened: no-op):
+  // max-merged within the fingerprint era, replaced when the era changes.
+  // The one writer of push_tokens, for the live apply and WAL replay alike.
+  void CommitPushToken(const InodeId& dir, uint32_t src, psw::Fingerprint fp,
+                       uint64_t token, uint64_t acked_seq) {
+    if (token == 0) {
+      return;
+    }
+    PushTokenState& ts = push_tokens[{dir, src}];
+    if (ts.fp == fp) {
+      ts.token = std::max(ts.token, token);
+      ts.acked_seq = std::max(ts.acked_seq, acked_seq);
+    } else {
+      ts = PushTokenState{token, acked_seq, fp};
+    }
+  }
   // Source side: next batch token to mint (per-server, shared by all
   // (dir, src) lanes — per-lane monotonicity is all the owner checks).
   uint64_t push_token_counter = 1;

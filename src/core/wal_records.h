@@ -1,16 +1,21 @@
-// WAL record payloads (paper §5.4.2, §A.1). Three record families cover
-// everything recovery needs:
-//   * OpCommit    — a committed local operation: the inode mutation plus (for
-//                   double-inode ops) the change-log entry for the remote
-//                   parent. Redo rebuilds the KV store; un-"applied" records
-//                   also rebuild the change-log backlog.
+// WAL record payloads (paper §5.4.2, §A.1). Four record types cover
+// everything recovery needs. Each type's KV mutation is one apply function
+// in write_path.h, called by the live commit and by recovery
+// (SwitchServer::ReplayWalInto) alike.
+//   * OpCommit    — a committed local operation (create, mkdir, unlink,
+//                   rmdir, SetAttr, a rename commit leg, a hard-link
+//                   update): the inode mutation plus (for double-inode ops)
+//                   the change-log entry for the remote parent. Redo
+//                   rebuilds the KV store; un-"applied" records also
+//                   rebuild the change-log backlog.
+//   * BulkCommit  — one BulkInsert batch: every created inode row and its
+//                   parent entry, under a single record.
 //   * EntryApply  — the owner persisted a received change-log entry before
 //                   applying it to the directory inode (§5.2.2 step 7). The
 //                   record carries the *resulting* directory size/mtime so
 //                   redo is idempotent, and advances the per-(dir, source)
 //                   high-water mark that dedups re-sent entries (§A.1).
-//   * DirCommit   — mkdir/rmdir of a directory inode owned by this server,
-//                   and rename-transaction inode moves.
+//   * WanApply    — the same for a geo-replicated dirent apply (src/wan/).
 #ifndef SRC_CORE_WAL_RECORDS_H_
 #define SRC_CORE_WAL_RECORDS_H_
 
@@ -33,9 +38,9 @@ enum WalRecordType : uint32_t {
 
 struct OpCommitRecord {
   OpType op = OpType::kCreate;
-  // Inode mutation on this server ("" key means none).
+  // The inode row this record puts (inode_value) or deletes (inode_delete).
   std::string inode_key;
-  std::string inode_value;  // empty => delete
+  std::string inode_value;
   bool inode_delete = false;
   // Deferred update to a remote parent directory (empty dir => none).
   InodeId parent_dir;

@@ -2,12 +2,18 @@
 // upsert and rmdir handlers, SetAttr, the rename commit legs and the
 // hard-link paths. Step 3 is CheckAncestors, steps 4-5 are CommitOp, and
 // steps 6-7 are UpdatePublisher::PublishUpdate (server_context.h). Writers
-// differ only in their locks, their validation, and the record and KV
-// mutation they hand to CommitOp; the CPU charges and lock acquisitions of
-// each step are issued here, in the protocol's order.
+// differ only in their locks, their validation, and the record they hand to
+// CommitOp; the CPU charges and lock acquisitions of each step are issued
+// here, in the protocol's order.
+//
+// Each WAL record type's KV mutation is written once, below, and both the
+// live commit and recovery (SwitchServer::ReplayWalInto, §5.4.2 / §A.1)
+// call it: replay re-runs exactly the mutation the live path ran.
 #ifndef SRC_CORE_WRITE_PATH_H_
 #define SRC_CORE_WRITE_PATH_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/server_context.h"
@@ -36,37 +42,61 @@ inline std::vector<InodeId> CheckAncestors(
   return stale;
 }
 
-// Steps 4-5: appends `rec` to the WAL, charges `kv_cost`, then runs
-// `mutate` (the record's KV mutation on this server). With a parent entry
+// ---- per-record apply functions (live commit == WAL redo) ------------------
+
+// kWalOpCommit: puts or deletes the record's inode row.
+//   * A directory created by mkdir or by a rename destination leg also gets
+//     its dir-index row. The rename leg first closes the arrival era's hwm
+//     lanes (earlier-era marks must not dedup this era's renumbered
+//     entries) and installs the migrated entry rows.
+//   * A directory removed by rmdir or a rename source leg also loses its
+//     dir-index row and its entry rows; the removed entries are returned
+//     (the source leg ships them to the destination).
+//   * A rename source leg's moved tombstone is installed, its TTL starting
+//     at `now`, after the departure era's hwm lanes are closed.
+std::vector<DirEntry> ApplyOpCommit(ServerVolatile& v,
+                                    const OpCommitRecord& rec, int64_t now);
+
+// kWalBulkCommit: every created inode row.
+void ApplyBulkCommit(ServerVolatile& v, const BulkCommitRecord& rec);
+// Logs a bulk record's entries in `clog`, its parent's change-log. Entries
+// ack in FIFO order, so the shared record may be marked applied only when
+// its LAST entry acks: only that entry carries `lsn`, the others 0 (a no-op
+// for Wal::MarkApplied). A partial ack followed by a crash replays the whole
+// batch; the owner's high-water mark dedups the applied prefix.
+void RestoreBulkEntries(ChangeLog& clog, const BulkCommitRecord& rec,
+                        uint64_t lsn);
+
+// One dirent's entry row in `dir`'s entry list: a create or mkdir puts it,
+// an unlink or rmdir deletes it.
+void ApplyEntryRow(ServerVolatile& v, const InodeId& dir,
+                   const ChangeLogEntry& entry);
+// A directory-attr update after dirent applies: the absolute `size`, and
+// mtime and atime moved forward to `mtime` (never back). Writes `attr` to
+// its inode row `ikey`.
+void ApplyDirAttr(ServerVolatile& v, const std::string& ikey, Attr& attr,
+                  uint64_t size, int64_t mtime);
+// Idempotent redo of one committed dirent apply, local (kWalEntryApply) or
+// geo-replicated (kWalWanApply): the entry row, the name's LWW stamp
+// (max-merge), and the absolute directory size/mtime the apply computed.
+// Records exist only for entries that won their comparison, so the stamps
+// only need to be correct for FUTURE arrivals (a late cross-era or WAN
+// entry). A directory that is not live here (no index row, or no inode row
+// behind it) is skipped.
+void RedoDirentApply(ServerVolatile& v, const InodeId& dir,
+                     const ChangeLogEntry& entry, const LwwStamp& stamp,
+                     uint64_t result_size, int64_t result_mtime);
+
+// Steps 4-5: appends `rec` to the WAL, charges `kv_cost`, then applies it
+// (ApplyOpCommit; returns what that removed). With a parent entry
 // (rec.has_entry) the per-change-log append mutex is held from the seq
 // capture to the change-log append: rename and link commit legs append
 // without the fp-group change-log lock, so that lock alone does not
 // serialize sequence assignment. The entry is then logged with the record's
 // lsn, pending publication (steps 6-7).
-template <typename Mutate>
-sim::Task<void> CommitOp(ServerContext& ctx, VolPtr v, OpCommitRecord& rec,
-                         sim::SimTime kv_cost, Mutate mutate) {
-  LockTable::Handle append_lock;
-  if (rec.has_entry) {
-    append_lock = co_await v->ShardFor(rec.parent_fp)
-                      .changelog_append_locks.AcquireExclusive(
-                          ClAppendKey(rec.parent_fp, rec.parent_dir));
-    rec.entry.seq =
-        v->GetChangeLog(rec.parent_fp, rec.parent_dir).last_appended_seq() +
-        1;
-  }
-  co_await ctx.cpu->Run(ctx.costs->wal_append);
-  const uint64_t lsn = ctx.durable->wal.Append(kWalOpCommit, rec.Encode());
-  co_await ctx.cpu->Run(kv_cost);
-  mutate();
-  if (rec.has_entry) {
-    co_await ctx.cpu->Run(ctx.costs->changelog_append);
-    rec.entry.wal_lsn = lsn;
-    // Re-found after the suspensions: the append mutex pins the log's
-    // sequence, not a reference into the slot map.
-    v->GetChangeLog(rec.parent_fp, rec.parent_dir).Restore(rec.entry);
-  }
-}
+sim::Task<std::vector<DirEntry>> CommitOp(ServerContext& ctx, VolPtr v,
+                                          OpCommitRecord& rec,
+                                          sim::SimTime kv_cost);
 
 }  // namespace switchfs::core
 

@@ -3,9 +3,10 @@
 // baselines) through the shared interface, plus SwitchFS-specific property
 // and fault tests:
 //  * paged streams match the monolithic listing, fill pages to the
-//    mtu_bytes budget (mtu_entries is only a hard cap), and neither drop a
-//    pre-open entry nor duplicate across pages under a concurrent
-//    create/unlink/rename storm (4 seeds x snapshot/cursor sessions),
+//    kPageMtuBytes budget (kPageMtuEntries is only a hard cap), and
+//    neither drop a pre-open entry nor duplicate across pages under a
+//    concurrent create/unlink/rename storm (4 seeds x snapshot/cursor
+//    sessions),
 //  * cursor sessions survive unlink-at-cursor and rename-of-next-entry,
 //  * sessions expire (stale cookie), die with an owner crash mid-scan, and
 //    are LRU-evicted past the table-wide cap,
@@ -32,9 +33,9 @@
 namespace switchfs::core {
 namespace {
 
-// Byte-budget paging: pages fill to mtu_bytes of entry wire data
-// (DirEntryWireSize each); mtu_entries is only the hard entry-count cap.
-// Both match the config defaults in every factory below.
+// Byte-budget paging: pages fill to kPageMtuBytes of entry wire data
+// (DirEntryWireSize each); kPageMtuEntries is only the hard entry-count
+// cap. Restated here so the suite pins the page-size contract.
 constexpr int kPageEntryCap = 128;
 constexpr int kPageByteBudget = 1400;
 
@@ -58,7 +59,7 @@ int ExpectedPageCount(const std::set<std::string>& names) {
 }
 
 // A page is over budget if it exceeds the entry cap, or packs more wire
-// bytes than mtu_bytes (a single oversized entry is always admitted).
+// bytes than kPageMtuBytes (a single oversized entry is always admitted).
 bool PageOverBudget(const std::vector<DirEntry>& entries) {
   if (entries.size() > static_cast<size_t>(kPageEntryCap)) {
     return true;

@@ -389,7 +389,7 @@ TEST(PushEngineModule, BatchesDirsHeadedToSameOwnerIntoOnePacket) {
   }
 }
 
-// A batch never exceeds mtu_entries entries; the overflow splits across
+// A batch never exceeds push_mtu_entries entries; the overflow splits across
 // packets (29 + 16 here) and every log still drains completely. The owner's
 // quiet-period timer is parked: with the exact ready-entry MTU trigger the
 // first batch fires as soon as two logs accumulate an MTU worth, and an
@@ -504,19 +504,18 @@ TEST(PushEngineModule, VanishedDirectoryPushTrimsSourceLog) {
   }
 }
 
-// Regression (stale dir-index after WAL replay): an owner recovering from a
-// crash replays the mkdir's dir-index row but an rmdir's inode delete leaves
-// it behind — LookupDirIndex succeeds while the inode row is gone. A push
-// for such a directory must still be acked at its max seq (ApplyEntries
-// alone would drop the entries silently without advancing the hwm, and the
-// source would retry forever).
+// A directory is live at its owner only if its dir-index row resolves to
+// an inode row. With the index row present and the inode row gone
+// (LookupDirIndex succeeds), a push for the directory must still be acked
+// at its max seq: ApplyEntries alone would drop the entries silently
+// without advancing the hwm, and the source would retry forever.
 TEST(PushEngineModule, StaleDirIndexWithoutInodeStillTrimsSourceLog) {
   PushHarness h;
   const InodeId parent = RootId();
   const std::string name = h.NameOwnedBy(parent, 1, "s");
   const InodeId dir = h.SeedDirAt(h.owner, parent, name, 600);
   const psw::Fingerprint fp = FingerprintOf(parent, name);
-  // Simulate the post-replay state: dir-index row present, inode row gone.
+  // Dir-index row present, inode row gone.
   h.owner.vol->kv.Delete(InodeKey(parent, name));
 
   h.AppendAndSchedule(fp, dir, 2);

@@ -4,6 +4,7 @@
 // during aggregation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -133,6 +134,53 @@ std::set<std::string> Names(const StatusOr<std::vector<DirEntry>>& listing) {
   return names;
 }
 
+// The server owning `name` inside the directory at `parent`.
+uint32_t OwnerOfChild(FsHarness& fs, const std::string& parent,
+                      const std::string& name) {
+  auto dir = fs.StatDir(parent);
+  if (!dir.ok()) {
+    ADD_FAILURE() << "statdir " << parent << ": " << dir.status().ToString();
+    return UINT32_MAX;
+  }
+  return fs.cluster.ring().Owner(FingerprintOf(dir->id, name));
+}
+
+using KvRows = std::map<std::string, std::string>;
+
+KvRows SnapshotKv(const SwitchServer& server) {
+  KvRows rows;
+  server.kv_for_test().ScanPrefix(
+      "", [&](const std::string& key, const std::string& value) {
+        rows.emplace(key, value);
+        return true;
+      });
+  return rows;
+}
+
+// One line per row that is missing on either side or holds another value.
+// Keys are binary; the schema prefix and the key length identify the row.
+std::string DescribeKvDiff(const KvRows& before, const KvRows& after) {
+  std::string out;
+  const auto note = [&out](const std::string& key, const char* what) {
+    out += "  '" + key.substr(0, 1) + "' row (" + std::to_string(key.size()) +
+           "-byte key): " + what + "\n";
+  };
+  for (const auto& [key, value] : before) {
+    auto it = after.find(key);
+    if (it == after.end()) {
+      note(key, "lost by recovery");
+    } else if (it->second != value) {
+      note(key, "value changed by recovery");
+    }
+  }
+  for (const auto& row : after) {
+    if (before.count(row.first) == 0) {
+      note(row.first, "added by recovery");
+    }
+  }
+  return out;
+}
+
 TEST_P(ServerCrashReplay, ServerCrashRecoversCommittedState) {
   ClusterConfig cfg = SmallClusterConfig();
   cfg.async_updates = GetParam();
@@ -160,16 +208,30 @@ TEST_P(ServerCrashReplay, ServerCrashRecoversCommittedState) {
   ASSERT_TRUE(fs.Link("/d/f6", "/e/alias").ok());
   ASSERT_TRUE(fs.Chmod("/e/alias", 0600).ok());
   ASSERT_TRUE(fs.Chmod("/e/sub", 0700).ok());
+  // A populated directory renamed to another owner: its old owner drops the
+  // inode, dir-index and entry rows, the new owner installs them.
+  ASSERT_TRUE(fs.Mkdir("/e/tree").ok());
+  ASSERT_TRUE(fs.Create("/e/tree/x").ok());
+  ASSERT_NE(OwnerOfChild(fs, "/e", "tree"), OwnerOfChild(fs, "/d", "tree"));
+  ASSERT_TRUE(fs.Rename("/e/tree", "/d/tree").ok());
+  in_d.insert("tree");
 
+  // Replay rebuilds exactly the rows the live path wrote: the cluster is
+  // quiescent, so each server's KV must come back row for row.
   for (uint32_t s = 0; s < fs.cluster.ServerCount(); ++s) {
+    const KvRows before = SnapshotKv(fs.cluster.server(s));
     fs.cluster.CrashServer(s);
     fs.Run(fs.cluster.RecoverServer(s));
     EXPECT_TRUE(fs.cluster.server(s).serving());
     EXPECT_GT(fs.cluster.server(s).stats().wal_replayed, 0u);
+    const KvRows after = SnapshotKv(fs.cluster.server(s));
+    EXPECT_TRUE(after == before)
+        << "server " << s << ":\n" << DescribeKvDiff(before, after);
   }
 
   EXPECT_EQ(Names(fs.Readdir("/")), (std::set<std::string>{"d", "e"}));
   EXPECT_EQ(Names(fs.Readdir("/d")), in_d);
+  EXPECT_EQ(Names(fs.Readdir("/d/tree")), (std::set<std::string>{"x"}));
   EXPECT_EQ(Names(fs.Readdir("/e")),
             (std::set<std::string>{"alias", "moved", "sub"}));
   const std::pair<const char*, uint64_t> sizes[] = {
@@ -199,6 +261,31 @@ INSTANTIATE_TEST_SUITE_P(UpdateModes, ServerCrashReplay, ::testing::Bool(),
                          [](const auto& info) {
                            return std::string(info.param ? "Async" : "Sync");
                          });
+
+// A directory renamed away leaves no entry rows at its old owner, and
+// recovery must not bring them back: a later rename back would merge them
+// with the shipped entry list, resurrecting an entry unlinked in between.
+TEST(SwitchFsFault, UnlinkedEntryStaysGoneAfterRenameBack) {
+  FsHarness fs;
+  ASSERT_TRUE(fs.Mkdir("/p").ok());
+  ASSERT_TRUE(fs.Mkdir("/q").ok());
+  ASSERT_TRUE(fs.Mkdir("/p/D").ok());
+  ASSERT_TRUE(fs.Create("/p/D/x").ok());
+  ASSERT_TRUE(fs.Create("/p/D/y").ok());
+  ASSERT_NE(OwnerOfChild(fs, "/p", "D"), OwnerOfChild(fs, "/q", "D"));
+  ASSERT_TRUE(fs.Rename("/p/D", "/q/D").ok());
+  for (uint32_t s = 0; s < fs.cluster.ServerCount(); ++s) {
+    fs.cluster.CrashServer(s);
+    fs.Run(fs.cluster.RecoverServer(s));
+    ASSERT_TRUE(fs.cluster.server(s).serving());
+  }
+  ASSERT_TRUE(fs.Unlink("/q/D/x").ok());
+  ASSERT_TRUE(fs.Rename("/q/D", "/p/D").ok());
+  EXPECT_EQ(Names(fs.Readdir("/p/D")), (std::set<std::string>{"y"}));
+  auto sd = fs.StatDir("/p/D");
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 1u);
+}
 
 TEST(SwitchFsFault, CrashBeforeAggregationDoesNotLoseDeferredUpdates) {
   // Crash a server while its change-logs still hold un-applied entries; the
@@ -706,7 +793,6 @@ sim::Task<void> CheckDirs(SwitchFsClient* c, std::vector<std::string> dirs,
 TEST(SwitchFsFault, ReplicatedTrackerHeadCrashMidBurstLosesNoEntries) {
   ClusterConfig cfg = SmallClusterConfig();
   cfg.tracker = TrackerMode::kReplicated;
-  cfg.tracker_replicas = 3;
   // Deferred updates stay pending: no proactive pushes or quiet-period
   // aggregations to mask a lost tracker entry.
   cfg.server_template.push_idle_timeout = sim::Seconds(100);

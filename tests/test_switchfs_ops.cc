@@ -379,7 +379,6 @@ TEST(SwitchFsOps, DedicatedTrackerModeWorks) {
 TEST(SwitchFsOps, ReplicatedTrackerModeWorks) {
   ClusterConfig cfg = SmallClusterConfig();
   cfg.tracker = TrackerMode::kReplicated;
-  cfg.tracker_replicas = 3;
   FsHarness fs(cfg);
   ASSERT_TRUE(fs.Mkdir("/a").ok());
   ASSERT_TRUE(fs.Create("/a/f").ok());
