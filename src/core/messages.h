@@ -93,7 +93,9 @@ struct MetaResp : net::Message {
 // success (7a), and (b) the change-log backlog the parent's owner needs to
 // apply the update synchronously if the insert overflows and the address
 // rewriter redirects the packet (§6.2). The mirror copy (7b) tells the
-// executing server to release its locks.
+// executing server to release its locks. The envelope lives only on the
+// packet: the server's RPC completion record keeps just `client_resp`, which
+// is what a client retransmit gets back.
 struct InsertEnvelope : net::Message {
   static constexpr uint32_t kType = 102;
   InsertEnvelope() : Message(kType) {}

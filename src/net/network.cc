@@ -31,11 +31,6 @@ NodeId Network::Register(Node* node) {
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
-void Network::Rebind(NodeId id, Node* node) {
-  assert(id < nodes_.size());
-  nodes_[id] = node;
-}
-
 sim::SimTime Network::HopDelay() {
   sim::SimTime d = costs_->link_latency;
   if (costs_->link_jitter > 0) {

@@ -72,10 +72,8 @@ class Network {
 
   Network(sim::Simulator* sim, const sim::CostModel* costs, uint64_t seed);
 
+  // Each node gets a fresh id for good (RPC receivers key records by it).
   NodeId Register(Node* node);
-  // Replaces the node behind an id (used by crash/recovery to swap a server
-  // incarnation without invalidating addresses held by peers).
-  void Rebind(NodeId id, Node* node);
 
   void SetSwitch(SwitchBehavior* behavior) { switch_ = behavior; }
   void SetFaults(const FaultConfig& cfg) { faults_ = cfg; }

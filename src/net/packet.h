@@ -92,11 +92,15 @@ const T* MsgAs(const MsgPtr& m) {
 
 // RPC envelope. call_id is unique per (caller, call); retransmits reuse it so
 // receivers can suppress duplicates (§5.4.1: "(sender server, sequence
-// number) tuple attached to each packet").
+// number) tuple attached to each packet"). On a request, ended_below is the
+// caller's lowest still-pending call id: every call of `caller` with a
+// smaller id has ended (replied or given up), so the receiver may forget its
+// completion records for them (RIFL's "first incomplete RPC id").
 struct RpcHeader {
   uint64_t call_id = 0;
   NodeId caller = kInvalidNode;
   bool is_response = false;
+  uint64_t ended_below = 0;
 };
 
 struct Packet {

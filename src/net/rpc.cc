@@ -11,7 +11,14 @@ RpcEndpoint::RpcEndpoint(sim::Simulator* sim, Network* net)
 void RpcEndpoint::ResetVolatileState() {
   pending_.clear();
   dedup_.clear();
-  dedup_fifo_.clear();
+}
+
+size_t RpcEndpoint::completion_records() const {
+  size_t n = 0;
+  for (const auto& [caller, c] : dedup_) {
+    n += c.records.size();
+  }
+  return n;
 }
 
 sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
@@ -37,6 +44,7 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
     }
     auto slot = std::make_shared<sim::OneShot<MsgPtr>>(sim_);
     pending_[call_id] = PendingCall{slot};
+    p.rpc.ended_below = pending_.begin()->first;
     Send(p);
     sim_->ScheduleAfter(opts.timeout, [slot] { slot->Set(nullptr); });
     MsgPtr resp = co_await slot->Wait();
@@ -59,24 +67,18 @@ Packet RpcEndpoint::MakeResponsePacket(const Packet& request, MsgPtr resp,
   return p;
 }
 
-void RpcEndpoint::CacheResponse(const DedupKey& key, MsgPtr resp) {
-  auto it = dedup_.find(key);
-  if (it == dedup_.end()) {
-    return;  // evicted during a long-running handler; nothing to update
-  }
-  it->second.completed = true;
-  it->second.cached_response = std::move(resp);
-}
-
 void RpcEndpoint::Respond(const Packet& request, MsgPtr resp,
                           uint32_t size_bytes) {
-  CacheResponse(DedupKey{request.rpc.caller, request.rpc.call_id}, resp);
+  RecordResponse(request, resp);
   Send(MakeResponsePacket(request, std::move(resp), size_bytes));
 }
 
 void RpcEndpoint::RecordResponse(const Packet& request, MsgPtr resp) {
-  CacheResponse(DedupKey{request.rpc.caller, request.rpc.call_id},
-                std::move(resp));
+  auto& records = dedup_[request.rpc.caller].records;
+  auto it = records.find(request.rpc.call_id);
+  if (it != records.end()) {  // else the caller gave up while we ran
+    it->second = std::move(resp);
+  }
 }
 
 void RpcEndpoint::Send(Packet p) {
@@ -150,22 +152,24 @@ void RpcEndpoint::DispatchRequest(Packet p) {
     return;
   }
   // Inbound request: duplicate suppression by (caller, call_id), §5.4.1.
-  const DedupKey key{p.rpc.caller, p.rpc.call_id};
-  auto it = dedup_.find(key);
-  if (it != dedup_.end()) {
+  CallerRecords& c = dedup_[p.rpc.caller];
+  if (p.rpc.ended_below > c.ended_below) {
+    c.ended_below = p.rpc.ended_below;
+    c.records.erase(c.records.begin(), c.records.lower_bound(c.ended_below));
+  }
+  if (p.rpc.call_id < c.ended_below) {
+    dup_requests_++;  // a late copy of an ended call: nobody waits for it
+    return;
+  }
+  auto [it, fresh] = c.records.try_emplace(p.rpc.call_id);
+  if (!fresh) {
     dup_requests_++;
-    if (it->second.completed && it->second.cached_response != nullptr) {
-      Send(MakeResponsePacket(p, it->second.cached_response));
+    if (it->second != nullptr) {
+      Send(MakeResponsePacket(p, it->second));
     }
     // In-flight duplicates are dropped; the response will reach the caller
     // when the original execution completes.
     return;
-  }
-  dedup_.emplace(key, DedupEntry{});
-  dedup_fifo_.push_back(key);
-  while (dedup_fifo_.size() > kMaxDedupEntries) {
-    dedup_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
   }
   if (request_handler_) {
     request_handler_(std::move(p));

@@ -5,12 +5,18 @@
 // (caller, call_id) tuple and replay cached responses; responses may be
 // delivered out-of-band (SwitchFS's insert-ack multicast carries the create
 // response through the switch rather than from the executing server).
+// A completion record (the response to replay, null while in flight) lives
+// only while its caller can still retransmit: a request carries the caller's
+// lowest pending call id (RpcHeader::ended_below), and the receiver erases
+// that caller's records below it and drops requests below it as late copies.
+// Call ids only grow per NodeId, so one NodeId must name one endpoint.
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -56,7 +62,7 @@ class RpcEndpoint : public Node {
   // Disabled endpoints drop all traffic (crashed / recovering node).
   void SetEnabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
-  // Drops duplicate-suppression and pending-call state (crash wipes DRAM).
+  // Drops completion records and pending-call state (crash wipes DRAM).
   void ResetVolatileState();
 
   // --- client side ---
@@ -82,32 +88,22 @@ class RpcEndpoint : public Node {
   void HandlePacket(Packet p) override;
 
   uint64_t duplicate_requests_seen() const { return dup_requests_; }
+  // Completion records held, in flight or completed, across all callers.
+  size_t completion_records() const;
   uint64_t retransmits_sent() const { return retransmits_; }
 
  private:
   struct PendingCall {
     std::shared_ptr<sim::OneShot<MsgPtr>> slot;
   };
-  struct DedupKey {
-    NodeId caller;
-    uint64_t call_id;
-    bool operator==(const DedupKey& o) const {
-      return caller == o.caller && call_id == o.call_id;
-    }
-  };
-  struct DedupKeyHash {
-    size_t operator()(const DedupKey& k) const {
-      return std::hash<uint64_t>()((static_cast<uint64_t>(k.caller) << 40) ^
-                                   k.call_id);
-    }
-  };
-  struct DedupEntry {
-    bool completed = false;
-    MsgPtr cached_response;  // valid when completed
+  // One caller's completion records, by call_id: the response to replay,
+  // null while the handler runs. Calls below ended_below have ended.
+  struct CallerRecords {
+    uint64_t ended_below = 0;
+    std::map<uint64_t, MsgPtr> records;
   };
 
   void DispatchRequest(Packet p);
-  void CacheResponse(const DedupKey& key, MsgPtr resp);
   sim::Task<void> ChargedDeliver(Packet p);
 
   sim::Simulator* sim_;
@@ -120,11 +116,9 @@ class RpcEndpoint : public Node {
   RawHandler raw_handler_;
 
   uint64_t next_call_id_ = 1;
-  std::unordered_map<uint64_t, PendingCall> pending_;
+  std::map<uint64_t, PendingCall> pending_;  // ordered: begin() is the mark
 
-  static constexpr size_t kMaxDedupEntries = 1 << 16;
-  std::unordered_map<DedupKey, DedupEntry, DedupKeyHash> dedup_;
-  std::deque<DedupKey> dedup_fifo_;
+  std::unordered_map<NodeId, CallerRecords> dedup_;
 
   uint64_t dup_requests_ = 0;
   uint64_t retransmits_ = 0;

@@ -21,7 +21,8 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
   // The envelope rides the insert packet: on success the switch forwards it
   // to the client (7a) and mirrors it back to us as the release signal (7b);
   // on overflow the address rewriter redirects it — backlog included — to
-  // the parent's owner for a synchronous apply (§6.2).
+  // the parent's owner for a synchronous apply (§6.2). Only the packet holds
+  // the backlog: the completion record below keeps just `client_resp`.
   auto env = std::make_shared<core::InsertEnvelope>();
   env->client_resp = client_resp;
   env->dir = dir;
@@ -66,13 +67,13 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
   if (result == 0) {
     // Retry budget exhausted without an ack: the entry stays in the
     // change-log and the push path repairs dirty-set visibility; retransmits
-    // are served from the dedup cache below.
+    // are served from the completion record below.
     ctx.stats->insert_exhausted++;
   }
   v->op_waits.erase(token);
   if (client_req != nullptr) {
-    // From here on, client retransmits are served from the dedup cache.
-    ctx.rpc->RecordResponse(*client_req, env);
+    // From here on, client retransmits get client_resp from the record.
+    ctx.rpc->RecordResponse(*client_req, client_resp);
   }
   co_return InsertResult::kDelivered;
 }

@@ -1,6 +1,6 @@
 // Tests for the simulated network fabric and the RPC layer: delivery
 // latency, multicast expansion, fault injection, retransmission, duplicate
-// suppression, and out-of-band response caching.
+// suppression, completion-record lifetime, and out-of-band response caching.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -140,23 +140,6 @@ TEST(Network, SwitchDownDropsEverything) {
   EXPECT_TRUE(b.received.empty());
 }
 
-TEST(Network, RebindSwapsNodeInPlace) {
-  Harness h;
-  Sink a;
-  Sink b1;
-  Sink b2;
-  NodeId ida = h.net_.Register(&a);
-  NodeId idb = h.net_.Register(&b1);
-  h.net_.Rebind(idb, &b2);
-  Packet p;
-  p.src = ida;
-  p.dst = idb;
-  h.net_.Send(p);
-  h.sim_.Run();
-  EXPECT_TRUE(b1.received.empty());
-  EXPECT_EQ(b2.received.size(), 1u);
-}
-
 // --- RPC tests ---
 
 class RpcHarness : public Harness {
@@ -230,6 +213,69 @@ TEST(Rpc, DuplicateRequestsAreSuppressed) {
   EXPECT_GT(h.server_.duplicate_requests_seen(), 0u);
 }
 
+TEST(Rpc, LateCopyOfEndedCallNeverRerunsHandler) {
+  // Enough calls to push the first out of a 65,536-entry cache: only the
+  // caller's mark, not a size cap, can recognize its late copy.
+  constexpr int kCalls = (1 << 16) + 2;
+  Harness h;
+  RpcEndpoint client(&h.sim_, &h.net_);
+  RpcEndpoint server(&h.sim_, &h.net_);
+  int handler_runs = 0;
+  Packet first;
+  server.SetRequestHandler([&](Packet p) {
+    if (handler_runs++ == 0) {
+      first = p;
+    }
+    server.Respond(p, MakeMsg<PongMsg>(0));
+  });
+  int ok = 0;
+  sim::Spawn([](RpcEndpoint* c, RpcEndpoint* s, int* ok) -> sim::Task<void> {
+    for (int i = 0; i < kCalls; ++i) {
+      auto r = co_await c->Call(s->id(), MakeMsg<PingMsg>(i));
+      *ok += r.ok() ? 1 : 0;
+    }
+  }(&client, &server, &ok));
+  h.sim_.Run();
+  ASSERT_EQ(ok, kCalls);
+  ASSERT_EQ(handler_runs, kCalls);
+  ASSERT_EQ(first.rpc.call_id, 1u);
+
+  const uint64_t delivered = h.net_.stats().packets_delivered;
+  client.Send(first);
+  h.sim_.Run();
+  EXPECT_EQ(handler_runs, kCalls);
+  // Only the late copy itself arrived: the server sent nothing back.
+  EXPECT_EQ(h.net_.stats().packets_delivered, delivered + 1);
+  EXPECT_EQ(server.duplicate_requests_seen(), 1u);
+}
+
+TEST(Rpc, CompletionRecordsAreBoundedByCallsInFlight) {
+  RpcHarness h;
+  int ok = 0;
+  sim::Spawn([](RpcHarness* h, int* ok) -> sim::Task<void> {
+    for (int i = 0; i < 1000; ++i) {
+      auto r = co_await h->client_.Call(h->server_.id(), MakeMsg<PingMsg>(i));
+      *ok += r.ok() ? 1 : 0;
+    }
+  }(&h, &ok));
+  h.sim_.Run();
+  ASSERT_EQ(ok, 1000);
+  EXPECT_LE(h.server_.completion_records(), 1u);
+
+  // K calls parked in a handler that has not replied: one record each.
+  constexpr int kParked = 5;
+  h.server_.SetRequestHandler([](Packet) {});
+  for (int i = 0; i < kParked; ++i) {
+    sim::Spawn([](RpcHarness* h) -> sim::Task<void> {
+      co_await h->client_.Call(h->server_.id(), MakeMsg<PingMsg>(0));
+    }(&h));
+  }
+  // Before the first timeout (CallOptions' default 100 us) fires.
+  h.sim_.RunUntil(h.sim_.Now() + sim::Microseconds(50));
+  EXPECT_EQ(h.server_.completion_records(), static_cast<size_t>(kParked));
+  h.sim_.Run();
+}
+
 TEST(Rpc, CallTimesOutAgainstDeadServer) {
   RpcHarness h;
   h.server_.SetEnabled(false);
@@ -248,7 +294,7 @@ TEST(Rpc, CallTimesOutAgainstDeadServer) {
 TEST(Rpc, OutOfBandResponseSatisfiesRetransmittedRequest) {
   // Models SwitchFS's create flow: the server records the response without
   // sending it (first copy rides the switch multicast, which we drop here);
-  // the client's retransmit is then answered from the dedup cache.
+  // the client's retransmit is then answered from the completion record.
   Harness h;
   RpcEndpoint client(&h.sim_, &h.net_);
   RpcEndpoint server(&h.sim_, &h.net_);

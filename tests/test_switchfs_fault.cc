@@ -4,6 +4,7 @@
 // during aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -117,6 +118,57 @@ TEST(SwitchFsFault, OverflowFallsBackToSynchronousUpdate) {
   sd = fs.StatDir("/d");
   ASSERT_TRUE(sd.ok());
   EXPECT_EQ(sd->size, 19u);
+}
+
+// Forwards every packet through `inner`, except that it drops the first
+// InsertEnvelope the switch sends to `victim` (a create's in-band ack, 7a).
+// It counts every InsertEnvelope addressed to `victim`, dropped or not.
+class DropFirstInsertAck : public net::SwitchBehavior {
+ public:
+  DropFirstInsertAck(net::SwitchBehavior* inner, net::NodeId victim)
+      : inner_(inner), victim_(victim) {}
+
+  std::vector<net::Packet> Process(net::Packet p) override {
+    std::vector<net::Packet> out = inner_->Process(std::move(p));
+    auto is_envelope = [&](const net::Packet& q) {
+      return q.dst == victim_ && net::MsgAs<InsertEnvelope>(q.body) != nullptr;
+    };
+    envelopes += std::count_if(out.begin(), out.end(), is_envelope);
+    auto ack = std::find_if(out.begin(), out.end(), is_envelope);
+    if (!dropped && ack != out.end()) {
+      out.erase(ack);
+      dropped = true;
+    }
+    return out;
+  }
+  sim::SimTime PipelineDelay() const override {
+    return inner_->PipelineDelay();
+  }
+
+  bool dropped = false;
+  int64_t envelopes = 0;
+
+ private:
+  net::SwitchBehavior* inner_;
+  net::NodeId victim_;
+};
+
+TEST(SwitchFsFault, LostCreateAckCompletesFromCompletionRecord) {
+  // The switch's ack to the client is lost after the insert took effect; the
+  // client's retransmit is answered from the server's completion record.
+  FsHarness fs;
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  DropFirstInsertAck dropper(fs.cluster.data_plane(), fs.client->rpc().id());
+  fs.cluster.network().SetSwitch(&dropper);
+  ASSERT_TRUE(fs.Create("/d/f").ok());
+  EXPECT_TRUE(dropper.dropped);
+  EXPECT_EQ(fs.client->rpc().retransmits_sent(), 1u);
+  // The replay is the bare create response: the record does not hold the
+  // envelope and its change-log backlog.
+  EXPECT_EQ(dropper.envelopes, 1);
+  auto sd = fs.StatDir("/d");
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 1u);
 }
 
 // Parameter: async_updates. Every committed mutation — whichever writer
