@@ -1337,9 +1337,8 @@ sim::Task<std::vector<StatusOr<Attr>>> BaselineClient::BatchStat(
   // RPC count) follows each system's own placement function. Scaffolding
   // shared with SwitchFsClient via core::RunBatchStat.
   co_return co_await core::RunBatchStat(
-      sim_, rpc_, cache_, paths, core::OpType::kBatchStat,
-      /*scattered_hint=*/false, /*max_attempts=*/12,
-      sim::Microseconds(100), call_,
+      sim_, rpc_, cache_, paths, /*max_attempts=*/12, sim::Microseconds(100),
+      call_,
       [this](const std::string& path)
           -> sim::Task<StatusOr<core::BatchTarget>> {
         auto ref = co_await ResolveParent(path);

@@ -27,6 +27,9 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     psw::Fingerprint held_cl_fp, const std::string& held_inode_key,
     bool defer_done) {
   ctx_.stats->aggregations++;
+  // Stamped before the local snapshot and the dirty-set remove: this run
+  // collects every entry committed before now (see GateDirRead).
+  v->ShardFor(fp).last_agg_start[fp] = ctx_.Now();
   Outcome outcome;
 
   auto w = std::make_shared<ServerVolatile::AggWait>();
@@ -185,7 +188,6 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
                  v.get());
     }
   }
-  v->ShardFor(fp).last_agg_complete[fp] = ctx_.Now();
   v->ShardFor(fp).agg_waits.erase(fp);
 
   if (defer_done) {

@@ -32,16 +32,11 @@ struct BatchTarget {
 
 // `resolve` maps one path to its target (a kStaleCache/kTimeout/kUnavailable
 // status defers the path to the next round; any other failure is final);
-// `server_node` maps a server index to its fabric address. `op` selects the
-// server-side flavor (kBatchStat for file targets, kBatchStatDir for
-// directory targets); `scattered_hint` stamps the multi-target requests so
-// a server whose dirty test is request-scoped (it cannot be pre-queried for
-// N fingerprints in one packet) conservatively runs the aggregation dance
-// per directory target.
+// `server_node` maps a server index to its fabric address.
 inline sim::Task<std::vector<StatusOr<Attr>>> RunBatchStat(
     sim::Simulator* sim, net::RpcEndpoint& rpc, ClientCache& cache,
-    std::vector<std::string> paths, OpType op, bool scattered_hint,
-    int max_attempts, sim::SimTime retry_backoff, net::CallOptions call,
+    std::vector<std::string> paths, int max_attempts,
+    sim::SimTime retry_backoff, net::CallOptions call,
     std::function<sim::Task<StatusOr<BatchTarget>>(const std::string&)>
         resolve,
     std::function<net::NodeId(uint32_t)> server_node) {
@@ -79,8 +74,7 @@ inline sim::Task<std::vector<StatusOr<Attr>>> RunBatchStat(
 
     for (auto& [server, group] : groups) {
       auto req = std::make_shared<MetaReq>();
-      req->op = op;
-      req->scattered_hint = scattered_hint;
+      req->op = OpType::kBatchStat;
       req->targets = std::move(group.refs);
       auto r = co_await rpc.Call(server_node(server), req, call);
       if (!r.ok()) {

@@ -181,7 +181,6 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
     auto req = std::make_shared<MetaReq>();
     req->op = call.op;
     req->ref = ref;
-    req->want_entries = call.want_entries;
     req->mode = call.mode;
     req->delta = call.delta;
 
@@ -318,8 +317,7 @@ sim::Task<StatusOr<Attr>> SwitchFsClient::Stat(const std::string& path) {
 }
 
 sim::Task<StatusOr<Attr>> SwitchFsClient::StatDir(const std::string& path) {
-  OpResult r = co_await IssueOp(
-      MetaCall::DirRead(OpType::kStatDir, /*want_entries=*/false), path);
+  OpResult r = co_await IssueOp(MetaCall::DirRead(OpType::kStatDir), path);
   if (!r.status.ok()) {
     co_return r.status;
   }
@@ -328,8 +326,7 @@ sim::Task<StatusOr<Attr>> SwitchFsClient::StatDir(const std::string& path) {
 
 sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::ReaddirMonolithic(
     const std::string& path) {
-  OpResult r = co_await IssueOp(
-      MetaCall::DirRead(OpType::kReaddir, /*want_entries=*/true), path);
+  OpResult r = co_await IssueOp(MetaCall::DirRead(OpType::kReaddir), path);
   if (!r.status.ok()) {
     co_return r.status;
   }
@@ -364,8 +361,7 @@ sim::Task<StatusOr<DirHandle>> SwitchFsClient::OpenDir(
   // OpenDir is the consistency point of the stream: the owner aggregates
   // under the agg gate (dirty-tracker pre-read hook attached) and opens the
   // cursor session the pages will be served from.
-  MetaCall call = MetaCall::DirRead(OpType::kOpenDir, /*want_entries=*/false);
-  OpResult r = co_await IssueOp(call, path);
+  OpResult r = co_await IssueOp(MetaCall::DirRead(OpType::kOpenDir), path);
   if (!r.status.ok()) {
     co_return r.status;
   }
@@ -503,35 +499,7 @@ sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
   // the per-owner push batching. The scaffolding (grouping, multi-target
   // RPCs, per-target verdicts, retries) is shared with the baselines.
   co_return co_await RunBatchStat(
-      sim_, rpc_, cache_, paths, OpType::kBatchStat, /*scattered_hint=*/false,
-      kMaxOpRetries, kRetryBackoff, config_.call,
-      [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
-        auto ref = co_await ResolveParent(path);
-        if (!ref.ok()) {
-          co_return ref.status();
-        }
-        BatchTarget target;
-        target.server =
-            cluster_->ring().Owner(FingerprintOf(ref->pid, ref->name));
-        target.ref = *std::move(ref);
-        co_return target;
-      },
-      [this](uint32_t server) { return cluster_->ServerNode(server); });
-}
-
-sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStatDir(
-    const std::vector<std::string>& paths) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  // Directory flavor: same grouping and retry scaffolding, but the server
-  // runs the per-target agg-gate dance before each stat, so every returned
-  // attr reflects all updates committed before the call. A directory is
-  // owned by its own (pid, name) fingerprint, so the routing is identical.
-  // Gate deadline caveat: an aggregation per target can push a large batch
-  // past the tight default call deadline, so reuse the OpenDir-scale one.
-  co_return co_await RunBatchStat(
-      sim_, rpc_, cache_, paths, OpType::kBatchStatDir,
-      config_.batch_stat_dir_hint, kMaxOpRetries, kRetryBackoff,
-      config_.opendir_call,
+      sim_, rpc_, cache_, paths, kMaxOpRetries, kRetryBackoff, config_.call,
       [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
         auto ref = co_await ResolveParent(path);
         if (!ref.ok()) {

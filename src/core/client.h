@@ -59,12 +59,6 @@ class SwitchFsClient : public MetadataService {
     // mc.kRead header so the data plane can answer hits without touching the
     // owner (cluster MakeClient copies the servers' setting).
     bool switch_cache = false;
-    // BatchStatDir: stamp scattered_hint on the multi-target requests so the
-    // owner runs the aggregation dance per directory target. Required for
-    // tracker modes whose dirty test is request-scoped (the batch cannot
-    // pre-query N fingerprints in one packet); owner-tracker clusters clear
-    // it and rely on the owner's precise local set (MakeClient sets this).
-    bool batch_stat_dir_hint = true;
   };
 
   SwitchFsClient(sim::Simulator* sim, net::Network* net,
@@ -87,8 +81,6 @@ class SwitchFsClient : public MetadataService {
                                            uint64_t cookie) override;
   sim::Task<Status> CloseDir(const DirHandle& handle) override;
   sim::Task<std::vector<StatusOr<Attr>>> BatchStat(
-      const std::vector<std::string>& paths) override;
-  sim::Task<std::vector<StatusOr<Attr>>> BatchStatDir(
       const std::vector<std::string>& paths) override;
   sim::Task<std::vector<Status>> BulkInsert(
       const DirHandle& handle, const std::vector<std::string>& names) override;
@@ -118,15 +110,13 @@ class SwitchFsClient : public MetadataService {
   }
 
  private:
-  // Typed request description — the v2 replacement for the old
-  // Issue(OpType, path, want_entries) funnel. Call sites build the request
-  // through the named factories; IssueOp owns resolution, routing, and the
+  // Typed request description. Call sites build the request through the
+  // named factories; IssueOp owns resolution, routing, and the
   // stale-cache/transport retry loop for every path-addressed op.
   struct MetaCall {
     OpType op = OpType::kStat;
-    bool dir_target = false;    // the path itself is the target directory
-    bool want_entries = false;  // monolithic readdir payload
-    bool pre_read = false;      // run the dirty-tracker pre-read hook
+    bool dir_target = false;  // the path itself is the target directory
+    bool pre_read = false;    // run the dirty-tracker pre-read hook
     uint32_t mode = 0644;
     AttrDelta delta;
 
@@ -141,11 +131,10 @@ class SwitchFsClient : public MetadataService {
       c.op = op;
       return c;
     }
-    static MetaCall DirRead(OpType op, bool want_entries) {
+    static MetaCall DirRead(OpType op) {
       MetaCall c;
       c.op = op;
       c.dir_target = true;
-      c.want_entries = want_entries;
       c.pre_read = true;
       return c;
     }

@@ -104,9 +104,6 @@ std::unique_ptr<SwitchFsClient> Cluster::MakeClient() {
   SwitchFsClient::Config cc;
   cc.dirty_tracker = dirty_tracker_.get();
   cc.switch_cache = config_.server_template.switch_cache;
-  // Owner-tracker clusters have a precise server-local dirty test per
-  // fingerprint; everything else needs the conservative batch hint.
-  cc.batch_stat_dir_hint = config_.tracker != TrackerMode::kOwnerServer;
   return std::make_unique<SwitchFsClient>(sim_, net_.get(), this,
                                           &config_.costs, cc);
 }

@@ -45,7 +45,6 @@ struct MetaReq : net::Message {
   PathRef ref;
   uint32_t mode = 0644;       // create/mkdir permission bits
   PathRef ref2;               // rename destination / link source
-  bool want_entries = false;  // monolithic readdir (bench_readdir_paging)
   // Dedicated-tracker mode (§7.3.3): the client pre-queried the tracker and
   // forwards the scattered bit here (the switch path stamps ds.ret instead).
   bool scattered_hint = false;

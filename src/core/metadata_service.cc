@@ -2,18 +2,6 @@
 
 namespace switchfs::core {
 
-sim::Task<std::vector<StatusOr<Attr>>> MetadataService::BatchStatDir(
-    const std::vector<std::string>& paths) {
-  // Unbatched fallback: one StatDir round trip per target. Result i
-  // corresponds to paths[i], as in BatchStat.
-  std::vector<StatusOr<Attr>> results;
-  results.reserve(paths.size());
-  for (const std::string& path : paths) {
-    results.push_back(co_await StatDir(path));
-  }
-  co_return results;
-}
-
 sim::Task<StatusOr<std::vector<DirEntry>>> MetadataService::Readdir(
     const std::string& path) {
   // A whole-directory listing is one paged stream drained to the end. A

@@ -127,16 +127,6 @@ class MetadataService {
   virtual sim::Task<std::vector<StatusOr<Attr>>> BatchStat(
       const std::vector<std::string>& paths) = 0;
 
-  // BatchStat whose targets are directories: each target's attr reflects
-  // every update committed before the call (SwitchFS runs the per-target
-  // dirty-set check + aggregation under the owner's agg gate, batched into
-  // one multi-target request per server — a scan over N subdirectories
-  // costs one round trip per owner instead of N). The default drains the
-  // targets through per-path StatDir calls; systems with a batched native
-  // path override.
-  virtual sim::Task<std::vector<StatusOr<Attr>>> BatchStatDir(
-      const std::vector<std::string>& paths);
-
   // --- bulk insert (v2) ---
   // Creates `names` inside the open directory `handle` — the create-path
   // mirror of BatchStat. The client groups names by owner placement and

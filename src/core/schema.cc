@@ -38,8 +38,6 @@ const char* OpTypeName(OpType op) {
       return "setattr";
     case OpType::kBulkInsert:
       return "bulkinsert";
-    case OpType::kBatchStatDir:
-      return "batchstatdir";
   }
   return "unknown";
 }

@@ -131,12 +131,13 @@ void SwitchServer::OnRequest(net::Packet p) {
         case OpType::kRmdir:
           spawn(HandleRmdir(std::move(p), std::move(v)));
           break;
+        case OpType::kStat:
+        case OpType::kOpen:
+        case OpType::kClose:
         case OpType::kStatDir:
         case OpType::kReaddir:
-          spawn(HandleDirRead(std::move(p), std::move(v)));
-          break;
         case OpType::kOpenDir:
-          spawn(HandleOpenDir(std::move(p), std::move(v)));
+          spawn(HandleRead(std::move(p), std::move(v)));
           break;
         case OpType::kReaddirPage:
           spawn(HandleReaddirPage(std::move(p), std::move(v)));
@@ -147,19 +148,11 @@ void SwitchServer::OnRequest(net::Packet p) {
         case OpType::kBatchStat:
           spawn(HandleBatchStat(std::move(p), std::move(v)));
           break;
-        case OpType::kBatchStatDir:
-          spawn(HandleBatchStatDir(std::move(p), std::move(v)));
-          break;
         case OpType::kSetAttr:
           spawn(HandleSetAttr(std::move(p), std::move(v)));
           break;
         case OpType::kBulkInsert:
           spawn(HandleBulkInsert(std::move(p), std::move(v)));
-          break;
-        case OpType::kStat:
-        case OpType::kOpen:
-        case OpType::kClose:
-          spawn(HandleFileOp(std::move(p), std::move(v)));
           break;
         case OpType::kRename:
           spawn(rename_.HandleRename(std::move(p), std::move(v)));
@@ -685,12 +678,13 @@ void SwitchServer::HandleFallbackDone(const FallbackDone& msg, VolPtr v) {
 // ---------------------------------------------------------------------------
 
 // Replies to a read, piggybacking a cache install when the request traversed
-// the switch with an mc.kRead stamp (lookup / stat / statdir fast path). The
+// the switch with an mc.kRead stamp (lookup / stat / open / statdir). The
 // install echoes the set version the switch stamped on the request's miss:
 // if any write evicted the entry in between, the version moved and the
 // switch rejects the install — the read's data predates that write. Negative
-// results and hard-link references never reach here (references alias a
-// shared attributes object whose writers would not evict this fingerprint).
+// results never reach here, and a hard-link reference replies without an
+// install (it aliases a shared attributes object whose writers would not
+// evict this fingerprint).
 void SwitchServer::RespondWithInstall(const net::Packet& p, net::MsgPtr resp,
                                       VolPtr v, const Attr& attr,
                                       int64_t read_at) {
@@ -713,15 +707,13 @@ void SwitchServer::RespondWithInstall(const net::Packet& p, net::MsgPtr resp,
 }
 
 // ---------------------------------------------------------------------------
-// Directory reads: statdir / readdir (§5.2.2)
+// Reads: stat / open / close / statdir / readdir / opendir (§5.2.2)
 // ---------------------------------------------------------------------------
 
 sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
     VolPtr v, const net::Packet& p, const MetaReq& req,
-    psw::Fingerprint dir_fp, bool force_scattered) {
-  bool scattered =
-      force_scattered ||
-      ctx_.dirty_tracker->ReadScattered(ctx_, *v, p, req, dir_fp);
+    psw::Fingerprint dir_fp) {
+  bool scattered = ctx_.dirty_tracker->ReadScattered(ctx_, *v, p, req, dir_fp);
   const int64_t observed_at = Now();
 
   LockTable::Handle gate;
@@ -731,10 +723,10 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
       break;
     }
     {
-      auto& complete = v->ShardFor(dir_fp).last_agg_complete;
-      auto last = complete.find(dir_fp);
-      if (last != complete.end() && last->second > observed_at) {
-        break;  // someone aggregated after our dirty-set observation
+      auto& started = v->ShardFor(dir_fp).last_agg_start;
+      auto last = started.find(dir_fp);
+      if (last != started.end() && last->second > observed_at) {
+        break;  // an aggregation that started after our check has finished
       }
     }
     gate.Release();
@@ -742,9 +734,9 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
         co_await v->ShardFor(dir_fp).agg_gates.AcquireExclusive(FpKey(dir_fp));
     bool need_agg = false;
     {
-      auto& complete = v->ShardFor(dir_fp).last_agg_complete;
-      auto last = complete.find(dir_fp);
-      need_agg = last == complete.end() || last->second <= observed_at;
+      auto& started = v->ShardFor(dir_fp).last_agg_start;
+      auto last = started.find(dir_fp);
+      need_agg = last == started.end() || last->second <= observed_at;
     }
     if (need_agg) {
       co_await agg_.RunAggregation(v, dir_fp, std::nullopt, 0, "", false);
@@ -755,17 +747,30 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
   co_return gate;
 }
 
-sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
+sim::Task<void> SwitchServer::HandleRead(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
+  if (req->op == OpType::kClose) {
+    // close releases client-side state only; servers just acknowledge.
+    co_await cpu_.Run(costs_->reply_build);
+    RespondStatus(p, StatusCode::kOk);
+    co_return;
+  }
 
   const PathRef& ref = req->ref;
-  const psw::Fingerprint dir_fp = FingerprintOf(ref.pid, ref.name);
+  const psw::Fingerprint fp = FingerprintOf(ref.pid, ref.name);
   const std::string ikey = InodeKey(ref.pid, ref.name);
-
-  LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
-
+  const bool dir_read = req->op == OpType::kStatDir ||
+                        req->op == OpType::kReaddir ||
+                        req->op == OpType::kOpenDir;
+  // A directory read first lands every deferred entry committed before it
+  // (§5.2.2). OpenDir does so once, at open: the cursor then walks a
+  // keyspace that holds every pre-open entry, and its pages skip the gate.
+  LockTable::Handle gate;
+  if (dir_read) {
+    gate = co_await GateDirRead(v, p, *req, fp);
+  }
   auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
   co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
   auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
@@ -779,107 +784,72 @@ sim::Task<void> SwitchServer::HandleDirRead(net::Packet p, VolPtr v) {
     RespondStatus(p, StatusCode::kNotFound);
     co_return;
   }
-  Attr attr = Attr::Decode(*value);
-  if (!attr.is_dir()) {
+  const Attr attr = Attr::Decode(*value);
+  if (dir_read && !attr.is_dir()) {
     RespondStatus(p, StatusCode::kNotADirectory);
     co_return;
   }
+
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
-  if (req->op == OpType::kStatDir) {
-    // statdir fast path: piggyback a cache install (the aggregation gate
-    // above landed every pre-read deferred entry, so the attr is as fresh as
-    // any uncached read's; later deferred updates evict via their kInsert
-    // switch traversal).
-    co_await cpu_.Run(costs_->reply_build);
-    RespondWithInstall(p, resp, v, attr, Now());
-    co_return;
-  }
-  if (req->op == OpType::kReaddir && req->want_entries) {
+  if (req->op == OpType::kReaddir) {
     // Monolithic listing (bench_readdir_paging's baseline): one scan AND the
     // full marshalling land on this single request — the paged path
     // instead charges each page's own scan and marshalling.
-    size_t n = 0;
     v->kv.ScanPrefix(EntryPrefix(attr.id),
                      [&](const std::string& k, const std::string& val) {
                        resp->entries.push_back(DirEntry{
                            std::string(EntryNameFromKey(k)),
                            DecodeEntryValue(val)});
-                       ++n;
                        return true;
                      });
-    co_await cpu_.Run(static_cast<sim::SimTime>(n) *
+    co_await cpu_.Run(static_cast<sim::SimTime>(resp->entries.size()) *
                       (costs_->kv_scan_per_entry + costs_->readdir_per_entry));
+  } else if (req->op == OpType::kOpenDir) {
+    // A cursor session stores only a scan position, so OpenDir is O(1) and
+    // each page charges its own bounded seek+scan (HandleReaddirPage).
+    // Sessions are minted by (and live on) the directory fingerprint's
+    // shard; the session id embeds the shard index so page/close/watchdog
+    // route back without knowing the fingerprint. The LRU cap divides
+    // across shards (at least 1 each) so one hot directory's scanners cannot
+    // evict every other shard's cursors; evictions are counted per shard
+    // and in the server-wide stat.
+    const uint64_t session_id =
+        v->ShardFor(fp).dir_sessions.OpenCursor(attr.id, Now()).id;
+    stats_.dir_opens++;
+    const size_t shard_cap =
+        std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
+    const uint64_t evicted =
+        v->ShardFor(fp).dir_sessions.EvictLruOverCap(shard_cap);
+    v->ShardFor(fp).dir_sessions_evicted += evicted;
+    stats_.dir_sessions_evicted += evicted;
+    sim::Spawn(DirSessionWatchdog(v, session_id), v.get());
+    resp->dir_session = session_id;
+  } else if (attr.type == FileType::kReference) {
+    // Hard link (stat/open): the real attributes live in the shared object
+    // (§5.5). A failed read (attributes owner unreachable) must surface:
+    // replying kOk would hand the client the reference row.
+    Attr shared;
+    Status s = co_await links_.UpdateLinkCount(
+        v, attr.id, static_cast<uint32_t>(attr.size), /*delta=*/0, &shared);
+    if (!s.ok()) {
+      RespondStatus(p, s.code());
+      co_return;
+    }
+    resp->attr = shared;
   }
   co_await cpu_.Run(costs_->reply_build);
-  rpc_.Respond(p, resp);
+  // stat, open and statdir piggyback a cache install: their requests carry
+  // the mc.kRead stamp, and a statdir's attr is as fresh as any uncached
+  // read's (the gate landed every pre-read deferred entry; later deferred
+  // updates evict via their kInsert switch traversal). Readdir, opendir and
+  // a hard-link reference reply without one.
+  RespondWithInstall(p, resp, v, attr, Now());
 }
 
 // ---------------------------------------------------------------------------
-// Directory streams (MetadataService v2): OpenDir / ReaddirPage / CloseDir
+// Directory streams (MetadataService v2): ReaddirPage / CloseDir
 // ---------------------------------------------------------------------------
-
-sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
-  const auto* req = static_cast<const MetaReq*>(p.body.get());
-  stats_.ops++;
-  co_await cpu_.Run(costs_->op_dispatch);
-
-  const PathRef& ref = req->ref;
-  const psw::Fingerprint dir_fp = FingerprintOf(ref.pid, ref.name);
-  const std::string ikey = InodeKey(ref.pid, ref.name);
-
-  // Aggregate ONCE at open (§5.2.2 under the agg gate): every entry
-  // committed before the open lands in the keyspace the cursor walks, so
-  // the page stream can never drop a pre-open entry. Pages themselves skip
-  // the gate.
-  LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
-
-  auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
-  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
-  if (!stale.empty()) {
-    RespondStale(p, std::move(stale));
-    co_return;
-  }
-  co_await cpu_.Run(costs_->kv_get);
-  auto value = v->kv.Get(ikey);
-  if (!value.has_value()) {
-    RespondStatus(p, StatusCode::kNotFound);
-    co_return;
-  }
-  Attr attr = Attr::Decode(*value);
-  if (!attr.is_dir()) {
-    RespondStatus(p, StatusCode::kNotADirectory);
-    co_return;
-  }
-
-  // A cursor session stores only a scan position, so OpenDir is O(1) and
-  // each page charges its own bounded seek+scan (HandleReaddirPage);
-  // pre-open entries are never lost — the aggregation above lands them in
-  // the live keyspace the cursor walks.
-  // Sessions are minted by (and live on) the directory fingerprint's shard;
-  // the session id embeds the shard index so page/close/watchdog route back
-  // without knowing the fingerprint. The LRU cap divides across shards (at
-  // least 1 each) so one hot directory's scanners cannot evict every other
-  // shard's cursors; the shard-local counter feeds the per-shard satellite
-  // test, the global stat keeps the historical aggregate visible.
-  const uint64_t session_id =
-      v->ShardFor(dir_fp).dir_sessions.OpenCursor(attr.id, Now()).id;
-  stats_.dir_opens++;
-  const size_t shard_cap =
-      std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
-  const uint64_t evicted =
-      v->ShardFor(dir_fp).dir_sessions.EvictLruOverCap(shard_cap);
-  v->ShardFor(dir_fp).dir_sessions_evicted += evicted;
-  stats_.dir_sessions_evicted += evicted;
-  sim::Spawn(DirSessionWatchdog(v, session_id), v.get());
-
-  auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
-  resp->attr = attr;
-  resp->dir_session = session_id;
-  co_await cpu_.Run(costs_->reply_build);
-  rpc_.Respond(p, resp);
-}
 
 sim::Task<void> SwitchServer::DirSessionWatchdog(VolPtr v, uint64_t session_id) {
   while (true) {
@@ -1066,57 +1036,6 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
         continue;
       }
       attr = shared;
-    }
-    resp->batch_attrs[i] = attr;
-    resp->batch_status.push_back(StatusCode::kOk);
-  }
-  co_await cpu_.Run(costs_->reply_build);
-  rpc_.Respond(p, resp);
-}
-
-sim::Task<void> SwitchServer::HandleBatchStatDir(net::Packet p, VolPtr v) {
-  const auto* req = static_cast<const MetaReq*>(p.body.get());
-  stats_.ops++;
-  stats_.batch_stat_dirs++;
-  co_await cpu_.Run(costs_->op_dispatch);
-
-  auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
-  resp->batch_status.reserve(req->targets.size());
-  resp->batch_attrs.resize(req->targets.size());
-  for (size_t i = 0; i < req->targets.size(); ++i) {
-    const PathRef& ref = req->targets[i];
-    stats_.batch_stat_targets++;
-    const psw::Fingerprint dir_fp = FingerprintOf(ref.pid, ref.name);
-    const std::string ikey = InodeKey(ref.pid, ref.name);
-    // Per-target agg-gate dance: the gate and inode locks are scoped to the
-    // iteration, so a slow aggregation for one target never pins another
-    // target's shard (an "i" key's shard is its own (pid, name) group, the
-    // same shard the gate routes to — no cross-shard pair is held).
-    // scattered_hint forces the dance for tracker modes whose hint channel
-    // is single-fingerprint (the batch could not pre-query N groups).
-    LockTable::Handle gate =
-        co_await GateDirRead(v, p, *req, dir_fp, req->scattered_hint);
-    auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-    co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
-    auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
-    if (!stale.empty()) {
-      // Per-target verdict, as in HandleBatchStat: healthy targets still
-      // resolve; stale_ids accumulates the union for the client.
-      resp->stale_ids.insert(resp->stale_ids.end(), stale.begin(),
-                             stale.end());
-      resp->batch_status.push_back(StatusCode::kStaleCache);
-      continue;
-    }
-    co_await cpu_.Run(costs_->kv_get);
-    auto value = v->kv.Get(ikey);
-    if (!value.has_value()) {
-      resp->batch_status.push_back(StatusCode::kNotFound);
-      continue;
-    }
-    Attr attr = Attr::Decode(*value);
-    if (!attr.is_dir()) {
-      resp->batch_status.push_back(StatusCode::kNotADirectory);
-      continue;
     }
     resp->batch_attrs[i] = attr;
     resp->batch_status.push_back(StatusCode::kOk);
@@ -1460,60 +1379,8 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-inode file ops & lookups
+// Lookups (path resolution)
 // ---------------------------------------------------------------------------
-
-sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
-  const auto* req = static_cast<const MetaReq*>(p.body.get());
-  stats_.ops++;
-  co_await cpu_.Run(costs_->op_dispatch);
-
-  const PathRef& ref = req->ref;
-  if (req->op == OpType::kClose) {
-    // close releases client-side state only; servers just acknowledge.
-    co_await cpu_.Run(costs_->reply_build);
-    RespondStatus(p, StatusCode::kOk);
-    co_return;
-  }
-
-  const std::string ikey = InodeKey(ref.pid, ref.name);
-  auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
-  auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
-  if (!stale.empty()) {
-    RespondStale(p, std::move(stale));
-    co_return;
-  }
-  co_await cpu_.Run(costs_->kv_get);
-  auto value = v->kv.Get(ikey);
-  if (!value.has_value()) {
-    RespondStatus(p, StatusCode::kNotFound);
-    co_return;
-  }
-  Attr attr = Attr::Decode(*value);
-  if (attr.type == FileType::kReference) {
-    // Hard link: the real attributes live in the shared object (§5.5).
-    Attr shared;
-    // A failed read (attributes owner unreachable) must surface: replying
-    // kOk would hand the client a default-constructed Attr.
-    Status s = co_await links_.UpdateLinkCount(
-        v, attr.id, static_cast<uint32_t>(attr.size), /*delta=*/0, &shared);
-    if (!s.ok()) {
-      RespondStatus(p, s.code());
-      co_return;
-    }
-    auto resp2 = std::make_shared<MetaResp>(StatusCode::kOk);
-    resp2->attr = shared;
-    co_await cpu_.Run(costs_->reply_build);
-    rpc_.Respond(p, resp2);
-    co_return;
-  }
-  auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
-  resp->attr = attr;
-  co_await cpu_.Run(costs_->reply_build);
-  // stat/open piggyback a cache install.
-  RespondWithInstall(p, resp, v, attr, Now());
-}
 
 sim::Task<void> SwitchServer::HandleLookup(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const LookupReq*>(p.body.get());

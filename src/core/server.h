@@ -127,31 +127,28 @@ class SwitchServer : public UpdatePublisher {
   // ---- client-facing handlers ----
   sim::Task<void> HandleUpsert(net::Packet p, VolPtr v);   // create/mkdir/delete
   sim::Task<void> HandleRmdir(net::Packet p, VolPtr v);
-  sim::Task<void> HandleDirRead(net::Packet p, VolPtr v);  // statdir/readdir
-  sim::Task<void> HandleFileOp(net::Packet p, VolPtr v);   // stat/open/close
+  // Every single-target read: stat, open, close, statdir, readdir, opendir.
+  // Directory reads pass GateDirRead first; then one shared inode lock,
+  // ancestor check and inode read; then one tail per op.
+  sim::Task<void> HandleRead(net::Packet p, VolPtr v);
   sim::Task<void> HandleLookup(net::Packet p, VolPtr v);
   // MetadataService v2: directory streams, batched lookups, attr deltas.
-  sim::Task<void> HandleOpenDir(net::Packet p, VolPtr v);
   sim::Task<void> HandleReaddirPage(net::Packet p, VolPtr v);
   sim::Task<void> HandleCloseDir(net::Packet p, VolPtr v);
   sim::Task<void> HandleBatchStat(net::Packet p, VolPtr v);
-  // BatchStat flavor for directory targets: one multi-target RPC that runs
-  // the per-target agg-gate dance (dirty check + aggregation + shared gate)
-  // before each stat, so a scan over N subdirectories costs one round trip.
-  sim::Task<void> HandleBatchStatDir(net::Packet p, VolPtr v);
   sim::Task<void> HandleSetAttr(net::Packet p, VolPtr v);
   sim::Task<void> HandleBulkInsert(net::Packet p, VolPtr v);
-  // Ensures the directory group's deferred entries are applied before a
-  // read: dirty-set check, then aggregation under the exclusive agg gate if
-  // needed; returns a held SHARED gate handle. Shared by statdir/readdir,
-  // OpenDir and BatchStatDir.
-  // `force_scattered` skips the tracker consult and treats the directory as
-  // dirty (multi-target requests whose tracker hint channel is
-  // single-fingerprint).
+  // Lands the directory group's deferred entries before a directory read
+  // (§5.2.2): dirty-set check, then an aggregation under the exclusive agg
+  // gate if needed; returns a held SHARED gate handle. A reader that saw the
+  // dirty bit skips its own aggregation only after one that STARTED after
+  // its check: every RunAggregation caller holds the exclusive gate, so
+  // under the shared gate that run has finished, and it collected every
+  // entry committed before it started. One that merely finished after the
+  // check may have snapshotted a log before the entry the bit stands for.
   sim::Task<LockTable::Handle> GateDirRead(VolPtr v, const net::Packet& p,
                                            const MetaReq& req,
-                                           psw::Fingerprint dir_fp,
-                                           bool force_scattered = false);
+                                           psw::Fingerprint dir_fp);
   // Expires an idle directory-stream session after dir_session_ttl
   // (responder-watchdog pattern; the table also expires lazily on access).
   sim::Task<void> DirSessionWatchdog(VolPtr v, uint64_t session_id);

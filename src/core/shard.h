@@ -188,8 +188,9 @@ struct SFS_SUSPENSION_SHARED ServerShard {
       changelogs;
   std::unordered_map<psw::Fingerprint, std::shared_ptr<AggWait>> agg_waits;
   std::unordered_map<psw::Fingerprint, AggSession> agg_sessions;
-  // Owner-side: completion time of the last aggregation per fingerprint.
-  std::unordered_map<psw::Fingerprint, int64_t> last_agg_complete;
+  // Owner-side: start time of the last aggregation per fingerprint, stamped
+  // before its local snapshot and dirty-set remove (read by GateDirRead).
+  std::unordered_map<psw::Fingerprint, int64_t> last_agg_start;
   // Owner-side: last push arrival per fingerprint (quiet-period timer).
   std::unordered_map<psw::Fingerprint, int64_t> last_push;
   std::unordered_set<psw::Fingerprint> quiet_timer_armed;

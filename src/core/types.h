@@ -153,9 +153,6 @@ enum class OpType : uint8_t {
   kBatchStat = 16,
   kSetAttr = 17,
   kBulkInsert = 18,
-  // BatchStat flavor whose targets are directories: the server runs the
-  // per-target agg-gate dance (dirty check + aggregation) before each stat.
-  kBatchStatDir = 19,
 };
 
 const char* OpTypeName(OpType op);

@@ -12,6 +12,9 @@
 //    are LRU-evicted past the table-wide cap,
 //  * the prefetching Readdir recovers from an owner crash with speculative
 //    pages in flight,
+//  * every single-target read (stat, open, close, statdir, readdir, opendir)
+//    returns the POSIX verdict on a directory, a file, a missing name and a
+//    missing parent,
 //  * BatchStat groups by owner and returns per-target verdicts,
 //  * BulkInsert returns per-name verdicts, batches packets, and survives
 //    owner crashes with no committed entry lost,
@@ -23,6 +26,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/baseline.h"
@@ -226,21 +230,42 @@ TEST_P(ApiV2Suite, PagedStreamMatchesListingAndBoundsPages) {
   EXPECT_EQ(via_readdir, expected);
 }
 
-TEST_P(ApiV2Suite, OpenDirErrorsMatchPosix) {
+TEST_P(ApiV2Suite, ReadVerdictsMatchPosix) {
+  // Every single-target read against a directory, a file, a missing name
+  // and a missing parent. Close only releases client state, so it succeeds
+  // wherever the parent resolves.
   V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
-  Status missing = InternalError("not run");
-  Status nondir = InternalError("not run");
-  fs.Run([](MetadataService* c, Status* missing,
-            Status* nondir) -> sim::Task<void> {
-    auto h1 = co_await c->OpenDir("/absent");
-    *missing = h1.ok() ? OkStatus() : h1.status();
-    auto h2 = co_await c->OpenDir("/d/f");
-    *nondir = h2.ok() ? OkStatus() : h2.status();
-  }(fs.client.get(), &missing, &nondir));
-  EXPECT_EQ(missing.code(), StatusCode::kNotFound);
-  EXPECT_EQ(nondir.code(), StatusCode::kNotADirectory);
+  constexpr StatusCode kOk = StatusCode::kOk;
+  constexpr StatusCode kMissing = StatusCode::kNotFound;
+  constexpr StatusCode kNotDir = StatusCode::kNotADirectory;
+  // Columns: Stat, Open, Close, StatDir, Readdir, OpenDir.
+  const std::vector<std::pair<std::string, std::vector<StatusCode>>> table = {
+      {"/d", {kOk, kOk, kOk, kOk, kOk, kOk}},
+      {"/d/f", {kOk, kOk, kOk, kNotDir, kNotDir, kNotDir}},
+      {"/d/absent", {kMissing, kMissing, kOk, kMissing, kMissing, kMissing}},
+      {"/absent", {kMissing, kMissing, kOk, kMissing, kMissing, kMissing}},
+      {"/absent/x",
+       {kMissing, kMissing, kMissing, kMissing, kMissing, kMissing}},
+  };
+  for (const auto& [path, want] : table) {
+    std::vector<StatusCode> got;
+    fs.Run([](MetadataService* c, std::string path,
+              std::vector<StatusCode>* got) -> sim::Task<void> {
+      got->push_back((co_await c->Stat(path)).status().code());
+      got->push_back((co_await c->Open(path)).status().code());
+      got->push_back((co_await c->Close(path)).code());
+      got->push_back((co_await c->StatDir(path)).status().code());
+      got->push_back((co_await c->Readdir(path)).status().code());
+      auto handle = co_await c->OpenDir(path);
+      got->push_back(handle.status().code());
+      if (handle.ok()) {
+        (void)co_await c->CloseDir(*handle);
+      }
+    }(fs.client.get(), path, &got));
+    EXPECT_EQ(got, want) << path;
+  }
 }
 
 TEST_P(ApiV2Suite, SessionExpiryYieldsStaleHandle) {

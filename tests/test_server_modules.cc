@@ -921,8 +921,8 @@ TEST(AggregationModule, GateAndAggregateDrainsLocalChangeLog) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(h.durable.wal.records()[i].applied) << "lsn " << i;
   }
-  // The read path's freshness check sees the completed aggregation.
-  EXPECT_EQ(h.vol->ShardFor(fp).last_agg_complete.count(fp), 1u);
+  // The read path's freshness check sees the aggregation's start.
+  EXPECT_EQ(h.vol->ShardFor(fp).last_agg_start.count(fp), 1u);
 }
 
 // ROADMAP fault path: a responder session whose initiator goes silent (it

@@ -339,6 +339,117 @@ TEST(SwitchFsFault, UnlinkedEntryStaysGoneAfterRenameBack) {
   EXPECT_EQ(sd->size, 1u);
 }
 
+// Once armed, holds the first AggEntries reply addressed to `initiator`, so
+// that server's aggregation stays in flight until Release re-injects it.
+class HoldFirstAggEntries : public net::SwitchBehavior {
+ public:
+  HoldFirstAggEntries(net::SwitchBehavior* inner, net::NodeId initiator)
+      : inner_(inner), initiator_(initiator) {}
+
+  std::vector<net::Packet> Process(net::Packet p) override {
+    std::vector<net::Packet> out = inner_->Process(std::move(p));
+    auto reply =
+        std::find_if(out.begin(), out.end(), [&](const net::Packet& q) {
+          return q.dst == initiator_ &&
+                 net::MsgAs<AggEntries>(q.body) != nullptr;
+        });
+    if (armed && !held && reply != out.end()) {
+      packet_ = std::move(*reply);
+      out.erase(reply);
+      held = true;
+    }
+    return out;
+  }
+  sim::SimTime PipelineDelay() const override {
+    return inner_->PipelineDelay();
+  }
+
+  void Release(net::Network& network) {
+    if (held) {
+      network.Send(std::move(packet_));
+    }
+  }
+
+  bool armed = false;
+  bool held = false;
+
+ private:
+  net::SwitchBehavior* inner_;
+  net::NodeId initiator_;
+  net::Packet packet_;
+};
+
+struct InFlightAggregationRun {
+  Status other_created = InternalError("not run");
+  Status mine_created = InternalError("not run");
+  StatusOr<std::vector<DirEntry>> peer_listing = InternalError("not run");
+  StatusOr<std::vector<DirEntry>> listing = InternalError("not run");
+};
+
+sim::Task<void> ReaddirInto(SwitchFsClient* c, std::string path,
+                            StatusOr<std::vector<DirEntry>>* out) {
+  *out = co_await c->Readdir(path);
+}
+
+// The peer scatters /d with `other` and starts a readdir whose aggregation
+// the hold keeps in flight; 5 µs later the harness client creates `mine`
+// and lists /d; 30 µs after that the held reply is released.
+sim::Task<void> CreateDuringAggregation(FsHarness* fs, SwitchFsClient* peer,
+                                        HoldFirstAggEntries* hold,
+                                        std::string other, std::string mine,
+                                        InFlightAggregationRun* run) {
+  run->other_created = co_await peer->Create("/d/" + other);
+  hold->armed = true;
+  sim::Spawn(ReaddirInto(peer, "/d", &run->peer_listing));
+  co_await sim::Delay(&fs->cluster.sim(), sim::Microseconds(5));
+  run->mine_created = co_await fs->client->Create("/d/" + mine);
+  sim::Spawn(ReaddirInto(fs->client.get(), "/d", &run->listing));
+  co_await sim::Delay(&fs->cluster.sim(), sim::Microseconds(30));
+  hold->Release(fs->cluster.network());
+}
+
+TEST(SwitchFsFault, ReaddirListsOwnCreateCommittedDuringAggregation) {
+  // A create commits at /d's owner after the owner's in-flight aggregation
+  // took its local snapshot, and sets the dirty bit again. The creator's
+  // next readdir queues behind that aggregation; it may skip its own only
+  // after an aggregation that STARTED after its dirty-set check (§5.2.2).
+  // Long push timers keep every entry deferred until a read collects it.
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.server_template.push_idle_timeout = sim::Seconds(100);
+  cfg.server_template.owner_quiet_period = sim::Seconds(100);
+  cfg.server_template.push_mtu_entries = 1000000;
+  FsHarness fs(cfg);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  auto d = fs.StatDir("/d");
+  ASSERT_TRUE(d.ok());
+  const uint32_t owner = fs.cluster.ring().Owner(FingerprintOf(RootId(), "d"));
+  // `mine` must live at /d's owner: a remote create would wait on its
+  // server's shared change-log lock until the aggregation's AggDone, but
+  // the owner snapshots its own logs once, without holding that lock.
+  std::string mine;
+  std::string other;
+  for (int i = 0; mine.empty() || other.empty(); ++i) {
+    const std::string name = "n" + std::to_string(i);
+    const bool at_owner =
+        fs.cluster.ring().Owner(FingerprintOf(d->id, name)) == owner;
+    (at_owner ? mine : other) = name;
+  }
+
+  HoldFirstAggEntries hold(fs.cluster.data_plane(),
+                           fs.cluster.ServerNode(owner));
+  fs.cluster.network().SetSwitch(&hold);
+  std::unique_ptr<SwitchFsClient> peer = fs.cluster.MakeClient();
+  InFlightAggregationRun run;
+  fs.Run(CreateDuringAggregation(&fs, peer.get(), &hold, other, mine, &run));
+  ASSERT_TRUE(run.other_created.ok());
+  ASSERT_TRUE(run.mine_created.ok());
+  EXPECT_TRUE(hold.held);
+  EXPECT_EQ(Names(run.peer_listing).count(other), 1u);
+  ASSERT_TRUE(run.listing.ok()) << run.listing.status().ToString();
+  EXPECT_EQ(Names(run.listing), (std::set<std::string>{mine, other}))
+      << "readdir missed the caller's own create";
+}
+
 TEST(SwitchFsFault, CrashBeforeAggregationDoesNotLoseDeferredUpdates) {
   // Crash a server while its change-logs still hold un-applied entries; the
   // WAL must rebuild them and recovery must flush them (§A.1).

@@ -72,6 +72,54 @@ TEST(SwitchFsOps, ReaddirListsAllCreatedFiles) {
   EXPECT_EQ(sd->size, 25u);
 }
 
+TEST(SwitchFsOps, MonolithicReaddirAppliesDeferredEntriesFirst) {
+  // Long push timers keep every create's parent update deferred, so only
+  // the read's own aggregation (§5.2.2) can put the entries in the listing.
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.server_template.push_idle_timeout = sim::Seconds(100);
+  cfg.server_template.owner_quiet_period = sim::Seconds(100);
+  cfg.server_template.push_mtu_entries = 1000000;
+  FsHarness fs(cfg);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  std::vector<Status> results(12, InternalError(""));
+  sim::Spawn([](SwitchFsClient* c, std::vector<Status>* out) -> sim::Task<void> {
+    for (size_t i = 0; i < out->size(); ++i) {
+      (*out)[i] = co_await c->Create("/d/f" + std::to_string(i));
+    }
+  }(fs.client.get(), &results));
+  fs.cluster.sim().RunUntil(fs.cluster.sim().Now() + sim::Milliseconds(50));
+  for (const Status& s : results) {
+    ASSERT_TRUE(s.ok());
+  }
+  ASSERT_GT(fs.cluster.TotalPendingChangeLogEntries(), 0u);
+
+  StatusOr<std::vector<DirEntry>> monolithic = InternalError("not run");
+  StatusOr<std::vector<DirEntry>> paged = InternalError("not run");
+  StatusOr<std::vector<DirEntry>> of_file = InternalError("not run");
+  sim::Spawn([](SwitchFsClient* c, StatusOr<std::vector<DirEntry>>* mono,
+                StatusOr<std::vector<DirEntry>>* paged,
+                StatusOr<std::vector<DirEntry>>* file) -> sim::Task<void> {
+    *mono = co_await c->ReaddirMonolithic("/d");
+    *paged = co_await c->Readdir("/d");
+    *file = co_await c->ReaddirMonolithic("/d/f0");
+  }(fs.client.get(), &monolithic, &paged, &of_file));
+  fs.cluster.sim().Run();
+  std::set<std::string> expected;
+  for (size_t i = 0; i < results.size(); ++i) {
+    expected.insert("f" + std::to_string(i));
+  }
+  for (const auto* listing : {&monolithic, &paged}) {
+    ASSERT_TRUE(listing->ok()) << listing->status().ToString();
+    std::set<std::string> got;
+    for (const DirEntry& e : **listing) {
+      got.insert(e.name);
+    }
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ((*listing)->size(), expected.size());  // no duplicates
+  }
+  EXPECT_EQ(of_file.status().code(), StatusCode::kNotADirectory);
+}
+
 TEST(SwitchFsOps, CreateExistingFails) {
   FsHarness fs;
   ASSERT_TRUE(fs.Mkdir("/a").ok());
