@@ -23,8 +23,26 @@ counts for neither side; "better" gives the direction) and a verdict:
                       better than every REF run
     within bound      otherwise
 
-plus each side's failed/attempted ops summed over its runs. Exits 0 only
-when every verdict is "within bound" and no op failed on either side.
+plus each side's failed/attempted ops summed over its runs.
+
+    scripts/perf_ab.py --against HEAD~1 --workloads stat_skew \
+        --claim peak_rss_mb@stat_skew
+
+--claim METRIC@WORKLOAD also says whether the runs show a claimed gain in
+one end-to-end metric on one of the --workloads. The gain is shown when the
+change wins at least nine tenths of the pairs (a tie counts for neither
+side) and the medians differ in the better direction by more than REF's
+interquartile range. One line after that workload's table gives the
+verdict ("shown" or "not shown"), the wins, the median change and REF's
+interquartile range, both relative to REF's median.
+
+Exits 0 only when every verdict is "within bound", no op failed on either
+side, and a claimed gain is shown.
+
+    scripts/perf_ab.py --selftest
+
+checks the verdict and claim rules on canned values, without building or
+running anything.
 """
 
 import argparse
@@ -95,16 +113,84 @@ def verdict(bound, sign, parent, change):
     return "within bound"
 
 
+def wins(sign, parent, change):
+    """Pairs the change reads better in; a tie counts for neither side."""
+    return sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+
+
+def percent(value, base, spec="+.1f"):
+    return f"{100 * value / abs(base):{spec}}%" if base else "n/a"
+
+
+def claim(sign, parent, change):
+    """(shown, detail) for a claimed gain; sign is +1 when higher is better."""
+    p_med, p_q1, p_q3 = summary(parent)
+    c_med = summary(change)[0]
+    won = wins(sign, parent, change)
+    shown = 10 * won >= 9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
+    detail = (f"{won}/{len(parent)} wins, median {percent(c_med - p_med, p_med)}, "
+              f"parent IQR {percent(p_q3 - p_q1, p_med, '.2g')}")
+    return shown, detail
+
+
+def selftest():
+    """Checks verdict() and claim() on canned values; returns an exit code."""
+    parent = [100 + 0.1 * i for i in range(10)]
+    lower = [p - 50 for p in parent]
+    wide = [90, 95, 100, 105, 110] * 2
+    cases = [
+        ("10/10 wins outside the IQR is shown",
+         claim(-1, parent, lower)[0], True),
+        ("higher-is-better 10/10 wins outside the IQR is shown",
+         claim(1, parent, [p + 50 for p in parent])[0], True),
+        ("8/10 wins is not shown",
+         claim(-1, parent, lower[:8] + [p + 1 for p in parent[8:]])[0], False),
+        ("a gap inside the IQR is not shown",
+         claim(-1, wide, [p - 1 for p in wide])[0], False),
+        ("a tie is no win: 9 wins and 1 tie is shown",
+         claim(-1, parent, lower[:9] + parent[9:])[0], True),
+        ("a tie is no win: 8 wins and 2 ties is not shown",
+         claim(-1, parent, lower[:8] + parent[8:])[0], False),
+        ("a tie is no loss", wins(-1, parent, parent), 0),
+        ("worse than bound",
+         verdict(0.1, -1, parent, [p * 1.2 for p in parent]), "worse than bound"),
+        ("a spread wider than the bound is unresolved",
+         verdict(0.01, -1, wide, wide), "unresolved"),
+        ("every change run better than every REF run resolves a wide spread",
+         verdict(0.01, -1, wide, [p - 100 for p in wide]), "within bound"),
+        ("within bound", verdict(0.1, 1, parent, parent), "within bound"),
+    ]
+    failed = [name for name, got, want in cases if got != want]
+    for name in failed:
+        print(f"perf_ab selftest: FAILED: {name}")
+    print(f"perf_ab selftest: {len(cases) - len(failed)}/{len(cases)} passed")
+    return 1 if failed else 0
+
+
 def main():
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, metavar="REF")
+    parser.add_argument("--against", metavar="REF")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--claim", metavar="METRIC@WORKLOAD")
+    parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()
+    if args.selftest:
+        return selftest()
+    if args.against is None:
+        parser.error("--against is required")
+    claimed = None
+    if args.claim is not None:
+        claimed = tuple(args.claim.split("@", 1))
+        if len(claimed) != 2 or claimed[0] not in metrics:
+            parser.error(f"--claim: METRIC must be one of {', '.join(metrics)}")
+        if claimed[1] not in args.workloads:
+            parser.error(f"--claim: WORKLOAD must be one of {', '.join(args.workloads)}")
 
     change_target = Path(os.environ.get("CARGO_TARGET_DIR") or
                          REPO / ".bench_build").resolve()
@@ -137,7 +223,6 @@ def main():
                 parent = [r["metrics"][name]["value"] for r in results["parent"]]
                 change = [r["metrics"][name]["value"] for r in results["change"]]
                 sign = 1 if metric["better"] == "higher" else -1
-                wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
                 text = verdict(metric["bound"], sign, parent, change)
                 ok = ok and text == "within bound"
                 cells = []
@@ -145,12 +230,19 @@ def main():
                     med, q1, q3 = summary(values)
                     cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
                 print(f"  {name:<16} {cells[0]:>30} {cells[1]:>30}  "
-                      f"{wins:>2}/{args.pairs}  {text}")
+                      f"{wins(sign, parent, change):>2}/{args.pairs}  {text}")
+                if claimed == (name, workload):
+                    shown, detail = claim(sign, parent, change)
+                    ok = ok and shown
+                    claim_line = (f"claim {args.claim}: "
+                                  f"{'shown' if shown else 'not shown'} ({detail})")
             for side in ("parent", "change"):
                 failed = sum(r["failed"] for r in results[side])
                 attempted = sum(r["attempted"] for r in results[side])
                 ok = ok and failed == 0
                 print(f"  {side} failed/attempted ops: {failed}/{attempted}")
+            if claimed is not None and claimed[1] == workload:
+                print(claim_line)
     return 0 if ok else 1
 
 

@@ -1552,13 +1552,17 @@ std::unique_ptr<core::MetadataService> BaselineCluster::NewClient(bool warm) {
   auto client = std::make_unique<BaselineClient>(&sim_, net_.get(), this,
                                                  &config_.costs);
   if (warm) {
-    for (const auto& [path, dir] : preloaded_) {
-      CachedDir entry;
-      entry.id = dir.id;
-      entry.mode = 0755;
-      entry.ancestors = dir.ancestors;
-      client->WarmCache(path, entry);
+    if (warm_set_ == nullptr) {
+      auto set = std::make_shared<core::WarmSet>();
+      for (const auto& [path, dir] : preloaded_) {
+        CachedDir& entry = (*set)[path];
+        entry.id = dir.id;
+        entry.mode = 0755;
+        entry.ancestors = dir.ancestors;
+      }
+      warm_set_ = std::move(set);
     }
+    client->WarmCache(warm_set_);
   }
   return client;
 }
@@ -1607,6 +1611,7 @@ void BaselineCluster::PreloadDir(const std::string& path) {
   servers_[placement_->DirServer(parent.id, parent.top)]->PreloadEntry(
       parent.id, name, FileType::kDirectory);
   preloaded_[path] = dir;
+  warm_set_.reset();
   BumpPreloadedDirSize(parent_path);
 }
 

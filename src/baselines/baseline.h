@@ -237,8 +237,10 @@ class BaselineClient : public core::MetadataService {
   sim::Task<Status> Rename(const std::string& from,
                            const std::string& to) override;
 
-  void WarmCache(const std::string& path, const core::CachedDir& entry) {
-    cache_.Put(path, entry);
+  // Seeds the cache with the cluster's preloaded directories (shared, not
+  // copied).
+  void WarmCache(std::shared_ptr<const core::WarmSet> set) {
+    cache_.Warm(std::move(set));
   }
 
  private:
@@ -317,6 +319,9 @@ class BaselineCluster : public core::FsWorld {
   std::unique_ptr<BaselinePlacement> placement_;
   std::vector<std::unique_ptr<BaselineServer>> servers_;
   std::unordered_map<std::string, PreloadedDir> preloaded_;
+  // preloaded_ as cache entries; built by NewClient(true), dropped by
+  // PreloadDir.
+  std::shared_ptr<const core::WarmSet> warm_set_;
 };
 
 }  // namespace switchfs::baselines

@@ -44,35 +44,16 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     v->inval.Add(*invalidate, ctx_.Now());
   }
 
-  // Local snapshot: our own change-logs belong to the collection too. The
-  // shared lock serializes against in-flight double-inode ops (Fig 20).
-  {
-    LockTable::Handle local_lock;
-    if (fp != held_cl_fp) {
-      local_lock =
-          co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
-    }
-    auto it = v->ShardFor(fp).changelogs.find(fp);
-    if (it != v->ShardFor(fp).changelogs.end()) {
-      for (auto& [dir, log] : it->second) {
-        if (log.empty()) {
-          continue;
-        }
-        AggEntries::PerDir pd;
-        pd.dir = dir;
-        pd.entries.assign(log.pending().begin(), log.pending().end());
-        w->collected.push_back(std::move(pd));
-        w->collected_src.push_back(ctx_.config->index);
-      }
-    }
-  }
+  co_await SnapshotOwnLogs(v, fp, held_cl_fp, w);
 
   // Remove the fingerprint and multicast the collect request; retry with a
-  // fresh sequence number until every server has replied (§5.4.1).
+  // fresh sequence number until every server has replied (§5.4.1). Each
+  // retry removes the bit again, so it snapshots our own logs again first.
   bool complete = w->pending.empty();
   for (int attempt = 0; attempt <= kAggMaxRetries && !complete; ++attempt) {
     if (attempt > 0) {
       ctx_.stats->agg_retries++;
+      co_await SnapshotOwnLogs(v, fp, held_cl_fp, w);
     }
     const uint64_t seq = ++ctx_.durable->remove_seq;
     w->seq = seq;
@@ -415,6 +396,44 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       ctx_.wan_sink->OnEntryApplied(we);
     }
   }
+}
+
+// Our own change-logs belong to the collection too. The shared lock
+// serializes against in-flight double-inode ops (Fig 20); the sections an
+// earlier call took are replaced without a suspension in between, so the
+// collection holds exactly what our logs held once the lock was granted.
+sim::Task<void> Aggregation::SnapshotOwnLogs(
+    VolPtr v, psw::Fingerprint fp, psw::Fingerprint held_cl_fp,
+    std::shared_ptr<ServerVolatile::AggWait> w) {
+  LockTable::Handle local_lock;
+  if (fp != held_cl_fp) {
+    local_lock =
+        co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
+  }
+  const uint32_t self = ctx_.config->index;
+  std::vector<AggEntries::PerDir> collected;
+  std::vector<uint32_t> collected_src;
+  for (size_t i = 0; i < w->collected.size(); ++i) {
+    if (w->collected_src[i] != self) {
+      collected.push_back(std::move(w->collected[i]));
+      collected_src.push_back(w->collected_src[i]);
+    }
+  }
+  auto it = v->ShardFor(fp).changelogs.find(fp);
+  if (it != v->ShardFor(fp).changelogs.end()) {
+    for (auto& [dir, log] : it->second) {
+      if (log.empty()) {
+        continue;
+      }
+      AggEntries::PerDir pd;
+      pd.dir = dir;
+      pd.entries.assign(log.pending().begin(), log.pending().end());
+      collected.push_back(std::move(pd));
+      collected_src.push_back(self);
+    }
+  }
+  w->collected = std::move(collected);
+  w->collected_src = std::move(collected_src);
 }
 
 // ---------------------------------------------------------------------------

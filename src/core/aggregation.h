@@ -15,6 +15,7 @@
 #define SRC_CORE_AGGREGATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,6 +79,11 @@ class Aggregation {
   void HandleAggEntries(net::Packet p, VolPtr v);  // at initiator
 
  private:
+  // Takes the owner's own change-log sections for `fp` into `w`, in place of
+  // those an earlier call took.
+  sim::Task<void> SnapshotOwnLogs(VolPtr v, psw::Fingerprint fp,
+                                  psw::Fingerprint held_cl_fp,
+                                  std::shared_ptr<ServerVolatile::AggWait> w);
   sim::Task<void> ResponderSessionWatchdog(VolPtr v, psw::Fingerprint fp,
                                            uint64_t seq);
 

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/client_cache.h"
@@ -104,9 +105,10 @@ class SwitchFsClient : public MetadataService {
   ClientCache& cache() { return cache_; }
   net::RpcEndpoint& rpc() { return rpc_; }
 
-  // Seeds a cache entry (bench warm-up fast path).
-  void WarmCache(const std::string& path, const CachedDir& entry) {
-    cache_.Put(path, entry);
+  // Seeds the cache with a cluster's preloaded directories (shared, not
+  // copied).
+  void WarmCache(std::shared_ptr<const WarmSet> set) {
+    cache_.Warm(std::move(set));
   }
 
  private:

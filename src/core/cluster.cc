@@ -260,6 +260,7 @@ const Cluster::PreloadedDir& Cluster::PreloadMkdir(const std::string& path) {
   servers_[ring_.Owner(parent.fp)]->PreloadEntry(parent.id, name,
                                                  FileType::kDirectory);
   const PreloadedDir& result = preloaded_[path] = dir;
+  warm_set_.reset();
   BumpPreloadedDirSize(parent_path);
   return result;
 }
@@ -290,17 +291,21 @@ const Cluster::PreloadedDir* Cluster::preloaded(const std::string& path) const {
   return it == preloaded_.end() ? nullptr : &it->second;
 }
 
-void Cluster::WarmClient(SwitchFsClient& client) const {
-  for (const auto& [path, dir] : preloaded_) {
-    CachedDir entry;
-    entry.id = dir.id;
-    entry.fp = dir.fp;
-    entry.mode = 0755;
-    for (const InodeId& a : dir.ancestors) {
-      entry.ancestors.push_back(AncestorRef{a, 0});
+void Cluster::WarmClient(SwitchFsClient& client) {
+  if (warm_set_ == nullptr) {
+    auto set = std::make_shared<WarmSet>();
+    for (const auto& [path, dir] : preloaded_) {
+      CachedDir& entry = (*set)[path];
+      entry.id = dir.id;
+      entry.fp = dir.fp;
+      entry.mode = 0755;
+      for (const InodeId& a : dir.ancestors) {
+        entry.ancestors.push_back(AncestorRef{a, 0});
+      }
     }
-    client.WarmCache(path, entry);
+    warm_set_ = std::move(set);
   }
+  client.WarmCache(warm_set_);
 }
 
 void Cluster::SetWanSink(WanSink* sink) {

@@ -117,8 +117,9 @@ class Cluster : public ClusterContext, public FsWorld {
   const PreloadedDir& PreloadMkdir(const std::string& path);
   void PreloadFile(const std::string& path);
   const PreloadedDir* preloaded(const std::string& path) const;
-  // Seeds a client's path cache with every preloaded directory.
-  void WarmClient(SwitchFsClient& client) const;
+  // Seeds a client's path cache with every preloaded directory. Clients
+  // warmed between two PreloadMkdirs share one WarmSet.
+  void WarmClient(SwitchFsClient& client);
 
   // --- WAN replication wiring (src/wan/) ---
   // Points every server's capture hook at the cluster's replicator (null
@@ -154,6 +155,8 @@ class Cluster : public ClusterContext, public FsWorld {
   std::vector<std::unique_ptr<SwitchServer>> servers_;
   HashRing ring_;
   std::unordered_map<std::string, PreloadedDir> preloaded_;
+  // preloaded_ as cache entries; built by WarmClient, dropped by PreloadMkdir.
+  std::shared_ptr<const WarmSet> warm_set_;
   WanSink* wan_sink_ = nullptr;
   std::vector<const ServerStats*> extra_stats_;
 };

@@ -203,7 +203,7 @@ TEST_P(BaselineSuite, PreloadIsProtocolConsistent) {
   for (int i = 0; i < 20; ++i) {
     fs.cluster->PreloadFileAt("/data/img" + std::to_string(i));
   }
-  auto warm = fs.cluster->NewClient(true);
+  fs.client = fs.cluster->NewClient(true);
   auto sd = fs.StatDir("/data");
   ASSERT_TRUE(sd.ok());
   EXPECT_EQ(sd->size, 20u);

@@ -4,11 +4,15 @@
 // consistent-hash placement, and the server counter sum.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/strings.h"
 #include "src/core/change_log.h"
 #include "src/core/client_cache.h"
 #include "src/core/invalidation.h"
@@ -129,6 +133,165 @@ TEST(ClientCache, InvalidateIdDropsDependentEntries) {
   EXPECT_EQ(cache.Get("/a"), nullptr);
   EXPECT_EQ(cache.Get("/a/b"), nullptr);
   EXPECT_NE(cache.Get("/c"), nullptr);
+}
+
+// The reference model: every entry in one private map.
+class PrivateMapCache {
+ public:
+  const CachedDir* Get(const std::string& path) const {
+    auto it = map_.find(path);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+  void Put(const std::string& path, CachedDir entry) {
+    map_[path] = std::move(entry);
+  }
+  void ErasePath(const std::string& path) { map_.erase(path); }
+  size_t InvalidateId(const InodeId& id) {
+    size_t dropped = 0;
+    for (auto it = map_.begin(); it != map_.end();) {
+      bool hit = false;
+      for (const AncestorRef& a : it->second.ancestors) {
+        hit = hit || a.id == id;
+      }
+      if (hit) {
+        it = map_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    return dropped;
+  }
+  size_t size() const { return map_.size(); }
+
+ private:
+  std::unordered_map<std::string, CachedDir> map_;
+};
+
+void ExpectSameEntry(const CachedDir* got, const CachedDir* want,
+                     const std::string& path) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << path;
+  if (got == nullptr) {
+    return;
+  }
+  EXPECT_EQ(got->id, want->id) << path;
+  EXPECT_EQ(got->fp, want->fp) << path;
+  ASSERT_EQ(got->ancestors.size(), want->ancestors.size()) << path;
+  for (size_t i = 0; i < got->ancestors.size(); ++i) {
+    EXPECT_EQ(got->ancestors[i].id, want->ancestors[i].id) << path;
+    EXPECT_EQ(got->ancestors[i].cached_at, want->ancestors[i].cached_at)
+        << path;
+  }
+}
+
+InodeId TestId(uint64_t n) {
+  InodeId id;
+  id.w[0] = n;
+  return id;
+}
+
+TEST(ClientCache, WarmSetBehavesLikePrivatePuts) {
+  // "/", /a0../a9 and /aI/b0../aI/b2, each with its ancestor chain.
+  std::vector<std::string> paths = {"/"};
+  std::vector<InodeId> ids = {RootId()};
+  auto set = std::make_shared<WarmSet>();
+  (*set)["/"] = CachedDir{RootId(), 1, 0755, {{RootId(), 0}}};
+  for (int i = 0; i < 10; ++i) {
+    const std::string a = "/a" + std::to_string(i);
+    const InodeId aid = TestId(100 + i);
+    CachedDir da{aid, 100u + i, 0755, {{RootId(), 0}, {aid, 0}}};
+    for (int j = 0; j < 3; ++j) {
+      const std::string b = a + "/b" + std::to_string(j);
+      const InodeId bid = TestId(1000 + 10 * i + j);
+      CachedDir db = da;
+      db.id = bid;
+      db.fp = 1000u + 10 * i + j;
+      db.ancestors.push_back({bid, 0});
+      (*set)[b] = db;
+      paths.push_back(b);
+      ids.push_back(bid);
+    }
+    (*set)[a] = da;
+    paths.push_back(a);
+    ids.push_back(aid);
+  }
+  // Paths outside the set; Puts give them fresh ids.
+  for (const char* p : {"/a0/b3", "/a9/b9", "/c0", "/c1", "/c0/d"}) {
+    paths.push_back(p);
+  }
+  // The midway set changes /a3's fingerprint, adds /c1 and lacks /a7/b1 and
+  // /a8.
+  auto set2 = std::make_shared<WarmSet>(*set);
+  (*set2)["/a3"].fp = 7777;
+  set2->erase("/a7/b1");
+  set2->erase("/a8");
+  (*set2)["/c1"] = CachedDir{TestId(50), 50, 0755, {{RootId(), 0},
+                                                   {TestId(50), 0}}};
+  ids.push_back(TestId(50));
+
+  ClientCache cache;
+  PrivateMapCache ref;
+  auto warm_ref = [&ref](const WarmSet& s) {
+    for (const auto& [path, entry] : s) {
+      ref.Put(path, entry);
+    }
+  };
+  // As a client does: its constructor Puts "/", then it is warmed.
+  cache.Put("/", set->at("/"));
+  ref.Put("/", set->at("/"));
+  cache.Warm(set);
+  warm_ref(*set);
+  ClientCache untouched;
+  untouched.Warm(set);
+
+  switchfs::Rng rng(11);
+  uint64_t next_id = 5000;
+  for (int op = 0; op < 5000; ++op) {
+    const std::string& path = paths[rng.NextBelow(paths.size())];
+    const uint64_t kind = rng.NextBelow(100);
+    if (op == 2500) {
+      // Re-warming from `set` shows all of it again; `set2` then drops
+      // /a7/b1 and /a8 while they are visible, so they stay as if Put.
+      for (const auto& s : {set, set2}) {
+        cache.Warm(s);
+        warm_ref(*s);
+        ASSERT_EQ(cache.size(), ref.size()) << op;
+      }
+    } else if (kind < 40) {
+      ExpectSameEntry(cache.Get(path), ref.Get(path), path);
+    } else if (kind < 70) {
+      // Chain through the parent's current entry when there is one, so later
+      // invalidations of the parent reach the new entry.
+      const std::string parent(ParentPath(path));
+      const CachedDir* p = path == "/" ? nullptr : ref.Get(parent);
+      CachedDir entry;
+      entry.id = TestId(next_id++);
+      entry.fp = rng.Next();
+      entry.ancestors = p == nullptr
+                            ? std::vector<AncestorRef>{{RootId(), 0}}
+                            : p->ancestors;
+      entry.ancestors.push_back({entry.id, static_cast<int64_t>(op)});
+      ids.push_back(entry.id);
+      cache.Put(path, entry);
+      ref.Put(path, entry);
+    } else if (kind < 90) {
+      cache.ErasePath(path);
+      ref.ErasePath(path);
+    } else {
+      const InodeId& id = ids[rng.NextBelow(ids.size())];
+      ASSERT_EQ(cache.InvalidateId(id), ref.InvalidateId(id)) << op;
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << op;
+    for (const std::string& p : paths) {
+      ExpectSameEntry(cache.Get(p), ref.Get(p), p);
+    }
+  }
+
+  // The shared set is never written through a client.
+  EXPECT_EQ(untouched.size(), set->size());
+  for (const auto& [path, entry] : *set) {
+    ExpectSameEntry(untouched.Get(path), &entry, path);
+  }
 }
 
 TEST(Invalidation, TimestampOrderingGovernsStaleness) {

@@ -450,6 +450,109 @@ TEST(SwitchFsFault, ReaddirListsOwnCreateCommittedDuringAggregation) {
       << "readdir missed the caller's own create";
 }
 
+// Once armed, drops every copy of the AggEntries reply `responder` sends
+// `initiator` for the first collect round it sees, so the initiator's
+// aggregation times out and retries that round.
+class DropFirstAggEntries : public net::SwitchBehavior {
+ public:
+  DropFirstAggEntries(net::SwitchBehavior* inner, net::NodeId responder,
+                      net::NodeId initiator)
+      : inner_(inner), responder_(responder), initiator_(initiator) {}
+
+  std::vector<net::Packet> Process(net::Packet p) override {
+    std::vector<net::Packet> out = inner_->Process(std::move(p));
+    if (!armed) {
+      return out;
+    }
+    auto lost = [&](const net::Packet& q) {
+      const auto* reply = net::MsgAs<AggEntries>(q.body);
+      if (reply == nullptr || q.src != responder_ || q.dst != initiator_) {
+        return false;
+      }
+      if (!seq_.has_value()) {
+        seq_ = reply->agg_seq;
+      }
+      return reply->agg_seq == *seq_;
+    };
+    const auto kept = std::remove_if(out.begin(), out.end(), lost);
+    dropped += out.end() - kept;
+    out.erase(kept, out.end());
+    return out;
+  }
+  sim::SimTime PipelineDelay() const override {
+    return inner_->PipelineDelay();
+  }
+
+  bool armed = false;
+  int64_t dropped = 0;
+
+ private:
+  net::SwitchBehavior* inner_;
+  net::NodeId responder_;
+  net::NodeId initiator_;
+  std::optional<uint64_t> seq_;
+};
+
+// The peer scatters /d with `other` and starts a readdir whose first collect
+// round `drop` loses; 5 µs later the harness client creates `mine`, and 3 ms
+// later, after the owner's collect retry, it lists /d.
+sim::Task<void> CreateBetweenCollectAttempts(FsHarness* fs,
+                                             SwitchFsClient* peer,
+                                             DropFirstAggEntries* drop,
+                                             std::string other,
+                                             std::string mine,
+                                             InFlightAggregationRun* run) {
+  run->other_created = co_await peer->Create("/d/" + other);
+  drop->armed = true;
+  sim::Spawn(ReaddirInto(peer, "/d", &run->peer_listing));
+  co_await sim::Delay(&fs->cluster.sim(), sim::Microseconds(5));
+  run->mine_created = co_await fs->client->Create("/d/" + mine);
+  co_await sim::Delay(&fs->cluster.sim(), sim::Milliseconds(3));
+  run->listing = co_await fs->client->Readdir("/d");
+}
+
+TEST(SwitchFsFault, ReaddirListsOwnCreateCommittedBetweenCollectAttempts) {
+  // A collect retry removes /d's dirty bit again, so it must also collect
+  // what the owner's own logs took since its first snapshot: here, a create
+  // at the owner committed while the first round's reply was being lost.
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.server_template.push_idle_timeout = sim::Seconds(100);
+  cfg.server_template.owner_quiet_period = sim::Seconds(100);
+  cfg.server_template.push_mtu_entries = 1000000;
+  FsHarness fs(cfg);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  auto d = fs.StatDir("/d");
+  ASSERT_TRUE(d.ok());
+  const uint32_t owner = fs.cluster.ring().Owner(FingerprintOf(RootId(), "d"));
+  std::string mine;
+  std::string other;
+  for (int i = 0; mine.empty() || other.empty(); ++i) {
+    const std::string name = "n" + std::to_string(i);
+    const bool at_owner =
+        fs.cluster.ring().Owner(FingerprintOf(d->id, name)) == owner;
+    (at_owner ? mine : other) = name;
+  }
+  const uint32_t other_server =
+      fs.cluster.ring().Owner(FingerprintOf(d->id, other));
+
+  DropFirstAggEntries drop(fs.cluster.data_plane(),
+                           fs.cluster.ServerNode(other_server),
+                           fs.cluster.ServerNode(owner));
+  fs.cluster.network().SetSwitch(&drop);
+  std::unique_ptr<SwitchFsClient> peer = fs.cluster.MakeClient();
+  const uint64_t retries_before = fs.cluster.TotalStats().agg_retries;
+  InFlightAggregationRun run;
+  fs.Run(CreateBetweenCollectAttempts(&fs, peer.get(), &drop, other, mine,
+                                      &run));
+  ASSERT_TRUE(run.other_created.ok());
+  ASSERT_TRUE(run.mine_created.ok());
+  EXPECT_GE(drop.dropped, 1);
+  EXPECT_GT(fs.cluster.TotalStats().agg_retries, retries_before);
+  ASSERT_TRUE(run.listing.ok()) << run.listing.status().ToString();
+  EXPECT_EQ(Names(run.listing), (std::set<std::string>{mine, other}))
+      << "readdir missed the caller's own create";
+}
+
 TEST(SwitchFsFault, CrashBeforeAggregationDoesNotLoseDeferredUpdates) {
   // Crash a server while its change-logs still hold un-applied entries; the
   // WAL must rebuild them and recovery must flush them (§A.1).

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -399,6 +400,27 @@ TEST(SwitchFsOps, PreloadedNamespaceIsProtocolConsistent) {
   EXPECT_EQ(sd->size, 50u);
   // rmdir of a preloaded non-empty dir fails.
   EXPECT_EQ(fs.Rmdir("/data").code(), StatusCode::kNotEmpty);
+}
+
+TEST(SwitchFsOps, WarmClientsSeeThePreloadOfTheirWarmTime) {
+  // Warm clients share their cluster's preloaded directories: a client sees
+  // the preload of its warm time, and one client's cache changes do not
+  // reach another's.
+  FsHarness fs;
+  fs.cluster.PreloadMkdir("/a");
+  fs.cluster.WarmClient(*fs.client);
+  fs.cluster.PreloadMkdir("/b");
+  std::unique_ptr<SwitchFsClient> late = fs.cluster.MakeClient();
+  fs.cluster.WarmClient(*late);
+  const ClientCache& early = fs.client->cache();
+  EXPECT_EQ(early.size(), 2u);  // "/" and /a
+  EXPECT_EQ(early.Get("/b"), nullptr);
+  EXPECT_EQ(late->cache().size(), 3u);
+  ASSERT_TRUE(fs.Rmdir("/a").ok());
+  EXPECT_EQ(early.Get("/a"), nullptr);
+  EXPECT_EQ(early.size(), 1u);
+  EXPECT_NE(late->cache().Get("/a"), nullptr);
+  EXPECT_EQ(late->cache().size(), 3u);
 }
 
 TEST(SwitchFsOps, OwnerServerTrackerModeWorks) {
