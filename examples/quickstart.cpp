@@ -5,7 +5,8 @@
 //
 // Everything runs inside the deterministic simulator: the "cluster" is four
 // metadata servers behind a programmable-switch data plane, and all times
-// printed are simulated time.
+// printed are simulated time. Exits nonzero if any op's verdict differs from
+// the one the walkthrough expects.
 #include <cstdio>
 #include <string>
 
@@ -22,19 +23,31 @@ void Run(core::Cluster& cluster, sim::Task<void> script) {
   cluster.sim().Run();
 }
 
-sim::Task<void> Tour(core::Cluster* /*cluster*/, core::SwitchFsClient* fs) {
+// Clears `*ok` when a verdict differs from the walkthrough's expectation.
+void Expect(bool* ok, bool as_expected) {
+  if (!as_expected) {
+    *ok = false;
+  }
+}
+
+sim::Task<void> Tour(core::SwitchFsClient* fs, bool* ok) {
   // Create a small project tree.
-  (void)co_await fs->Mkdir("/projects");
-  (void)co_await fs->Mkdir("/projects/switchfs");
+  Expect(ok, (co_await fs->Mkdir("/projects")).ok());
+  Expect(ok, (co_await fs->Mkdir("/projects/switchfs")).ok());
   for (int i = 0; i < 5; ++i) {
     Status s = co_await fs->Create("/projects/switchfs/src" +
                                    std::to_string(i) + ".cc");
     std::printf("create src%d.cc      -> %s\n", i, s.ToString().c_str());
+    Expect(ok, s.ok());
   }
 
   // Directory reads observe the deferred updates immediately (§5.2.2): the
   // switch's dirty set told the owner to aggregate before answering.
   auto attr = co_await fs->StatDir("/projects/switchfs");
+  Expect(ok, attr.ok() && attr->size == 5);
+  if (!attr.ok()) {
+    co_return;
+  }
   std::printf("statdir             -> %llu entries, mtime=%lld\n",
               static_cast<unsigned long long>(attr->size),
               static_cast<long long>(attr->mtime));
@@ -43,23 +56,34 @@ sim::Task<void> Tour(core::Cluster* /*cluster*/, core::SwitchFsClient* fs) {
   // owner-side snapshot — aggregated once, immune to concurrent mutations —
   // and each page is bounded by kPageMtuBytes / kPageMtuEntries.
   auto dir = co_await fs->OpenDir("/projects/switchfs");
+  Expect(ok, dir.ok());
+  if (!dir.ok()) {
+    co_return;
+  }
   std::printf("opendir             -> handle %llu\n",
               static_cast<unsigned long long>(dir->id));
   uint64_t cookie = core::kDirStreamStart;
   int page_no = 0;
+  size_t listed = 0;
   while (true) {
     auto page = co_await fs->ReaddirPage(*dir, cookie);
+    Expect(ok, page.ok());
+    if (!page.ok()) {
+      co_return;
+    }
     std::printf("page %d              ->", page_no++);
     for (const auto& e : page->entries) {
       std::printf(" %s", e.name.c_str());
     }
+    listed += page->entries.size();
     std::printf("%s\n", page->at_end ? "  [end]" : "");
     if (page->at_end) {
       break;
     }
     cookie = page->next_cookie;
   }
-  (void)co_await fs->CloseDir(*dir);
+  Expect(ok, listed == 5);
+  Expect(ok, (co_await fs->CloseDir(*dir)).ok());
 
   // Batched lookups: one multi-target RPC per owner server instead of one
   // round trip per path. (Named vector: GCC 12 miscompiles brace-init lists
@@ -72,6 +96,8 @@ sim::Task<void> Tour(core::Cluster* /*cluster*/, core::SwitchFsClient* fs) {
               stats[0].status().ToString().c_str(),
               stats[1].status().ToString().c_str(),
               stats[2].status().ToString().c_str());
+  Expect(ok, stats[0].ok() && stats[1].ok() &&
+                 stats[2].status().code() == StatusCode::kNotFound);
 
   // Partial attribute updates commit through the WAL like any mutation.
   core::AttrDelta delta;
@@ -79,6 +105,10 @@ sim::Task<void> Tour(core::Cluster* /*cluster*/, core::SwitchFsClient* fs) {
   delta.mode = 0600;
   Status ch = co_await fs->SetAttr("/projects/switchfs/src1.cc", delta);
   auto after = co_await fs->Stat("/projects/switchfs/src1.cc");
+  Expect(ok, ch.ok() && after.ok() && after->mode == 0600);
+  if (!after.ok()) {
+    co_return;
+  }
   std::printf("setattr 0600        -> %s (stat shows %o)\n",
               ch.ToString().c_str(), after->mode);
 
@@ -88,14 +118,20 @@ sim::Task<void> Tour(core::Cluster* /*cluster*/, core::SwitchFsClient* fs) {
   std::printf("rename src0->main   -> %s\n", mv.ToString().c_str());
   Status rm = co_await fs->Unlink("/projects/switchfs/src4.cc");
   std::printf("unlink src4.cc      -> %s\n", rm.ToString().c_str());
+  Expect(ok, mv.ok() && rm.ok());
 
   attr = co_await fs->StatDir("/projects/switchfs");
+  Expect(ok, attr.ok() && attr->size == 4);
+  if (!attr.ok()) {
+    co_return;
+  }
   std::printf("statdir             -> %llu entries\n",
               static_cast<unsigned long long>(attr->size));
 
   // rmdir enforces emptiness through an aggregation (§5.2.3).
   Status busy = co_await fs->Rmdir("/projects/switchfs");
   std::printf("rmdir (non-empty)   -> %s\n", busy.ToString().c_str());
+  Expect(ok, busy.code() == StatusCode::kNotEmpty);
 }
 
 }  // namespace
@@ -108,7 +144,8 @@ int main() {
   core::Cluster cluster(config);
   auto client = cluster.MakeClient();
 
-  Run(cluster, Tour(&cluster, client.get()));
+  bool ok = true;
+  Run(cluster, Tour(client.get(), &ok));
 
   const auto stats = cluster.TotalStats();
   std::printf("\ncluster counters: %llu ops, %llu aggregations, %llu "
@@ -122,5 +159,5 @@ int main() {
               4);
   std::printf("simulated time elapsed: %.1f us\n",
               sim::ToMicros(cluster.sim().Now()));
-  return 0;
+  return ok ? 0 : 1;
 }

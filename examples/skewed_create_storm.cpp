@@ -6,7 +6,9 @@
 //
 // SwitchFS spreads the files by (parent, name) hash, defers the parent
 // directory updates into per-server change-logs, and lets the switch's dirty
-// set guarantee that the closing statdir still sees every file.
+// set guarantee that the closing statdir still sees every file. Exits
+// nonzero unless every system's statdir(/hot), SwitchFS's paged scan and its
+// batch-stat sample account for every create.
 #include <cstdio>
 #include <memory>
 
@@ -19,12 +21,15 @@ using namespace switchfs;
 
 namespace {
 
+// Creates the storm issues into /hot.
+constexpr uint64_t kStormCreates = 8000;
+
 void Storm(core::FsWorld& world) {
   world.PreloadDir("/hot");
   wl::FreshNameStream stream(core::OpType::kCreate, {"/hot"}, "burst");
   wl::RunnerConfig rc;
   rc.workers = 128;
-  rc.total_ops = 8000;
+  rc.total_ops = kStormCreates;
   rc.warmup_ops = 800;
   wl::RunResult r = wl::RunWorkload(world, stream, rc);
   std::printf("%-20s %8.1f Kops/s   mean %6.1f us   p99 %7.1f us\n",
@@ -32,11 +37,24 @@ void Storm(core::FsWorld& world) {
               r.MeanLatencyUs(), r.PercentileUs(0.99));
 }
 
+// True if a fresh client's statdir(/hot) counts every create of the storm.
+bool StatDirSeesStorm(core::FsWorld& world) {
+  auto client = world.NewClient(true);
+  uint64_t size = 0;
+  sim::Spawn([](core::MetadataService* c, uint64_t* size) -> sim::Task<void> {
+    auto attr = co_await c->StatDir("/hot");
+    *size = attr.ok() ? attr->size : 0;
+  }(client.get(), &size));
+  world.world_sim().Run();
+  return size == kStormCreates;
+}
+
 }  // namespace
 
 int main() {
   std::printf("create storm: 128 clients hammering one directory "
               "(8 servers)\n\n");
+  bool ok = true;
   {
     core::ClusterConfig cfg;
     cfg.num_servers = 8;
@@ -92,6 +110,8 @@ int main() {
                 "SwitchFS", static_cast<unsigned long long>(size),
                 static_cast<unsigned long long>(scanned),
                 static_cast<unsigned long long>(pages), sampled_ok);
+    ok = ok && size == kStormCreates && scanned == kStormCreates &&
+         sampled_ok == 16;
 
     // The storm above ships one RPC per create. BulkInsert ships the same
     // load as page-filled batches through an open dir handle — the same
@@ -145,9 +165,10 @@ int main() {
     cfg.num_servers = 8;
     baselines::BaselineCluster cluster(cfg);
     Storm(cluster);
+    ok = ok && StatDirSeesStorm(cluster);
   }
   std::printf("\nThe baselines serialize every create on the hot directory's "
               "server;\nSwitchFS absorbs the storm in per-server change-logs "
               "(§5.3).\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <set>
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/core/batch_stat.h"
+#include "src/core/client.h"
 #include "src/core/keys.h"
 #include "src/sim/task.h"
 
@@ -1017,502 +1016,6 @@ sim::Task<void> BaselineServer::HandleRenameCommit(net::Packet p) {
 }
 
 // ---------------------------------------------------------------------------
-// BaselineClient
-// ---------------------------------------------------------------------------
-
-BaselineClient::BaselineClient(sim::Simulator* sim, net::Network* net,
-                               BaselineCluster* cluster,
-                               const sim::CostModel* costs)
-    : sim_(sim), cluster_(cluster), costs_(costs), rpc_(sim, net) {
-  // CephFS-sim ops cost hundreds of microseconds and queue far beyond that
-  // under load; give its RPCs a generous deadline. The emulated systems stay
-  // within microseconds.
-  if (cluster->config().kind == SystemKind::kCephFS) {
-    call_.timeout = sim::Milliseconds(400);
-    call_.max_attempts = 4;
-    txn_call_.timeout = sim::Seconds(4);
-    txn_call_.max_attempts = 2;
-  } else {
-    call_.timeout = sim::Milliseconds(2);
-    call_.max_attempts = 8;
-    txn_call_.timeout = sim::Milliseconds(50);
-    txn_call_.max_attempts = 3;
-  }
-  // OpenDir scans the whole entry list into the session snapshot — an
-  // O(directory) op; see SwitchFsClient::Config::opendir_call.
-  opendir_call_.timeout = sim::Seconds(2);
-  opendir_call_.max_attempts = 3;
-  CachedDir root;
-  root.id = RootId();
-  root.mode = 0755;
-  root.ancestors = {AncestorRef{RootId(), 0}};
-  cache_.Put("/", root);
-}
-
-sim::Task<StatusOr<CachedDir>> BaselineClient::ResolveDir(
-    const std::string& path) {
-  co_await sim::Delay(sim_, costs_->cache_lookup);
-  if (const CachedDir* hit = cache_.Get(path)) {
-    cache_.hits++;
-    co_return *hit;
-  }
-  cache_.misses++;
-  if (path == "/") {
-    co_return InternalError("root must be cached");
-  }
-  auto parent = co_await ResolveDir(std::string(ParentPath(path)));
-  if (!parent.ok()) {
-    co_return parent.status();
-  }
-  const std::string name(Basename(path));
-  const std::string top(SplitPath(path)[0]);
-  auto req = std::make_shared<LookupReq>();
-  req->pid = parent->id;
-  req->name = name;
-  req->ancestors = parent->ancestors;
-  const uint32_t server =
-      cluster_->placement().FileServer(parent->id, name, top);
-  auto r = co_await rpc_.Call(cluster_->ServerNode(server), req, call_);
-  if (!r.ok()) {
-    co_return r.status();
-  }
-  const auto* resp = net::MsgAs<LookupResp>(*r);
-  if (resp == nullptr) {
-    co_return InternalError("bad lookup response");
-  }
-  if (resp->status == StatusCode::kStaleCache) {
-    for (const InodeId& id : resp->stale_ids) {
-      cache_.InvalidateId(id);
-    }
-    co_return StaleCacheError();
-  }
-  if (resp->status != StatusCode::kOk) {
-    co_return Status(resp->status);
-  }
-  if (!resp->attr.is_dir()) {
-    co_return NotADirectoryError(path);
-  }
-  CachedDir entry;
-  entry.id = resp->attr.id;
-  entry.mode = resp->attr.mode;
-  entry.ancestors = parent->ancestors;
-  entry.ancestors.push_back(AncestorRef{entry.id, resp->read_at});
-  cache_.Put(path, entry);
-  co_return entry;
-}
-
-sim::Task<StatusOr<PathRef>> BaselineClient::ResolveParent(
-    const std::string& path) {
-  if (!IsValidPath(path) || path == "/") {
-    co_return InvalidArgumentError(path);
-  }
-  auto parent = co_await ResolveDir(std::string(ParentPath(path)));
-  if (!parent.ok()) {
-    co_return parent.status();
-  }
-  PathRef ref;
-  ref.pid = parent->id;
-  ref.name = std::string(Basename(path));
-  ref.ancestors = parent->ancestors;
-  co_return ref;
-}
-
-sim::Task<BaselineClient::OpResult> BaselineClient::Issue(
-    OpType op, const std::string& path, const core::AttrDelta* delta) {
-  OpResult out;
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  const bool dir_read = op == OpType::kStatDir || op == OpType::kOpenDir;
-
-  for (int attempt = 0; attempt < 12; ++attempt) {
-    std::string top = path == "/" ? "/" : std::string(SplitPath(path)[0]);
-    PathRef ref;
-    uint32_t server = 0;
-    if (dir_read) {
-      // Directory reads target the directory's home server by its id.
-      auto dir = co_await ResolveDir(path);
-      if (!dir.ok()) {
-        if (dir.status().code() == StatusCode::kStaleCache) {
-          continue;
-        }
-        out.status = dir.status();
-        co_return out;
-      }
-      ref.pid = dir->id;  // carries the dir id for DoRead
-      ref.name = "";
-      ref.ancestors = dir->ancestors;
-      server = cluster_->placement().DirServer(dir->id, top);
-    } else {
-      auto resolved = co_await ResolveParent(path);
-      if (!resolved.ok()) {
-        if (resolved.status().code() == StatusCode::kStaleCache ||
-            resolved.status().code() == StatusCode::kTimeout) {
-          co_await sim::Delay(sim_, sim::Microseconds(100));
-          continue;
-        }
-        out.status = resolved.status();
-        co_return out;
-      }
-      ref = *std::move(resolved);
-      server = cluster_->placement().FileServer(ref.pid, ref.name, top);
-    }
-
-    auto req = std::make_shared<MetaReq>();
-    req->op = op;
-    req->ref = ref;
-    req->top = top;  // CephFS subtree routing key
-    if (delta != nullptr) {
-      req->delta = *delta;
-    }
-    auto r = co_await rpc_.Call(cluster_->ServerNode(server), req,
-                                op == OpType::kOpenDir ? opendir_call_ : call_);
-    if (!r.ok()) {
-      co_await sim::Delay(sim_, sim::Microseconds(100));
-      continue;
-    }
-    const auto* resp = net::MsgAs<MetaResp>(*r);
-    if (resp == nullptr) {
-      out.status = InternalError("bad response");
-      co_return out;
-    }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
-      continue;
-    }
-    out.status = Status(resp->status);
-    out.attr = resp->attr;
-    out.dir_session = resp->dir_session;
-    out.next_cookie = resp->next_cookie;
-    out.at_end = resp->at_end;
-    co_return out;
-  }
-  out.status = TimeoutError("op retries exhausted");
-  co_return out;
-}
-
-sim::Task<BaselineClient::OpResult> BaselineClient::IssueSessionOp(
-    OpType op, uint32_t server, uint64_t session, uint64_t cookie) {
-  OpResult out;
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  for (int attempt = 0; attempt < 12; ++attempt) {
-    auto req = std::make_shared<MetaReq>();
-    req->op = op;
-    req->dir_session = session;
-    req->cookie = cookie;
-    auto r = co_await rpc_.Call(cluster_->ServerNode(server), req, call_);
-    if (!r.ok()) {
-      if (r.status().code() == StatusCode::kTimeout) {
-        out.status = StaleHandleError("dir session unreachable");
-        co_return out;
-      }
-      co_await sim::Delay(sim_, sim::Microseconds(100));
-      continue;
-    }
-    const auto* resp = net::MsgAs<MetaResp>(*r);
-    if (resp == nullptr) {
-      out.status = InternalError("bad response");
-      co_return out;
-    }
-    out.status = Status(resp->status);
-    out.attr = resp->attr;
-    out.entries = resp->entries;
-    out.next_cookie = resp->next_cookie;
-    out.at_end = resp->at_end;
-    co_return out;
-  }
-  out.status = TimeoutError("session op retries exhausted");
-  co_return out;
-}
-
-sim::Task<Status> BaselineClient::Create(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kCreate, path);
-  co_return r.status;
-}
-sim::Task<Status> BaselineClient::Unlink(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kUnlink, path);
-  co_return r.status;
-}
-sim::Task<Status> BaselineClient::Mkdir(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kMkdir, path);
-  co_return r.status;
-}
-sim::Task<Status> BaselineClient::Rmdir(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kRmdir, path);
-  if (r.status.ok()) {
-    cache_.ErasePath(path);
-  }
-  co_return r.status;
-}
-sim::Task<StatusOr<Attr>> BaselineClient::Stat(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kStat, path);
-  if (!r.status.ok()) {
-    co_return r.status;
-  }
-  co_return r.attr;
-}
-sim::Task<StatusOr<Attr>> BaselineClient::StatDir(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kStatDir, path);
-  if (!r.status.ok()) {
-    co_return r.status;
-  }
-  co_return r.attr;
-}
-sim::Task<StatusOr<Attr>> BaselineClient::Open(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kOpen, path);
-  if (!r.status.ok()) {
-    co_return r.status;
-  }
-  co_return r.attr;
-}
-sim::Task<Status> BaselineClient::Close(const std::string& path) {
-  OpResult r = co_await Issue(OpType::kClose, path);
-  co_return r.status;
-}
-sim::Task<Status> BaselineClient::SetAttr(const std::string& path,
-                                          const core::AttrDelta& delta) {
-  OpResult r = co_await Issue(OpType::kSetAttr, path, &delta);
-  co_return r.status;
-}
-
-// --- MetadataService v2: directory streams & batched lookups ---
-
-sim::Task<StatusOr<core::DirHandle>> BaselineClient::OpenDir(
-    const std::string& path) {
-  OpResult r = co_await Issue(OpType::kOpenDir, path);
-  if (!r.status.ok()) {
-    co_return r.status;
-  }
-  // Pin the routing: pages must go back to the home server that holds the
-  // snapshot session.
-  const std::string top = path == "/" ? "/" : std::string(SplitPath(path)[0]);
-  core::OpenDirState state;
-  state.path = path;
-  state.dir = r.attr.id;
-  state.server = cluster_->placement().DirServer(r.attr.id, top);
-  state.session = r.dir_session;
-  core::DirHandle handle;
-  handle.id = cache_.PutHandle(std::move(state));
-  co_return handle;
-}
-
-sim::Task<StatusOr<core::DirPage>> BaselineClient::ReaddirPage(
-    const core::DirHandle& handle, uint64_t cookie) {
-  core::OpenDirState* state = cache_.GetHandle(handle.id);
-  if (state == nullptr) {
-    co_return InvalidArgumentError("unknown dir handle");
-  }
-  OpResult r = co_await IssueSessionOp(OpType::kReaddirPage, state->server,
-                                       state->session, cookie);
-  if (!r.status.ok()) {
-    co_return r.status;
-  }
-  core::DirPage page;
-  page.entries = std::move(r.entries);
-  page.next_cookie = r.next_cookie;
-  page.at_end = r.at_end;
-  co_return page;
-}
-
-sim::Task<Status> BaselineClient::CloseDir(const core::DirHandle& handle) {
-  core::OpenDirState* state = cache_.GetHandle(handle.id);
-  if (state == nullptr) {
-    co_return OkStatus();  // already closed (idempotent)
-  }
-  const uint32_t server = state->server;
-  const uint64_t session = state->session;
-  cache_.EraseHandle(handle.id);
-  OpResult r = co_await IssueSessionOp(OpType::kCloseDir, server, session,
-                                       /*cookie=*/0);
-  (void)r;  // best-effort: the TTL watchdog reclaims lost closes
-  co_return OkStatus();
-}
-
-sim::Task<std::vector<StatusOr<Attr>>> BaselineClient::BatchStat(
-    const std::vector<std::string>& paths) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  // Targets group by the system's file placement: E-InfiniFS/IndexFS
-  // collapse a directory's files onto one server, E-CFS spreads them per
-  // (pid, name), CephFS routes whole subtrees — the grouping (and so the
-  // RPC count) follows each system's own placement function. Scaffolding
-  // shared with SwitchFsClient via core::RunBatchStat.
-  co_return co_await core::RunBatchStat(
-      sim_, rpc_, cache_, paths, /*max_attempts=*/12, sim::Microseconds(100),
-      call_,
-      [this](const std::string& path)
-          -> sim::Task<StatusOr<core::BatchTarget>> {
-        auto ref = co_await ResolveParent(path);
-        if (!ref.ok()) {
-          co_return ref.status();
-        }
-        const std::string top(SplitPath(path)[0]);
-        core::BatchTarget target;
-        target.server =
-            cluster_->placement().FileServer(ref->pid, ref->name, top);
-        target.ref = *std::move(ref);
-        co_return target;
-      },
-      [this](uint32_t server) { return cluster_->ServerNode(server); });
-}
-
-sim::Task<std::vector<Status>> BaselineClient::BulkInsert(
-    const core::DirHandle& handle, const std::vector<std::string>& names) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  std::vector<Status> out(names.size(), OkStatus());
-  if (names.empty()) {
-    co_return out;
-  }
-  core::OpenDirState* state = cache_.GetHandle(handle.id);
-  if (state == nullptr) {
-    for (Status& s : out) {
-      s = InvalidArgumentError("unknown dir handle");
-    }
-    co_return out;
-  }
-  const std::string dir_path = state->path;
-  const InodeId dir = state->dir;
-  const std::string top =
-      dir_path == "/" ? "/" : std::string(SplitPath(dir_path)[0]);
-
-  // Group by each system's file placement (like BatchStat), then chunk each
-  // group to the transport page budget — one multi-entry RPC per chunk.
-  std::map<uint32_t, std::vector<size_t>> by_server;
-  for (size_t i = 0; i < names.size(); ++i) {
-    by_server[cluster_->placement().FileServer(dir, names[i], top)]
-        .push_back(i);
-  }
-  for (auto& [server, idxs] : by_server) {
-    size_t start = 0;
-    while (start < idxs.size()) {
-      size_t used = 0;
-      size_t end = start;
-      while (end < idxs.size() &&
-             core::PageHasRoom(used, static_cast<int>(end - start),
-                               core::DirEntryWireSize(names[idxs[end]]),
-                               core::kPageMtuBytes, core::kPageMtuEntries)) {
-        used += core::DirEntryWireSize(names[idxs[end]]);
-        ++end;
-      }
-      const std::vector<size_t> chunk(
-          idxs.begin() + static_cast<ptrdiff_t>(start),
-          idxs.begin() + static_cast<ptrdiff_t>(end));
-      start = end;
-      bool settled = false;
-      for (int attempt = 0; attempt < 12 && !settled; ++attempt) {
-        auto resolved = co_await ResolveDir(dir_path);
-        if (!resolved.ok()) {
-          if (resolved.status().code() == StatusCode::kStaleCache ||
-              resolved.status().code() == StatusCode::kTimeout) {
-            co_await sim::Delay(sim_, sim::Microseconds(100));
-            continue;
-          }
-          for (size_t i : chunk) {
-            out[i] = resolved.status();
-          }
-          break;
-        }
-        auto req = std::make_shared<MetaReq>();
-        req->op = OpType::kBulkInsert;
-        req->ref.pid = dir;
-        req->ref.ancestors = resolved->ancestors;
-        req->top = top;
-        req->bulk_names.reserve(chunk.size());
-        for (size_t i : chunk) {
-          req->bulk_names.push_back(names[i]);
-        }
-        auto r = co_await rpc_.Call(cluster_->ServerNode(server), req, call_);
-        if (!r.ok()) {
-          co_await sim::Delay(sim_, sim::Microseconds(100));
-          continue;
-        }
-        const auto* resp = net::MsgAs<MetaResp>(*r);
-        if (resp == nullptr) {
-          for (size_t i : chunk) {
-            out[i] = InternalError("bad bulk response");
-          }
-          break;
-        }
-        if (resp->status == StatusCode::kStaleCache) {
-          for (const InodeId& id : resp->stale_ids) {
-            cache_.InvalidateId(id);
-          }
-          continue;
-        }
-        if (resp->status != StatusCode::kOk) {
-          for (size_t i : chunk) {
-            out[i] = Status(resp->status);
-          }
-          break;
-        }
-        for (size_t k = 0; k < chunk.size(); ++k) {
-          out[chunk[k]] = k < resp->batch_status.size()
-                              ? Status(resp->batch_status[k])
-                              : InternalError("truncated bulk verdicts");
-        }
-        settled = true;
-      }
-      if (!settled) {
-        for (size_t i : chunk) {
-          if (out[i].ok()) {
-            out[i] = TimeoutError("bulk insert retries exhausted");
-          }
-        }
-      }
-    }
-  }
-  co_return out;
-}
-
-sim::Task<Status> BaselineClient::Rename(const std::string& from,
-                                         const std::string& to) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  for (int attempt = 0; attempt < 12; ++attempt) {
-    auto src = co_await ResolveParent(from);
-    if (!src.ok()) {
-      if (src.status().code() == StatusCode::kStaleCache) {
-        continue;
-      }
-      co_return src.status();
-    }
-    auto dst = co_await ResolveParent(to);
-    if (!dst.ok()) {
-      if (dst.status().code() == StatusCode::kStaleCache) {
-        continue;
-      }
-      co_return dst.status();
-    }
-    auto req = std::make_shared<MetaReq>();
-    req->op = OpType::kRename;
-    req->ref = *src;
-    req->ref2 = *dst;
-    req->top = std::string(SplitPath(from)[0]);
-    req->top2 = std::string(SplitPath(to)[0]);
-    auto r = co_await rpc_.Call(
-        cluster_->ServerNode(core::kRenameCoordinator), req,
-        txn_call_);
-    if (!r.ok()) {
-      co_await sim::Delay(sim_, sim::Microseconds(100));
-      continue;
-    }
-    const auto* resp = net::MsgAs<MetaResp>(*r);
-    if (resp == nullptr) {
-      co_return InternalError("bad rename response");
-    }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
-      continue;
-    }
-    if (resp->status == StatusCode::kOk) {
-      cache_.ErasePath(from);
-    }
-    co_return Status(resp->status);
-  }
-  co_return TimeoutError("rename retries exhausted");
-}
-
-// ---------------------------------------------------------------------------
 // BaselineCluster
 // ---------------------------------------------------------------------------
 
@@ -1542,15 +1045,25 @@ BaselineCluster::BaselineCluster(BaselineConfig config)
   PreloadedDir root;
   root.id = RootId();
   root.ancestors = {AncestorRef{RootId(), 0}};
-  root.top = "/";
+  root.top.assign(1, '/');  // a literal trips GCC 12's spurious -Wrestrict
   preloaded_["/"] = root;
 }
 
 BaselineCluster::~BaselineCluster() = default;
 
 std::unique_ptr<core::MetadataService> BaselineCluster::NewClient(bool warm) {
-  auto client = std::make_unique<BaselineClient>(&sim_, net_.get(), this,
-                                                 &config_.costs);
+  core::SwitchFsClient::Config cc;
+  // CephFS-sim ops cost hundreds of microseconds and queue far beyond that
+  // under load; give its RPCs a generous deadline. The emulated systems stay
+  // within microseconds, on the client's defaults.
+  if (config_.kind == SystemKind::kCephFS) {
+    cc.call.timeout = sim::Milliseconds(400);
+    cc.call.max_attempts = 4;
+    cc.txn_call.timeout = sim::Seconds(4);
+    cc.txn_call.max_attempts = 2;
+  }
+  auto client = std::make_unique<core::SwitchFsClient>(&sim_, net_.get(), this,
+                                                       &config_.costs, cc);
   if (warm) {
     if (warm_set_ == nullptr) {
       auto set = std::make_shared<core::WarmSet>();
@@ -1565,6 +1078,26 @@ std::unique_ptr<core::MetadataService> BaselineCluster::NewClient(bool warm) {
     client->WarmCache(warm_set_);
   }
   return client;
+}
+
+uint32_t BaselineCluster::NameServer(const InodeId& pid,
+                                     const std::string& name,
+                                     std::string_view dir_path) const {
+  // The subtree of the name's own path: a name in the root heads its own.
+  return placement_->FileServer(pid, name,
+                                SubtreeKey(JoinPath(dir_path, name)));
+}
+
+uint32_t BaselineCluster::DirHome(const InodeId& dir,
+                                  std::string_view path) const {
+  return placement_->DirServer(dir, SubtreeKey(path));
+}
+
+std::string BaselineCluster::SubtreeKey(std::string_view path) const {
+  if (config_.kind != SystemKind::kCephFS) {
+    return {};
+  }
+  return path == "/" ? std::string("/") : std::string(SplitPath(path)[0]);
 }
 
 void BaselineCluster::BumpPreloadedDirSize(const std::string& dir_path) {

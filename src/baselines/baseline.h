@@ -17,11 +17,21 @@
 //    587-1140 us means).
 //  * IndexFS-sim — per-directory partitioning like E-InfiniFS with
 //    lease-based client caching (per-op lease validation overhead).
+//
+// The servers are the baselines' own; the client is SwitchFS's
+// (core::SwitchFsClient), so path resolution, the op retry rule, directory
+// handles, BatchStat and BulkInsert are shared by all five systems. What a
+// baseline supplies is its placement (BaselineCluster's ClusterContext
+// overrides: FileServer for a name, DirServer for a directory read
+// addressed by the directory's own id, CephFS-sim's subtree key), CephFS-
+// sim's longer client deadlines, and the one-page-at-a-time Readdir its
+// positional snapshot cookies need.
 #ifndef SRC_BASELINES_BASELINE_H_
 #define SRC_BASELINES_BASELINE_H_
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +44,7 @@
 #include "src/core/metadata_service.h"
 #include "src/core/placement.h"
 #include "src/core/schema.h"
+#include "src/core/server_context.h"
 #include "src/core/types.h"
 #include "src/kv/kvstore.h"
 #include "src/kv/wal.h"
@@ -148,8 +159,6 @@ class BaselineServer {
   kv::KvStore& kv() { return kv_; }
 
  private:
-  friend class BaselineClient;
-
   void OnRequest(net::Packet p);
   sim::Task<void> HandleMeta(net::Packet p);
   sim::Task<void> HandleLookup(net::Packet p);
@@ -209,90 +218,37 @@ class BaselineServer {
   uint64_t ops_ = 0;
 };
 
-class BaselineClient : public core::MetadataService {
- public:
-  BaselineClient(sim::Simulator* sim, net::Network* net,
-                 BaselineCluster* cluster, const sim::CostModel* costs);
-
-  sim::Task<Status> Create(const std::string& path) override;
-  sim::Task<Status> Unlink(const std::string& path) override;
-  sim::Task<Status> Mkdir(const std::string& path) override;
-  sim::Task<Status> Rmdir(const std::string& path) override;
-  sim::Task<StatusOr<core::Attr>> Stat(const std::string& path) override;
-  sim::Task<StatusOr<core::Attr>> StatDir(const std::string& path) override;
-  sim::Task<StatusOr<core::Attr>> Open(const std::string& path) override;
-  sim::Task<Status> Close(const std::string& path) override;
-  sim::Task<Status> SetAttr(const std::string& path,
-                            const core::AttrDelta& delta) override;
-  sim::Task<StatusOr<core::DirHandle>> OpenDir(
-      const std::string& path) override;
-  sim::Task<StatusOr<core::DirPage>> ReaddirPage(const core::DirHandle& handle,
-                                                 uint64_t cookie) override;
-  sim::Task<Status> CloseDir(const core::DirHandle& handle) override;
-  sim::Task<std::vector<StatusOr<core::Attr>>> BatchStat(
-      const std::vector<std::string>& paths) override;
-  sim::Task<std::vector<Status>> BulkInsert(
-      const core::DirHandle& handle,
-      const std::vector<std::string>& names) override;
-  sim::Task<Status> Rename(const std::string& from,
-                           const std::string& to) override;
-
-  // Seeds the cache with the cluster's preloaded directories (shared, not
-  // copied).
-  void WarmCache(std::shared_ptr<const core::WarmSet> set) {
-    cache_.Warm(std::move(set));
-  }
-
- private:
-  struct OpResult {
-    Status status;
-    core::Attr attr;
-    std::vector<core::DirEntry> entries;
-    uint64_t dir_session = 0;
-    uint64_t next_cookie = 0;
-    bool at_end = false;
-  };
-
-  sim::Task<StatusOr<core::CachedDir>> ResolveDir(const std::string& path);
-  sim::Task<StatusOr<core::PathRef>> ResolveParent(const std::string& path);
-  sim::Task<OpResult> Issue(core::OpType op, const std::string& path,
-                            const core::AttrDelta* delta = nullptr);
-  // Session-addressed ops (ReaddirPage / CloseDir): routed straight to the
-  // home server pinned in the handle state, no path resolution.
-  sim::Task<OpResult> IssueSessionOp(core::OpType op, uint32_t server,
-                                     uint64_t session, uint64_t cookie);
-
-  sim::Simulator* sim_;
-  BaselineCluster* cluster_;
-  const sim::CostModel* costs_;
-  net::RpcEndpoint rpc_;
-  net::CallOptions call_;
-  net::CallOptions txn_call_;      // renames (multi-RPC transactions)
-  net::CallOptions opendir_call_;  // O(directory) snapshot scan at the server
-  core::ClientCache cache_;
-};
-
-class BaselineCluster : public core::FsWorld {
+class BaselineCluster : public core::ClusterContext, public core::FsWorld {
  public:
   explicit BaselineCluster(BaselineConfig config);
   ~BaselineCluster() override;
 
-  // FsWorld:
+  // FsWorld: clients are core::SwitchFsClient over this cluster's placement.
   sim::Simulator& world_sim() override { return sim_; }
   std::unique_ptr<core::MetadataService> NewClient(bool warm) override;
   void PreloadDir(const std::string& path) override;
   void PreloadFileAt(const std::string& path) override;
   std::string name() const override { return SystemName(config_.kind); }
 
+  // ClusterContext: the baselines' client placement.
+  const core::HashRing& ring() const override { return ring_; }
+  net::NodeId ServerNode(uint32_t i) const override {
+    return servers_[i]->node_id();
+  }
+  uint32_t ServerCount() const override {
+    return static_cast<uint32_t>(servers_.size());
+  }
+  uint32_t NameServer(const core::InodeId& pid, const std::string& name,
+                      std::string_view dir_path) const override;
+  bool dir_homes() const override { return true; }
+  uint32_t DirHome(const core::InodeId& dir,
+                   std::string_view path) const override;
+  std::string SubtreeKey(std::string_view path) const override;
+
   sim::Simulator& sim() { return sim_; }
   net::Network& network() { return *net_; }
   const BaselineConfig& config() const { return config_; }
-  const core::HashRing& ring() const { return ring_; }
   const BaselinePlacement& placement() const { return *placement_; }
-  net::NodeId ServerNode(uint32_t i) const { return servers_[i]->node_id(); }
-  uint32_t ServerCount() const {
-    return static_cast<uint32_t>(servers_.size());
-  }
   BaselineServer& server(uint32_t i) { return *servers_[i]; }
 
   struct PreloadedDir {
@@ -306,7 +262,6 @@ class BaselineCluster : public core::FsWorld {
   }
 
  private:
-  friend class BaselineClient;
   friend class BaselineServer;
 
   void BumpPreloadedDirSize(const std::string& dir_path);

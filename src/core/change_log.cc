@@ -35,7 +35,7 @@ uint64_t ChangeLog::Append(ChangeLogEntry entry) {
 void ChangeLog::Restore(ChangeLogEntry entry) {
   assert(entries_.empty() || entries_.back().seq < entry.seq);
   max_timestamp_ = std::max(max_timestamp_, entry.timestamp);
-  next_seq_ = std::max(next_seq_, entry.seq + 1);
+  SkipPast(entry.seq);
   entries_.push_back(std::move(entry));
 }
 

@@ -11,6 +11,7 @@
 #ifndef SRC_CORE_CHANGE_LOG_H_
 #define SRC_CORE_CHANGE_LOG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -48,6 +49,11 @@ class ChangeLog {
   uint64_t Append(ChangeLogEntry entry);
   // Re-inserts a recovered entry with its original seq (WAL replay).
   void Restore(ChangeLogEntry entry);
+  // Continues the numbering past `seq` (WAL replay of an entry the owner
+  // already applied): a restarted numbering would reuse seqs the owner's
+  // high-water mark has passed, and the owner would drop the new entries
+  // as duplicates.
+  void SkipPast(uint64_t seq) { next_seq_ = std::max(next_seq_, seq + 1); }
 
   // All entries not yet acknowledged by the owner, in FIFO order.
   const std::deque<ChangeLogEntry>& pending() const { return entries_; }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/core/batch_stat.h"
 #include "src/core/cache_record.h"
 #include "src/pswitch/meta_cache.h"
 #include "src/sim/sync.h"
@@ -14,10 +13,16 @@
 namespace switchfs::core {
 namespace {
 
-// Retry budget of one operation, and the pause before re-trying a stale
-// cache, timeout or unavailable verdict.
+// The one retry rule of every client op: an attempt that ends in a stale
+// cache entry (the bounce already dropped it from the cache), a timeout, or
+// at a recovering server is tried again after kRetryBackoff, up to
+// kMaxOpRetries attempts; any other verdict is final.
 constexpr int kMaxOpRetries = 12;
 constexpr sim::SimTime kRetryBackoff = sim::Microseconds(200);
+bool Retryable(StatusCode code) {
+  return code == StatusCode::kStaleCache || code == StatusCode::kTimeout ||
+         code == StatusCode::kUnavailable;
+}
 // Depth of the Readdir prefetch pipeline: how many page RPCs are kept in
 // flight at once. SwitchFS page cookies are sequence numbers, so the
 // client can speculatively request page p+1..p+k while consuming page p;
@@ -54,6 +59,18 @@ const MetaResp* SwitchFsClient::UnwrapResponse(const net::MsgPtr& msg) {
   return net::MsgAs<MetaResp>(msg);
 }
 
+const net::CallOptions& SwitchFsClient::CallOptionsFor(OpType op) const {
+  switch (op) {
+    case OpType::kOpenDir:
+      return config_.opendir_call;
+    case OpType::kRename:
+    case OpType::kLink:
+      return config_.txn_call;
+    default:
+      return config_.call;
+  }
+}
+
 sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
     const std::string& path) {
   co_await sim::Delay(sim_, costs_->cache_lookup);
@@ -66,8 +83,9 @@ sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
     co_return InternalError("root must be cached");
   }
   // Resolve the parent first (recursively through the cache), then look the
-  // final component up at its owner.
-  auto parent = co_await ResolveDir(std::string(ParentPath(path)));
+  // final component up where its inode lives.
+  const std::string parent_path(ParentPath(path));
+  auto parent = co_await ResolveDir(parent_path);
   if (!parent.ok()) {
     co_return parent.status();
   }
@@ -83,7 +101,8 @@ sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
     opts.mc.fingerprint = fp;
   }
   auto r = co_await rpc_.Call(
-      cluster_->ServerNode(cluster_->ring().Owner(fp)), req, opts);
+      cluster_->ServerNode(cluster_->NameServer(parent->id, name, parent_path)),
+      req, opts);
   if (!r.ok()) {
     co_return r.status();
   }
@@ -132,11 +151,12 @@ sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
 }
 
 sim::Task<StatusOr<PathRef>> SwitchFsClient::ResolveParent(
-    const std::string& path) {
+    const std::string& path, uint32_t* server) {
   if (!IsValidPath(path) || path == "/") {
     co_return InvalidArgumentError(path);
   }
-  auto parent = co_await ResolveDir(std::string(ParentPath(path)));
+  const std::string parent_path(ParentPath(path));
+  auto parent = co_await ResolveDir(parent_path);
   if (!parent.ok()) {
     co_return parent.status();
   }
@@ -145,51 +165,87 @@ sim::Task<StatusOr<PathRef>> SwitchFsClient::ResolveParent(
   ref.parent_fp = parent->fp;
   ref.name = std::string(Basename(path));
   ref.ancestors = parent->ancestors;
+  if (server != nullptr) {
+    *server = cluster_->NameServer(ref.pid, ref.name, parent_path);
+  }
   co_return ref;
 }
 
 sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
     MetaCall call, const std::string& path) {
   OpResult out;
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    PathRef ref;
-    if (path == "/" && call.dir_target) {
+  // A bulk chunk is part of one BulkInsert, which paid the client cost.
+  if (call.op != OpType::kBulkInsert) {
+    co_await sim::Delay(sim_, costs_->client_op_cost);
+  }
+  for (int attempt = 0; attempt == 0 || Retryable(out.status.code());
+       ++attempt) {
+    if (attempt == kMaxOpRetries) {
+      out.status = TimeoutError("op retries exhausted");
+      break;
+    }
+    if (attempt > 0) {
+      co_await sim::Delay(sim_, kRetryBackoff);
+    }
+    auto req = std::make_shared<MetaReq>();
+    req->op = call.op;
+    req->mode = call.mode;
+    req->delta = call.delta;
+    uint32_t server = 0;
+    if (call.op == OpType::kBulkInsert ||
+        (call.dir_target && cluster_->dir_homes())) {
+      // The directory itself is resolved: a bulk chunk for fresh ancestors
+      // (its identity and server are pinned), a directory-home read for the
+      // id it is addressed by.
+      auto dir = co_await ResolveDir(path);
+      if (!dir.ok()) {
+        out.status = dir.status();
+        continue;
+      }
+      req->ref.ancestors = dir->ancestors;
+      if (call.op == OpType::kBulkInsert) {
+        req->ref.pid = call.dir;
+        req->ref.parent_fp = call.dir_fp;
+        req->bulk_names = call.names;
+        server = call.server;
+      } else {
+        req->ref.pid = dir->id;
+        server = cluster_->DirHome(dir->id, path);
+      }
+    } else if (call.dir_target && path == "/") {
       // The root's inode is keyed (0, "/"). NOTE: assign(n, c) rather than a
       // literal assignment — GCC 12 flags the literal's inlined memcpy into
       // the coroutine frame with a spurious -Wrestrict.
-      ref.pid = InodeId{};
-      ref.name.assign(1, '/');
-      ref.parent_fp = FingerprintOf(InodeId{}, "/");
-      ref.ancestors = {AncestorRef{RootId(), 0}};
+      req->ref.pid = InodeId{};
+      req->ref.name.assign(1, '/');
+      req->ref.parent_fp = FingerprintOf(InodeId{}, "/");
+      req->ref.ancestors = {AncestorRef{RootId(), 0}};
+      server = cluster_->NameServer(req->ref.pid, req->ref.name, path);
     } else {
-      auto resolved = co_await ResolveParent(path);
-      if (!resolved.ok()) {
-        if (resolved.status().code() == StatusCode::kStaleCache ||
-            resolved.status().code() == StatusCode::kTimeout ||
-            resolved.status().code() == StatusCode::kUnavailable) {
-          co_await sim::Delay(sim_, kRetryBackoff);
+      auto target = co_await ResolveParent(path, &server);
+      if (!target.ok()) {
+        out.status = target.status();
+        continue;
+      }
+      req->ref = *std::move(target);
+      if (!call.path2.empty()) {
+        auto second = co_await ResolveParent(call.path2, nullptr);
+        if (!second.ok()) {
+          out.status = second.status();
           continue;
         }
-        out.status = resolved.status();
-        co_return out;
+        req->ref2 = *std::move(second);
+        req->top2 = cluster_->SubtreeKey(call.path2);
       }
-      ref = *std::move(resolved);
+      if (call.op == OpType::kRename) {
+        server = kRenameCoordinator;
+      }
     }
+    req->top = cluster_->SubtreeKey(path);
 
-    auto req = std::make_shared<MetaReq>();
-    req->op = call.op;
-    req->ref = ref;
-    req->mode = call.mode;
-    req->delta = call.delta;
-
-    const psw::Fingerprint target_fp = FingerprintOf(ref.pid, ref.name);
-    const net::NodeId dst =
-        cluster_->ServerNode(cluster_->ring().Owner(target_fp));
-
-    net::CallOptions opts =
-        call.op == OpType::kOpenDir ? config_.opendir_call : config_.call;
+    const psw::Fingerprint target_fp =
+        FingerprintOf(req->ref.pid, req->ref.name);
+    net::CallOptions opts = CallOptionsFor(call.op);
     if (config_.switch_cache &&
         (call.op == OpType::kStat || call.op == OpType::kOpen ||
          call.op == OpType::kStatDir)) {
@@ -201,17 +257,18 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
                                                     opts);
     }
 
-    auto r = co_await rpc_.Call(dst, req, opts);
+    auto r = co_await rpc_.Call(cluster_->ServerNode(server), req, opts);
     if (!r.ok()) {
-      co_await sim::Delay(sim_, kRetryBackoff);
+      out.status = r.status();
       continue;
     }
+    out.target_fp = target_fp;
+    out.server = server;
     // Switch cache hit: the data plane synthesized the reply from its way
     // registers; there is no MetaResp to unwrap.
     if (const auto* hit = net::MsgAs<psw::CacheHitResp>(*r)) {
       out.status = OkStatus();
       out.attr = UnpackCacheRecord(hit->record, nullptr);
-      out.target_fp = target_fp;
       co_return out;
     }
     const MetaResp* resp = UnwrapResponse(*r);
@@ -219,69 +276,54 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
       out.status = InternalError("bad response");
       co_return out;
     }
-    if (resp->status == StatusCode::kStaleCache) {
+    out.status = Status(resp->status);
+    if (Retryable(resp->status)) {
       for (const InodeId& id : resp->stale_ids) {
         cache_.InvalidateId(id);
       }
       continue;
     }
-    if (resp->status == StatusCode::kUnavailable) {
-      co_await sim::Delay(sim_, kRetryBackoff);
-      continue;
-    }
-    out.status = Status(resp->status);
     out.attr = resp->attr;
     out.entries = resp->entries;
     out.dir_session = resp->dir_session;
     out.next_cookie = resp->next_cookie;
     out.at_end = resp->at_end;
-    out.target_fp = target_fp;
+    out.batch_status = resp->batch_status;
     co_return out;
   }
-  out.status = TimeoutError("op retries exhausted");
   co_return out;
 }
 
 sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueSessionOp(
-    OpType op, psw::Fingerprint target_fp, uint64_t session, uint64_t cookie) {
+    OpType op, uint32_t server, uint64_t session, uint64_t cookie) {
   OpResult out;
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  const net::NodeId dst =
-      cluster_->ServerNode(cluster_->ring().Owner(target_fp));
-  // Transport-level retries only: the session either answers or is gone.
-  // kUnavailable (owner recovering) maps to kStaleHandle — the recovering
-  // incarnation wiped its session table, so the stream cannot resume.
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    auto req = std::make_shared<MetaReq>();
-    req->op = op;
-    req->dir_session = session;
-    req->cookie = cookie;
-    auto r = co_await rpc_.Call(dst, req, config_.call);
-    if (!r.ok()) {
-      if (r.status().code() == StatusCode::kTimeout) {
-        out.status = StaleHandleError("dir session unreachable");
-        co_return out;
-      }
-      co_await sim::Delay(sim_, kRetryBackoff);
-      continue;
-    }
-    const MetaResp* resp = UnwrapResponse(*r);
-    if (resp == nullptr) {
-      out.status = InternalError("bad response");
-      co_return out;
-    }
-    if (resp->status == StatusCode::kUnavailable) {
-      out.status = StaleHandleError("owner recovering; session lost");
-      co_return out;
-    }
-    out.status = Status(resp->status);
-    out.attr = resp->attr;
-    out.entries = resp->entries;
-    out.next_cookie = resp->next_cookie;
-    out.at_end = resp->at_end;
+  // Not retried past the RPC layer's retransmits: the session lives only at
+  // the server that opened it, so an unreachable or recovering server (its
+  // new incarnation wiped the session table) means the stream is gone.
+  auto req = std::make_shared<MetaReq>();
+  req->op = op;
+  req->dir_session = session;
+  req->cookie = cookie;
+  auto r = co_await rpc_.Call(cluster_->ServerNode(server), req, config_.call);
+  if (!r.ok()) {
+    out.status = StaleHandleError("dir session unreachable");
     co_return out;
   }
-  out.status = TimeoutError("session op retries exhausted");
+  const MetaResp* resp = UnwrapResponse(*r);
+  if (resp == nullptr) {
+    out.status = InternalError("bad response");
+    co_return out;
+  }
+  if (resp->status == StatusCode::kUnavailable) {
+    out.status = StaleHandleError("owner recovering; session lost");
+    co_return out;
+  }
+  out.status = Status(resp->status);
+  out.attr = resp->attr;
+  out.entries = resp->entries;
+  out.next_cookie = resp->next_cookie;
+  out.at_end = resp->at_end;
   co_return out;
 }
 
@@ -368,12 +410,13 @@ sim::Task<StatusOr<DirHandle>> SwitchFsClient::OpenDir(
   OpenDirState state;
   state.path = path;
   state.dir = r.attr.id;
+  state.fp = r.target_fp;
   state.session = r.dir_session;
-  // Pin the routing to the fingerprint the open was actually sent by: the
-  // session lives at that owner, and a re-resolution here could diverge
-  // (concurrent rename/invalidation) and point every page at the wrong
+  // Pin the routing to the server that served the open: the session lives
+  // there, and a re-resolution here could diverge (concurrent rename,
+  // invalidation or reconfiguration) and point every page at the wrong
   // server.
-  state.target_fp = r.target_fp;
+  state.server = r.server;
   DirHandle handle;
   handle.id = cache_.PutHandle(std::move(state));
   co_return handle;
@@ -385,7 +428,7 @@ sim::Task<StatusOr<DirPage>> SwitchFsClient::ReaddirPage(
   if (state == nullptr) {
     co_return InvalidArgumentError("unknown dir handle");
   }
-  OpResult r = co_await IssueSessionOp(OpType::kReaddirPage, state->target_fp,
+  OpResult r = co_await IssueSessionOp(OpType::kReaddirPage, state->server,
                                        state->session, cookie);
   if (!r.status.ok()) {
     co_return r.status;
@@ -402,12 +445,12 @@ sim::Task<Status> SwitchFsClient::CloseDir(const DirHandle& handle) {
   if (state == nullptr) {
     co_return OkStatus();  // already closed (idempotent)
   }
-  const psw::Fingerprint target_fp = state->target_fp;
+  const uint32_t server = state->server;
   const uint64_t session = state->session;
   cache_.EraseHandle(handle.id);
   // Best-effort server-side release; the TTL watchdog reclaims the session
   // anyway if this notification is lost.
-  OpResult r = co_await IssueSessionOp(OpType::kCloseDir, target_fp, session,
+  OpResult r = co_await IssueSessionOp(OpType::kCloseDir, server, session,
                                        /*cookie=*/0);
   (void)r;
   co_return OkStatus();
@@ -428,6 +471,11 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::Readdir(
   // Speculation is safe because SwitchFS pages are served (and re-served)
   // idempotently by sequence number; a stale handle on ANY in-flight page
   // restarts the whole scan, exactly like the base implementation.
+  // Directory-home pages are cookied by position, which the client cannot
+  // predict, so those systems drain one page at a time.
+  if (cluster_->dir_homes()) {
+    co_return co_await MetadataService::Readdir(path);
+  }
   constexpr int kMaxRestarts = 4;
   for (int attempt = 0; attempt <= kMaxRestarts; ++attempt) {
     auto handle = co_await OpenDir(path);
@@ -495,97 +543,90 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::Readdir(
 sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
     const std::vector<std::string>& paths) {
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  // Targets group by the (pid, name) hash owner — the read-path mirror of
-  // the per-owner push batching. The scaffolding (grouping, multi-target
-  // RPCs, per-target verdicts, retries) is shared with the baselines.
-  co_return co_await RunBatchStat(
-      sim_, rpc_, cache_, paths, kMaxOpRetries, kRetryBackoff, config_.call,
-      [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
-        auto ref = co_await ResolveParent(path);
-        if (!ref.ok()) {
-          co_return ref.status();
+  // Resolve every path, group the targets by their NameServer — the
+  // read-path mirror of the per-owner push batching; E-InfiniFS and IndexFS
+  // collapse a directory's files onto one server, E-CFS spreads them per
+  // (pid, name), CephFS-sim routes whole subtrees — ship ONE multi-target
+  // request per server, and map the per-target verdicts back into path
+  // order. A round retries its retryable targets by the one retry rule.
+  std::vector<StatusOr<Attr>> results(paths.size(),
+                                      StatusOr<Attr>(InternalError("not run")));
+  std::vector<size_t> open;  // indices still unresolved
+  open.reserve(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    open.push_back(i);
+  }
+  for (int attempt = 0; attempt < kMaxOpRetries && !open.empty(); ++attempt) {
+    if (attempt > 0) {
+      co_await sim::Delay(sim_, kRetryBackoff);
+    }
+    struct Group {
+      std::vector<size_t> indices;
+      std::vector<PathRef> refs;
+    };
+    std::map<uint32_t, Group> groups;
+    std::vector<size_t> still_open;
+    for (size_t i : open) {
+      uint32_t server = 0;
+      auto ref = co_await ResolveParent(paths[i], &server);
+      if (!ref.ok()) {
+        if (Retryable(ref.status().code())) {
+          still_open.push_back(i);
+        } else {
+          results[i] = ref.status();
         }
-        BatchTarget target;
-        target.server =
-            cluster_->ring().Owner(FingerprintOf(ref->pid, ref->name));
-        target.ref = *std::move(ref);
-        co_return target;
-      },
-      [this](uint32_t server) { return cluster_->ServerNode(server); });
+        continue;
+      }
+      Group& g = groups[server];
+      g.indices.push_back(i);
+      g.refs.push_back(*std::move(ref));
+    }
+
+    for (auto& [server, group] : groups) {
+      auto req = std::make_shared<MetaReq>();
+      req->op = OpType::kBatchStat;
+      req->targets = std::move(group.refs);
+      auto r = co_await rpc_.Call(cluster_->ServerNode(server), req,
+                                  config_.call);
+      if (!r.ok()) {
+        for (size_t i : group.indices) {
+          still_open.push_back(i);  // server unreachable: retry the group
+        }
+        continue;
+      }
+      const MetaResp* resp = UnwrapResponse(*r);
+      if (resp == nullptr ||
+          resp->batch_status.size() != group.indices.size()) {
+        for (size_t i : group.indices) {
+          results[i] = InternalError("bad batch-stat response");
+        }
+        continue;
+      }
+      for (const InodeId& id : resp->stale_ids) {
+        cache_.InvalidateId(id);
+      }
+      for (size_t k = 0; k < group.indices.size(); ++k) {
+        const size_t i = group.indices[k];
+        if (resp->batch_status[k] == StatusCode::kOk) {
+          results[i] = resp->batch_attrs[k];
+        } else if (Retryable(resp->batch_status[k])) {
+          still_open.push_back(i);  // re-resolve with the fresh cache
+        } else {
+          results[i] = Status(resp->batch_status[k]);
+        }
+      }
+    }
+    open = std::move(still_open);
+  }
+  for (size_t i : open) {
+    results[i] = TimeoutError("batch-stat retries exhausted");
+  }
+  co_return results;
 }
 
 // ---------------------------------------------------------------------------
 // Bulk insert (MetadataService v2)
 // ---------------------------------------------------------------------------
-
-sim::Task<void> SwitchFsClient::SendBulkChunk(
-    std::string dir_path, InodeId dir, psw::Fingerprint parent_fp,
-    uint32_t owner, const std::vector<std::string>& names,
-    std::vector<size_t> idxs, std::vector<Status>* out) {
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    // Re-resolve the directory each attempt for fresh ancestors (the
-    // identity — pid and change-log fingerprint — is pinned by the handle).
-    auto resolved = co_await ResolveDir(dir_path);
-    if (!resolved.ok()) {
-      if (resolved.status().code() == StatusCode::kStaleCache ||
-          resolved.status().code() == StatusCode::kTimeout ||
-          resolved.status().code() == StatusCode::kUnavailable) {
-        co_await sim::Delay(sim_, kRetryBackoff);
-        continue;
-      }
-      for (size_t i : idxs) {
-        (*out)[i] = resolved.status();
-      }
-      co_return;
-    }
-    auto req = std::make_shared<MetaReq>();
-    req->op = OpType::kBulkInsert;
-    req->ref.pid = dir;
-    req->ref.parent_fp = parent_fp;
-    req->ref.ancestors = resolved->ancestors;
-    req->bulk_names.reserve(idxs.size());
-    for (size_t i : idxs) {
-      req->bulk_names.push_back(names[i]);
-    }
-    auto r = co_await rpc_.Call(cluster_->ServerNode(owner), req, config_.call);
-    if (!r.ok()) {
-      co_await sim::Delay(sim_, kRetryBackoff);
-      continue;
-    }
-    const MetaResp* resp = UnwrapResponse(*r);
-    if (resp == nullptr) {
-      for (size_t i : idxs) {
-        (*out)[i] = InternalError("bad bulk response");
-      }
-      co_return;
-    }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
-      continue;
-    }
-    if (resp->status == StatusCode::kUnavailable) {
-      co_await sim::Delay(sim_, kRetryBackoff);
-      continue;
-    }
-    if (resp->status != StatusCode::kOk) {
-      for (size_t i : idxs) {
-        (*out)[i] = Status(resp->status);
-      }
-      co_return;
-    }
-    for (size_t k = 0; k < idxs.size(); ++k) {
-      (*out)[idxs[k]] = k < resp->batch_status.size()
-                            ? Status(resp->batch_status[k])
-                            : InternalError("truncated bulk verdicts");
-    }
-    co_return;
-  }
-  for (size_t i : idxs) {
-    (*out)[i] = TimeoutError("bulk insert retries exhausted");
-  }
-}
 
 sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
     const DirHandle& handle, const std::vector<std::string>& names) {
@@ -594,44 +635,51 @@ sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
   if (names.empty()) {
     co_return out;
   }
-  OpenDirState* state = cache_.GetHandle(handle.id);
+  const OpenDirState* state = cache_.GetHandle(handle.id);
   if (state == nullptr) {
     for (Status& s : out) {
       s = InvalidArgumentError("unknown dir handle");
     }
     co_return out;
   }
-  // Copy the routing identity out of the handle table: the state pointer
-  // must not be held across a suspension.
-  const std::string dir_path = state->path;
-  const InodeId dir = state->dir;
-  const psw::Fingerprint parent_fp = state->target_fp;
+  // Copy the directory out of the handle table: the state pointer must not
+  // be held across a suspension.
+  const OpenDirState dir = *state;
 
-  // The create-path mirror of BatchStat: group names by the owner of their
-  // (dir, name) hash, then chunk each group to the transport page budget —
-  // one multi-entry RPC (and one server-side WAL record) per chunk instead
-  // of one round trip per name.
-  std::map<uint32_t, std::vector<size_t>> by_owner;
+  // The create-path mirror of BatchStat: group names by the NameServer of
+  // each (dir, name) — the same placement Create uses — then chunk each
+  // group to the transport page budget: one multi-entry RPC (and one
+  // server-side WAL record) per chunk instead of one round trip per name.
+  std::map<uint32_t, std::vector<size_t>> by_server;
   for (size_t i = 0; i < names.size(); ++i) {
-    by_owner[cluster_->ring().Owner(FingerprintOf(dir, names[i]))].push_back(i);
+    by_server[cluster_->NameServer(dir.dir, names[i], dir.path)].push_back(i);
   }
-  for (auto& [owner, idxs] : by_owner) {
+  for (auto& [server, idxs] : by_server) {
     size_t start = 0;
     while (start < idxs.size()) {
       size_t used = 0;
       size_t end = start;
+      std::vector<std::string> chunk;
       while (end < idxs.size() &&
              PageHasRoom(used, static_cast<int>(end - start),
                          DirEntryWireSize(names[idxs[end]]), kPageMtuBytes,
                          kPageMtuEntries)) {
         used += DirEntryWireSize(names[idxs[end]]);
+        chunk.push_back(names[idxs[end]]);
         ++end;
       }
-      co_await SendBulkChunk(
-          dir_path, dir, parent_fp, owner, names,
-          std::vector<size_t>(idxs.begin() + static_cast<ptrdiff_t>(start),
-                              idxs.begin() + static_cast<ptrdiff_t>(end)),
-          &out);
+      OpResult r = co_await IssueOp(
+          MetaCall::BulkChunk(dir, server, std::move(chunk)), dir.path);
+      for (size_t k = 0; start + k < end; ++k) {
+        Status& verdict = out[idxs[start + k]];
+        if (!r.status.ok()) {
+          verdict = r.status;
+        } else if (k < r.batch_status.size()) {
+          verdict = Status(r.batch_status[k]);
+        } else {
+          verdict = InternalError("truncated bulk verdicts");
+        }
+      }
       start = end;
     }
   }
@@ -640,96 +688,20 @@ sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
 
 sim::Task<Status> SwitchFsClient::Link(const std::string& src,
                                        const std::string& dst) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    auto s = co_await ResolveParent(src);
-    if (!s.ok()) {
-      if (s.status().code() == StatusCode::kStaleCache) {
-        continue;
-      }
-      co_return s.status();
-    }
-    auto d = co_await ResolveParent(dst);
-    if (!d.ok()) {
-      if (d.status().code() == StatusCode::kStaleCache) {
-        continue;
-      }
-      co_return d.status();
-    }
-    auto req = std::make_shared<MetaReq>();
-    req->op = OpType::kLink;
-    req->ref = *d;
-    req->ref2 = *s;
-    const psw::Fingerprint target_fp = FingerprintOf(d->pid, d->name);
-    auto r = co_await rpc_.Call(
-        cluster_->ServerNode(cluster_->ring().Owner(target_fp)), req,
-        config_.txn_call);
-    if (!r.ok()) {
-      co_await sim::Delay(sim_, kRetryBackoff);
-      continue;
-    }
-    const MetaResp* resp = UnwrapResponse(*r);
-    if (resp == nullptr) {
-      co_return InternalError("bad link response");
-    }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
-      continue;
-    }
-    co_return Status(resp->status);
-  }
-  co_return TimeoutError("link retries exhausted");
+  // The new name `dst` is the target; `src` rides in ref2.
+  OpResult r = co_await IssueOp(MetaCall::TwoPath(OpType::kLink, src), dst);
+  co_return r.status;
 }
 
 sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
                                          const std::string& to) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    auto src = co_await ResolveParent(from);
-    if (!src.ok()) {
-      if (src.status().code() == StatusCode::kStaleCache) {
-        continue;
-      }
-      co_return src.status();
-    }
-    auto dst = co_await ResolveParent(to);
-    if (!dst.ok()) {
-      if (dst.status().code() == StatusCode::kStaleCache) {
-        continue;
-      }
-      co_return dst.status();
-    }
-    auto req = std::make_shared<MetaReq>();
-    req->op = OpType::kRename;
-    req->ref = *src;
-    req->ref2 = *dst;
-    auto r = co_await rpc_.Call(
-        cluster_->ServerNode(kRenameCoordinator), req,
-        config_.txn_call);
-    if (!r.ok()) {
-      co_await sim::Delay(sim_, kRetryBackoff);
-      continue;
-    }
-    const MetaResp* resp = UnwrapResponse(*r);
-    if (resp == nullptr) {
-      co_return InternalError("bad rename response");
-    }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
-      continue;
-    }
-    if (resp->status == StatusCode::kOk) {
-      // The moved path (and everything cached beneath a moved directory) is
-      // stale in our own cache too.
-      cache_.ErasePath(from);
-    }
-    co_return Status(resp->status);
+  OpResult r = co_await IssueOp(MetaCall::TwoPath(OpType::kRename, to), from);
+  if (r.status.ok()) {
+    // The moved path (and everything cached beneath a moved directory) is
+    // stale in our own cache too.
+    cache_.ErasePath(from);
   }
-  co_return TimeoutError("rename retries exhausted");
+  co_return r.status;
 }
 
 }  // namespace switchfs::core

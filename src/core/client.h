@@ -1,8 +1,10 @@
-// LibFS: the SwitchFS client library (paper §4.2). Resolves paths through a
-// directory-metadata cache, routes each operation to the owner of the target
-// (pid, name) hash, attaches dirty-set queries to directory reads, unwraps
-// insert-ack envelopes, and retries operations bounced by stale-cache
-// invalidations.
+// LibFS: the client library of all five systems (paper §4.2; §7.1's "same
+// storage and networking framework"). Resolves paths through a
+// directory-metadata cache, routes each operation by the cluster's
+// placement (ClusterContext: SwitchFS sends it to the owner of the target
+// (pid, name) hash, the baselines to their own file and directory-home
+// servers), attaches dirty-set queries to SwitchFS directory reads, unwraps
+// insert-ack envelopes, and retries every op by one rule.
 #ifndef SRC_CORE_CLIENT_H_
 #define SRC_CORE_CLIENT_H_
 
@@ -28,17 +30,21 @@ class SwitchFsClient : public MetadataService {
  public:
   struct Config {
     // The cluster's dirty-set tracker; directory reads run its pre-read hook
-    // (in-network query header or tracker pre-query). Null skips the hook.
+    // (in-network query header or tracker pre-query). Null (the baselines)
+    // skips the hook.
     tracker::DirtyTracker* dirty_tracker = nullptr;
+    // Deadlines. CephFS-sim's clients lengthen `call` and `txn_call` for its
+    // heavy MDS stack (BaselineCluster::NewClient).
     net::CallOptions call = [] {
       net::CallOptions o;
       o.timeout = sim::Milliseconds(2);
       o.max_attempts = 8;
       return o;
     }();
-    // Renames are multi-RPC distributed transactions; a premature client
-    // timeout spawns a duplicate transaction that contends with the original
-    // (locks, EEXIST aborts), so their deadline is transaction-scale.
+    // Renames and links are multi-RPC distributed transactions; a premature
+    // client timeout spawns a duplicate transaction that contends with the
+    // original (locks, EEXIST aborts), so their deadline is
+    // transaction-scale.
     net::CallOptions txn_call = [] {
       net::CallOptions o;
       o.timeout = sim::Milliseconds(50);
@@ -89,17 +95,19 @@ class SwitchFsClient : public MetadataService {
                            const std::string& to) override;
   // Pipelined whole-directory listing: overrides the base one-page-at-a-time
   // drain with a kPrefetchPages-deep window of speculative page RPCs.
-  // Pages are served idempotently by sequence number, so speculation is
-  // safe; a kStaleHandle on any page restarts the scan like the base path.
+  // SwitchFS pages are served idempotently by sequence number, so
+  // speculation is safe; a kStaleHandle on any page restarts the scan like
+  // the base path. Directory-home systems (positional cookies) keep the
+  // base drain.
   sim::Task<StatusOr<std::vector<DirEntry>>> Readdir(
       const std::string& path) override;
-  // Whole-directory listing in ONE RPC (the pre-v2 shape), the baseline
-  // bench_readdir_paging measures paging against; Readdir pages through
-  // OpenDir/ReaddirPage instead.
+  // SwitchFS whole-directory listing in ONE RPC (the pre-v2 shape), the
+  // baseline bench_readdir_paging measures paging against; Readdir pages
+  // through OpenDir/ReaddirPage instead.
   sim::Task<StatusOr<std::vector<DirEntry>>> ReaddirMonolithic(
       const std::string& path);
-  // Hard link (§5.5): `dst` becomes another name for `src`'s file. Not part
-  // of MetadataService — the baselines do not implement hard links.
+  // SwitchFS hard link (§5.5): `dst` becomes another name for `src`'s file.
+  // Not part of MetadataService — the baselines do not implement hard links.
   sim::Task<Status> Link(const std::string& src, const std::string& dst);
 
   ClientCache& cache() { return cache_; }
@@ -113,14 +121,21 @@ class SwitchFsClient : public MetadataService {
 
  private:
   // Typed request description. Call sites build the request through the
-  // named factories; IssueOp owns resolution, routing, and the
-  // stale-cache/transport retry loop for every path-addressed op.
+  // named factories; IssueOp owns resolution, routing, and the one retry
+  // loop for every path-addressed op.
   struct MetaCall {
     OpType op = OpType::kStat;
     bool dir_target = false;  // the path itself is the target directory
     bool pre_read = false;    // run the dirty-tracker pre-read hook
     uint32_t mode = 0644;
     AttrDelta delta;
+    std::string path2;  // kRename: the destination; kLink: the source
+    // kBulkInsert: one chunk of names into an open directory, whose identity
+    // and the chunk's server are pinned by the handle and the caller.
+    InodeId dir;
+    psw::Fingerprint dir_fp = 0;
+    uint32_t server = 0;
+    std::vector<std::string> names;
 
     static MetaCall Mutation(OpType op, uint32_t mode = 0644) {
       MetaCall c;
@@ -146,6 +161,23 @@ class SwitchFsClient : public MetadataService {
       c.delta = delta;
       return c;
     }
+    // Two-path transactions: the op's path lands in `ref`, `path2` in ref2.
+    static MetaCall TwoPath(OpType op, const std::string& path2) {
+      MetaCall c;
+      c.op = op;
+      c.path2 = path2;
+      return c;
+    }
+    static MetaCall BulkChunk(const OpenDirState& dir, uint32_t server,
+                              std::vector<std::string> names) {
+      MetaCall c;
+      c.op = OpType::kBulkInsert;
+      c.dir = dir.dir;
+      c.dir_fp = dir.fp;
+      c.server = server;
+      c.names = std::move(names);
+      return c;
+    }
   };
 
   struct OpResult {
@@ -155,12 +187,16 @@ class SwitchFsClient : public MetadataService {
     uint64_t dir_session = 0;        // kOpenDir
     uint64_t next_cookie = 0;        // kReaddirPage
     bool at_end = false;             // kReaddirPage
-    psw::Fingerprint target_fp = 0;  // the fingerprint the op was routed by
+    std::vector<StatusCode> batch_status;  // kBulkInsert: per-name verdicts
+    psw::Fingerprint target_fp = 0;  // the target's (pid, name) fingerprint
+    uint32_t server = 0;             // the server that answered
   };
 
   // Resolves the parent directory of `path` into a PathRef. May issue
-  // lookups; bounces stale cache entries internally.
-  sim::Task<StatusOr<PathRef>> ResolveParent(const std::string& path);
+  // lookups; bounces stale cache entries internally. Sets `*server` (when
+  // non-null) to the NameServer of the path's last component.
+  sim::Task<StatusOr<PathRef>> ResolveParent(const std::string& path,
+                                             uint32_t* server);
   // Resolves one directory path to a cache entry (see ResolveParent).
   sim::Task<StatusOr<CachedDir>> ResolveDir(const std::string& path);
 
@@ -174,20 +210,13 @@ class SwitchFsClient : public MetadataService {
   };
   sim::Task<void> FetchPage(DirHandle handle, uint64_t cookie,
                             std::shared_ptr<PageSlot> slot);
-  // One BulkInsert chunk (one owner, one page-fill of names): builds the
-  // multi-entry request, runs the stale-cache/transport retry loop, and
-  // writes the per-name verdicts into `out` at positions `idxs`.
-  sim::Task<void> SendBulkChunk(std::string dir_path, InodeId dir,
-                                psw::Fingerprint parent_fp, uint32_t owner,
-                                const std::vector<std::string>& names,
-                                std::vector<size_t> idxs,
-                                std::vector<Status>* out);
 
   sim::Task<OpResult> IssueOp(MetaCall call, const std::string& path);
   // Session-addressed ops (ReaddirPage / CloseDir): no path resolution —
-  // routed straight to the owner pinned in the handle state.
-  sim::Task<OpResult> IssueSessionOp(OpType op, psw::Fingerprint target_fp,
+  // sent straight to the server that served the open.
+  sim::Task<OpResult> IssueSessionOp(OpType op, uint32_t server,
                                      uint64_t session, uint64_t cookie);
+  const net::CallOptions& CallOptionsFor(OpType op) const;
   // Unwraps InsertEnvelope responses and maps the response message.
   static const MetaResp* UnwrapResponse(const net::MsgPtr& msg);
 

@@ -33,16 +33,17 @@ struct CachedDir {
 // once built.
 using WarmSet = std::unordered_map<std::string, CachedDir>;
 
-// Client-side state behind one DirHandle (MetadataService v2): where the
-// owner-side session lives and how to route page requests back to it. The
-// routing is pinned at OpenDir — the session stays at the server that built
-// the snapshot even if the directory is renamed away mid-stream.
+// Client-side state behind one DirHandle (MetadataService v2): the
+// directory the handle was opened on and where its session lives. Both are
+// pinned at OpenDir — pages and CloseDir go to the server that served the
+// open, where the session stays even if the directory is renamed away
+// mid-stream.
 struct OpenDirState {
   std::string path;
-  InodeId dir;                     // directory id (observability)
-  psw::Fingerprint target_fp = 0;  // SwitchFS: owner routing of the (pid, name)
-  uint32_t server = 0;             // baselines: the dir's home-server index
-  uint64_t session = 0;            // owner-side session id
+  InodeId dir;               // directory id
+  psw::Fingerprint fp = 0;   // SwitchFS: the directory's change-log key
+  uint32_t server = 0;       // the server that served the open
+  uint64_t session = 0;      // server-side session id
 };
 
 // The shared warm set plus this client's own state: `map_` overlays it with

@@ -1428,22 +1428,31 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
   for (const kv::WalRecord& r : durable_->wal.records()) {
     stats_.wal_replayed++;
     switch (r.type) {
+      // A change-log's numbering continues past every entry replayed,
+      // applied or not; only unapplied entries are pending again.
       case kWalOpCommit: {
         OpCommitRecord rec = OpCommitRecord::Decode(r.payload);
         ApplyOpCommit(v, rec, Now());
-        if (rec.has_entry && !r.applied) {
-          ChangeLogEntry e = rec.entry;
-          e.wal_lsn = r.lsn;
-          v.GetChangeLog(rec.parent_fp, rec.parent_dir).Restore(std::move(e));
+        if (rec.has_entry) {
+          ChangeLog& clog = v.GetChangeLog(rec.parent_fp, rec.parent_dir);
+          clog.SkipPast(rec.entry.seq);
+          if (!r.applied) {
+            ChangeLogEntry e = rec.entry;
+            e.wal_lsn = r.lsn;
+            clog.Restore(std::move(e));
+          }
         }
         break;
       }
       case kWalBulkCommit: {
         BulkCommitRecord rec = BulkCommitRecord::Decode(r.payload);
         ApplyBulkCommit(v, rec);
+        ChangeLog& clog = v.GetChangeLog(rec.parent_fp, rec.parent_dir);
+        if (!rec.items.empty()) {
+          clog.SkipPast(rec.items.back().entry.seq);
+        }
         if (!r.applied) {
-          RestoreBulkEntries(v.GetChangeLog(rec.parent_fp, rec.parent_dir),
-                             rec, r.lsn);
+          RestoreBulkEntries(clog, rec, r.lsn);
         }
         break;
       }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -134,6 +135,34 @@ class ClusterContext {
   virtual const HashRing& ring() const = 0;
   virtual net::NodeId ServerNode(uint32_t server_index) const = 0;
   virtual uint32_t ServerCount() const = 0;
+
+  // --- client placement: where SwitchFsClient, the client of all five
+  // systems, sends each op. The defaults are SwitchFS's; the baselines
+  // override them (BaselineCluster). ---
+
+  // Server holding the inode of `name` in the directory `pid` at
+  // `dir_path`: where a lookup of the name and every op on it go. SwitchFS:
+  // the ring owner of the (pid, name) fingerprint.
+  virtual uint32_t NameServer(const InodeId& pid, const std::string& name,
+                              std::string_view /*dir_path*/) const {
+    return ring().Owner(FingerprintOf(pid, name));
+  }
+  // True where a directory's attrs and entry list live on a home server
+  // apart from its inode (the baselines): a directory read then addresses
+  // the directory by its own id at DirHome, and its snapshot pages are
+  // cookied by position, so they are read one at a time. SwitchFS reads a
+  // directory at the NameServer of its own (pid, name), by page number.
+  virtual bool dir_homes() const { return false; }
+  virtual uint32_t DirHome(const InodeId& /*dir*/,
+                           std::string_view /*path*/) const {
+    return 0;
+  }
+  // The subtree key a request on `path` carries (MetaReq::top): CephFS-sim
+  // routes whole subtrees by their top-level component. Empty where ids
+  // alone place everything.
+  virtual std::string SubtreeKey(std::string_view /*path*/) const {
+    return {};
+  }
 };
 
 // One dirent mutation as it travels between clusters (src/wan/): the

@@ -16,9 +16,12 @@
 //    returns the POSIX verdict on a directory, a file, a missing name and a
 //    missing parent,
 //  * BatchStat groups by owner and returns per-target verdicts,
-//  * BulkInsert returns per-name verdicts, batches packets, and survives
-//    owner crashes with no committed entry lost,
-//  * SetAttr commits durably and round-trips through Stat.
+//  * BulkInsert returns per-name verdicts, places each name where Create
+//    would (in the root too), batches packets, and survives owner crashes
+//    with no committed entry lost,
+//  * SetAttr commits durably and round-trips through Stat,
+//  * a second client's create under a re-created directory bounces off its
+//    stale cache entry and lands in the new directory.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -125,6 +128,20 @@ class V2Harness {
     }(client.get(), p, &out));
     return out;
   }
+  Status Unlink(const std::string& p) {
+    Status out = InternalError("not run");
+    Run([](MetadataService* c, std::string path, Status* o) -> sim::Task<void> {
+      *o = co_await c->Unlink(path);
+    }(client.get(), p, &out));
+    return out;
+  }
+  Status Rmdir(const std::string& p) {
+    Status out = InternalError("not run");
+    Run([](MetadataService* c, std::string path, Status* o) -> sim::Task<void> {
+      *o = co_await c->Rmdir(path);
+    }(client.get(), p, &out));
+    return out;
+  }
   StatusOr<Attr> Stat(const std::string& p) {
     StatusOr<Attr> out = InternalError("not run");
     Run([](MetadataService* c, std::string path,
@@ -163,6 +180,18 @@ class V2Harness {
 };
 
 class ApiV2Suite : public ::testing::TestWithParam<std::string> {};
+
+// gtest parameter names: the system name with '-' spelled '_'.
+std::string SystemParamName(
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string n = info.param;
+  for (char& c : n) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return n;
+}
 
 TEST_P(ApiV2Suite, PagedStreamMatchesListingAndBoundsPages) {
   V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
@@ -437,19 +466,90 @@ TEST_P(ApiV2Suite, SetAttrCommitsModeAndTimes) {
   EXPECT_EQ(fs.SetAttr("/d/none", delta).code(), StatusCode::kNotFound);
 }
 
+TEST_P(ApiV2Suite, BulkInsertIntoRootPlacesNamesLikeCreate) {
+  // Each bulk-inserted name lands where Create and Stat look for it — in the
+  // root too, where a name heads its own CephFS-sim subtree.
+  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  std::vector<std::string> names;
+  for (int i = 0; i < 8; ++i) {
+    names.push_back("r" + std::to_string(i));
+  }
+  std::vector<Status> verdicts;
+  Status lifecycle = InternalError("not run");
+  fs.Run([](MetadataService* c, std::vector<std::string> names,
+            std::vector<Status>* verdicts, Status* out) -> sim::Task<void> {
+    auto handle = co_await c->OpenDir("/");
+    if (!handle.ok()) {
+      *out = handle.status();
+      co_return;
+    }
+    *verdicts = co_await c->BulkInsert(*handle, names);
+    *out = co_await c->CloseDir(*handle);
+  }(fs.client.get(), names, &verdicts, &lifecycle));
+
+  ASSERT_TRUE(lifecycle.ok()) << lifecycle.ToString();
+  ASSERT_EQ(verdicts.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_TRUE(verdicts[i].ok()) << names[i] << ": " << verdicts[i].ToString();
+    auto st = fs.Stat("/" + names[i]);
+    EXPECT_TRUE(st.ok()) << names[i] << ": " << st.status().ToString();
+    EXPECT_EQ(fs.Create("/" + names[i]).code(), StatusCode::kAlreadyExists)
+        << names[i];
+  }
+  auto listing = fs.Readdir("/");
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(listing->size(), names.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFiveSystems, ApiV2Suite,
                          ::testing::Values("SwitchFS", "Emulated-InfiniFS",
                                            "Emulated-CFS", "CephFS-sim",
                                            "IndexFS-sim"),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           for (char& c : n) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return n;
-                         });
+                         SystemParamName);
+
+// ---------------------------------------------------------------------------
+// A second client bounced off a stale cache entry
+// ---------------------------------------------------------------------------
+
+// Client B caches /a; client A then empties, removes and re-creates /a. B's
+// create under its stale /a must bounce off the server's invalidation list,
+// drop the entry, re-resolve and land in the new /a. CephFS-sim is not run:
+// its rmdir multicasts no invalidation, so B's create reaches the removed
+// directory.
+class StaleCacheBounceSuite : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StaleCacheBounceSuite, CreateUnderRecreatedDirLandsInTheNewDir) {
+  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  std::unique_ptr<MetadataService> b = fs.world->NewClient(false);
+  const auto b_create = [&](const std::string& path) {
+    Status out = InternalError("not run");
+    fs.Run([](MetadataService* c, std::string path,
+              Status* o) -> sim::Task<void> {
+      *o = co_await c->Create(path);
+    }(b.get(), path, &out));
+    return out;
+  };
+  ASSERT_TRUE(fs.Mkdir("/a").ok());
+  ASSERT_TRUE(b_create("/a/old").ok());  // B resolves and caches /a
+
+  ASSERT_TRUE(fs.Unlink("/a/old").ok());
+  ASSERT_TRUE(fs.Rmdir("/a").ok());
+  ASSERT_TRUE(fs.Mkdir("/a").ok());
+
+  Status created = b_create("/a/x");
+  EXPECT_TRUE(created.ok()) << created.ToString();
+  auto st = fs.Stat("/a/x");
+  EXPECT_TRUE(st.ok()) << st.status().ToString();
+  auto listing = fs.Readdir("/a");
+  ASSERT_TRUE(listing.ok());
+  ASSERT_EQ(listing->size(), 1u);
+  EXPECT_EQ(listing->front().name, "x");
+}
+
+INSTANTIATE_TEST_SUITE_P(FourSystems, StaleCacheBounceSuite,
+                         ::testing::Values("SwitchFS", "Emulated-InfiniFS",
+                                           "Emulated-CFS", "IndexFS-sim"),
+                         SystemParamName);
 
 // ---------------------------------------------------------------------------
 // SwitchFS property test: paged readdir under a create/unlink/rename storm

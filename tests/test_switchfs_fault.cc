@@ -837,6 +837,127 @@ TEST(SwitchFsFault, RecoveryIsIdempotent) {
   EXPECT_EQ(sd->size, 10u);
 }
 
+TEST(SwitchFsFault, RecoveredServerKeepsChangeLogNumbering) {
+  // Every change-log entry a server logged for /d is applied before it
+  // crashes, so replay restores none of them as pending. The recovered log
+  // must still number its next entries past the replayed ones: restarting
+  // at 1 would reuse seqs the owner's high-water mark has passed, the owner
+  // would drop the new entries as duplicates, and the source would trim
+  // them — acked creates missing from readdir and statdir.
+  FsHarness fs;
+  std::string dir;
+  for (int i = 0;; ++i) {
+    dir = "/d" + std::to_string(i);
+    if (fs.cluster.ring().Owner(FingerprintOf(RootId(), dir.substr(1))) !=
+        0) {
+      break;
+    }
+  }
+  ASSERT_TRUE(fs.Mkdir(dir).ok());
+  const InodeId dir_id = fs.StatDir(dir)->id;
+  // Names whose inodes (and so change-log entries) live on server 0.
+  const auto on_server0 = [&](const std::vector<std::string>& names) {
+    int n = 0;
+    for (const std::string& name : names) {
+      n += fs.cluster.ring().Owner(FingerprintOf(dir_id, name)) == 0 ? 1 : 0;
+    }
+    return n;
+  };
+  std::vector<std::string> before;
+  std::vector<std::string> after;
+  for (int i = 0; i < 40; ++i) {
+    before.push_back("f" + std::to_string(i));
+  }
+  for (int i = 0; i < 8; ++i) {
+    after.push_back("g" + std::to_string(i));
+  }
+  ASSERT_GT(on_server0(before), 0);
+  ASSERT_GT(on_server0(after), 0);
+
+  for (const std::string& name : before) {
+    ASSERT_TRUE(fs.Create(dir + "/" + name).ok()) << name;
+  }
+  ASSERT_EQ(fs.cluster.TotalPendingChangeLogEntries(), 0u);
+  fs.cluster.CrashServer(0);
+  fs.Run(fs.cluster.RecoverServer(0));
+  ASSERT_TRUE(fs.cluster.server(0).serving());
+  for (const std::string& name : after) {
+    ASSERT_TRUE(fs.Create(dir + "/" + name).ok()) << name;
+    ASSERT_TRUE(fs.Stat(dir + "/" + name).ok()) << name;
+  }
+
+  auto listing = fs.Readdir(dir);
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(listing->size(), before.size() + after.size());
+  auto sd = fs.StatDir(dir);
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, before.size() + after.size());
+  EXPECT_EQ(fs.cluster.TotalStats().entries_deduped, 0u);
+}
+
+TEST(SwitchFsFault, RenameAndLinkRetryWhileTheCoordinatorRecovers) {
+  // Ops that reach a recovering server are answered kUnavailable. Renames
+  // (coordinated by server 0) and links (sent to the owner of the new name)
+  // back off and retry like every other op instead of failing, and take
+  // effect once the server serves again.
+  FsHarness fs;
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Create("/d/old").ok());
+  ASSERT_TRUE(fs.Create("/d/src").ok());
+  const InodeId d_id = fs.StatDir("/d")->id;
+  const InodeId old_id = fs.Stat("/d/old")->id;
+  const InodeId src_id = fs.Stat("/d/src")->id;
+  // A link name owned by the recovering server, so the link meets it too.
+  std::string lnk;
+  for (int i = 0;; ++i) {
+    lnk = "lnk" + std::to_string(i);
+    if (fs.cluster.ring().Owner(FingerprintOf(d_id, lnk)) ==
+        kRenameCoordinator) {
+      break;
+    }
+  }
+
+  fs.cluster.CrashServer(kRenameCoordinator);
+  sim::Spawn(fs.cluster.RecoverServer(kRenameCoordinator));
+  Status renamed = InternalError("not run");
+  Status linked = InternalError("not run");
+  std::vector<Status> creates(8, InternalError("not run"));
+  sim::Spawn([](SwitchFsClient* c, Status* out) -> sim::Task<void> {
+    *out = co_await c->Rename("/d/old", "/d/new");
+  }(fs.client.get(), &renamed));
+  sim::Spawn([](SwitchFsClient* c, std::string dst,
+                Status* out) -> sim::Task<void> {
+    *out = co_await c->Link("/d/src", dst);
+  }(fs.client.get(), "/d/" + lnk, &linked));
+  sim::Spawn([](SwitchFsClient* c, std::vector<Status>* out) -> sim::Task<void> {
+    for (size_t i = 0; i < out->size(); ++i) {
+      (*out)[i] = co_await c->Create("/d/x" + std::to_string(i));
+    }
+  }(fs.client.get(), &creates));
+  ASSERT_FALSE(fs.cluster.server(kRenameCoordinator).serving());
+  fs.cluster.sim().Run();
+  ASSERT_TRUE(fs.cluster.server(kRenameCoordinator).serving());
+
+  EXPECT_TRUE(renamed.ok()) << renamed.ToString();
+  EXPECT_TRUE(linked.ok()) << linked.ToString();
+  for (const Status& s : creates) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  EXPECT_EQ(fs.Stat("/d/old").status().code(), StatusCode::kNotFound);
+  auto moved = fs.Stat("/d/new");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->id, old_id);
+  auto alias = fs.Stat("/d/" + lnk);
+  ASSERT_TRUE(alias.ok());
+  EXPECT_EQ(alias->id, src_id);
+  EXPECT_EQ(alias->nlink, 2u);
+  auto listing = fs.Readdir("/d");
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(Names(listing).count("new"), 1u);
+  EXPECT_EQ(Names(listing).count(lnk), 1u);
+  EXPECT_EQ(listing->size(), 3u + creates.size());
+}
+
 TEST(SwitchFsFault, OperationsDuringCrashEventuallyFailOrSucceedCleanly) {
   // Ops racing a crashed server either time out or succeed after recovery;
   // none may corrupt state.
