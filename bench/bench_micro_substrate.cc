@@ -26,6 +26,34 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
+// The RPC shape: each iteration schedules one short event and one 2 ms
+// timeout that outlives it (a reply and its attempt's timer), then steps
+// until the short event has run. At 150 ns per iteration about 13k timeouts
+// are pending, the event-queue depth of a loaded perfbench run.
+void BM_SimulatorEventBesideTimeouts(benchmark::State& state) {
+  constexpr sim::SimTime kTimeout = sim::Milliseconds(2);
+  constexpr sim::SimTime kShort = 150;
+  sim::Simulator s;
+  uint64_t timeouts = 0;
+  bool ran = false;
+  auto iteration = [&] {
+    ran = false;
+    s.ScheduleAfter(kShort, [&ran] { ran = true; });
+    s.ScheduleTimer(kTimeout, [&timeouts] { timeouts++; });
+    while (!ran) {
+      s.Step();
+    }
+  };
+  for (sim::SimTime t = 0; t < kTimeout; t += kShort) {
+    iteration();  // fill to the steady-state depth before timing
+  }
+  for (auto _ : state) {
+    iteration();
+  }
+  benchmark::DoNotOptimize(timeouts);
+}
+BENCHMARK(BM_SimulatorEventBesideTimeouts);
+
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   sim::Simulator s;
   for (auto _ : state) {

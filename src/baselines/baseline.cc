@@ -222,8 +222,8 @@ sim::Task<Status> BaselineServer::ApplyDirUpdateLocal(
     co_await cpu_.Run(costs_->ceph_journal);
   }
   co_await cpu_.Run(costs_->dir_update_cpu);
-  co_await sim::Delay(sim_,
-                      costs_->dir_update_critical - costs_->dir_update_cpu);
+  co_await sim::FixedDelay(
+      sim_, costs_->dir_update_critical - costs_->dir_update_cpu);
   auto value = kv_.Get(ContentKey(dir));
   if (!value.has_value()) {
     co_return NotFoundError("directory content missing");
@@ -598,7 +598,7 @@ sim::Task<void> BaselineServer::DoOpenDir(net::Packet p, const MetaReq& req) {
 
 sim::Task<void> BaselineServer::DirSessionWatchdog(uint64_t session_id) {
   while (true) {
-    co_await sim::Delay(sim_, config_.dir_session_ttl);
+    co_await sim::FixedDelay(sim_, config_.dir_session_ttl);
     if (dir_sessions_.ExpireIfIdle(session_id, sim_->Now(),
                                    config_.dir_session_ttl)) {
       co_return;

@@ -76,7 +76,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
                                                     std::move(rm));
 
     auto slot = w->slot;
-    ctx_.sim->ScheduleAfter(kAggReplyTimeout, [slot] { slot->Set(false); });
+    ctx_.sim->ScheduleTimer(kAggReplyTimeout, [slot] { slot->Set(false); });
     complete = co_await slot->Wait();
     if (w->pending.empty()) {
       complete = true;
@@ -371,7 +371,7 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       co_await ctx_.cpu->Run(ctx_.costs->wal_append);
       ctx_.durable->wal.Append(kWalEntryApply, rec.Encode());
       co_await ctx_.cpu->Run(ctx_.costs->dir_update_cpu);
-      co_await sim::Delay(
+      co_await sim::FixedDelay(
           ctx_.sim, ctx_.costs->dir_update_critical - ctx_.costs->dir_update_cpu);
       ApplyEntryRow(*v, dir, e);
       ApplyDirAttr(*v, ikey, attr, rec.result_size, rec.result_mtime);
@@ -566,7 +566,7 @@ sim::Task<void> Aggregation::ResponderSessionWatchdog(VolPtr v,
                                                       psw::Fingerprint fp,
                                                       uint64_t seq) {
   while (true) {
-    co_await sim::Delay(ctx_.sim, ctx_.config->responder_session_timeout);
+    co_await sim::FixedDelay(ctx_.sim, ctx_.config->responder_session_timeout);
     auto it = v->ShardFor(fp).agg_sessions.find(fp);
     if (it == v->ShardFor(fp).agg_sessions.end()) {
       co_return;  // finished normally

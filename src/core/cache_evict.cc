@@ -45,7 +45,7 @@ sim::Task<void> EvictSwitchCacheEntry(ServerContext& ctx, VolPtr v,
     wait->slot = std::make_shared<sim::OneShot<int>>(ctx.sim);
     ctx.rpc->Send(ev);
     auto slot = wait->slot;
-    ctx.sim->ScheduleAfter(ctx.config->cache_evict_timeout,
+    ctx.sim->ScheduleTimer(ctx.config->cache_evict_timeout,
                            [slot] { slot->Set(0); });
     const int result = co_await slot->Wait();
     if (result != 0) {

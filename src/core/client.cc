@@ -73,7 +73,7 @@ const net::CallOptions& SwitchFsClient::CallOptionsFor(OpType op) const {
 
 sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
     const std::string& path) {
-  co_await sim::Delay(sim_, costs_->cache_lookup);
+  co_await sim::FixedDelay(sim_, costs_->cache_lookup);
   if (const CachedDir* hit = cache_.Get(path)) {
     cache_.hits++;
     co_return *hit;
@@ -176,7 +176,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
   OpResult out;
   // A bulk chunk is part of one BulkInsert, which paid the client cost.
   if (call.op != OpType::kBulkInsert) {
-    co_await sim::Delay(sim_, costs_->client_op_cost);
+    co_await sim::FixedDelay(sim_, costs_->client_op_cost);
   }
   for (int attempt = 0; attempt == 0 || Retryable(out.status.code());
        ++attempt) {
@@ -185,7 +185,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
       break;
     }
     if (attempt > 0) {
-      co_await sim::Delay(sim_, kRetryBackoff);
+      co_await sim::FixedDelay(sim_, kRetryBackoff);
     }
     auto req = std::make_shared<MetaReq>();
     req->op = call.op;
@@ -297,7 +297,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
 sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueSessionOp(
     OpType op, uint32_t server, uint64_t session, uint64_t cookie) {
   OpResult out;
-  co_await sim::Delay(sim_, costs_->client_op_cost);
+  co_await sim::FixedDelay(sim_, costs_->client_op_cost);
   // Not retried past the RPC layer's retransmits: the session lives only at
   // the server that opened it, so an unreachable or recovering server (its
   // new incarnation wiped the session table) means the stream is gone.
@@ -542,7 +542,7 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::Readdir(
 
 sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
     const std::vector<std::string>& paths) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
+  co_await sim::FixedDelay(sim_, costs_->client_op_cost);
   // Resolve every path, group the targets by their NameServer — the
   // read-path mirror of the per-owner push batching; E-InfiniFS and IndexFS
   // collapse a directory's files onto one server, E-CFS spreads them per
@@ -558,7 +558,7 @@ sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
   }
   for (int attempt = 0; attempt < kMaxOpRetries && !open.empty(); ++attempt) {
     if (attempt > 0) {
-      co_await sim::Delay(sim_, kRetryBackoff);
+      co_await sim::FixedDelay(sim_, kRetryBackoff);
     }
     struct Group {
       std::vector<size_t> indices;
@@ -630,7 +630,7 @@ sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
 
 sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
     const DirHandle& handle, const std::vector<std::string>& names) {
-  co_await sim::Delay(sim_, costs_->client_op_cost);
+  co_await sim::FixedDelay(sim_, costs_->client_op_cost);
   std::vector<Status> out(names.size(), OkStatus());
   if (names.empty()) {
     co_return out;

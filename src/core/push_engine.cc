@@ -106,7 +106,7 @@ sim::Task<void> PushEngine::OwnerIdleTimer(VolPtr v, size_t shard,
                                            uint32_t owner) {
   while (true) {
     const uint64_t seen = v->ShardAt(shard).pushers[owner].activity;
-    co_await sim::Delay(ctx_.sim, ctx_.config->push_idle_timeout);
+    co_await sim::FixedDelay(ctx_.sim, ctx_.config->push_idle_timeout);
     // sfs-lint: allow(borrow-across-suspend, pushers is a std::map whose slots are never erased — the reference is node-stable across suspensions)
     auto& st = v->ShardAt(shard).pushers[owner];
     if (st.ready.empty()) {
@@ -140,6 +140,7 @@ sim::Task<void> PushEngine::RetryTimer(VolPtr v, size_t shard,
   // timer is pending; clamp so the shift stays well-defined.
   const int shift = std::max(1, v->ShardAt(shard).pushers[owner].backoff_shift);
   const sim::SimTime delay = kPushRetryBackoff << (shift - 1);
+  // A computed delay: on the heap, where its doublings build no timer lanes.
   co_await sim::Delay(ctx_.sim, delay);
   v->ShardAt(shard).pushers[owner].retry_timer_armed = false;
   co_await DrainOwner(v, shard, owner);
@@ -156,7 +157,7 @@ sim::Task<void> PushEngine::DrainOwnerBarrier(VolPtr v, uint32_t owner) {
     // otherwise no-op and the recovery flush would return with the backlog
     // still unapplied.
     while (v->ShardAt(shard).pushers[owner].draining) {
-      co_await sim::Delay(ctx_.sim, sim::Microseconds(20));
+      co_await sim::FixedDelay(ctx_.sim, sim::Microseconds(20));
     }
     co_await DrainOwnerImpl(v, shard, owner, /*to_completion=*/true);
   }
@@ -689,7 +690,7 @@ sim::Task<void> PushEngine::OwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
     sim::ScopeExit disarm(
         [&v, fp] { v->ShardFor(fp).quiet_timer_armed.erase(fp); });
     while (true) {
-      co_await sim::Delay(ctx_.sim, ctx_.config->owner_quiet_period);
+      co_await sim::FixedDelay(ctx_.sim, ctx_.config->owner_quiet_period);
       auto it = v->ShardFor(fp).last_push.find(fp);
       const int64_t last =
           it == v->ShardFor(fp).last_push.end() ? 0 : it->second;

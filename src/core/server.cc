@@ -853,7 +853,7 @@ sim::Task<void> SwitchServer::HandleRead(net::Packet p, VolPtr v) {
 
 sim::Task<void> SwitchServer::DirSessionWatchdog(VolPtr v, uint64_t session_id) {
   while (true) {
-    co_await sim::Delay(sim_, config_.dir_session_ttl);
+    co_await sim::FixedDelay(sim_, config_.dir_session_ttl);
     const size_t before = v->SessionShard(session_id).dir_sessions.size();
     if (v->SessionShard(session_id)
             .dir_sessions.ExpireIfIdle(session_id, Now(),
@@ -976,7 +976,7 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
       RespondStatus(p, StatusCode::kStaleHandle);
       co_return;
     }
-    co_await sim::Delay(sim_, 1000);  // park ~1µs; jitter reorders sub-µs
+    co_await sim::FixedDelay(sim_, 1000);  // park ~1µs; jitter reorders sub-µs
   }
 }
 

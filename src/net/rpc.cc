@@ -46,7 +46,7 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
     pending_[call_id] = PendingCall{slot};
     p.rpc.ended_below = pending_.begin()->first;
     Send(p);
-    sim_->ScheduleAfter(opts.timeout, [slot] { slot->Set(nullptr); });
+    sim_->ScheduleTimer(opts.timeout, [slot] { slot->Set(nullptr); });
     MsgPtr resp = co_await slot->Wait();
     if (resp != nullptr) {
       co_return resp;

@@ -30,6 +30,9 @@
 namespace switchfs::net {
 
 struct CallOptions {
+  // Per-attempt timeout. It waits in the simulator's timer lane for this
+  // value (Simulator::ScheduleTimer), so it must be fixed per call site,
+  // not computed or drawn at random.
   sim::SimTime timeout = sim::Microseconds(100);
   int max_attempts = 8;
   // Optional dirty-set operation header stamped on every attempt's packet

@@ -24,7 +24,8 @@
 
 namespace switchfs::sim {
 
-// Suspends the awaiting coroutine for `delay` simulated nanoseconds.
+// Suspends the awaiting coroutine for `delay` simulated nanoseconds. The
+// wake-up waits in the simulator's heap: for a computed or random delay.
 class Delay {
  public:
   Delay(Simulator* sim, SimTime delay) : sim_(sim), delay_(delay) {}
@@ -32,6 +33,24 @@ class Delay {
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
     sim_->ScheduleAfter(delay_, [h] { h.resume(); });
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Simulator* sim_;
+  SimTime delay_;
+};
+
+// Like Delay, for a wait whose length is fixed at the call site (a config
+// or cost-model constant): the wake-up waits in the simulator's FIFO lane of
+// that delay (Simulator::ScheduleTimer) instead of its heap.
+class FixedDelay {
+ public:
+  FixedDelay(Simulator* sim, SimTime delay) : sim_(sim), delay_(delay) {}
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    sim_->ScheduleTimer(delay_, [h] { h.resume(); });
   }
   void await_resume() const noexcept {}
 

@@ -57,7 +57,7 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
     wait->slot = std::make_shared<sim::OneShot<int>>(ctx.sim);
     ctx.rpc->Send(ins);
     auto slot = wait->slot;
-    ctx.sim->ScheduleAfter(ctx.config->insert_ack_timeout,
+    ctx.sim->ScheduleTimer(ctx.config->insert_ack_timeout,
                            [slot] { slot->Set(0); });
     result = co_await slot->Wait();
     if (result != 0) {

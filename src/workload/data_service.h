@@ -29,8 +29,8 @@ class DataService {
   sim::Task<void> Transfer(const std::string& path, uint64_t bytes) {
     const size_t node = HashString(path) % nodes_.size();
     // Network RTT to the data node.
-    co_await sim::Delay(sim_, 2 * costs_->link_latency +
-                                  costs_->plain_switch_delay);
+    co_await sim::FixedDelay(
+        sim_, 2 * costs_->link_latency + costs_->plain_switch_delay);
     sim::Semaphore& slot = *nodes_[node];
     co_await slot.Acquire();
     const double seconds =

@@ -1,15 +1,19 @@
 // Tests for the simulated network fabric and the RPC layer: delivery
 // latency, multicast expansion, fault injection, retransmission, duplicate
-// suppression, completion-record lifetime, and out-of-band response caching.
+// suppression, completion-record lifetime, out-of-band response caching, and
+// where outstanding timeouts wait in the simulator.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/net/network.h"
 #include "src/net/packet.h"
 #include "src/net/rpc.h"
 #include "src/sim/costs.h"
 #include "src/sim/simulator.h"
+#include "src/sim/sync.h"
+#include "src/sim/task.h"
 
 namespace switchfs::net {
 namespace {
@@ -274,6 +278,55 @@ TEST(Rpc, CompletionRecordsAreBoundedByCallsInFlight) {
   h.sim_.RunUntil(h.sim_.Now() + sim::Microseconds(50));
   EXPECT_EQ(h.server_.completion_records(), static_cast<size_t>(kParked));
   h.sim_.Run();
+}
+
+TEST(Rpc, OutstandingTimeoutsWaitInOneTimerLaneNotTheHeap) {
+  // Each attempt's timeout outlives its reply; with one fixed timeout they
+  // all queue in one FIFO lane, so the heap holds only the short-lived
+  // events (packet hops, wake-ups).
+  RpcHarness h;
+  constexpr int kCalls = 1000;
+  int ok = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    sim::Spawn([](RpcHarness* h, int* ok) -> sim::Task<void> {
+      CallOptions opts;
+      opts.timeout = sim::Milliseconds(2);
+      auto r = co_await h->client_.Call(h->server_.id(), MakeMsg<PingMsg>(1),
+                                        opts);
+      *ok += r.ok() ? 1 : 0;
+    }(&h, &ok));
+  }
+  EXPECT_EQ(h.sim_.timer_lanes(), 1u);
+  EXPECT_EQ(h.sim_.lane_events(), static_cast<size_t>(kCalls));
+  h.sim_.RunUntil(sim::Milliseconds(1));
+  ASSERT_EQ(ok, kCalls);
+  EXPECT_EQ(h.sim_.timer_lanes(), 1u);
+  EXPECT_EQ(h.sim_.lane_events(), static_cast<size_t>(kCalls));
+  EXPECT_LE(h.sim_.heap_events(), 4u);
+  const uint64_t executed = h.sim_.executed();
+  h.sim_.Run();  // the stale timeouts fire and do nothing
+  EXPECT_EQ(h.sim_.lane_events(), 0u);
+  EXPECT_EQ(h.sim_.executed(), executed + kCalls);
+  EXPECT_EQ(h.client_.retransmits_sent(), 0u);
+}
+
+TEST(TimerLanes, RandomDelayAddsNoLane) {
+  // A random wait stays on the heap: a lane per distinct delay would make
+  // every Step scan one lane per value drawn.
+  sim::Simulator sim;
+  Rng rng(7);
+  constexpr int kWaiters = 100;
+  for (int i = 0; i < kWaiters; ++i) {
+    sim::Spawn([](sim::Simulator* s, sim::SimTime d) -> sim::Task<void> {
+      co_await sim::Delay(s, d);
+    }(&sim, 1 + static_cast<sim::SimTime>(rng.NextBelow(sim::kMillisecond))));
+  }
+  EXPECT_EQ(sim.timer_lanes(), 0u);
+  EXPECT_EQ(sim.lane_events(), 0u);
+  EXPECT_EQ(sim.heap_events(), static_cast<size_t>(kWaiters));
+  sim.Run();
+  EXPECT_EQ(sim.executed(), static_cast<uint64_t>(kWaiters));
+  EXPECT_EQ(sim.timer_lanes(), 0u);
 }
 
 TEST(Rpc, CallTimesOutAgainstDeadServer) {
