@@ -1,10 +1,17 @@
 // Substrate microbenchmarks (google-benchmark, wall-clock): simulator event
-// throughput, coroutine round-trips, KV store, WAL, change-log append and
+// throughput, coroutine round-trips, KV store (short keys, and schema-shaped
+// inode keys spread over a cluster's stores), WAL, change-log append and
 // compacted-state maintenance. These bound how much simulated work the
 // figure benches can push per host second.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "src/common/hash.h"
 #include "src/common/histogram.h"
+#include "src/common/random.h"
 #include "src/core/change_log.h"
 #include "src/kv/kvstore.h"
 #include "src/kv/wal.h"
@@ -101,6 +108,72 @@ void BM_KvStoreGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvStoreGet);
+
+// Schema-shaped rows as a loaded cluster holds them: inode keys "i" + a
+// 32-byte directory id + "fNN" for 2048 directories x 64 names, spread over
+// 32 stores (8 servers x 4 shards), and 64k lookups drawn 80/20 over the
+// directories (80% of them go to the first 20%).
+struct InodeKeyRows {
+  static constexpr uint32_t kDirs = 2048;
+  static constexpr uint32_t kNames = 64;
+  static constexpr uint32_t kStores = 32;
+  static constexpr uint32_t kPicks = 1 << 16;
+
+  std::vector<kv::KvStore> stores = std::vector<kv::KvStore>(kStores);
+  std::vector<std::string> keys;
+  std::vector<uint32_t> store_of;  // parallel to `keys`
+  std::vector<uint32_t> picks;     // indices into `keys`
+  const std::string value = std::string(48, 'a');  // an encoded Attr's size
+
+  InodeKeyRows() {
+    for (uint32_t d = 0; d < kDirs; ++d) {
+      uint64_t id[4] = {(uint64_t{d % 8} << 48) | d, Mix64(d), 0, 2};
+      std::string dir(1, 'i');
+      dir.append(reinterpret_cast<const char*>(id), sizeof(id));
+      for (uint32_t n = 0; n < kNames; ++n) {
+        keys.push_back(dir + "f" + std::to_string(n));
+        store_of.push_back(
+            static_cast<uint32_t>(HashString(keys.back()) % kStores));
+        stores[store_of.back()].Put(keys.back(), value);
+      }
+    }
+    Rng rng(1);
+    constexpr uint32_t kHotDirs = kDirs / 5;
+    for (uint32_t i = 0; i < kPicks; ++i) {
+      const uint64_t dir =
+          rng.NextBool(0.8) ? rng.NextBelow(kHotDirs)
+                            : kHotDirs + rng.NextBelow(kDirs - kHotDirs);
+      picks.push_back(static_cast<uint32_t>(dir * kNames +
+                                            rng.NextBelow(kNames)));
+    }
+  }
+
+  static InodeKeyRows& Get() {
+    static InodeKeyRows rows;
+    return rows;
+  }
+};
+
+void BM_KvStoreGetInodeKeys(benchmark::State& state) {
+  InodeKeyRows& rows = InodeKeyRows::Get();
+  uint32_t i = 0;
+  for (auto _ : state) {
+    const uint32_t k = rows.picks[i++ & (InodeKeyRows::kPicks - 1)];
+    benchmark::DoNotOptimize(rows.stores[rows.store_of[k]].Get(rows.keys[k]));
+  }
+}
+BENCHMARK(BM_KvStoreGetInodeKeys);
+
+void BM_KvStorePutInodeKeys(benchmark::State& state) {
+  InodeKeyRows& rows = InodeKeyRows::Get();
+  uint32_t i = 0;
+  for (auto _ : state) {
+    const uint32_t k = rows.picks[i++ & (InodeKeyRows::kPicks - 1)];
+    rows.stores[rows.store_of[k]].Put(rows.keys[k], rows.value);
+  }
+  benchmark::DoNotOptimize(rows.stores[0].size());
+}
+BENCHMARK(BM_KvStorePutInodeKeys);
 
 void BM_WalAppend(benchmark::State& state) {
   kv::Wal wal;

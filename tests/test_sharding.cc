@@ -2,8 +2,8 @@
 // lost or duplicated when creates/renames/unlinks land on different
 // fingerprint-group shards of the same servers), duplicate-push idempotency
 // (a retransmitted batch applies exactly once, across the owner's token
-// era), per-shard dir-session caps, shard run-queue lane semantics, and the
-// simulator's run-while-work-pending mode.
+// era), per-shard dir-session caps, shard run-queue lane semantics, the
+// sharded KV's gather scans, and the simulator's run-while-work-pending mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 
 #include "src/common/random.h"
 #include "src/core/aggregation.h"
+#include "src/core/keys.h"
 #include "src/core/push_engine.h"
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
@@ -441,6 +442,64 @@ TEST(ShardLanes, HandoffLaneDoesNotSerialize) {
   EXPECT_EQ(events,
             (std::vector<std::string>{"slow:start", "fast:start", "fast:end",
                                       "slow:end"}));
+}
+
+// ---------------------------------------------------------------------------
+// Sharded KV gather scans
+// ---------------------------------------------------------------------------
+
+// A short-prefix scan gathers every shard's rows in global key order, so a
+// 4-shard ShardedKv scans exactly like a 1-shard one over the same rows,
+// cursor scans included.
+TEST(ShardedKvGather, FourShardsScanLikeOne) {
+  sim::Simulator sim;
+  ServerVolatile one(&sim, 1);
+  ServerVolatile four(&sim, 4);
+  Rng rng(7);
+  for (int d = 0; d < 24; ++d) {
+    InodeId dir;
+    dir.w[0] = rng.Next();
+    dir.w[1] = rng.Next();
+    const std::string name = "d" + std::to_string(d);
+    for (ServerVolatile* v : {&one, &four}) {
+      v->kv.Put(InodeKey(InodeId{}, name), "attr" + name);
+      v->kv.Put(DirIndexKey(dir), "index" + name);
+      v->kv.Put(AttrKey(dir), "shared" + name);
+      for (int f = 0; f < 6; ++f) {
+        const std::string file = "file-with-a-long-name-" + std::to_string(f);
+        v->kv.Put(InodeKey(dir, file), "attr" + file);
+        v->kv.Put(EntryKey(dir, file), "e");
+        v->kv.Put(LwwStampKey(dir, file), "stamp");
+      }
+    }
+  }
+  auto scan = [](const ServerVolatile& v, std::string_view prefix,
+                 const std::string& after) {
+    std::vector<std::pair<std::string, std::string>> rows;
+    auto visit = [&rows](const std::string& k, const std::string& val) {
+      rows.emplace_back(k, val);
+      return true;
+    };
+    if (after.empty()) {
+      v.kv.ScanPrefix(prefix, visit);
+    } else {
+      v.kv.ScanFrom(prefix, after, visit);
+    }
+    return rows;
+  };
+  for (const std::string prefix : {"", "i"}) {
+    SCOPED_TRACE("prefix \"" + prefix + "\"");
+    const auto all = scan(one, prefix, "");
+    ASSERT_FALSE(all.empty());
+    EXPECT_EQ(scan(four, prefix, ""), all);
+    EXPECT_EQ(four.kv.CountPrefix(prefix), all.size());
+    // Cursors below the prefix, inside it, and on its last row.
+    for (const std::string& after :
+         {std::string("a"), all[all.size() / 2].first, all.back().first}) {
+      EXPECT_EQ(scan(four, prefix, after), scan(one, prefix, after));
+    }
+  }
+  EXPECT_EQ(four.kv.size(), one.kv.size());
 }
 
 // ---------------------------------------------------------------------------
