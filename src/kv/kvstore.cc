@@ -168,14 +168,6 @@ size_t KvStore::CountPrefix(std::string_view prefix) const {
     return rows == nullptr ? 0 : rows->size();
   }
   size_t n = 0;
-  if (prefix.size() < kGroupBytes) {
-    for (const auto& [name, rows] : groups_) {
-      if (name.view().starts_with(prefix)) {
-        n += rows.size();
-      }
-    }
-    return n;
-  }
   ScanPrefix(prefix, [&n](const std::string&, const std::string&) {
     ++n;
     return true;

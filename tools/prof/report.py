@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Symbolizes a profile written by tools/prof/sampler.cc and prints shares.
 
-    tools/prof/report.py PROFILE [--under FRAME] [--top N]
+    tools/prof/report.py PROFILE [--under FRAME]
 
 Maps each sampled address to the function around it with `nm -C` on the
 mapped file (`nm -D -C` for a stripped shared library; an address outside
-every exported symbol reads "?? <file>"), then prints two tables, as
-percentages of the samples kept:
+every exported symbol reads "?? <file>"), then prints two tables of the
+25 largest shares, as percentages of the samples kept:
 
     self       samples whose leaf frame is the function
     inclusive  samples with the function anywhere on the stack (once each)
@@ -23,6 +23,8 @@ import collections
 import struct
 import subprocess
 import sys
+
+TOP = 25  # rows per table
 
 
 def short_name(name):
@@ -118,7 +120,6 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("profile")
     parser.add_argument("--under", metavar="FRAME")
-    parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args()
 
     meta, maps, samples = load(args.profile)
@@ -153,7 +154,7 @@ def main():
         return 1
     for title, counts in (("self", self_counts), ("inclusive", incl_counts)):
         print(f"\n{title:>9}  function")
-        for name, n in counts.most_common(args.top):
+        for name, n in counts.most_common(TOP):
             print(f"{100.0 * n / kept:8.1f}%  {name}")
     return 0
 

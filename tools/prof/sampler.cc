@@ -7,11 +7,11 @@
 //   SFS_PROF_OUT=/tmp/prof LD_PRELOAD=$PWD/libsfsprof.so ./program args...
 //   tools/prof/report.py /tmp/prof.<pid> --under 'Simulator::Step'
 //
-// setitimer(ITIMER_PROF) raises SIGPROF SFS_PROF_HZ times (default 997) per
-// second of CPU time the process uses, or once per scheduler tick if the
-// kernel's tick is slower (250 Hz is common). Each signal records the
-// interrupted program counter and the return addresses on its frame-pointer
-// chain, leaf first, into a preallocated buffer. At exit the library writes
+// setitimer(ITIMER_PROF) raises SIGPROF kHz times per second of CPU time the
+// process uses, or once per scheduler tick if the kernel's tick is slower
+// (250 Hz is common). Each signal records the interrupted program counter
+// and the return addresses on its frame-pointer chain, leaf first, into a
+// preallocated buffer. At exit the library writes
 // <SFS_PROF_OUT>.<pid> (default sfsprof.<pid>): the process's file-backed
 // mappings, then one line of hex addresses per sample. report.py symbolizes
 // them with `nm -C`.
@@ -34,6 +34,7 @@
 
 namespace {
 
+constexpr long kHz = 997;
 constexpr size_t kMaxDepth = 64;
 constexpr size_t kBufferWords = size_t{1} << 23;  // 64 MB, touched as used
 
@@ -42,7 +43,6 @@ size_t g_used = 0;
 uint64_t g_samples = 0;
 uint64_t g_dropped = 0;
 uintptr_t g_stack_hi = 0;  // top of the main thread's stack
-long g_hz = 997;
 
 void OnProf(int, siginfo_t*, void* context) {
   const auto* uc = static_cast<const ucontext_t*>(context);
@@ -90,18 +90,17 @@ __attribute__((constructor)) void Start() {
     g_stack_hi = reinterpret_cast<uintptr_t>(addr) + size;
     pthread_attr_destroy(&attr);
   }
-  if (const char* hz = std::getenv("SFS_PROF_HZ")) {
-    g_hz = std::atol(hz) > 0 ? std::atol(hz) : g_hz;
-  }
   struct sigaction sa = {};
   sa.sa_sigaction = OnProf;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&sa.sa_mask);
   sigaction(SIGPROF, &sa, nullptr);
   itimerval timer = {};
-  timer.it_interval.tv_usec = 1000000 / g_hz;
+  timer.it_interval.tv_usec = 1000000 / kHz;
   timer.it_value = timer.it_interval;
-  setitimer(ITIMER_PROF, &timer, nullptr);
+  if (setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
+    std::perror("sfsprof: setitimer");
+  }
 }
 
 __attribute__((destructor)) void Stop() {
@@ -119,7 +118,7 @@ __attribute__((destructor)) void Stop() {
     std::perror("sfsprof: open output");
     return;
   }
-  std::fprintf(out, "sfsprof 1\nhz %ld\nsamples %llu\ndropped %llu\n", g_hz,
+  std::fprintf(out, "sfsprof 1\nhz %ld\nsamples %llu\ndropped %llu\n", kHz,
                static_cast<unsigned long long>(g_samples),
                static_cast<unsigned long long>(g_dropped));
   // File-backed mappings, as /proc/self/maps prints them.
