@@ -3,7 +3,9 @@
 //   Baseline     — synchronous parent updates (async_updates off)
 //   +Async       — asynchronous updates, no change-log compaction
 //   +Compaction  — the full SwitchFS design
-// Reported: throughput vs cores per server, and mean/p99 latency.
+// Reported: throughput vs cores per server, and mean/p99 latency. Exits 1
+// unless every run's creates all reach the directory (bench_util.h
+// RequireCreatesVisible).
 #include "bench/bench_util.h"
 
 namespace switchfs::bench {
@@ -45,9 +47,11 @@ int main() {
     for (int cores : {2, 4, 6}) {
       auto world = MakeSwitchFs(8, cores, switchfs::core::TrackerMode::kSwitch,
                                 v.async_updates, v.compaction);
-      switchfs::wl::RunResult r = RunCreate(*world, ScaledOps(25000), 256);
+      const uint64_t creates = ScaledOps(25000);
+      switchfs::wl::RunResult r = RunCreate(*world, creates, 256);
       std::printf(" %8.1f", r.ThroughputOpsPerSec() / 1e3);
       std::fflush(stdout);
+      RequireCreatesVisible(*world, r, "/shared0", creates);
     }
     std::printf("   Kops/s\n");
   }
@@ -59,9 +63,11 @@ int main() {
     auto world = MakeSwitchFs(8, 4, switchfs::core::TrackerMode::kSwitch,
                               v.async_updates, v.compaction);
     // Moderate concurrency: the paper's latency panel is taken under load.
-    switchfs::wl::RunResult r = RunCreate(*world, ScaledOps(15000), 32);
+    const uint64_t creates = ScaledOps(15000);
+    switchfs::wl::RunResult r = RunCreate(*world, creates, 32);
     std::printf("%-14s %10.2f %10.2f %10.2f\n", v.name, r.MeanLatencyUs(),
                 r.PercentileUs(0.5), r.PercentileUs(0.99));
+    RequireCreatesVisible(*world, r, "/shared0", creates);
   }
   return 0;
 }

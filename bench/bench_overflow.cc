@@ -2,6 +2,8 @@
 // fail so double-inode operations fall back to synchronous updates at the
 // parent's owner. The paper reports throughput dropping by 69.7% and average
 // latency rising by 0.85x, closely matching the Baseline configuration.
+// Exits 1 unless every run's creates all reach the directory (bench_util.h
+// RequireCreatesVisible).
 #include "bench/bench_util.h"
 
 namespace switchfs::bench {
@@ -31,13 +33,15 @@ int main() {
   for (bool force_overflow : {false, true}) {
     auto world = MakeSwitchFs(8, 4);
     world->data_plane()->SetForceInsertOverflow(force_overflow);
-    switchfs::wl::RunResult r = RunCreate(*world, ScaledOps(20000), 256);
+    const uint64_t creates = ScaledOps(20000);
+    switchfs::wl::RunResult r = RunCreate(*world, creates, 256);
     std::printf("%-22s %10.1f %10.2f %10.2f %12llu\n",
                 force_overflow ? "always-overflow" : "normal",
                 r.ThroughputOpsPerSec() / 1e3, r.MeanLatencyUs(),
                 r.PercentileUs(0.99),
                 static_cast<unsigned long long>(
                     world->TotalStats().fallbacks));
+    RequireCreatesVisible(*world, r, "/shared0", creates);
     if (!force_overflow) {
       normal_tput = r.ThroughputOpsPerSec();
       normal_lat = r.MeanLatencyUs();

@@ -80,7 +80,7 @@ class OwnerHarness {
                         &config, &cpu, &rpc,          &stats,   &tracker_impl};
     agg = std::make_unique<Aggregation>(ctx);
     push = std::make_unique<PushEngine>(ctx, *agg);
-    agg->SetRebinder(push.get());
+    agg->SetPushEngine(push.get());
     rpc.SetCpu(&cpu);
     rpc.SetRequestHandler([this](net::Packet p) {
       if (p.body->type == PushReq::kType) {

@@ -98,6 +98,33 @@ inline std::unique_ptr<core::FsWorld> MakeWorld(const std::string& system,
   std::abort();
 }
 
+// Exits the bench with status 1 unless a create run into `dir` left `world`
+// consistent: no op failed, no change-log entry is pending, and a fresh
+// client's statdir(`dir`) counts every create issued (`creates`, warm-up
+// included). Prints nothing to stdout, so a passing run's table is unchanged.
+inline void RequireCreatesVisible(core::Cluster& world,
+                                  const wl::RunResult& r,
+                                  const std::string& dir, uint64_t creates) {
+  auto client = world.NewClient(/*warm=*/true);
+  uint64_t size = 0;
+  sim::Spawn([](core::MetadataService* c, std::string path,
+                uint64_t* out) -> sim::Task<void> {
+    auto attr = co_await c->StatDir(path);
+    *out = attr.ok() ? attr->size : 0;
+  }(client.get(), dir, &size));
+  world.sim().Run();
+  const size_t pending = world.TotalPendingChangeLogEntries();
+  if (r.failed != 0 || pending != 0 || size != creates) {
+    std::fprintf(stderr,
+                 "%s: %llu failed ops, %zu pending change-log entries, "
+                 "statdir size %llu of %llu creates\n",
+                 dir.c_str(), static_cast<unsigned long long>(r.failed),
+                 pending, static_cast<unsigned long long>(size),
+                 static_cast<unsigned long long>(creates));
+    std::exit(1);
+  }
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }

@@ -387,6 +387,13 @@ sim::Task<void> BaselineServer::DoUpsert(net::Packet p, const MetaReq& req) {
   Status dir_status = co_await DirUpdate(ref.pid, parent_top, ref.name,
                                          attr.type, req.op == OpType::kUnlink);
   if (!dir_status.ok()) {
+    // The parent is gone (CephFS-sim's rmdir invalidates no cache): undo
+    // the inode mutation, or the row stays under an id no listing shows.
+    if (req.op == OpType::kUnlink) {
+      kv_.Put(ikey, *existing);
+    } else {
+      kv_.Delete(ikey);
+    }
     RespondStatus(p, dir_status.code());
     co_return;
   }
@@ -598,9 +605,9 @@ sim::Task<void> BaselineServer::DoOpenDir(net::Packet p, const MetaReq& req) {
 
 sim::Task<void> BaselineServer::DirSessionWatchdog(uint64_t session_id) {
   while (true) {
-    co_await sim::FixedDelay(sim_, config_.dir_session_ttl);
+    co_await sim::FixedDelay(sim_, core::kDirSessionTtl);
     if (dir_sessions_.ExpireIfIdle(session_id, sim_->Now(),
-                                   config_.dir_session_ttl)) {
+                                   core::kDirSessionTtl)) {
       co_return;
     }
   }
@@ -610,7 +617,7 @@ sim::Task<void> BaselineServer::DoReaddirPage(net::Packet p,
                                               const MetaReq& req) {
   co_await cpu_.Run(OpOverhead());
   core::DirSession* session = dir_sessions_.Touch(req.dir_session, sim_->Now(),
-                                                  config_.dir_session_ttl);
+                                                  core::kDirSessionTtl);
   if (session == nullptr) {
     RespondStatus(p, StatusCode::kStaleHandle);
     co_return;

@@ -71,10 +71,6 @@ struct BaselineConfig {
   sim::CostModel costs;
   net::Network::FaultConfig faults;
   uint64_t seed = 42;
-  // MetadataService v2 directory streams: the session-inactivity TTL.
-  // Pages fill to the shared kPageMtuBytes / kPageMtuEntries budget
-  // (metadata_service.h), so all five systems keep one page-size contract.
-  sim::SimTime dir_session_ttl = sim::Milliseconds(20);
 };
 
 // --- placement ---

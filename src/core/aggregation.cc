@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "src/core/cache_evict.h"
 #include "src/core/push_engine.h"
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
@@ -19,6 +20,9 @@ namespace {
 // before re-multicasting with a fresh sequence number, and how many times.
 constexpr sim::SimTime kAggReplyTimeout = sim::Milliseconds(2);
 constexpr int kAggMaxRetries = 12;
+// A responder releases its collect session (and the shared change-log lock
+// it holds) once its initiator has been silent this long.
+constexpr sim::SimTime kResponderSessionTimeout = sim::Milliseconds(20);
 
 }  // namespace
 
@@ -83,90 +87,30 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     }
   }
 
-  // Apply phase: per-(dir, source) batches, hwm-deduplicated. Entries
-  // collected for a directory that was renamed away (live moved tombstone)
-  // are neither applied nor acked: acking at max seq would trim committed
-  // entries at their sources. They become AggDone moved rows instead, and
-  // each source re-keys its log toward the tombstone's target — the
-  // aggregation-path analog of the kMoved push verdict.
-  std::map<std::pair<uint32_t, InodeId>, uint64_t> acked;
-  std::map<std::pair<uint32_t, InodeId>, AggDone::MovedRow> moved;
+  // Apply phase: one verdict per collected section (a directory renamed
+  // away yields a moved verdict: its source re-keys the log toward the
+  // tombstone's target instead of trimming it).
+  auto done = std::make_shared<AggDone>();
+  done->fp = fp;
   for (size_t i = 0; i < w->collected.size(); ++i) {
     const uint32_t src = w->collected_src[i];
     // Copies, not references: a straggling AggEntries reply (responder
-    // retry) can push_back into w->collected while ApplyEntries suspends,
+    // retry) can push_back into w->collected while ApplySection suspends,
     // reallocating the vector under a held reference.
     const InodeId dir = w->collected[i].dir;
     if (w->collected[i].entries.empty()) {
       continue;
     }
-    const uint64_t max_seq = w->collected[i].entries.back().seq;
-    co_await ApplyEntries(v, dir, src, fp,
-                          std::move(w->collected[i].entries), held_inode_key);
-    // Classify AFTER the apply: ApplyEntries drops entries silently when
-    // the directory is unknown here, and a rename can commit while the
-    // apply waits on the inode lock — a pre-apply check would ack (and so
-    // trim) entries the rename raced. The directory is live here only if
-    // its dir-index row resolves to an inode row, as in
-    // PushEngine::ApplySection.
-    std::string ikey;
-    psw::Fingerprint ifp = 0;
-    const bool live =
-        v->LookupDirIndex(dir, &ikey, &ifp) && v->kv.Get(ikey).has_value();
-    if (!live) {
-      const ServerVolatile::MovedDir* tomb = v->FindMovedTombstone(
-          dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
-      if (tomb != nullptr) {
-        moved[{src, dir}] = AggDone::MovedRow{src,
-                                              dir,
-                                              tomb->AppliedFor(src, fp),
-                                              tomb->new_fp,
-                                              tomb->new_owner,
-                                              tomb->epoch};
-        continue;
-      }
-    }
-    auto& high = acked[{src, dir}];
-    high = std::max(high, max_seq);
+    const SectionVerdict verdict = co_await ApplySection(
+        v, dir, src, fp, std::move(w->collected[i].entries), held_inode_key,
+        /*batch_token=*/0, AckRule::kLastSeq);
+    done->rows.push_back(AggDone::Row{src, verdict});
   }
-
-  // Ack our own change-logs synchronously.
-  auto own = v->ShardFor(fp).changelogs.find(fp);
-  if (own != v->ShardFor(fp).changelogs.end()) {
-    for (auto& [dir, log] : own->second) {
-      auto it = acked.find({ctx_.config->index, dir});
-      if (it == acked.end()) {
-        continue;
-      }
-      for (uint64_t lsn : log.AckUpTo(it->second)) {
-        ctx_.durable->wal.MarkApplied(lsn);
-      }
-    }
-  }
-
-  auto done = std::make_shared<AggDone>();
-  done->fp = fp;
   done->agg_seq = w->seq;
-  for (const auto& [key, seq] : acked) {
-    if (key.first == ctx_.config->index) {
-      continue;
-    }
-    done->acked.push_back(AggDone::AckedRow{key.first, key.second, seq});
-  }
-  // Moved rows: remote sources re-key on receipt of the AggDone; our own
-  // logs for the moved directory re-key in a detached task — the caller may
-  // hold this group's change-log lock (rmdir's held_cl_fp), so an inline
-  // rebind could self-deadlock on its own lock table.
-  for (const auto& [key, row] : moved) {
-    if (key.first != ctx_.config->index) {
-      done->moved.push_back(row);
-      continue;
-    }
-    if (rebinder_ != nullptr) {
-      sim::Spawn(rebinder_->RebindMovedLog(v, row.dir, fp, row.new_fp,
-                                           row.applied_seq,
-                                           /*from_aggregation=*/true),
-                 v.get());
+  // Settle our own sections here: the multicast does not reach its origin.
+  for (const AggDone::Row& row : done->rows) {
+    if (row.src_server == ctx_.config->index) {
+      push_->SettleVerdict(v, fp, row.verdict, /*from_aggregation=*/true);
     }
   }
   v->ShardFor(fp).agg_waits.erase(fp);
@@ -195,28 +139,81 @@ sim::Task<void> Aggregation::GateAndAggregate(VolPtr v, psw::Fingerprint fp) {
   co_await RunAggregation(v, fp, std::nullopt, 0, "", false);
 }
 
-sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
-                                          psw::Fingerprint lane_fp,
-                                          std::vector<ChangeLogEntry> entries,
-                                          const std::string& held_inode_key,
-                                          uint64_t batch_token) {
-  if (entries.empty()) {
-    co_return;
+sim::Task<SectionVerdict> Aggregation::ApplySection(
+    VolPtr v, InodeId dir, uint32_t src, psw::Fingerprint section_fp,
+    std::vector<ChangeLogEntry> entries, const std::string& held_inode_key,
+    uint64_t batch_token, AckRule rule) {
+  SectionVerdict verdict;
+  verdict.dir = dir;
+  const uint64_t last_seq = entries.empty() ? 0 : entries.back().seq;
+  // Idempotent apply: a section whose token is not above the highest token
+  // committed for (dir, src) is a duplicate — a batch replayed after a lost
+  // response, a retry that crossed its own ack, or a re-push after the
+  // owner's crash (push_tokens is rebuilt from kWalEntryApply records). Re-
+  // ack what the original apply acked so the source trims; apply nothing.
+  if (batch_token != 0) {
+    auto tok = v->push_tokens.find({dir, src});
+    if (tok != v->push_tokens.end() && tok->second.fp == section_fp &&
+        batch_token <= tok->second.token) {
+      ctx_.stats->push_batches_deduped++;
+      verdict.acked_seq = tok->second.acked_seq;
+      co_return verdict;
+    }
   }
   std::string ikey;
   psw::Fingerprint fp = 0;
-  if (!v->LookupDirIndex(dir, &ikey, &fp)) {
-    // Directory unknown here: removed (entries are obsolete) or renamed
-    // away. Callers that must not lose entries check the moved tombstone
-    // BEFORE applying (PushEngine::ApplySection, RunAggregation's apply
-    // phase, SyncParentUpdate) and route a kMoved/moved-row rebind verdict
-    // instead; this silent drop is only reached for genuinely removed
-    // directories.
-    co_return;
-  }
+  bool live = false;
   LockTable::Handle lock;
-  if (ikey != held_inode_key) {
-    lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
+  if (v->LookupDirIndex(dir, &ikey, &fp)) {
+    // The exclusive inode lock is taken BEFORE the read-cache evict and held
+    // through the apply and the classification: evicting outside the lock
+    // leaves a window where a concurrent lookup re-installs the stale attr
+    // between the evict round trip and the apply's KV write. The evict is a
+    // no-op unless this owner installed the fingerprint (in async mode the
+    // entries' dirty-set inserts already evicted it in flight).
+    if (ikey != held_inode_key) {
+      lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
+    }
+    co_await EvictSwitchCacheEntry(ctx_, v, fp);
+    live = co_await ApplyEntries(v, dir, src, section_fp, std::move(entries),
+                                 ikey, fp, batch_token);
+    if (!live) {
+      // Nothing applied, so nothing read the inode row under the lock.
+      live = v->LiveDirRow(dir, &ikey, &fp).has_value();
+    }
+  }
+  const ServerVolatile::MovedDir* moved =
+      live ? nullptr : v->FindMovedTombstone(dir, ctx_.Now());
+  if (moved != nullptr) {
+    verdict.moved = true;
+    verdict.acked_seq = moved->AppliedFor(src, section_fp);
+    verdict.new_fp = moved->new_fp;
+    verdict.new_owner = moved->new_owner;
+    verdict.rename_epoch = moved->epoch;
+    co_return verdict;
+  }
+  if ((live && rule == AckRule::kMark) ||
+      (!live && v->RenameArriving(section_fp))) {
+    auto it = v->hwm.find({dir, src, section_fp});
+    verdict.acked_seq = it == v->hwm.end() ? 0 : it->second;
+  } else {
+    verdict.acked_seq = last_seq;
+  }
+  // Commit the section's token AFTER the apply: the WAL records carrying it
+  // are durable by now, so a crash between apply and ack replays to the same
+  // {token, acked_seq} and the duplicate still no-ops.
+  v->CommitPushToken(dir, src, section_fp, batch_token, verdict.acked_seq);
+  co_return verdict;
+}
+
+sim::Task<bool> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
+                                          psw::Fingerprint lane_fp,
+                                          std::vector<ChangeLogEntry> entries,
+                                          const std::string& ikey,
+                                          psw::Fingerprint dir_fp,
+                                          uint64_t batch_token) {
+  if (entries.empty()) {
+    co_return false;
   }
 
   // The hwm mark is tracked in a local and written through BumpHwm — not a
@@ -261,7 +258,7 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     ++next;
   }
   if (todo.empty()) {
-    co_return;
+    co_return false;
   }
 
   // Per-entry commit-stamp LWW: each name's last applied write
@@ -305,13 +302,13 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
   todo = std::move(kept);
   if (todo.empty()) {
     bump_hwm(final_seq);
-    co_return;
+    co_return false;
   }
 
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
-    co_return;  // directory vanished under a concurrent rmdir
+    co_return false;  // directory vanished under a concurrent rmdir
   }
   Attr attr = Attr::Decode(*value);
 
@@ -389,13 +386,14 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     for (const ChangeLogEntry& e : todo) {
       WanEntry we;
       we.dir = dir;
-      we.dir_fp = fp;
+      we.dir_fp = dir_fp;
       we.origin_cluster = ctx_.config->cluster_id;
       we.src_server = src;
       we.entry = e;
       ctx_.wan_sink->OnEntryApplied(we);
     }
   }
+  co_return true;
 }
 
 // Our own change-logs belong to the collection too. The shared lock
@@ -523,50 +521,28 @@ void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
 }
 
 void Aggregation::HandleAggDone(const AggDone& done, VolPtr v) {
-  // Moved rows first, independent of the session (a watchdog-reaped session
-  // must not drop a rebind verdict): our collected entries for a renamed-away
-  // directory were not acked — re-key them toward the new owner instead.
-  if (rebinder_ != nullptr) {
-    for (const auto& row : done.moved) {
-      if (row.src_server != ctx_.config->index) {
-        continue;
-      }
-      sim::Spawn(rebinder_->RebindMovedLog(v, row.dir, done.fp, row.new_fp,
-                                           row.applied_seq,
-                                           /*from_aggregation=*/true),
-                 v.get());
-    }
-  }
   auto it = v->ShardFor(done.fp).agg_sessions.find(done.fp);
-  if (it == v->ShardFor(done.fp).agg_sessions.end()) {
-    return;
-  }
-  if (done.agg_seq < it->second.seq) {
-    return;  // stale completion of an earlier attempt
-  }
-  auto logs = v->ShardFor(done.fp).changelogs.find(done.fp);
-  if (logs != v->ShardFor(done.fp).changelogs.end()) {
-    for (const auto& row : done.acked) {
-      if (row.src_server != ctx_.config->index) {
-        continue;
-      }
-      auto dit = logs->second.find(row.dir);
-      if (dit == logs->second.end()) {
-        continue;
-      }
-      for (uint64_t lsn : dit->second.AckUpTo(row.acked_seq)) {
-        ctx_.durable->wal.MarkApplied(lsn);
-      }
+  // A stale completion (of an earlier attempt) or one whose session the
+  // watchdog reaped trims nothing; a moved verdict is settled regardless,
+  // so a reaped session cannot drop a rebind.
+  const bool current = it != v->ShardFor(done.fp).agg_sessions.end() &&
+                       done.agg_seq >= it->second.seq;
+  for (const AggDone::Row& row : done.rows) {
+    if (row.src_server == ctx_.config->index &&
+        (current || row.verdict.moved)) {
+      push_->SettleVerdict(v, done.fp, row.verdict, /*from_aggregation=*/true);
     }
   }
-  v->ShardFor(done.fp).agg_sessions.erase(it);  // releases the lock (9a)
+  if (current) {
+    v->ShardFor(done.fp).agg_sessions.erase(it);  // releases the lock (9a)
+  }
 }
 
 sim::Task<void> Aggregation::ResponderSessionWatchdog(VolPtr v,
                                                       psw::Fingerprint fp,
                                                       uint64_t seq) {
   while (true) {
-    co_await sim::FixedDelay(ctx_.sim, ctx_.config->responder_session_timeout);
+    co_await sim::FixedDelay(ctx_.sim, kResponderSessionTimeout);
     auto it = v->ShardFor(fp).agg_sessions.find(fp);
     if (it == v->ShardFor(fp).agg_sessions.end()) {
       co_return;  // finished normally

@@ -34,12 +34,10 @@ class Aggregation {
   Aggregation(const Aggregation&) = delete;
   Aggregation& operator=(const Aggregation&) = delete;
 
-  // Wires the moved_fp rebind path (§5.2 rename race): entries collected for
-  // a directory that was renamed away are routed to PushEngine::
-  // RebindMovedLog instead of being acked at max seq. Set after construction
-  // (PushEngine itself depends on Aggregation); without a rebinder, moved
-  // directories degrade to the removed-directory trim.
-  void SetRebinder(PushEngine* rebinder) { rebinder_ = rebinder; }
+  // Wires the source side of the verdicts this module settles (the
+  // aggregation's own sections and AggDone rows): PushEngine::SettleVerdict.
+  // Set after construction — PushEngine itself depends on Aggregation.
+  void SetPushEngine(PushEngine* push) { push_ = push; }
 
   struct Outcome {
     net::MsgPtr deferred_done;  // AggDone to multicast (when defer_done)
@@ -57,18 +55,35 @@ class Aggregation {
                                     const std::string& held_inode_key,
                                     bool defer_done);
   void SendAggDone(net::MsgPtr done_msg);
-  // Applies entries from `src` to directory `dir` (hwm-deduped, FIFO). With
-  // compaction on, N entries cost one consolidated attribute write (§5.3).
-  // `lane_fp` is the fingerprint the entries were logged under at the
-  // source: it selects the (dir, src, fp) dedup lane — see
-  // ServerVolatile::hwm. `batch_token` (non-zero on the push path) is
-  // stamped into every kWalEntryApply record so recovery rebuilds the
-  // section's idempotency state.
-  sim::Task<void> ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
-                               psw::Fingerprint lane_fp,
-                               std::vector<ChangeLogEntry> entries,
-                               const std::string& held_inode_key,
-                               uint64_t batch_token = 0);
+  // What a live directory's verdict acks: the lane's high-water mark (push,
+  // synchronous update, overflow fallback), or the section's last seq (the
+  // aggregation acks what it collected; the mark can run past that when a
+  // push applied later entries meanwhile).
+  enum class AckRule { kMark, kLastSeq };
+  // The one owner-side apply of a change-log section, whichever channel
+  // carried it (push, synchronous update, overflow fallback, aggregation):
+  // applies `src`'s entries for `dir`, logged under `section_fp`, and returns
+  // the verdict the source settles. Takes the directory's exclusive inode
+  // lock unless the caller holds it (`held_inode_key`), runs the read-cache
+  // evict, applies (ApplyEntries), then classifies the directory:
+  //  * live: acks per `rule`;
+  //  * renamed away (a live moved tombstone): a moved verdict acking the
+  //    prefix applied before the rename;
+  //  * about to arrive (a rename into `section_fp` is between its commit
+  //    legs here): acks the lane's mark, so the source re-sends the rest
+  //    once the destination leg commits;
+  //  * removed: acks the section's last seq, so the source trims the
+  //    obsolete backlog instead of re-sending it forever.
+  // Classifying after the apply matters: a rename can commit while the
+  // apply waits on the inode lock. `batch_token` (non-zero on the push
+  // path): a section whose token is not above the one committed for
+  // (dir, src) is a duplicate, re-acked without applying.
+  sim::Task<SectionVerdict> ApplySection(VolPtr v, InodeId dir, uint32_t src,
+                                         psw::Fingerprint section_fp,
+                                         std::vector<ChangeLogEntry> entries,
+                                         const std::string& held_inode_key = "",
+                                         uint64_t batch_token = 0,
+                                         AckRule rule = AckRule::kMark);
   // Takes the exclusive gate and aggregates (quiet timers, rename,
   // AggregateReq RPC, recovery).
   sim::Task<void> GateAndAggregate(VolPtr v, psw::Fingerprint fp);
@@ -86,9 +101,23 @@ class Aggregation {
                                   std::shared_ptr<ServerVolatile::AggWait> w);
   sim::Task<void> ResponderSessionWatchdog(VolPtr v, psw::Fingerprint fp,
                                            uint64_t seq);
+  // Applies entries from `src` to directory `dir`, whose inode row `ikey`
+  // (in fingerprint group `dir_fp`) the caller holds locked (hwm-deduped,
+  // FIFO). With compaction on, N entries cost one consolidated attribute
+  // write (§5.3). `lane_fp` is the fingerprint the entries were logged
+  // under at the source: it selects the (dir, src, fp) dedup lane — see
+  // ServerVolatile::hwm. `batch_token` is stamped into every kWalEntryApply
+  // record so recovery rebuilds the section's idempotency state. Returns
+  // true when it applied entries to the directory's inode row (so the
+  // directory is live), false when it applied nothing.
+  sim::Task<bool> ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
+                               psw::Fingerprint lane_fp,
+                               std::vector<ChangeLogEntry> entries,
+                               const std::string& ikey, psw::Fingerprint dir_fp,
+                               uint64_t batch_token);
 
   ServerContext& ctx_;
-  PushEngine* rebinder_ = nullptr;  // see SetRebinder
+  PushEngine* push_ = nullptr;  // see SetPushEngine
 };
 
 }  // namespace switchfs::core

@@ -36,8 +36,7 @@ sim::Task<void> EvictSwitchCacheEntry(ServerContext& ctx, VolPtr v,
   ev.mc.token = token;
 
   bool acked = false;
-  for (int attempt = 0; attempt < ctx.config->cache_evict_max_attempts;
-       ++attempt) {
+  for (int attempt = 0; attempt < kSwitchRoundTripAttempts; ++attempt) {
     if (wait->acked) {
       acked = true;
       break;
@@ -45,7 +44,7 @@ sim::Task<void> EvictSwitchCacheEntry(ServerContext& ctx, VolPtr v,
     wait->slot = std::make_shared<sim::OneShot<int>>(ctx.sim);
     ctx.rpc->Send(ev);
     auto slot = wait->slot;
-    ctx.sim->ScheduleTimer(ctx.config->cache_evict_timeout,
+    ctx.sim->ScheduleTimer(kSwitchRoundTripTimeout,
                            [slot] { slot->Set(0); });
     const int result = co_await slot->Wait();
     if (result != 0) {

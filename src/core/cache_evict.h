@@ -32,7 +32,7 @@ enum class EvictLockWitness {
 
 // No-op unless config->switch_cache is on AND `fp` is in v->cached_fps (the
 // owner never installed it, so there is nothing to evict). Retries on the
-// insert-ack cadence (cache_evict_timeout x cache_evict_max_attempts); on
+// insert-ack cadence (kSwitchRoundTripTimeout x kSwitchRoundTripAttempts); on
 // budget exhaustion the write proceeds and cache_evict_exhausted is counted —
 // the only way the ack is lost while the evict did not execute is a switch
 // outage, which wipes the cache anyway (DataPlane::Reset on recovery).

@@ -21,7 +21,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   net_ = std::make_unique<net::Network>(sim_, &config_.costs, config_.seed);
 
   if (config_.tracker == TrackerMode::kSwitch) {
-    config_.switch_config.cache_serve_delay = config_.costs.switch_cache_serve;
     data_plane_ = std::make_unique<psw::DataPlane>(config_.switch_config);
     net_->SetSwitch(data_plane_.get());
     dirty_tracker_ = std::make_unique<tracker::SwitchTracker>();

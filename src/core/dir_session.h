@@ -60,6 +60,11 @@ namespace switchfs::core {
 inline constexpr int kShardIdBits = 4;
 inline constexpr size_t kMaxShards = size_t{1} << kShardIdBits;
 
+// Inactivity TTL of a directory-stream session at the owner, in all five
+// systems. A page call after expiry gets kStaleHandle and the client
+// re-opens; the TTL must dwarf the per-page RPC cadence (~µs).
+inline constexpr sim::SimTime kDirSessionTtl = sim::Milliseconds(20);
+
 struct DirSession {
   uint64_t id = 0;
   InodeId dir;

@@ -143,35 +143,43 @@ struct Ack : net::Message {
   StatusCode status = StatusCode::kOk;
 };
 
-// Initiator -> all responders (multicast): aggregation complete; mark entries
-// up to the per-directory acked seq as applied and release change-log locks
-// (§5.2.2 steps 9a/9b).
+// The owner's verdict on one source's section of one directory's change-log,
+// whichever channel carried it (Aggregation::ApplySection; the source
+// settles it with PushEngine::SettleVerdict).
+//  * Applied, or obsolete (the directory was removed here): the source trims
+//    its log up to acked_seq.
+//  * moved: the directory was renamed away (a moved tombstone at this
+//    owner). acked_seq is the prefix this owner applied *before* the rename
+//    (those entries migrated with the directory's entry list, so
+//    re-applying them at the new owner would double-count); the source trims
+//    that prefix and re-keys the rest under new_fp toward new_owner.
+//    rename_epoch echoes the tombstone's epoch for observability; the
+//    ordering check itself lives at tombstone install (newest epoch wins,
+//    ServerVolatile::InstallMovedTombstone), so a verdict always reflects
+//    the latest rename this owner knows of.
+struct SectionVerdict {
+  InodeId dir;
+  uint64_t acked_seq = 0;
+  bool moved = false;
+  psw::Fingerprint new_fp = 0;  // moved only
+  uint32_t new_owner = 0;       // moved only
+  uint64_t rename_epoch = 0;    // moved only
+};
+
+// Initiator -> all responders (multicast): aggregation complete; settle the
+// verdict on each collected section and release change-log locks (§5.2.2
+// steps 9a/9b).
 struct AggDone : net::Message {
   static constexpr uint32_t kType = 106;
   AggDone() : Message(kType) {}
   psw::Fingerprint fp = 0;
   uint64_t agg_seq = 0;
-  // (source server, dir, acked seq): each responder picks out its own rows.
-  struct AckedRow {
+  // One row per collected section: each responder picks out its own.
+  struct Row {
     uint32_t src_server;
-    InodeId dir;
-    uint64_t acked_seq;
+    SectionVerdict verdict;
   };
-  std::vector<AckedRow> acked;
-  // Directories in the group that were renamed away (moved tombstone at the
-  // initiator): the collected entries were NOT applied and are NOT acked —
-  // each source trims the pre-rename applied prefix (applied_seq) and
-  // re-keys the rest of its change-log under new_fp toward new_owner
-  // (the aggregation-path analog of PushResp's kMoved section status).
-  struct MovedRow {
-    uint32_t src_server;
-    InodeId dir;
-    uint64_t applied_seq;  // prefix the old owner applied before the rename
-    psw::Fingerprint new_fp;
-    uint32_t new_owner;
-    uint64_t rename_epoch;
-  };
-  std::vector<MovedRow> moved;
+  std::vector<Row> rows;
 };
 
 // --- proactive change-log push (§5.3) ---
@@ -179,8 +187,8 @@ struct AggDone : net::Message {
 // Pushes are batched per owner server, not per directory: one PushReq
 // coalesces every ready change-log headed to the same owner into PerDir
 // sections, up to push_mtu_entries entries total (overflow splits across
-// packets). The owner applies each section through Aggregation::ApplyEntries
-// and replies with a per-directory acked-seq vector. Exception: the
+// packets). The owner applies each section through Aggregation::ApplySection
+// and replies with one SectionVerdict per section. Exception: the
 // synchronous-fallback path (SwitchServer::SyncParentUpdate) sends one
 // directory's full backlog in a single request — the op blocks on the apply,
 // so splitting would only add round trips.
@@ -208,35 +216,8 @@ struct PushResp : net::Message {
   static constexpr uint32_t kType = 108;
   PushResp() : Message(kType) {}
   StatusCode status = StatusCode::kOk;
-  // Per-section verdict. kApplied is the normal case; kMoved tells the
-  // source the directory was renamed away (moved tombstone at this owner)
-  // and the section's entries must be re-keyed, not trimmed.
-  enum class SectionStatus : uint8_t {
-    kApplied = 0,  // entries up to acked_seq applied (or obsolete: dir removed)
-    kMoved = 1,    // dir renamed away: re-key the log to new_fp / new_owner
-  };
-  // One row per PushReq section.
-  //  * kApplied: acked_seq is the applied high-water mark; for a directory
-  //    that no longer exists at the owner (removed since the entries were
-  //    logged) it is the section's max seq, so the source trims the obsolete
-  //    backlog instead of re-pushing it forever.
-  //  * kMoved: acked_seq is the prefix this owner applied *before* the
-  //    rename (those entries migrated with the directory's entry list, so
-  //    re-applying them at the new owner would double-count); the source
-  //    trims that prefix and rebinds the rest under new_fp toward new_owner.
-  //    rename_epoch echoes the tombstone's epoch for observability; the
-  //    ordering check itself lives at tombstone install (newest epoch wins,
-  //    ServerVolatile::InstallMovedTombstone), so a verdict always reflects
-  //    the latest rename this owner knows of.
-  struct AckedDir {
-    InodeId dir;
-    uint64_t acked_seq = 0;
-    SectionStatus status = SectionStatus::kApplied;
-    psw::Fingerprint new_fp = 0;  // kMoved only
-    uint32_t new_owner = 0;       // kMoved only
-    uint64_t rename_epoch = 0;    // kMoved only
-  };
-  std::vector<AckedDir> acked;
+  // One verdict per PushReq section, in section order.
+  std::vector<SectionVerdict> acked;
   // Adaptive pacing hint (ns): non-zero when this owner's apply backlog is
   // deep (kPushBusyThreshold in push_engine.cc). The source pusher defers its
   // next MTU-triggered drain toward this owner by this long, letting the
@@ -244,18 +225,17 @@ struct PushResp : net::Message {
   int64_t retry_after = 0;
 };
 
-// Owner -> origin server after a synchronous fallback apply (§5.2.1): mark
-// the backlog applied and release the operation's locks. `fp` scopes the
-// trim to the change-log the backlog was sent from: acked_seq is meaningful
-// only under that fingerprint's numbering, and a concurrent moved_fp rebind
+// Owner -> origin server after a synchronous fallback apply (§5.2.1): settle
+// the backlog's verdict and release the operation's locks. `fp` is the
+// fingerprint the backlog was logged under: the verdict's acked_seq is
+// meaningful only in that log's numbering, and a concurrent moved_fp rebind
 // may have re-keyed (re-numbered) the directory's log under another one.
 struct FallbackDone : net::Message {
   static constexpr uint32_t kType = 109;
   FallbackDone() : Message(kType) {}
-  InodeId dir;
   psw::Fingerprint fp = 0;
   uint64_t op_token = 0;
-  uint64_t acked_seq = 0;
+  SectionVerdict verdict;
 };
 
 // --- lookups (path resolution) ---
@@ -412,12 +392,12 @@ struct MarkScattered : net::Message {
 // directory). For renames it doubles as the eager moved_fp signal: on
 // receipt every server cleans up an empty stale-era (old_fp, id) change-log
 // slot, or — if it holds pending entries — pushes toward the old owner
-// immediately so the kMoved verdict re-keys them with the tombstone's
+// immediately so the moved verdict re-keys them with the tombstone's
 // authoritative applied marks. Fetching the verdict now, rather than at the
 // next idle timeout, keeps old-era entries ordered ahead of new-era entries
 // for the same name: the broadcast is one hop and the verdict one round
 // trip, while a client op via the new path needs the rename response plus
-// at least one resolution RPC. The verdict / AggDone moved rows remain the
+// at least one resolution RPC. Moved verdicts on any channel remain the
 // catch-up for servers that never see the broadcast.
 struct InvalBroadcast : net::Message {
   static constexpr uint32_t kType = 123;

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/cache_evict.h"
 #include "src/sim/discipline.h"
 #include "src/sim/sync.h"
 #include "src/tracker/dirty_tracker.h"
@@ -34,12 +33,8 @@ void PushEngine::EnqueueBacklog(VolPtr v, psw::Fingerprint fp,
 void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
                                    const InodeId& dir) {
   const size_t shard = ShardIndexForFp(fp, v->num_shards());
-  auto logs = v->ShardAt(shard).changelogs.find(fp);
-  if (logs == v->ShardAt(shard).changelogs.end()) {
-    return;
-  }
-  auto it = logs->second.find(dir);
-  if (it == logs->second.end() || it->second.empty()) {
+  const ChangeLog* log = v->ShardAt(shard).FindChangeLog(fp, dir);
+  if (log == nullptr || log->empty()) {
     return;
   }
   const uint32_t owner = ctx_.OwnerOf(fp);
@@ -52,7 +47,7 @@ void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
     // attempt instead of hammering a down owner at traffic rate.
     return;
   }
-  if (static_cast<int>(it->second.size()) >= ctx_.config->push_mtu_entries ||
+  if (static_cast<int>(log->size()) >= ctx_.config->push_mtu_entries ||
       ReadyEntries(v->ShardAt(shard), st, ctx_.config->push_mtu_entries) >=
           ctx_.config->push_mtu_entries) {
     if (ctx_.Now() < st.pace_until) {
@@ -78,14 +73,7 @@ void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
 int PushEngine::ReadyEntries(ServerShard& sh, OwnerPusher& st, int cap) const {
   int total = 0;
   for (auto it = st.ready.begin(); it != st.ready.end();) {
-    const ChangeLog* log = nullptr;
-    auto logs = sh.changelogs.find(it->first);
-    if (logs != sh.changelogs.end()) {
-      auto lit = logs->second.find(it->second);
-      if (lit != logs->second.end()) {
-        log = &lit->second;
-      }
-    }
+    const ChangeLog* log = sh.FindChangeLog(it->first, it->second);
     if (log == nullptr || log->empty()) {
       // Drained by a concurrent aggregation (or rebound away): prune, so
       // repeated scans stay O(mtu) instead of degrading to O(ready). A
@@ -197,15 +185,12 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
           co_await v->ShardAt(shard).changelog_locks.AcquireShared(FpKey(fp));
       for (; i < want.size() && want[i].first == fp && budget > 0; ++i) {
         st.ready.erase(want[i]);
-        auto logs = v->ShardAt(shard).changelogs.find(fp);
-        if (logs == v->ShardAt(shard).changelogs.end()) {
-          continue;
-        }
-        auto lit = logs->second.find(want[i].second);
-        if (lit == logs->second.end() || lit->second.empty()) {
+        const ChangeLog* log =
+            v->ShardAt(shard).FindChangeLog(fp, want[i].second);
+        if (log == nullptr || log->empty()) {
           continue;  // already drained by an aggregation
         }
-        const auto& pending = lit->second.pending();
+        const auto& pending = log->pending();
         const size_t take =
             std::min(static_cast<size_t>(budget), pending.size());
         PushReq::PerDir pd;
@@ -234,16 +219,16 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
     }
 
     // ---- deliver: owner-local apply or one batched RPC ----
-    std::vector<PushResp::AckedDir> acked;
+    std::vector<SectionVerdict> acked;
     if (owner == ctx_.config->index) {
       ctx_.stats->pushes_local++;
       // Every section in this batch belongs to `shard` (the queue is
       // per-shard), so fanning out to apply lanes would serialize on the
       // same lane anyway — apply inline.
       for (auto& pd : req->dirs) {
-        PushResp::AckedDir row =
-            co_await ApplySection(v, pd.dir, req->src_server, pd.fp,
-                                  std::move(pd.entries), pd.batch_token);
+        SectionVerdict row = co_await agg_.ApplySection(
+            v, pd.dir, req->src_server, pd.fp, std::move(pd.entries), "",
+            pd.batch_token);
         acked.push_back(row);
         v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
         ArmOwnerQuietTimer(v, pd.fp);
@@ -297,7 +282,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       // scan would trim the second section with the other era's acked_seq —
       // numbering it never measured. Fall back to a dir scan only if the
       // responder returned a malformed row set.
-      const PushResp::AckedDir* row = nullptr;
+      const SectionVerdict* row = nullptr;
       if (pi < acked.size() && acked[pi].dir == pd.dir) {
         row = &acked[pi];
       } else {
@@ -308,7 +293,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
           }
         }
       }
-      if (row != nullptr && row->status == PushResp::SectionStatus::kMoved) {
+      if (row != nullptr && row->moved) {
         // Renamed away (moved tombstone at the owner): neither trim nor
         // re-queue here — the log is re-keyed below, after the per-section
         // locks are released (the rebind takes two group locks in fp order).
@@ -318,29 +303,23 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       const uint64_t acked_seq = row == nullptr ? 0 : row->acked_seq;
       auto lock = co_await v->ShardAt(shard).changelog_locks.AcquireExclusive(
           FpKey(pd.fp));
-      auto logs = v->ShardAt(shard).changelogs.find(pd.fp);
-      if (logs == v->ShardAt(shard).changelogs.end()) {
+      ChangeLog* log = v->ShardAt(shard).FindChangeLog(pd.fp, pd.dir);
+      if (log == nullptr) {
         continue;
       }
-      auto lit = logs->second.find(pd.dir);
-      if (lit == logs->second.end()) {
-        continue;
-      }
-      const size_t before = lit->second.size();
-      for (uint64_t lsn : lit->second.AckUpTo(acked_seq)) {
-        ctx_.durable->wal.MarkApplied(lsn);
-      }
-      if (lit->second.size() < before) {
+      const size_t before = log->size();
+      ctx_.TrimLog(*log, acked_seq);
+      if (log->size() < before) {
         progressed = true;
       }
-      if (!lit->second.empty()) {
+      if (!log->empty()) {
         st.ready.insert({pd.fp, pd.dir});
-        if (static_cast<int>(lit->second.size()) >= ctx_.config->push_mtu_entries) {
+        if (static_cast<int>(log->size()) >= ctx_.config->push_mtu_entries) {
           heavy_leftover = true;
         }
       }
     }
-    // Re-key moved sections toward their new owners. A kMoved verdict is
+    // Re-key moved sections toward their new owners. A moved verdict is
     // progress in itself — the section left this owner's queue for good and
     // is never re-queued here — even when the rebind finds the log already
     // re-keyed by a racing aggregation verdict or eager rebind; counting
@@ -387,77 +366,28 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
   st.draining = false;
 }
 
-sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
-    VolPtr v, InodeId dir, uint32_t src, psw::Fingerprint section_fp,
-    std::vector<ChangeLogEntry> entries, uint64_t batch_token) {
-  PushResp::AckedDir row;
-  row.dir = dir;
-  const uint64_t max_seq = entries.empty() ? 0 : entries.back().seq;
-  // Idempotent apply: a section whose token is not above the highest token
-  // committed for (dir, src) is a duplicate — a batch replayed after a lost
-  // response, a retry that crossed its own ack, or a re-push after the
-  // owner's crash (push_tokens is rebuilt from kWalEntryApply records). Re-
-  // ack what the original apply acked so the source trims; apply nothing.
-  if (batch_token != 0) {
-    auto tok = v->push_tokens.find({dir, src});
-    if (tok != v->push_tokens.end() && tok->second.fp == section_fp &&
-        batch_token <= tok->second.token) {
-      ctx_.stats->push_batches_deduped++;
-      row.acked_seq = tok->second.acked_seq;
-      co_return row;
-    }
+void PushEngine::SettleVerdict(VolPtr v, psw::Fingerprint fp,
+                               const SectionVerdict& verdict,
+                               bool from_aggregation) {
+  if (verdict.moved) {
+    sim::Spawn(RebindMovedLog(v, verdict.dir, fp, verdict.new_fp,
+                              verdict.acked_seq, from_aggregation),
+               v.get());
+    return;
   }
-  std::string ikey;
-  psw::Fingerprint fp = 0;
-  // Directory not live here (no dir-index row, or no inode row behind it;
-  // ApplyEntries would drop the entries silently without advancing the
-  // hwm): either removed or renamed away. A live moved tombstone
-  // distinguishes the two:
-  //  * renamed away -> kMoved verdict. acked_seq names the prefix this owner
-  //    applied before the rename (it migrated with the entry list, so
-  //    re-applying at the new owner would double-count); the source re-keys
-  //    the rest toward the tombstone's target (RebindMovedLog).
-  //  * genuinely removed -> ack the section's max seq so the source trims
-  //    the obsolete backlog instead of re-pushing it forever.
-  if (!v->LookupDirIndex(dir, &ikey, &fp) || !v->kv.Get(ikey).has_value()) {
-    const ServerVolatile::MovedDir* moved = v->FindMovedTombstone(
-        dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
-    if (moved != nullptr) {
-      row.status = PushResp::SectionStatus::kMoved;
-      row.new_fp = moved->new_fp;
-      row.new_owner = moved->new_owner;
-      row.rename_epoch = moved->epoch;
-      row.acked_seq = moved->AppliedFor(src, section_fp);
-      co_return row;
-    }
-    row.acked_seq = max_seq;
-    v->CommitPushToken(dir, src, section_fp, batch_token, row.acked_seq);
-    co_return row;
+  // Re-found here, never carried across the caller's suspensions: a
+  // concurrent rebind may have re-keyed the slot. Only `fp`'s log is
+  // trimmed — acked_seq is in its numbering, and a rebind racing the verdict
+  // may have moved the directory's entries under another fingerprint with
+  // fresh seqs.
+  if (ChangeLog* log = v->FindChangeLog(fp, verdict.dir)) {
+    ctx_.TrimLog(*log, verdict.acked_seq);
   }
-  // In-switch cache: the apply is about to move the directory's attr
-  // (size/mtime) — drop any record this owner installed for it first. In
-  // async mode the entries' dirty-set inserts already evicted it at the
-  // switch in flight, so this is the sync-mode channel (and a cheap no-op
-  // otherwise: gated on cached_fps). The exclusive inode lock is taken
-  // BEFORE the evict and held through the apply: evicting outside the lock
-  // leaves a window where a concurrent lookup re-installs the stale attr
-  // between the evict round trip and the apply's KV write.
-  auto ino_lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
-  co_await EvictSwitchCacheEntry(ctx_, v, fp);
-  co_await agg_.ApplyEntries(v, dir, src, section_fp, std::move(entries),
-                             ikey, batch_token);
-  auto it = v->hwm.find({dir, src, section_fp});
-  row.acked_seq = it == v->hwm.end() ? 0 : it->second;
-  // Commit the section's token AFTER the apply: the WAL records carrying it
-  // are durable by now, so a crash between apply and ack replays to the same
-  // {token, acked_seq} and the duplicate still no-ops.
-  v->CommitPushToken(dir, src, section_fp, batch_token, row.acked_seq);
-  co_return row;
 }
 
 sim::Task<void> PushEngine::ApplySectionTask(
     VolPtr v, PushReq::PerDir pd, uint32_t src,
-    std::shared_ptr<std::vector<PushResp::AckedDir>> rows, size_t slot,
+    std::shared_ptr<std::vector<SectionVerdict>> rows, size_t slot,
     std::shared_ptr<sim::JoinCounter> jc) {
   // Runs even when the chain is cancelled: HandlePush's join must resolve so
   // its frame (and the captured shared state) unwinds.
@@ -465,8 +395,8 @@ sim::Task<void> PushEngine::ApplySectionTask(
     v->inflight_push_sections--;
     jc->Done();
   });
-  (*rows)[slot] = co_await ApplySection(v, pd.dir, src, pd.fp,
-                                        std::move(pd.entries), pd.batch_token);
+  (*rows)[slot] = co_await agg_.ApplySection(
+      v, pd.dir, src, pd.fp, std::move(pd.entries), "", pd.batch_token);
   v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
   ArmOwnerQuietTimer(v, pd.fp);
 }
@@ -490,8 +420,7 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
   // section's index so the response preserves SECTION ORDER (the source
   // matches rows by index — a same-owner rename can put the same dir in one
   // batch twice under two fingerprints).
-  auto rows = std::make_shared<std::vector<PushResp::AckedDir>>(
-      msg->dirs.size());
+  auto rows = std::make_shared<std::vector<SectionVerdict>>(msg->dirs.size());
   auto jc = std::make_shared<sim::JoinCounter>(
       ctx_.sim, static_cast<int>(msg->dirs.size()));
   for (size_t i = 0; i < msg->dirs.size(); ++i) {
@@ -575,21 +504,14 @@ sim::Task<void> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
               ClAppendKey(old_fp, dir));
     }
 
-    auto logs = v->ShardFor(old_fp).changelogs.find(old_fp);
-    if (logs == v->ShardFor(old_fp).changelogs.end()) {
+    ChangeLog* from = v->FindChangeLog(old_fp, dir);
+    if (from == nullptr) {
       co_return;  // already rebound (push and aggregation verdicts race)
     }
-    auto lit = logs->second.find(dir);
-    if (lit == logs->second.end()) {
-      co_return;
-    }
-    ChangeLog* from = &lit->second;  // value-stable across map rehashes
     // The prefix the old owner applied before the rename migrated with the
     // directory's entry list; re-keying it would double-count the directory
     // size at the new owner. Trim it as acknowledged.
-    for (uint64_t lsn : from->AckUpTo(applied_seq)) {
-      ctx_.durable->wal.MarkApplied(lsn);
-    }
+    ctx_.TrimLog(*from, applied_seq);
     v->ShardFor(old_fp).pushers[ctx_.OwnerOf(old_fp)].ready.erase(
         {old_fp, dir});
     if (!from->empty()) {
@@ -627,9 +549,9 @@ sim::Task<void> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
     }
   }
   // Re-insert the dirty bit for the new fingerprint group so reads at the
-  // new owner aggregate before the re-push lands. Overflow is ignored: the
-  // re-push delivers the entries regardless, so an overflow only costs
-  // dirty-bit visibility until then (the insert_exhausted exposure).
+  // new owner aggregate before the re-push lands. On overflow the switch
+  // redirects the insert, backlog included, to the new owner as a
+  // synchronous fallback apply, whose verdict settles like any other.
   co_await ctx_.dirty_tracker->Insert(ctx_, v, new_fp, dir, nullptr, nullptr);
   MaybeSchedulePush(v, new_fp, dir);
 }
@@ -641,15 +563,8 @@ sim::Task<void> PushEngine::EagerRebindMoved(VolPtr v, InodeId dir,
   {
     auto lock = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
         FpKey(old_fp));
-    auto logs = v->ShardFor(old_fp).changelogs.find(old_fp);
-    if (logs == v->ShardFor(old_fp).changelogs.end()) {
-      co_return;
-    }
-    auto lit = logs->second.find(dir);
-    if (lit == logs->second.end()) {
-      co_return;
-    }
-    if (lit->second.empty()) {
+    const ChangeLog* log = v->FindChangeLog(old_fp, dir);
+    if (log == nullptr || log->empty()) {
       // Nothing pending. The empty slot is kept: per-(fp, dir) numbering is
       // monotonic forever, and the owner-side resolved-prefix bridge
       // (ApplyEntries) absorbs the seq offset if the directory ever returns
@@ -662,7 +577,7 @@ sim::Task<void> PushEngine::EagerRebindMoved(VolPtr v, InodeId dir,
     // aggregation whose AggDone went missing, an insert-overflow fallback
     // in flight) — only the old owner's tombstone holds the authoritative
     // pre-rename applied marks. Fetch the verdict instead: queue the log
-    // and drain toward the old owner right now. The kMoved reply performs
+    // and drain toward the old owner right now. The moved verdict performs
     // the rebind with those marks (RebindMovedLog via the trim loop), one
     // round trip from now — still ahead of any client op through the new
     // path, which needs the rename response plus at least one resolution

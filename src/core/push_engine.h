@@ -67,21 +67,32 @@ class PushEngine {
   // pushes stop arriving for owner_quiet_period.
   void ArmOwnerQuietTimer(VolPtr v, psw::Fingerprint fp);
 
+  // ---- verdicts (source side) ----
+  // Settles the owner's verdict on this server's section of `verdict.dir`'s
+  // log under `fp` (Aggregation::ApplySection made it): trims the acked
+  // prefix, or, for a directory renamed away, spawns RebindMovedLog — a
+  // caller may hold fp's change-log lock, which the rebind takes. The
+  // synchronous update, the overflow fallback and aggregation settle here;
+  // the push drain trims through ServerContext::TrimLog in its own loop,
+  // which counts progress and re-queues. `from_aggregation` selects which
+  // rebind counters advance.
+  void SettleVerdict(VolPtr v, psw::Fingerprint fp,
+                     const SectionVerdict& verdict, bool from_aggregation);
+
   // ---- moved_fp rebind (§5.2 rename race, source side) ----
-  // Re-keys `dir`'s change-log from `old_fp` to `new_fp` after a kMoved push
-  // verdict or an AggDone moved row: trims the prefix the old owner applied
-  // before the rename (`applied_seq` — those entries migrated with the
-  // directory's entry list), moves the rest into the new-fingerprint log
-  // with re-assigned seqs, re-inserts the dirty bit through the tracker, and
-  // enqueues the log on the new owner's pusher. Safe to call twice for the
-  // same verdict (the second call finds no log and no-ops).
-  // `from_aggregation` selects which rebind counters advance.
+  // Re-keys `dir`'s change-log from `old_fp` to `new_fp` after a moved
+  // verdict: trims the prefix the old owner applied before the rename
+  // (`applied_seq` — those entries migrated with the directory's entry
+  // list), moves the rest into the new-fingerprint log with re-assigned
+  // seqs, re-inserts the dirty bit through the tracker, and enqueues the log
+  // on the new owner's pusher. Safe to call twice for the same verdict (the
+  // second call finds no log and no-ops).
   sim::Task<void> RebindMovedLog(VolPtr v, InodeId dir, psw::Fingerprint old_fp,
                                  psw::Fingerprint new_fp, uint64_t applied_seq,
                                  bool from_aggregation);
   // Eager reaction to the rename's invalidation broadcast: for a log with
   // pending entries, triggers an immediate push toward the old owner so its
-  // kMoved verdict (the only holder of the authoritative pre-rename applied
+  // moved verdict (the only holder of the authoritative pre-rename applied
   // marks) performs the rebind one round trip from now — still ahead of any
   // client op through the new path. Never re-keys blindly (entries may be
   // applied-but-unacked at the old owner through channels invisible to this
@@ -98,27 +109,13 @@ class PushEngine {
   sim::Task<void> OwnerIdleTimer(VolPtr v, size_t shard, uint32_t owner);
   sim::Task<void> RetryTimer(VolPtr v, size_t shard, uint32_t owner);
   sim::Task<void> OwnerQuietTimer(VolPtr v, psw::Fingerprint fp);
-  // Owner-side application of one pushed section; the returned row carries
-  // the seq the source may trim to. For a directory that no longer exists:
-  // a live moved tombstone yields a kMoved rebind verdict; a genuinely
-  // removed directory is acked at the section's max seq (the entries are
-  // obsolete and must not be re-pushed forever).
-  // `section_fp` is the fingerprint the pushed section is keyed under
-  // (scopes a moved tombstone's applied marks to the right era).
-  // `batch_token`: non-zero sections whose token is <= the committed token
-  // for (dir, src) are duplicates — re-acked without re-applying.
-  sim::Task<PushResp::AckedDir> ApplySection(VolPtr v, InodeId dir,
-                                             uint32_t src,
-                                             psw::Fingerprint section_fp,
-                                             std::vector<ChangeLogEntry> entries,
-                                             uint64_t batch_token);
   // One pushed section routed onto its shard's apply lane (HandlePush fans a
-  // batch out through these): applies, records the row at `slot`, bumps the
-  // shard's push clock, and signals `jc` unconditionally — even when a crash
-  // cancels it — so the response assembly never hangs.
+  // batch out through these): applies, records the verdict at `slot`, bumps
+  // the shard's push clock, and signals `jc` unconditionally — even when a
+  // crash cancels it — so the response assembly never hangs.
   sim::Task<void> ApplySectionTask(
       VolPtr v, PushReq::PerDir pd, uint32_t src,
-      std::shared_ptr<std::vector<PushResp::AckedDir>> rows, size_t slot,
+      std::shared_ptr<std::vector<SectionVerdict>> rows, size_t slot,
       std::shared_ptr<sim::JoinCounter> jc);
   void ArmRetry(VolPtr v, size_t shard, uint32_t owner);
   // Exact count of live pending entries across the pusher's ready logs

@@ -230,6 +230,10 @@ sim::Task<void> RenameCoordinator::HandleRenamePrepare(net::Packet p,
   held.push_back(std::move(ino));
   // Keyed by (txn, leg): both legs of a rename may prepare on one server.
   v->txn_locks[msg->txn_id ^ HashString(ikey)] = std::move(held);
+  if (msg->must_absent) {
+    v->arriving_renames[msg->txn_id ^ HashString(ikey)] =
+        FingerprintOf(msg->pid, msg->name);
+  }
   ctx_.rpc->Respond(p, resp);
 }
 
@@ -246,6 +250,7 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
   }
   if (msg->abort) {
     v->txn_locks.erase(it);
+    v->arriving_renames.erase(msg->txn_id ^ HashString(leg_key));
     ctx_.rpc->Respond(p, net::MakeMsg<Ack>());
     co_return;
   }
@@ -286,7 +291,7 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     // commit's time — successive renames of one directory commit in causal
     // order, so epochs order tombstones across the chain. The tombstone
     // takes over the directory's applied high-water marks (rename era
-    // boundary): kMoved verdicts serve them, and the live rows are erased so
+    // boundary): moved verdicts serve them, and the live rows are erased so
     // a directory that later returns here starts a fresh dedup era.
     if (msg->moved_tombstone) {
       // The fingerprint this tombstone closes: the renamed directory's own
@@ -335,6 +340,7 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     push_.MaybeSchedulePush(v, msg->parent_fp, msg->parent_dir);
   }
   v->txn_locks.erase(msg->txn_id ^ HashString(leg_key));
+  v->arriving_renames.erase(msg->txn_id ^ HashString(leg_key));
   ctx_.rpc->Respond(p, reply);
 }
 

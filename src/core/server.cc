@@ -35,7 +35,7 @@ SwitchServer::SwitchServer(sim::Simulator* sim, net::Network* net,
       push_(ctx_, agg_),
       links_(ctx_, push_, *this),
       rename_(ctx_, agg_, push_, *this) {
-  agg_.SetRebinder(&push_);  // moved_fp rebind for the aggregation path
+  agg_.SetPushEngine(&push_);  // settles the aggregation's verdicts
   rpc_.SetCpu(&cpu_);
   rpc_.SetRequestHandler([this](net::Packet p) { OnRequest(std::move(p)); });
   rpc_.SetRawHandler([this](net::Packet p) { OnRaw(std::move(p)); });
@@ -456,133 +456,53 @@ sim::Task<void> SwitchServer::PublishUpdate(const net::Packet* client_req,
   }
 }
 
-// Trims the (fp, dir) change-log up to acked_seq, re-finding the log after
-// the caller's suspension points: a concurrent moved_fp rebind may have
-// re-keyed (and erased) the slot, so a ChangeLog reference taken before a
-// co_await must not be reused for the trim.
-void SwitchServer::AckChangeLogUpTo(VolPtr v, psw::Fingerprint fp,
-                                    const InodeId& dir, uint64_t acked_seq) {
-  auto& shard_logs = v->ShardFor(fp).changelogs;
-  auto logs = shard_logs.find(fp);
-  if (logs == shard_logs.end()) {
-    return;
-  }
-  auto lit = logs->second.find(dir);
-  if (lit == logs->second.end()) {
-    return;
-  }
-  for (uint64_t lsn : lit->second.AckUpTo(acked_seq)) {
-    durable_->wal.MarkApplied(lsn);
-  }
-}
-
 sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
                                                  const InodeId& dir) {
-  uint64_t max_seq = 0;
   std::vector<ChangeLogEntry> entries;
   {
-    ChangeLog& clog = v->GetChangeLog(fp, dir);
-    max_seq = clog.last_appended_seq();
+    const ChangeLog& clog = v->GetChangeLog(fp, dir);
     entries.assign(clog.pending().begin(), clog.pending().end());
   }
+  SectionVerdict verdict;
   if (IsOwner(fp)) {
-    // Synchronous local apply mutates the directory's attr without a
-    // dirty-set insert, so the switch never saw a kInsert evict for this
-    // fingerprint — drop any cached attr first (no-op unless installed),
-    // under the directory's exclusive inode lock spanning evict -> apply
-    // commit (handed to ApplyEntries via held_inode_key): an unlocked evict
-    // leaves a window for a lookup to re-install the pre-apply record with a
-    // post-evict version. Directory unknown here: nothing to evict (its
-    // removal evicted under its own lock) and ApplyEntries drops the
-    // entries; skip straight to classification.
-    std::string dkey;
-    psw::Fingerprint dfp = 0;
-    LockTable::Handle ino_lock;
-    if (v->LookupDirIndex(dir, &dkey, &dfp)) {
-      // Sanctioned cross-shard pair: the awaiting op chain (a sync-mode
-      // writer, tracker-overflow fallback) still holds ITS target's
-      // inode lock on that key's shard, and the parent directory's group
-      // can live on another shard. The pair is deadlock-free — op chains
-      // always lock child-then-parent, and parent keys are distinct from
-      // child keys — so witness it instead of handing off the apply.
-      sim::CrossShardScope sync_xs(
-          co_await sim::discipline::CurrentChainId{});
-      ino_lock =
-          co_await v->ShardForKey(dkey).inode_locks.AcquireExclusive(dkey);
-      co_await EvictSwitchCacheEntry(ctx_, v, fp);
+    // Sanctioned cross-shard pair: the awaiting op chain (a sync-mode
+    // writer, tracker-overflow fallback) still holds ITS target's inode
+    // lock on that key's shard, and the apply takes the parent directory's,
+    // whose group can live on another shard. The pair is deadlock-free — op
+    // chains always lock child-then-parent, and parent keys are distinct
+    // from child keys — so witness it instead of handing off the apply.
+    sim::CrossShardScope sync_xs(co_await sim::discipline::CurrentChainId{});
+    verdict = co_await agg_.ApplySection(v, dir, config_.index, fp,
+                                         std::move(entries));
+  } else {
+    // Synchronous fallback: the whole backlog rides one request (no MTU
+    // split — the op blocks on the apply, so splitting would only add round
+    // trips; see the exception note in messages.h).
+    auto push = std::make_shared<PushReq>();
+    push->src_server = config_.index;
+    PushReq::PerDir pd;
+    pd.dir = dir;
+    pd.fp = fp;
+    pd.entries = std::move(entries);
+    // Idempotency token, as on the batched path: if the RPC layer
+    // retransmits after a lost ack, the owner re-acks the committed section
+    // instead of re-applying it.
+    pd.batch_token = v->push_token_counter++;
+    push->dirs.push_back(std::move(pd));
+    auto r = co_await rpc_.Call(cluster_->ServerNode(OwnerOf(fp)), push);
+    if (!r.ok()) {
+      co_return r.status();
     }
-    // dkey is empty exactly when the lookup failed and no lock is held (and
-    // a conditional-operator temporary inside a co_await expression would
-    // trip the GCC 12 frame-slot miscompile noted in src/sim/task.h).
-    co_await agg_.ApplyEntries(v, dir, config_.index, fp, std::move(entries),
-                               dkey);
-    ino_lock.Release();
-    // Classify AFTER the apply: ApplyEntries drops entries silently when
-    // the directory is unknown here, and a rename can commit while the
-    // apply waits on the inode lock — a pre-apply check would let the
-    // blanket trim below swallow entries the rename raced. The directory
-    // is live here only if its dir-index row resolves to an inode row, as
-    // in PushEngine::ApplySection.
-    std::string ikey;
-    psw::Fingerprint ifp = 0;
-    if (!v->LookupDirIndex(dir, &ikey, &ifp) || !v->kv.Get(ikey).has_value()) {
-      const ServerVolatile::MovedDir* tomb =
-          v->FindMovedTombstone(dir, Now(), config_.moved_tombstone_ttl);
-      if (tomb != nullptr) {
-        // Renamed away from this fingerprint: re-key the backlog toward the
-        // new owner instead of trimming it. Detached — the caller holds
-        // this group's change-log lock, so an inline rebind would
-        // self-deadlock. The op itself is committed; visibility follows
-        // the rebound push.
-        sim::Spawn(push_.RebindMovedLog(v, dir, fp, tomb->new_fp,
-                                        tomb->AppliedFor(config_.index, fp),
-                                        /*from_aggregation=*/false),
-                   v.get());
-        co_return OkStatus();
-      }
+    const auto* resp = net::MsgAs<PushResp>(*r);
+    if (resp == nullptr || resp->acked.size() != 1) {
+      co_return InternalError("bad push response");
     }
-    AckChangeLogUpTo(v, fp, dir, max_seq);
-    co_return OkStatus();
+    verdict = resp->acked.front();
   }
-  // Synchronous fallback: the whole backlog rides one request (no MTU
-  // split — the op blocks on the apply, so splitting would only add round
-  // trips; see the exception note in messages.h).
-  auto push = std::make_shared<PushReq>();
-  push->src_server = config_.index;
-  PushReq::PerDir pd;
-  pd.dir = dir;
-  pd.fp = fp;
-  pd.entries = std::move(entries);
-  // Idempotency token, as on the batched path: if the RPC layer retransmits
-  // after a lost ack, the owner re-acks the committed section instead of
-  // re-applying it.
-  pd.batch_token = v->push_token_counter++;
-  push->dirs.push_back(std::move(pd));
-  auto r = co_await rpc_.Call(cluster_->ServerNode(OwnerOf(fp)), push);
-  if (!r.ok()) {
-    co_return r.status();
-  }
-  const auto* resp = net::MsgAs<PushResp>(*r);
-  if (resp == nullptr) {
-    co_return InternalError("bad push response");
-  }
-  uint64_t acked_seq = 0;
-  for (const auto& row : resp->acked) {
-    if (row.dir == dir) {
-      if (row.status == PushResp::SectionStatus::kMoved) {
-        // Renamed away at the owner: trim only the pre-rename applied prefix
-        // and re-key the rest (detached — see the local branch). The op is
-        // committed either way.
-        sim::Spawn(push_.RebindMovedLog(v, dir, fp, row.new_fp, row.acked_seq,
-                                        /*from_aggregation=*/false),
-                   v.get());
-        co_return OkStatus();
-      }
-      acked_seq = row.acked_seq;
-      break;
-    }
-  }
-  AckChangeLogUpTo(v, fp, dir, acked_seq);
+  // Detached if moved: the caller holds this group's change-log lock, which
+  // the rebind takes. The op itself is committed either way; visibility
+  // follows the rebound push.
+  push_.SettleVerdict(v, fp, verdict, /*from_aggregation=*/false);
   co_return OkStatus();
 }
 
@@ -613,28 +533,8 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
   }
   stats_.fallbacks++;
   co_await cpu_.Run(costs_->op_dispatch);
-  uint64_t acked_seq = env->backlog.empty() ? 0 : env->backlog.back().seq;
-  co_await agg_.ApplyEntries(v, env->dir, env->src_server, env->fp,
-                             env->backlog, "");
-  {
-    // A backlog for a renamed-away directory must not be acked at max seq
-    // (ApplyEntries drops it silently): ack only the pre-rename applied
-    // prefix, so the source keeps the rest pending and the regular push
-    // path re-keys it via the kMoved verdict. Classified AFTER the apply —
-    // a rename can commit while the apply waits on the inode lock. The
-    // directory is live here only if its dir-index row resolves to an inode
-    // row, as in PushEngine::ApplySection.
-    std::string ikey;
-    psw::Fingerprint ifp = 0;
-    if (!v->LookupDirIndex(env->dir, &ikey, &ifp) ||
-        !v->kv.Get(ikey).has_value()) {
-      const ServerVolatile::MovedDir* tomb = v->FindMovedTombstone(
-          env->dir, Now(), config_.moved_tombstone_ttl);
-      if (tomb != nullptr) {
-        acked_seq = tomb->AppliedFor(env->src_server, env->fp);
-      }
-    }
-  }
+  const SectionVerdict verdict = co_await agg_.ApplySection(
+      v, env->dir, env->src_server, env->fp, env->backlog);
 
   // Complete the client's operation (the response packet was redirected to
   // us; forward the envelope on to its rightful recipient).
@@ -645,12 +545,11 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
     out.body = body;
     rpc_.Send(std::move(out));
   }
-  // Tell the origin to release its locks and mark the backlog applied.
+  // Tell the origin to release its locks and settle the backlog's verdict.
   auto done = std::make_shared<FallbackDone>();
-  done->dir = env->dir;
   done->fp = env->fp;
   done->op_token = env->op_token;
-  done->acked_seq = acked_seq;
+  done->verdict = verdict;
   rpc_.Notify(cluster_->ServerNode(env->src_server), done);
 }
 
@@ -660,13 +559,7 @@ void SwitchServer::HandleFallbackDone(const FallbackDone& msg, VolPtr v) {
     return;
   }
   auto wait = it->second;
-  // Trim ONLY the fingerprint the backlog was sent under: acked_seq is in
-  // that log's numbering, and a moved_fp rebind racing this notification
-  // may have re-keyed the directory's log under another fingerprint with
-  // fresh seqs — a dir-wide trim would swallow never-applied entries there.
-  // (The rebound copy of the applied prefix is trimmed by the kMoved
-  // verdict's applied marks instead.)
-  AckChangeLogUpTo(v, msg.fp, msg.dir, msg.acked_seq);
+  push_.SettleVerdict(v, msg.fp, msg.verdict, /*from_aggregation=*/false);
   wait->fallback_done = true;
   if (wait->slot != nullptr) {
     wait->slot->Set(2);
@@ -853,11 +746,11 @@ sim::Task<void> SwitchServer::HandleRead(net::Packet p, VolPtr v) {
 
 sim::Task<void> SwitchServer::DirSessionWatchdog(VolPtr v, uint64_t session_id) {
   while (true) {
-    co_await sim::FixedDelay(sim_, config_.dir_session_ttl);
+    co_await sim::FixedDelay(sim_, kDirSessionTtl);
     const size_t before = v->SessionShard(session_id).dir_sessions.size();
     if (v->SessionShard(session_id)
             .dir_sessions.ExpireIfIdle(session_id, Now(),
-                                       config_.dir_session_ttl)) {
+                                       kDirSessionTtl)) {
       if (v->SessionShard(session_id).dir_sessions.size() < before) {
         stats_.dir_sessions_expired++;
       }
@@ -881,7 +774,7 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
   for (int spin = 0;; ++spin) {
     DirSession* session = v->SessionShard(req->dir_session)
                               .dir_sessions.Touch(req->dir_session, Now(),
-                                                  config_.dir_session_ttl);
+                                                  kDirSessionTtl);
     if (session == nullptr) {
       // Expired, evicted, closed, or minted by a previous incarnation:
       // resuming mid-stream could drop or duplicate entries, so the client
@@ -1553,7 +1446,7 @@ void SwitchServer::EnqueueWanApply(const WanEntry& entry,
 sim::Task<void> SwitchServer::ApplyWanEntryTask(
     VolPtr v, WanEntry we, std::shared_ptr<WanApplyResult> result,
     std::shared_ptr<sim::JoinCounter> jc) {
-  // The WAN analog of PushEngine::ApplySection, minus the change-log ack
+  // The WAN analog of Aggregation::ApplySection, minus the change-log ack
   // machinery: resolve the directory, take its inode lock, settle the entry
   // through the per-name LWW stamp, and persist a kWalWanApply record before
   // mutating. Every exit tallies its outcome and signals jc, so the
@@ -1571,8 +1464,7 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   co_await sim::SafePoint{};
   std::string ikey;
   psw::Fingerprint fp = 0;
-  if (!v->LookupDirIndex(we.dir, &ikey, &fp) ||
-      !v->kv.Get(ikey).has_value()) {
+  if (!v->LiveDirRow(we.dir, &ikey, &fp).has_value()) {
     // Unknown or removed here: not replicable at this cluster. Acked — a
     // re-ship cannot make it applicable (a later mkdir of the same path
     // mints a fresh id at its own cluster).

@@ -149,7 +149,7 @@ class SwitchServer : public UpdatePublisher {
   sim::Task<LockTable::Handle> GateDirRead(VolPtr v, const net::Packet& p,
                                            const MetaReq& req,
                                            psw::Fingerprint dir_fp);
-  // Expires an idle directory-stream session after dir_session_ttl
+  // Expires an idle directory-stream session after kDirSessionTtl
   // (responder-watchdog pattern; the table also expires lazily on access).
   sim::Task<void> DirSessionWatchdog(VolPtr v, uint64_t session_id);
 
@@ -158,9 +158,6 @@ class SwitchServer : public UpdatePublisher {
   // the tracker-overflow fallback; both reached through PublishUpdate).
   sim::Task<Status> SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
                                      const InodeId& dir);
-  // Rebind-safe change-log trim (re-finds the log; see definition).
-  void AckChangeLogUpTo(VolPtr v, psw::Fingerprint fp, const InodeId& dir,
-                        uint64_t acked_seq);
 
   // ---- dirty-set fallback and acks ----
   sim::Task<void> HandleInsertFallback(net::Packet p, VolPtr v);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -86,26 +87,7 @@ struct ServerConfig {
   // packet (the pre-batching behavior, kept for the A/B bench).
   bool batch_pushes = true;
   sim::SimTime push_idle_timeout = sim::Microseconds(300);
-  // Moved-tombstone retention (§5.2 rename race: the source leg of a
-  // directory rename installs a moved tombstone so in-flight change-log
-  // entries keyed to the old fingerprint are re-keyed to the new owner
-  // instead of trimmed). This is the change-log retention horizon for
-  // rebinds: a tombstone must outlive any source's unacked backlog for the
-  // old fingerprint (pushes retry with backoff capped at
-  // kPushRetryBackoff << kPushRetryMaxBackoffShift in push_engine.cc, so
-  // seconds dwarf the retry cadence). After expiry a late push for the
-  // moved directory degrades to the removed-directory trim. Expired lazily
-  // on lookup.
-  sim::SimTime moved_tombstone_ttl = sim::Seconds(10);
   sim::SimTime owner_quiet_period = sim::Microseconds(400);
-  sim::SimTime insert_ack_timeout = sim::Microseconds(150);
-  int insert_max_attempts = 100;
-  sim::SimTime responder_session_timeout = sim::Milliseconds(20);
-  // Directory-stream sessions (MetadataService v2): inactivity TTL of an
-  // OpenDir cursor session at the owner. A page call after expiry gets
-  // kStaleHandle and the client re-opens. The watchdog reuses the responder-
-  // session pattern; the TTL must dwarf the per-page RPC cadence (~µs).
-  sim::SimTime dir_session_ttl = sim::Milliseconds(20);
   // Table-wide session cap: past it, the least-recently-used session is
   // evicted (kStaleHandle on its next page) so a crash-looping scanner
   // abandoning handles cannot bloat the owner.
@@ -115,18 +97,30 @@ struct ServerConfig {
   // bench/test A/B lever. When on, owners piggyback installs on lookup/stat
   // replies and evict cached fingerprints before every committing write.
   bool switch_cache = false;
-  // Writer's pre-commit evict round trip: retry cadence and budget (mirrors
-  // the dirty-set insert-ack machinery). On budget exhaustion the write
-  // proceeds — the evict executed at the switch unless the switch itself is
-  // down, in which case the cache died with it.
-  sim::SimTime cache_evict_timeout = sim::Microseconds(150);
-  int cache_evict_max_attempts = 100;
   // Geo-replication identity: which cluster this server belongs to. Part of
   // every LWW commit stamp (the tie-break after the timestamp), so two
   // clusters stamping the same simulated instant still resolve
   // deterministically and identically everywhere.
   uint32_t cluster_id = 0;
 };
+
+// Round trips a server makes through the switch and back to itself — the
+// dirty-set insert awaiting its ack (§5.2.1 step 7) and the read cache's
+// pre-commit evict (cache_evict.h): the per-attempt timeout and the attempt
+// budget.
+inline constexpr sim::SimTime kSwitchRoundTripTimeout = sim::Microseconds(150);
+inline constexpr int kSwitchRoundTripAttempts = 100;
+
+// Moved-tombstone retention (§5.2 rename race: the source leg of a directory
+// rename installs a moved tombstone so in-flight change-log entries keyed to
+// the old fingerprint are re-keyed to the new owner instead of trimmed). This
+// is the change-log retention horizon for rebinds: a tombstone must outlive
+// any source's unacked backlog for the old fingerprint (pushes retry with
+// backoff capped at kPushRetryBackoff << kPushRetryMaxBackoffShift in
+// push_engine.cc, so seconds dwarf the retry cadence). After expiry a late
+// section for the moved directory degrades to the removed-directory trim.
+// Expired lazily on lookup.
+inline constexpr sim::SimTime kMovedTombstoneTtl = sim::Seconds(10);
 
 // Context the cluster provides to servers and clients.
 class ClusterContext {
@@ -258,10 +252,10 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
     std::shared_ptr<sim::OneShot<int>> slot;  // armed per attempt
   };
   // Moved tombstone (§5.2 rename race): installed by the source leg of a
-  // directory rename in place of a bare dir-index removal. A push or
-  // aggregation that finds the directory gone consults this map: a hit turns
-  // the ack-at-max-seq trim into a kMoved rebind verdict (new fingerprint,
-  // new owner); a miss keeps the removed-directory trim. `epoch` is the
+  // directory rename in place of a bare dir-index removal. A section apply
+  // that finds the directory gone consults this map: a hit turns the
+  // ack-at-last-seq trim into a moved verdict (new fingerprint, new owner);
+  // a miss keeps the removed-directory trim. `epoch` is the
   // rename's commit time at this server — newest wins on install, so a
   // replayed or duplicated commit of an earlier rename cannot clobber the
   // tombstone of a later one and re-key logs onto a superseded location.
@@ -270,9 +264,9 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
     psw::Fingerprint new_fp = 0;
     uint32_t new_owner = 0;
     uint64_t epoch = 0;
-    int64_t installed_at = 0;  // lazy TTL expiry base (moved_tombstone_ttl)
+    int64_t installed_at = 0;  // lazy TTL expiry base (kMovedTombstoneTtl)
     // Pre-rename applied high-water marks, (source server, seq), snapshotted
-    // from `hwm` when the tombstone is installed. kMoved verdicts hand each
+    // from `hwm` when the tombstone is installed. Moved verdicts hand each
     // source its row so the already-applied prefix (it migrated with the
     // entry list) is trimmed, not re-keyed. The live hwm rows are erased at
     // install: rebound logs are renumbered from 1 at the new owner, so a
@@ -362,6 +356,16 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   std::unordered_map<uint64_t, std::shared_ptr<OpWait>> op_waits;
   // Rename participant state: txn id -> held locks.
   std::unordered_map<uint64_t, std::vector<LockTable::Handle>> txn_locks;
+  // Destination legs prepared here and not yet committed or aborted (same
+  // keys as txn_locks) -> the destination's fingerprint. Between a directory
+  // rename's two commit legs the directory exists nowhere: a section already
+  // re-keyed toward this owner must wait for the destination leg, not be
+  // trimmed as if the directory were removed (Aggregation::ApplySection).
+  std::unordered_map<uint64_t, psw::Fingerprint> arriving_renames;
+  bool RenameArriving(psw::Fingerprint fp) const {
+    return std::any_of(arriving_renames.begin(), arriving_renames.end(),
+                       [fp](const auto& leg) { return leg.second == fp; });
+  }
   // In-switch read cache bookkeeping (owner side). cached_fps: fingerprints
   // this owner has (possibly) installed at the switch — the pre-commit evict
   // is skipped for fingerprints never installed. Volatile by design: a crash
@@ -421,6 +425,10 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   ChangeLog& GetChangeLog(psw::Fingerprint fp, const InodeId& dir) {
     return ShardFor(fp).GetChangeLog(fp, dir);
   }
+  // The same log, or nullptr if there is none.
+  ChangeLog* FindChangeLog(psw::Fingerprint fp, const InodeId& dir) {
+    return ShardFor(fp).FindChangeLog(fp, dir);
+  }
 
   // Resolves a directory id to its inode key + fingerprint via the "d" index.
   bool LookupDirIndex(const InodeId& dir, std::string* inode_key,
@@ -431,6 +439,18 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
     }
     DecodeDirIndex(*value, inode_key, fp);
     return true;
+  }
+
+  // The liveness test of a directory here: its dir-index row resolves to an
+  // inode row. Returns that row (nullopt when the directory was removed or
+  // renamed away), with its key and fingerprint.
+  std::optional<std::string> LiveDirRow(const InodeId& dir,
+                                        std::string* inode_key,
+                                        psw::Fingerprint* fp) const {
+    if (!LookupDirIndex(dir, inode_key, fp)) {
+      return std::nullopt;
+    }
+    return kv.Get(*inode_key);
   }
 
   // Installs (or refreshes) a moved tombstone. The epoch check makes install
@@ -444,15 +464,14 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   }
 
   // Live tombstone for `dir`, or nullptr. Expired tombstones (older than
-  // `ttl`) are erased on the way — after that a late push for the moved
-  // directory degrades to the removed-directory trim.
-  const MovedDir* FindMovedTombstone(const InodeId& dir, int64_t now,
-                                     sim::SimTime ttl) {
+  // kMovedTombstoneTtl) are erased on the way — after that a late section
+  // for the moved directory degrades to the removed-directory trim.
+  const MovedDir* FindMovedTombstone(const InodeId& dir, int64_t now) {
     auto it = moved_dirs.find(dir);
     if (it == moved_dirs.end()) {
       return nullptr;
     }
-    if (now - it->second.installed_at > ttl) {
+    if (now - it->second.installed_at > kMovedTombstoneTtl) {
       moved_dirs.erase(it);
       return nullptr;
     }
@@ -532,6 +551,13 @@ struct ServerContext {
   }
   bool IsOwner(psw::Fingerprint fp) const {
     return OwnerOf(fp) == config->index;
+  }
+  // Trims `log` up to `acked_seq` and marks the trimmed entries' WAL records
+  // applied: the one trim of every channel's verdict.
+  void TrimLog(ChangeLog& log, uint64_t acked_seq) const {
+    for (uint64_t lsn : log.AckUpTo(acked_seq)) {
+      durable->wal.MarkApplied(lsn);
+    }
   }
 
   void RespondStatus(const net::Packet& p, StatusCode code) const {

@@ -224,6 +224,15 @@ struct SFS_SUSPENSION_SHARED ServerShard {
     }
     return it->second;
   }
+  // The per-directory change-log within `fp`'s group, or nullptr.
+  ChangeLog* FindChangeLog(psw::Fingerprint fp, const InodeId& dir) {
+    auto logs = changelogs.find(fp);
+    if (logs == changelogs.end()) {
+      return nullptr;
+    }
+    auto it = logs->second.find(dir);
+    return it == logs->second.end() ? nullptr : &it->second;
+  }
 };
 
 // KvStore-shaped router over the shard vector: point reads/writes route by

@@ -110,10 +110,7 @@ void RedoDirentApply(ServerVolatile& v, const InodeId& dir,
                      uint64_t result_size, int64_t result_mtime) {
   std::string ikey;
   psw::Fingerprint fp = 0;
-  if (!v.LookupDirIndex(dir, &ikey, &fp)) {
-    return;
-  }
-  auto value = v.kv.Get(ikey);
+  const std::optional<std::string> value = v.LiveDirRow(dir, &ikey, &fp);
   if (!value.has_value()) {
     return;
   }

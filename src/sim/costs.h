@@ -20,7 +20,6 @@ namespace switchfs::sim {
 struct CostModel {
   // --- network fabric ---
   SimTime link_latency = Nanoseconds(750);       // host <-> switch, one way
-  SimTime switch_pipeline = Nanoseconds(350);    // programmable switch per packet
   SimTime plain_switch_delay = Nanoseconds(300); // regular L2 switch per packet
   SimTime link_jitter = Nanoseconds(60);         // exponential jitter mean
 
@@ -68,10 +67,6 @@ struct CostModel {
   // 12 cores / 1.05 us per packet ~= 11.4 Mops/s ceiling.
   SimTime tracker_packet_cost = Nanoseconds(1050);
   int tracker_cores = 12;
-
-  // Extra per-packet match-action latency when the metadata read cache
-  // answers from the way registers (record copy into the reply header).
-  SimTime switch_cache_serve = Nanoseconds(150);
 
   // --- client-side costs ---
   SimTime client_op_cost = Nanoseconds(300);  // LibFS bookkeeping per op

@@ -45,7 +45,7 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
   ins.ds.alt_dst = ctx.cluster->ServerNode(ctx.OwnerOf(fp));
 
   int result = 0;
-  for (int attempt = 0; attempt < ctx.config->insert_max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < core::kSwitchRoundTripAttempts; ++attempt) {
     if (wait->acked) {
       result = 1;
       break;
@@ -57,7 +57,7 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
     wait->slot = std::make_shared<sim::OneShot<int>>(ctx.sim);
     ctx.rpc->Send(ins);
     auto slot = wait->slot;
-    ctx.sim->ScheduleTimer(ctx.config->insert_ack_timeout,
+    ctx.sim->ScheduleTimer(core::kSwitchRoundTripTimeout,
                            [slot] { slot->Set(0); });
     result = co_await slot->Wait();
     if (result != 0) {

@@ -82,16 +82,12 @@ bool PageOverBudget(const std::vector<DirEntry>& entries) {
 // Five-system harness over the shared interface
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<FsWorld> MakeSystem(const std::string& name,
-                                    sim::SimTime session_ttl) {
+std::unique_ptr<FsWorld> MakeSystem(const std::string& name) {
   if (name == "SwitchFS") {
-    ClusterConfig cfg = SmallClusterConfig(4);
-    cfg.server_template.dir_session_ttl = session_ttl;
-    return std::make_unique<Cluster>(cfg);
+    return std::make_unique<Cluster>(SmallClusterConfig(4));
   }
   baselines::BaselineConfig cfg;
   cfg.num_servers = 4;
-  cfg.dir_session_ttl = session_ttl;
   if (name == "Emulated-InfiniFS") {
     cfg.kind = baselines::SystemKind::kEInfiniFS;
   } else if (name == "Emulated-CFS") {
@@ -121,11 +117,13 @@ class V2Harness {
     }(client.get(), p, &out));
     return out;
   }
-  Status Create(const std::string& p) {
+  Status Create(const std::string& p) { return CreateBy(client.get(), p); }
+  // A create by another client of the same world.
+  Status CreateBy(MetadataService* c, const std::string& p) {
     Status out = InternalError("not run");
     Run([](MetadataService* c, std::string path, Status* o) -> sim::Task<void> {
       *o = co_await c->Create(path);
-    }(client.get(), p, &out));
+    }(c, p, &out));
     return out;
   }
   Status Unlink(const std::string& p) {
@@ -194,7 +192,7 @@ std::string SystemParamName(
 }
 
 TEST_P(ApiV2Suite, PagedStreamMatchesListingAndBoundsPages) {
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   std::set<std::string> expected;
   for (int i = 0; i < 100; ++i) {
@@ -263,7 +261,7 @@ TEST_P(ApiV2Suite, ReadVerdictsMatchPosix) {
   // Every single-target read against a directory, a file, a missing name
   // and a missing parent. Close only releases client state, so it succeeds
   // wherever the parent resolves.
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
   constexpr StatusCode kOk = StatusCode::kOk;
@@ -298,9 +296,8 @@ TEST_P(ApiV2Suite, ReadVerdictsMatchPosix) {
 }
 
 TEST_P(ApiV2Suite, SessionExpiryYieldsStaleHandle) {
-  // Tight TTL so the wait between pages expires the owner-side session
-  // (still above CephFS-sim's ~575us per-op stack, so the first page lives).
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(2)));
+  // The wait between pages outlasts the owner-side session's TTL.
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(fs.Create("/d/f" + std::to_string(i)).ok());
@@ -318,7 +315,7 @@ TEST_P(ApiV2Suite, SessionExpiryYieldsStaleHandle) {
     *first = page.ok() ? OkStatus() : page.status();
     // Sit past the inactivity TTL: the server-side watchdog reclaims the
     // snapshot, so the next cookie is stale.
-    co_await sim::Delay(&world->world_sim(), sim::Milliseconds(20));
+    co_await sim::Delay(&world->world_sim(), 2 * kDirSessionTtl);
     auto late = co_await c->ReaddirPage(*handle, page.ok() ? page->next_cookie
                                                            : kDirStreamStart);
     *second = late.ok() ? OkStatus() : late.status();
@@ -334,7 +331,7 @@ TEST_P(ApiV2Suite, SessionExpiryYieldsStaleHandle) {
 }
 
 TEST_P(ApiV2Suite, CloseDirInvalidatesTheHandle) {
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
   Status page_after_close = InternalError("not run");
@@ -356,7 +353,7 @@ TEST_P(ApiV2Suite, CloseDirInvalidatesTheHandle) {
 }
 
 TEST_P(ApiV2Suite, BatchStatReturnsPerTargetVerdicts) {
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/a").ok());
   ASSERT_TRUE(fs.Mkdir("/b").ok());
   for (int i = 0; i < 6; ++i) {
@@ -386,7 +383,7 @@ TEST_P(ApiV2Suite, BatchStatReturnsPerTargetVerdicts) {
 }
 
 TEST_P(ApiV2Suite, BulkInsertReturnsPerNameVerdicts) {
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/dup").ok());
 
@@ -430,7 +427,7 @@ TEST_P(ApiV2Suite, BulkInsertReturnsPerNameVerdicts) {
 }
 
 TEST_P(ApiV2Suite, SetAttrCommitsModeAndTimes) {
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   ASSERT_TRUE(fs.Create("/d/f").ok());
 
@@ -469,7 +466,7 @@ TEST_P(ApiV2Suite, SetAttrCommitsModeAndTimes) {
 TEST_P(ApiV2Suite, BulkInsertIntoRootPlacesNamesLikeCreate) {
   // Each bulk-inserted name lands where Create and Stat look for it — in the
   // root too, where a name heads its own CephFS-sim subtree.
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   std::vector<std::string> names;
   for (int i = 0; i < 8; ++i) {
     names.push_back("r" + std::to_string(i));
@@ -519,24 +516,16 @@ INSTANTIATE_TEST_SUITE_P(AllFiveSystems, ApiV2Suite,
 class StaleCacheBounceSuite : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StaleCacheBounceSuite, CreateUnderRecreatedDirLandsInTheNewDir) {
-  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  V2Harness fs(MakeSystem(GetParam()));
   std::unique_ptr<MetadataService> b = fs.world->NewClient(false);
-  const auto b_create = [&](const std::string& path) {
-    Status out = InternalError("not run");
-    fs.Run([](MetadataService* c, std::string path,
-              Status* o) -> sim::Task<void> {
-      *o = co_await c->Create(path);
-    }(b.get(), path, &out));
-    return out;
-  };
   ASSERT_TRUE(fs.Mkdir("/a").ok());
-  ASSERT_TRUE(b_create("/a/old").ok());  // B resolves and caches /a
+  ASSERT_TRUE(fs.CreateBy(b.get(), "/a/old").ok());  // B resolves and caches /a
 
   ASSERT_TRUE(fs.Unlink("/a/old").ok());
   ASSERT_TRUE(fs.Rmdir("/a").ok());
   ASSERT_TRUE(fs.Mkdir("/a").ok());
 
-  Status created = b_create("/a/x");
+  Status created = fs.CreateBy(b.get(), "/a/x");
   EXPECT_TRUE(created.ok()) << created.ToString();
   auto st = fs.Stat("/a/x");
   EXPECT_TRUE(st.ok()) << st.status().ToString();
@@ -550,6 +539,28 @@ INSTANTIATE_TEST_SUITE_P(FourSystems, StaleCacheBounceSuite,
                          ::testing::Values("SwitchFS", "Emulated-InfiniFS",
                                            "Emulated-CFS", "IndexFS-sim"),
                          SystemParamName);
+
+// CephFS-sim, where B's stale /a is never invalidated: B's create under the
+// removed /a fails at its parent update, and the inode row it wrote first
+// must go with it — no listing could ever show a row under the removed id.
+TEST(CephFsSim, FailedCreateUnderRemovedDirLeavesNoInodeRow) {
+  V2Harness fs(MakeSystem("CephFS-sim"));
+  auto* cluster = static_cast<baselines::BaselineCluster*>(fs.world.get());
+  std::unique_ptr<MetadataService> b = fs.world->NewClient(false);
+  ASSERT_TRUE(fs.Mkdir("/a").ok());
+  ASSERT_TRUE(fs.CreateBy(b.get(), "/a/old").ok());  // B resolves and caches /a
+  const InodeId removed = fs.Stat("/a")->id;
+
+  ASSERT_TRUE(fs.Unlink("/a/old").ok());
+  ASSERT_TRUE(fs.Rmdir("/a").ok());
+  ASSERT_TRUE(fs.Mkdir("/a").ok());
+
+  EXPECT_EQ(fs.CreateBy(b.get(), "/a/x").code(), StatusCode::kNotFound);
+  for (uint32_t s = 0; s < cluster->ServerCount(); ++s) {
+    EXPECT_EQ(cluster->server(s).kv().CountPrefix(InodeKey(removed, "")), 0u)
+        << "server " << s << " keeps an inode row under the removed /a";
+  }
+}
 
 // ---------------------------------------------------------------------------
 // SwitchFS property test: paged readdir under a create/unlink/rename storm

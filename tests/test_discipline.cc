@@ -137,14 +137,13 @@ TEST_F(DisciplineTest, HoldsFollowTheAwaitChainAcrossSubcoroutines) {
 // Drives the real EvictSwitchCacheEntry against a minimal server context:
 // switch_cache on and the fingerprint marked installed, so the evict gate is
 // passed and the lock check runs. No switch exists on the network, so the
-// round trip exhausts its 1-attempt budget and returns.
+// round trip exhausts its attempt budget (kSwitchRoundTripAttempts, 15 ms
+// of simulated time) and returns.
 class EvictFixture {
  public:
   EvictFixture() : net_(&sim_, &costs_, /*seed=*/1), rpc_(&sim_, &net_) {
     net_.SetSwitch(&plain_switch_);
     config_.switch_cache = true;
-    config_.cache_evict_max_attempts = 1;
-    config_.cache_evict_timeout = sim::Microseconds(10);
     ctx_.sim = &sim_;
     ctx_.net = &net_;
     ctx_.config = &config_;

@@ -50,7 +50,7 @@ class ModuleHarness : public UpdatePublisher {
                         &config, &cpu, &rpc,          &stats,   &tracker_impl};
     agg = std::make_unique<Aggregation>(ctx);
     push = std::make_unique<PushEngine>(ctx, *agg);
-    agg->SetRebinder(push.get());
+    agg->SetPushEngine(push.get());
     rename = std::make_unique<RenameCoordinator>(ctx, *agg, *push, *this);
     rpc.SetCpu(&cpu);
     rpc.SetRequestHandler([this](net::Packet p) { OnRequest(std::move(p)); });
@@ -66,6 +66,20 @@ class ModuleHarness : public UpdatePublisher {
       rpc.Respond(*client_req, client_resp);
     }
     co_return;
+  }
+
+  // Applies one section through the owner's apply and returns its verdict.
+  SectionVerdict ApplySection(const InodeId& dir, uint32_t src,
+                              psw::Fingerprint fp,
+                              std::vector<ChangeLogEntry> entries) {
+    SectionVerdict out;
+    sim::Spawn([](Aggregation* a, VolPtr v, InodeId d, uint32_t s,
+                  psw::Fingerprint f, std::vector<ChangeLogEntry> e,
+                  SectionVerdict* o) -> sim::Task<void> {
+      *o = co_await a->ApplySection(v, d, s, f, std::move(e));
+    }(agg.get(), vol, dir, src, fp, std::move(entries), &out));
+    sim.Run();
+    return out;
   }
 
   // The rename module's server-side dependencies, minus SwitchServer.
@@ -246,7 +260,7 @@ class PushHarness {
                              &n->stats,  &tracker_impl};
       n->agg = std::make_unique<Aggregation>(n->ctx);
       n->push = std::make_unique<PushEngine>(n->ctx, *n->agg);
-      n->agg->SetRebinder(n->push.get());
+      n->agg->SetPushEngine(n->push.get());
       n->rpc.SetCpu(&n->cpu);
       n->rpc.SetRequestHandler(
           [this, n](net::Packet p) { OnRequest(*n, std::move(p)); });
@@ -640,11 +654,10 @@ TEST(PushEngineModule, RebindTrimsPreRenameAppliedPrefix) {
   }
 }
 
-// Tombstones expire after moved_tombstone_ttl (the rebind retention
+// Tombstones expire after kMovedTombstoneTtl (the rebind retention
 // horizon): a push arriving later degrades to the removed-directory trim.
 TEST(PushEngineModule, ExpiredTombstoneDegradesToRemovedTrim) {
   PushHarness h;
-  h.owner.config.moved_tombstone_ttl = sim::Microseconds(10);
   const InodeId parent = RootId();
   const std::string old_name = h.NameOwnedBy(parent, 1, "tto");
   const std::string new_name = h.NameOwnedBy(parent, 0, "ttn");
@@ -658,7 +671,8 @@ TEST(PushEngineModule, ExpiredTombstoneDegradesToRemovedTrim) {
   tomb.installed_at = h.sim.Now();
   h.owner.vol->InstallMovedTombstone(dir, tomb);
 
-  // The push fires after the idle timeout (300us), far past the 10us TTL.
+  // Wait out the TTL; the push then fires after the idle timeout (300us).
+  h.sim.RunUntil(h.sim.Now() + kMovedTombstoneTtl);
   h.AppendAndSchedule(old_fp, dir, 2);
   h.sim.Run();
 
@@ -688,8 +702,8 @@ TEST(PushEngineModule, TombstoneInstallKeepsNewestEpoch) {
   first.installed_at = h.sim.Now();
   h.owner.vol->InstallMovedTombstone(dir, first);
 
-  const ServerVolatile::MovedDir* tomb = h.owner.vol->FindMovedTombstone(
-      dir, h.sim.Now(), h.owner.config.moved_tombstone_ttl);
+  const ServerVolatile::MovedDir* tomb =
+      h.owner.vol->FindMovedTombstone(dir, h.sim.Now());
   ASSERT_NE(tomb, nullptr);
   EXPECT_EQ(tomb->new_fp, 222u) << "the second rename's target survives";
   EXPECT_EQ(tomb->epoch, 20u);
@@ -815,9 +829,10 @@ TEST(AggregationModule, ApplyEntriesCompactsAttributeUpdate) {
     entries.push_back(
         MakeEntry(s, "f" + std::to_string(s), OpType::kCreate, 100 + s));
   }
-  sim::Spawn(h.agg->ApplyEntries(h.vol, dir, /*src=*/1,
-                                 FingerprintOf(parent, "docs"), entries, ""));
-  h.sim.Run();
+  EXPECT_EQ(h.ApplySection(dir, /*src=*/1, FingerprintOf(parent, "docs"),
+                           entries)
+                .acked_seq,
+            5u);
 
   Attr attr = h.ReadAttr(parent, "docs");
   EXPECT_EQ(attr.size, 5u);
@@ -838,13 +853,12 @@ TEST(AggregationModule, ApplyEntriesDeduplicatesByHighWaterMark) {
     entries.push_back(
         MakeEntry(s, "f" + std::to_string(s), OpType::kCreate, 100 + s));
   }
-  sim::Spawn(h.agg->ApplyEntries(h.vol, dir, 1,
-                                 FingerprintOf(parent, "docs"), entries, ""));
-  h.sim.Run();
-  // Replaying the same batch (a duplicated push) applies nothing new.
-  sim::Spawn(h.agg->ApplyEntries(h.vol, dir, 1,
-                                 FingerprintOf(parent, "docs"), entries, ""));
-  h.sim.Run();
+  h.ApplySection(dir, 1, FingerprintOf(parent, "docs"), entries);
+  // Replaying the same batch (a duplicated push) applies nothing new, and
+  // the live directory still acks its mark.
+  EXPECT_EQ(h.ApplySection(dir, 1, FingerprintOf(parent, "docs"), entries)
+                .acked_seq,
+            3u);
 
   EXPECT_EQ(h.stats.entries_applied, 3u);
   EXPECT_EQ(h.stats.entries_deduped, 3u);
@@ -862,9 +876,9 @@ TEST(AggregationModule, ApplyEntriesStopsAtMidBatchSequenceGap) {
   entries.push_back(MakeEntry(1, "a", OpType::kCreate, 101));
   entries.push_back(MakeEntry(2, "b", OpType::kCreate, 102));
   entries.push_back(MakeEntry(4, "d", OpType::kCreate, 104));
-  sim::Spawn(h.agg->ApplyEntries(h.vol, dir, 1,
-                                 FingerprintOf(parent, "docs"), entries, ""));
-  h.sim.Run();
+  EXPECT_EQ(
+      h.ApplySection(dir, 1, FingerprintOf(parent, "docs"), entries).acked_seq,
+      2u);
 
   EXPECT_EQ(h.stats.entries_applied, 2u);
   EXPECT_EQ(h.ReadAttr(parent, "docs").size, 2u);
@@ -886,9 +900,7 @@ TEST(AggregationModule, ApplyEntriesBridgesResolvedPrefixBelowBatchFront) {
   std::vector<ChangeLogEntry> entries;
   entries.push_back(MakeEntry(3, "c", OpType::kCreate, 103));
   entries.push_back(MakeEntry(4, "d", OpType::kCreate, 104));
-  sim::Spawn(h.agg->ApplyEntries(h.vol, dir, 1,
-                                 FingerprintOf(parent, "docs"), entries, ""));
-  h.sim.Run();
+  h.ApplySection(dir, 1, FingerprintOf(parent, "docs"), entries);
 
   EXPECT_EQ(h.stats.entries_applied, 2u);
   EXPECT_EQ(h.ReadAttr(parent, "docs").size, 2u);
@@ -926,12 +938,11 @@ TEST(AggregationModule, GateAndAggregateDrainsLocalChangeLog) {
 }
 
 // ROADMAP fault path: a responder session whose initiator goes silent (it
-// crashed mid-aggregation) is reaped by the watchdog after
-// responder_session_timeout, releasing the shared change-log lock so later
-// writers are not blocked forever.
+// crashed mid-aggregation) is reaped by the watchdog after its session
+// timeout (20 ms), releasing the shared change-log lock so later writers
+// are not blocked forever.
 TEST(AggregationModule, ResponderWatchdogReleasesAbandonedSession) {
   ModuleHarness h;
-  h.config.responder_session_timeout = sim::Milliseconds(5);
   const psw::Fingerprint fp = 77;
 
   // Fake initiator: acks the AggEntries reply but never sends AggDone.

@@ -145,7 +145,7 @@ class PushOwnerHarness {
                         &config, &cpu, &rpc,          &stats,   &tracker_impl};
     agg = std::make_unique<Aggregation>(ctx);
     push = std::make_unique<PushEngine>(ctx, *agg);
-    agg->SetRebinder(push.get());
+    agg->SetPushEngine(push.get());
     rpc.SetCpu(&cpu);
     rpc.SetRequestHandler([this](net::Packet p) {
       if (p.body->type == PushReq::kType) {
@@ -264,7 +264,7 @@ TEST(DuplicatePush, RetransmittedBatchAppliesExactlyOnce) {
   PushResp second = h.Deliver(req);
   ASSERT_EQ(second.status, StatusCode::kOk);
   ASSERT_EQ(second.acked.size(), 1u);
-  EXPECT_EQ(second.acked[0].status, PushResp::SectionStatus::kApplied);
+  EXPECT_FALSE(second.acked[0].moved);
   EXPECT_EQ(second.acked[0].acked_seq, 3u);
 
   EXPECT_EQ(h.stats.entries_applied, 3u);

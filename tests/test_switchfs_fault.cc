@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -339,25 +340,28 @@ TEST(SwitchFsFault, UnlinkedEntryStaysGoneAfterRenameBack) {
   EXPECT_EQ(sd->size, 1u);
 }
 
-// Once armed, holds the first AggEntries reply addressed to `initiator`, so
-// that server's aggregation stays in flight until Release re-injects it.
-class HoldFirstAggEntries : public net::SwitchBehavior {
+// Once armed, holds every packet `match` selects (retransmits included, so a
+// held RPC cannot slip past on its next attempt) until Release re-injects
+// them in arrival order. `held` counts the packets it ever held.
+class HoldPackets : public net::SwitchBehavior {
  public:
-  HoldFirstAggEntries(net::SwitchBehavior* inner, net::NodeId initiator)
-      : inner_(inner), initiator_(initiator) {}
+  HoldPackets(net::SwitchBehavior* inner,
+              std::function<bool(const net::Packet&)> match)
+      : inner_(inner), match_(std::move(match)) {}
 
   std::vector<net::Packet> Process(net::Packet p) override {
     std::vector<net::Packet> out = inner_->Process(std::move(p));
-    auto reply =
-        std::find_if(out.begin(), out.end(), [&](const net::Packet& q) {
-          return q.dst == initiator_ &&
-                 net::MsgAs<AggEntries>(q.body) != nullptr;
-        });
-    if (armed && !held && reply != out.end()) {
-      packet_ = std::move(*reply);
-      out.erase(reply);
-      held = true;
+    if (!armed) {
+      return out;
     }
+    const auto kept = std::stable_partition(
+        out.begin(), out.end(),
+        [&](const net::Packet& q) { return !match_(q); });
+    held += out.end() - kept;
+    for (auto it = kept; it != out.end(); ++it) {
+      packets_.push_back(std::move(*it));
+    }
+    out.erase(kept, out.end());
     return out;
   }
   sim::SimTime PipelineDelay() const override {
@@ -365,18 +369,20 @@ class HoldFirstAggEntries : public net::SwitchBehavior {
   }
 
   void Release(net::Network& network) {
-    if (held) {
-      network.Send(std::move(packet_));
+    armed = false;
+    for (net::Packet& q : packets_) {
+      network.Send(std::move(q));
     }
+    packets_.clear();
   }
 
   bool armed = false;
-  bool held = false;
+  int64_t held = 0;
 
  private:
   net::SwitchBehavior* inner_;
-  net::NodeId initiator_;
-  net::Packet packet_;
+  std::function<bool(const net::Packet&)> match_;
+  std::vector<net::Packet> packets_;
 };
 
 struct InFlightAggregationRun {
@@ -393,9 +399,9 @@ sim::Task<void> ReaddirInto(SwitchFsClient* c, std::string path,
 
 // The peer scatters /d with `other` and starts a readdir whose aggregation
 // the hold keeps in flight; 5 µs later the harness client creates `mine`
-// and lists /d; 30 µs after that the held reply is released.
+// and lists /d; 30 µs after that the held replies are released.
 sim::Task<void> CreateDuringAggregation(FsHarness* fs, SwitchFsClient* peer,
-                                        HoldFirstAggEntries* hold,
+                                        HoldPackets* hold,
                                         std::string other, std::string mine,
                                         InFlightAggregationRun* run) {
   run->other_created = co_await peer->Create("/d/" + other);
@@ -435,15 +441,19 @@ TEST(SwitchFsFault, ReaddirListsOwnCreateCommittedDuringAggregation) {
     (at_owner ? mine : other) = name;
   }
 
-  HoldFirstAggEntries hold(fs.cluster.data_plane(),
-                           fs.cluster.ServerNode(owner));
+  // Holds the AggEntries replies to the owner's aggregation, so it stays in
+  // flight until the script releases them.
+  const net::NodeId owner_node = fs.cluster.ServerNode(owner);
+  HoldPackets hold(fs.cluster.data_plane(), [&](const net::Packet& q) {
+    return q.dst == owner_node && net::MsgAs<AggEntries>(q.body) != nullptr;
+  });
   fs.cluster.network().SetSwitch(&hold);
   std::unique_ptr<SwitchFsClient> peer = fs.cluster.MakeClient();
   InFlightAggregationRun run;
   fs.Run(CreateDuringAggregation(&fs, peer.get(), &hold, other, mine, &run));
   ASSERT_TRUE(run.other_created.ok());
   ASSERT_TRUE(run.mine_created.ok());
-  EXPECT_TRUE(hold.held);
+  EXPECT_GT(hold.held, 0);
   EXPECT_EQ(Names(run.peer_listing).count(other), 1u);
   ASSERT_TRUE(run.listing.ok()) << run.listing.status().ToString();
   EXPECT_EQ(Names(run.listing), (std::set<std::string>{mine, other}))
@@ -818,6 +828,124 @@ TEST(SwitchFsFault, RenameRaceRebindRetriesAcrossNewOwnerCrash) {
   auto entries = fs.Readdir("/b/" + dst_name);
   ASSERT_TRUE(entries.ok());
   EXPECT_EQ(entries->size(), static_cast<size_t>(ok_creates) + 1 + kClients);
+}
+
+// The channel that carries the racing create's parent update to /p/D's owner.
+enum class ParentUpdateChannel {
+  kSyncLocal,   // async_updates off, the creating server owns /p/D's group
+  kSyncRemote,  // async_updates off, another server owns it
+  kOverflow,    // dirty-set inserts overflow: the §6.2 redirect to the owner
+};
+
+// A rename of /p/D to /q/D (another owner) races a create in /p/D: the
+// rename's source commit leg is held while the create commits, and on the
+// remote channel the create's parent update is also held until the rename
+// commits. Whichever way the parent update's apply at the old owner ends,
+// the entry must follow the directory: /q/D lists it, its size is exact, and
+// no change-log entry stays pending.
+void RunRenameRacingParentUpdate(ParentUpdateChannel channel) {
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.async_updates = channel == ParentUpdateChannel::kOverflow;
+  FsHarness fs(cfg);
+  if (channel == ParentUpdateChannel::kOverflow) {
+    fs.cluster.data_plane()->SetForceInsertOverflow(true);
+  }
+  ASSERT_TRUE(fs.Mkdir("/p").ok());
+  ASSERT_TRUE(fs.Mkdir("/q").ok());
+  const InodeId p_id = fs.Stat("/p")->id;
+  const InodeId q_id = fs.Stat("/q")->id;
+  std::string dname;
+  for (int i = 0;; ++i) {
+    dname = "D" + std::to_string(i);
+    if (fs.cluster.ring().Owner(FingerprintOf(p_id, dname)) !=
+        fs.cluster.ring().Owner(FingerprintOf(q_id, dname))) {
+      break;
+    }
+  }
+  const std::string from = "/p/" + dname;
+  const std::string to = "/q/" + dname;
+  const uint32_t old_owner = fs.cluster.ring().Owner(FingerprintOf(p_id, dname));
+  ASSERT_TRUE(fs.Mkdir(from).ok());
+  // Warms the client's path cache: the racing create must not resolve /p/D
+  // while the rename holds it.
+  ASSERT_TRUE(fs.Create(from + "/warm").ok());
+  const InodeId d_id = fs.Stat(from)->id;
+  std::string name;
+  for (int i = 0;; ++i) {
+    name = "x" + std::to_string(i);
+    const bool local =
+        fs.cluster.ring().Owner(FingerprintOf(d_id, name)) == old_owner;
+    if (local == (channel == ParentUpdateChannel::kSyncLocal)) {
+      break;
+    }
+  }
+  const net::NodeId old_owner_node = fs.cluster.ServerNode(old_owner);
+  HoldPackets hold_commit(fs.cluster.data_plane(), [&](const net::Packet& q) {
+    const auto* c = net::MsgAs<RenameCommit>(q.body);
+    return c != nullptr && c->delete_inode && q.dst == old_owner_node;
+  });
+  HoldPackets hold_push(&hold_commit, [&](const net::Packet& q) {
+    return q.dst == old_owner_node && net::MsgAs<PushReq>(q.body) != nullptr;
+  });
+  fs.cluster.network().SetSwitch(&hold_push);
+  sim::Simulator& sim = fs.cluster.sim();
+  const auto run_until = [&](const std::function<bool()>& done) {
+    for (int step = 0; step < 1000 && !done(); ++step) {
+      sim.RunUntil(sim.Now() + sim::Microseconds(2));
+    }
+    return done();
+  };
+
+  hold_commit.armed = true;
+  Status renamed = InternalError("not run");
+  std::unique_ptr<SwitchFsClient> renamer = fs.cluster.MakeClient();
+  sim::Spawn([](SwitchFsClient* c, std::string f, std::string t,
+                Status* out) -> sim::Task<void> {
+    *out = co_await c->Rename(f, t);
+  }(renamer.get(), from, to, &renamed));
+  ASSERT_TRUE(run_until([&] { return hold_commit.held > 0; }));
+
+  hold_push.armed = channel == ParentUpdateChannel::kSyncRemote;
+  Status created = InternalError("not run");
+  sim::Spawn([](SwitchFsClient* c, std::string path,
+                Status* out) -> sim::Task<void> {
+    *out = co_await c->Create(path);
+  }(fs.client.get(), from + "/" + name, &created));
+  if (channel == ParentUpdateChannel::kSyncRemote) {
+    ASSERT_TRUE(run_until([&] { return hold_push.held > 0; }));
+  } else {
+    // Committed, and its parent update waits on /p/D's inode lock, which
+    // the prepared rename holds.
+    ASSERT_TRUE(run_until(
+        [&] { return fs.cluster.TotalPendingChangeLogEntries() > 0; }));
+    sim.RunUntil(sim.Now() + sim::Microseconds(20));
+  }
+  hold_commit.Release(fs.cluster.network());
+  ASSERT_TRUE(run_until([&] { return renamed.ok(); }))
+      << renamed.ToString();
+  hold_push.Release(fs.cluster.network());
+  sim.RunWhileWorkPending();
+
+  ASSERT_TRUE(created.ok()) << created.ToString();
+  EXPECT_GT(fs.cluster.TotalStats().entries_rebound, 0u)
+      << "the race was not exercised: the entry was never re-keyed";
+  EXPECT_EQ(fs.cluster.TotalPendingChangeLogEntries(), 0u);
+  EXPECT_EQ(Names(fs.Readdir(to)), (std::set<std::string>{"warm", name}));
+  auto sd = fs.StatDir(to);
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 2u);
+}
+
+TEST(SwitchFsFault, RenameRacingSyncLocalParentUpdateKeepsTheEntry) {
+  RunRenameRacingParentUpdate(ParentUpdateChannel::kSyncLocal);
+}
+
+TEST(SwitchFsFault, RenameRacingSyncRemoteParentUpdateKeepsTheEntry) {
+  RunRenameRacingParentUpdate(ParentUpdateChannel::kSyncRemote);
+}
+
+TEST(SwitchFsFault, RenameRacingOverflowFallbackKeepsTheEntry) {
+  RunRenameRacingParentUpdate(ParentUpdateChannel::kOverflow);
 }
 
 TEST(SwitchFsFault, RecoveryIsIdempotent) {

@@ -108,12 +108,12 @@ class TrackerHarness {
 };
 
 // ROADMAP fault path: with nothing acking in-network inserts (plain switch,
-// no data plane), the insert-ack retry budget runs out; the operation still
-// completes (push path repairs visibility) and the wait state is cleaned up.
+// no data plane), the insert-ack retry budget runs out (after
+// kSwitchRoundTripAttempts x kSwitchRoundTripTimeout, 15 ms of simulated
+// time); the operation still completes (push path repairs visibility) and
+// the wait state is cleaned up.
 TEST(SwitchTrackerTest, InsertAckRetryExhaustionIsCountedAndCleanedUp) {
   TrackerHarness h;
-  h.config.insert_max_attempts = 3;
-  h.config.insert_ack_timeout = sim::Microseconds(50);
   SwitchTracker tracker;
   const InsertResult r = h.RunInsert(tracker, /*fp=*/1234);
   EXPECT_EQ(r, InsertResult::kDelivered);
