@@ -51,7 +51,7 @@ int main() {
       switchfs::wl::RunResult r = RunCreate(*world, creates, 256);
       std::printf(" %8.1f", r.ThroughputOpsPerSec() / 1e3);
       std::fflush(stdout);
-      RequireCreatesVisible(*world, r, "/shared0", creates);
+      RequireCreatesVisible(*world, r, {"/shared0"}, creates);
     }
     std::printf("   Kops/s\n");
   }
@@ -67,7 +67,7 @@ int main() {
     switchfs::wl::RunResult r = RunCreate(*world, creates, 32);
     std::printf("%-14s %10.2f %10.2f %10.2f\n", v.name, r.MeanLatencyUs(),
                 r.PercentileUs(0.5), r.PercentileUs(0.99));
-    RequireCreatesVisible(*world, r, "/shared0", creates);
+    RequireCreatesVisible(*world, r, {"/shared0"}, creates);
   }
   return 0;
 }

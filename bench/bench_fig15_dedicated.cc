@@ -4,12 +4,14 @@
 //      critical path.
 //  (b) statdir throughput vs #servers (12 cores each): the tracker's CPU
 //      caps it near 11 Mops/s while the switch scales with the cluster.
+// Exits 1 unless every create run's creates all reach their directories
+// (bench_util.h RequireCreatesVisible).
 #include "bench/bench_util.h"
 
 namespace switchfs::bench {
 namespace {
 
-wl::RunResult RunOp(core::FsWorld& world, core::OpType op, uint64_t total,
+wl::RunResult RunOp(core::Cluster& world, core::OpType op, uint64_t total,
                     int workers, int dirs_n, int files_per_dir) {
   auto dirs = wl::PreloadDirs(world, dirs_n);
   std::unique_ptr<wl::OpStream> stream;
@@ -25,7 +27,11 @@ wl::RunResult RunOp(core::FsWorld& world, core::OpType op, uint64_t total,
   rc.workers = workers;
   rc.total_ops = total;
   rc.warmup_ops = total / 10;
-  return wl::RunWorkload(world, *stream, rc);
+  wl::RunResult r = wl::RunWorkload(world, *stream, rc);
+  if (op == core::OpType::kCreate) {
+    RequireCreatesVisible(world, r, dirs, total);
+  }
+  return r;
 }
 
 }  // namespace

@@ -3,20 +3,23 @@
 // CPU and adding queueing: the paper reports median/p90/p99 create latency
 // rising substantially under medium (50 Kops/s) and heavy (120 Kops/s) load.
 // We approximate the offered loads with closed-loop worker counts calibrated
-// on the SwitchFS configuration.
+// on the SwitchFS configuration. Exits 1 unless every run's creates all
+// reach their directories (bench_util.h RequireCreatesVisible).
 #include "bench/bench_util.h"
 
 namespace switchfs::bench {
 namespace {
 
-wl::RunResult RunCreate(core::FsWorld& world, uint64_t total, int workers) {
+wl::RunResult RunCreate(core::Cluster& world, uint64_t total, int workers) {
   auto dirs = wl::PreloadDirs(world, 64);
   wl::FreshNameStream stream(core::OpType::kCreate, dirs, "n");
   wl::RunnerConfig rc;
   rc.workers = workers;
   rc.total_ops = total;
   rc.warmup_ops = total / 10;
-  return wl::RunWorkload(world, stream, rc);
+  wl::RunResult r = wl::RunWorkload(world, stream, rc);
+  RequireCreatesVisible(world, r, dirs, total);
+  return r;
 }
 
 void RunLoadPoint(const char* label, int workers) {

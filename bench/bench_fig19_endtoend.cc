@@ -26,7 +26,7 @@ double RunSynthetic(const char* system) {
   const int dirs_n = 256;
   auto dirs = wl::PreloadDirs(*world, dirs_n);
   wl::PreloadFiles(*world, dirs, 40);
-  wl::MixStream stream(wl::PanguMix(), dirs, 40, /*skew=*/0.8, 0, 11);
+  wl::MixStream stream(wl::PanguMix(), dirs, 40, /*skew=*/0.8);
   wl::RunnerConfig rc;
   rc.workers = 256;
   rc.total_ops = ScaledOps(ceph ? 4000 : 30000);

@@ -41,7 +41,7 @@ int main() {
                 r.PercentileUs(0.99),
                 static_cast<unsigned long long>(
                     world->TotalStats().fallbacks));
-    RequireCreatesVisible(*world, r, "/shared0", creates);
+    RequireCreatesVisible(*world, r, {"/shared0"}, creates);
     if (!force_overflow) {
       normal_tput = r.ThroughputOpsPerSec();
       normal_lat = r.MeanLatencyUs();

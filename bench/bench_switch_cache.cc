@@ -51,8 +51,7 @@ Row RunOne(bool switch_cache, uint64_t total_ops) {
   mix.hot_read = 88;
   mix.stat = 8;
   mix.setattr = 4;
-  wl::MixStream stream(mix, dirs, kFilesPerDir, /*skew=*/0.8,
-                       /*io_bytes=*/0, cfg.seed);
+  wl::MixStream stream(mix, dirs, kFilesPerDir, /*skew=*/0.8);
 
   wl::RunnerConfig rc;
   rc.workers = 64;

@@ -1,23 +1,22 @@
 // Tracker crash mid-burst (§7.3.3 fault extension): a create storm runs
-// against the dedicated tracker server vs the chain-replicated tracker
-// group; the tracker (dedicated node / chain head) is killed mid-burst and
+// against the dedicated tracker (the one-replica chain) vs the three-replica
+// chain; a replica (the dedicated node / chain head) is killed mid-burst and
 // the bench reports the throughput timeline around the crash, the dip
 // depth, and two recovery times:
 //   * throughput recovery — first window back at >= 90% of the pre-crash
 //     average, measured from the crash instant;
-//   * tracker recovery   — the subsystem's own restore procedure
-//     (operator-driven RecoverAndRebuild for the dedicated node; automatic
+//   * tracker recovery   — crash until the chain serves a rebuilt set again
+//     (the operator's RecoverNode for the dedicated node; automatic
 //     lazy-detection failover + dirty-set reconstruction for the chain).
-// The dedicated node rides out the outage on synchronous fallbacks (correct
-// but slow, so the dip is deep and lasts until the operator restores it);
-// the chain detects the dead head on first use and fails over in ~1 ms.
+// Both run the same code: the first op to hit the dead replica fails the
+// chain over. The dedicated chain is then empty, so it rides out the outage
+// on synchronous fallbacks until the operator restores the node; the
+// three-replica chain fails over to two in ~1 ms.
 #include <algorithm>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/tracker/dedicated_tracker.h"
 #include "src/tracker/replicated_tracker.h"
-#include "src/tracker/tracker_server.h"
 
 namespace switchfs::bench {
 namespace {
@@ -41,7 +40,7 @@ struct BurstResult {
   uint64_t completed = 0;
   uint64_t failed = 0;
   uint64_t fallbacks = 0;
-  SimTime tracker_recovery = 0;  // subsystem-reported restore duration
+  SimTime tracker_recovery = 0;  // crash -> rebuilt chain serving
   SimTime crash_at = 0;
   uint64_t verified_sizes = 0;  // sum of statdir sizes after the storm
 };
@@ -87,31 +86,19 @@ BurstResult RunBurst(core::TrackerMode mode) {
 
   world->sim().RunUntil(world->sim().Now() + kCrashAt);
   out.crash_at = world->sim().Now();
+  auto* rep = world->replicated_tracker();
+  rep->CrashNode(rep->head_index());
   if (mode == core::TrackerMode::kDedicatedServer) {
-    world->tracker()->Crash();
-    // The operator notices after kOperatorDelay and runs the manual
-    // restore; tracker recovery spans crash -> restore completion.
-    auto* cluster = world.get();
-    auto* result = &out;
-    cluster->sim().ScheduleAfter(kOperatorDelay, [cluster, result] {
-      sim::Spawn([](core::Cluster* c, BurstResult* r) -> sim::Task<void> {
-        co_await c->dedicated_tracker()->RecoverAndRebuild();
-        r->tracker_recovery = c->sim().Now() - r->crash_at;
-      }(cluster, result));
-    });
-  } else {
-    auto* rep = world->replicated_tracker();
-    rep->CrashNode(rep->head_index());
+    // The operator notices after kOperatorDelay and restarts the node.
+    world->sim().ScheduleAfter(kOperatorDelay,
+                               [rep] { sim::Spawn(rep->RecoverNode(0)); });
   }
 
   world->sim().Run();  // storm + recovery drain to quiescence
   out.fallbacks = world->TotalStats().fallbacks;
-  if (mode == core::TrackerMode::kReplicated) {
-    // Crash -> rebuilt chain serving (includes the lazy-detection window).
-    auto* rep = world->replicated_tracker();
-    if (rep->failovers() > 0) {
-      out.tracker_recovery = rep->last_failover_completed_at() - out.crash_at;
-    }
+  if (rep->failovers() > 0) {
+    // Crash -> the last rebuild done (includes the lazy-detection window).
+    out.tracker_recovery = rep->last_failover_completed_at() - out.crash_at;
   }
 
   // Consistency check: every acknowledged create is visible to statdir.

@@ -98,28 +98,33 @@ inline std::unique_ptr<core::FsWorld> MakeWorld(const std::string& system,
   std::abort();
 }
 
-// Exits the bench with status 1 unless a create run into `dir` left `world`
-// consistent: no op failed, no change-log entry is pending, and a fresh
-// client's statdir(`dir`) counts every create issued (`creates`, warm-up
-// included). Prints nothing to stdout, so a passing run's table is unchanged.
-inline void RequireCreatesVisible(core::Cluster& world,
-                                  const wl::RunResult& r,
-                                  const std::string& dir, uint64_t creates) {
+// Exits the bench with status 1 unless a create run into `dirs` left
+// `world` consistent: no op failed, no change-log entry is pending, and a
+// fresh client's statdir sizes over `dirs` add up to every create issued
+// (`creates`, warm-up included). Prints nothing to stdout, so a passing
+// run's table is unchanged.
+inline void RequireCreatesVisible(core::Cluster& world, const wl::RunResult& r,
+                                  const std::vector<std::string>& dirs,
+                                  uint64_t creates) {
   auto client = world.NewClient(/*warm=*/true);
   uint64_t size = 0;
-  sim::Spawn([](core::MetadataService* c, std::string path,
+  sim::Spawn([](core::MetadataService* c, std::vector<std::string> paths,
                 uint64_t* out) -> sim::Task<void> {
-    auto attr = co_await c->StatDir(path);
-    *out = attr.ok() ? attr->size : 0;
-  }(client.get(), dir, &size));
+    for (const std::string& path : paths) {
+      auto attr = co_await c->StatDir(path);
+      *out += attr.ok() ? attr->size : 0;
+    }
+  }(client.get(), dirs, &size));
   world.sim().Run();
   const size_t pending = world.TotalPendingChangeLogEntries();
   if (r.failed != 0 || pending != 0 || size != creates) {
     std::fprintf(stderr,
-                 "%s: %llu failed ops, %zu pending change-log entries, "
-                 "statdir size %llu of %llu creates\n",
-                 dir.c_str(), static_cast<unsigned long long>(r.failed),
-                 pending, static_cast<unsigned long long>(size),
+                 "creates into %zu dirs: %llu failed ops, %zu pending "
+                 "change-log entries, statdir sizes add up to %llu of %llu "
+                 "creates\n",
+                 dirs.size(), static_cast<unsigned long long>(r.failed),
+                 pending,
+                 static_cast<unsigned long long>(size),
                  static_cast<unsigned long long>(creates));
     std::exit(1);
   }

@@ -3,11 +3,9 @@
 #include <cassert>
 
 #include "src/common/strings.h"
-#include "src/tracker/dedicated_tracker.h"
 #include "src/tracker/owner_tracker.h"
 #include "src/tracker/replicated_tracker.h"
 #include "src/tracker/switch_tracker.h"
-#include "src/tracker/tracker_server.h"
 
 namespace switchfs::core {
 
@@ -28,29 +26,15 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     plain_switch_ =
         std::make_unique<net::PlainSwitch>(config_.costs.plain_switch_delay);
     net_->SetSwitch(plain_switch_.get());
-    switch (config_.tracker) {
-      case TrackerMode::kDedicatedServer: {
-        tracker_ = std::make_unique<tracker::TrackerServer>(sim_, net_.get(),
-                                                            &config_.costs);
-        auto dedicated = std::make_unique<tracker::DedicatedTracker>(
-            sim_, net_.get(), this, &config_.costs, tracker_.get());
-        dedicated_ = dedicated.get();
-        dirty_tracker_ = std::move(dedicated);
-        break;
-      }
-      case TrackerMode::kOwnerServer:
-        dirty_tracker_ = std::make_unique<tracker::OwnerTracker>();
-        break;
-      case TrackerMode::kReplicated: {
-        auto replicated = std::make_unique<tracker::ReplicatedTracker>(
-            sim_, net_.get(), this, &config_.costs,
-            tracker::ReplicatedTrackerConfig{});
-        replicated_ = replicated.get();
-        dirty_tracker_ = std::move(replicated);
-        break;
-      }
-      case TrackerMode::kSwitch:
-        break;  // unreachable
+    if (config_.tracker == TrackerMode::kOwnerServer) {
+      dirty_tracker_ = std::make_unique<tracker::OwnerTracker>();
+    } else {
+      // kDedicatedServer is the one-replica chain, kReplicated three.
+      auto chain = std::make_unique<tracker::ReplicatedTracker>(
+          sim_, net_.get(), this, &config_.costs,
+          config_.tracker == TrackerMode::kReplicated ? 3 : 1);
+      replicated_ = chain.get();
+      dirty_tracker_ = std::move(chain);
     }
   }
   net_->SetFaults(config_.faults);

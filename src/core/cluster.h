@@ -21,10 +21,8 @@
 #include "src/sim/simulator.h"
 
 namespace switchfs::tracker {
-class DedicatedTracker;
 class DirtyTracker;
 class ReplicatedTracker;
-class TrackerServer;
 }  // namespace switchfs::tracker
 
 namespace switchfs::core {
@@ -82,10 +80,9 @@ class Cluster : public ClusterContext, public FsWorld {
   const sim::CostModel& costs() const { return config_.costs; }
   psw::DataPlane* data_plane() { return data_plane_.get(); }
   // The tracker subsystem (src/tracker/). `dirty_tracker` is always set;
-  // the narrower accessors are non-null only in their respective modes.
+  // `replicated_tracker` is the tracker chain of kDedicatedServer (one
+  // replica) and kReplicated (three), null in the other modes.
   tracker::DirtyTracker* dirty_tracker() { return dirty_tracker_.get(); }
-  tracker::TrackerServer* tracker() { return tracker_.get(); }
-  tracker::DedicatedTracker* dedicated_tracker() { return dedicated_; }
   tracker::ReplicatedTracker* replicated_tracker() { return replicated_; }
   SwitchServer& server(uint32_t i) { return *servers_[i]; }
   const ClusterConfig& config() const { return config_; }
@@ -147,9 +144,7 @@ class Cluster : public ClusterContext, public FsWorld {
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<psw::DataPlane> data_plane_;
   std::unique_ptr<net::PlainSwitch> plain_switch_;
-  std::unique_ptr<tracker::TrackerServer> tracker_;
   std::unique_ptr<tracker::DirtyTracker> dirty_tracker_;
-  tracker::DedicatedTracker* dedicated_ = nullptr;   // aliases dirty_tracker_
   tracker::ReplicatedTracker* replicated_ = nullptr;  // aliases dirty_tracker_
   std::vector<std::unique_ptr<DurableState>> durables_;
   std::vector<std::unique_ptr<SwitchServer>> servers_;

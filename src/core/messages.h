@@ -45,8 +45,10 @@ struct MetaReq : net::Message {
   PathRef ref;
   uint32_t mode = 0644;       // create/mkdir permission bits
   PathRef ref2;               // rename destination / link source
-  // Dedicated-tracker mode (§7.3.3): the client pre-queried the tracker and
-  // forwards the scattered bit here (the switch path stamps ds.ret instead).
+  // Tracker-service modes (§7.3.3, dedicated and replicated): the client
+  // pre-queried the chain's tail and forwards the scattered bit here (the
+  // switch path stamps ds.ret instead). An unreachable or rebuilding tracker
+  // sets it, so the owner aggregates rather than trust a clean answer.
   bool scattered_hint = false;
   // Subtree routing keys (CephFS-sim): top-level component of the target
   // path (and of the rename destination).

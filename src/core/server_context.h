@@ -58,9 +58,9 @@ namespace switchfs::core {
 // wires up; the protocol modules talk to the interface.
 enum class TrackerMode {
   kSwitch = 0,           // in-network dirty set (SwitchFS proper)
-  kDedicatedServer = 1,  // a DPDK server node maintains the dirty set
+  kDedicatedServer = 1,  // one DPDK tracker server: a one-replica chain
   kOwnerServer = 2,      // each directory's owner tracks its own state
-  kReplicated = 3,       // chain-replicated tracker group with failover
+  kReplicated = 3,       // the tracker chain with three replicas
 };
 
 struct ServerConfig {
@@ -572,8 +572,8 @@ struct ServerContext {
 
 // Steps 6-7 of every writer's commit (§5.2.1; steps 3-5 are in
 // write_path.h): publishes a deferred parent update through the configured
-// tracker — marks the directory scattered (switch insert / dedicated tracker
-// / owner set) and waits for the ack or the overflow fallback — or, with
+// tracker — marks the directory scattered (switch insert / tracker chain /
+// owner set) and waits for the ack or the overflow fallback — or, with
 // async_updates off (Fig 14's Baseline), applies it at the parent's owner
 // before returning. Implemented by SwitchServer, which owns the insert retry
 // machinery. `client_req` non-null: `client_resp` reaches the client (in

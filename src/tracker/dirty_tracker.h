@@ -1,9 +1,10 @@
 // Pluggable dirty-set tracker subsystem (paper §7.3.3): where "directory X
 // has deferred updates scattered across servers" is tracked is an
 // exchangeable component. This interface hides the tracker choice — the
-// in-network switch dirty set, a dedicated tracker server, the directory
-// owner itself, or a chain-replicated tracker group — behind four hooks that
-// correspond to the protocol's touch points:
+// in-network switch dirty set, the directory owner itself, or the tracker
+// service (ReplicatedTracker: a chain of tracker servers, one replica for
+// the dedicated tracker of Fig 15, three for the replicated group) — behind
+// four hooks that correspond to the protocol's touch points:
 //
 //   Insert          §5.2.1 steps 6/7: after a deferred update commits, mark
 //                   the parent scattered and wait for the acknowledgement

@@ -21,7 +21,11 @@ sim::Task<InsertResult> OwnerTracker::Insert(core::ServerContext& ctx,
     msg->fp = fp;
     auto r = co_await ctx.rpc->Call(ctx.cluster->ServerNode(ctx.OwnerOf(fp)),
                                     msg);
-    (void)r;  // on timeout the push path repairs visibility
+    if (!r.ok()) {
+      // The owner never marked the directory scattered, so its next read
+      // would skip aggregation: apply the entry synchronously instead.
+      co_return InsertResult::kOverflow;
+    }
   }
   co_return InsertResult::kPublished;
 }

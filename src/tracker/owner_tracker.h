@@ -1,7 +1,9 @@
 // Owner-tracked dirty state (§7.3.3, Fig 16): each directory's owner keeps a
 // local scattered set (ServerVolatile::owner_scattered). Non-owner inserts
 // cost one MarkScattered RPC to the owner; reads consult the owner's local
-// set for free; removes erase locally during the owner-run aggregation.
+// set for free; removes erase locally during the owner-run aggregation. An
+// insert whose MarkScattered call fails returns kOverflow, so the writer
+// applies the entry synchronously instead of leaving it unmarked.
 #ifndef SRC_TRACKER_OWNER_TRACKER_H_
 #define SRC_TRACKER_OWNER_TRACKER_H_
 

@@ -7,18 +7,29 @@
 
 namespace switchfs::tracker {
 
+namespace {
+
+// Per-call budget for tracker ops. Exhausting it against one replica is the
+// failure-detection signal, so detection takes about timeout x attempts of
+// simulated time.
+net::CallOptions OpCall() {
+  net::CallOptions o;
+  o.timeout = sim::Microseconds(250);
+  o.max_attempts = 4;
+  return o;
+}
+// Whole-operation retries around failovers before giving up (an exhausted
+// insert falls back to the synchronous parent update, staying correct).
+constexpr int kOpRetryRounds = 4;
+
+}  // namespace
+
 ReplicatedTracker::ReplicatedTracker(sim::Simulator* sim, net::Network* net,
                                      core::ClusterContext* cluster,
-                                     const sim::CostModel* costs,
-                                     ReplicatedTrackerConfig config)
-    : sim_(sim),
-      cluster_(cluster),
-      costs_(costs),
-      config_(std::move(config)),
-      ctl_rpc_(sim, net) {
-  for (int i = 0; i < config_.replicas; ++i) {
-    nodes_.push_back(std::make_unique<TrackerServer>(sim, net, costs,
-                                                     config_.dirty_set));
+                                     const sim::CostModel* costs, int replicas)
+    : sim_(sim), cluster_(cluster), costs_(costs), ctl_rpc_(sim, net) {
+  for (int i = 0; i < replicas; ++i) {
+    nodes_.push_back(std::make_unique<TrackerServer>(sim, net, costs));
     chain_.push_back(i);
   }
   RewireChain();
@@ -51,21 +62,37 @@ void ReplicatedTracker::SuspectNode(net::NodeId id) {
 
 void ReplicatedTracker::SuspectIndex(int idx) {
   if (rebuilding_) {
-    return;  // a failover is already repairing the chain
+    return;  // a rebuild is already repairing the chain
   }
-  if (std::find(chain_.begin(), chain_.end(), idx) == chain_.end()) {
+  auto it = std::find(chain_.begin(), chain_.end(), idx);
+  if (it == chain_.end()) {
     return;  // already evicted
   }
+  chain_.erase(it);
+  failovers_++;
+  StartRebuild();
+}
+
+sim::Task<void> ReplicatedTracker::RecoverNode(int i) {
+  co_await WaitWhileRebuilding();
+  nodes_[i]->Restart();
+  if (std::find(chain_.begin(), chain_.end(), i) == chain_.end()) {
+    chain_.push_back(i);
+  }
+  StartRebuild();
+  co_await WaitWhileRebuilding();
+}
+
+void ReplicatedTracker::StartRebuild() {
   rebuilding_ = true;
   failover_started_ = sim_->Now();
   rebuild_done_ = std::make_shared<sim::ManualEvent>(sim_);
-  sim::Spawn(Rebuild(idx));
+  sim::Spawn(Rebuild());
 }
 
-sim::Task<void> ReplicatedTracker::Rebuild(int dead_idx) {
-  chain_.erase(std::find(chain_.begin(), chain_.end(), dead_idx));
-  // Health-probe the remaining members before rewiring: a second replica may
-  // have died undetected (or die with the suspect), and completing failover
+sim::Task<void> ReplicatedTracker::Rebuild() {
+  // Health-probe the members before rewiring: a second replica may have
+  // died undetected (or die with the suspect), and completing the rebuild
   // with a dead node in the chain would stall every subsequent op until yet
   // another failover round.
   std::vector<int> survivors;
@@ -82,24 +109,27 @@ sim::Task<void> ReplicatedTracker::Rebuild(int dead_idx) {
   }
   chain_ = std::move(survivors);
   RewireChain();
-  // Survivors restart from empty: partially propagated writes and per-origin
-  // remove-sequence state may diverge across replicas, so the set is rebuilt
-  // from the single source of truth — the servers' pending change-logs.
+  // Members restart from empty: partially propagated writes and per-origin
+  // remove-sequence state may diverge across replicas (and a rejoining
+  // replica holds nothing), so the set is rebuilt from the single source of
+  // truth — the servers' pending change-logs. An empty chain has nowhere to
+  // install it.
   for (int i : chain_) {
     nodes_[i]->dirty_set().Clear();
   }
-  auto fps = co_await CollectScatteredFingerprints(ctl_rpc_, *cluster_);
-  for (int i : chain_) {
-    for (psw::Fingerprint fp : fps) {
-      nodes_[i]->dirty_set().Insert(fp);
+  if (!chain_.empty()) {
+    auto fps = co_await CollectScatteredFingerprints(ctl_rpc_, *cluster_);
+    for (int i : chain_) {
+      for (psw::Fingerprint fp : fps) {
+        nodes_[i]->dirty_set().Insert(fp);
+      }
     }
+    reconstructed_entries_ += fps.size();
+    // Charge the reinstall traffic: one tracker packet per entry per replica.
+    co_await sim::Delay(sim_, static_cast<sim::SimTime>(fps.size()) *
+                                  static_cast<sim::SimTime>(chain_.size()) *
+                                  costs_->tracker_packet_cost);
   }
-  reconstructed_entries_ += fps.size();
-  // Charge the reinstall traffic: one tracker packet per entry per replica.
-  co_await sim::Delay(sim_, static_cast<sim::SimTime>(fps.size()) *
-                                static_cast<sim::SimTime>(chain_.size()) *
-                                costs_->tracker_packet_cost);
-  failovers_++;
   last_failover_duration_ = sim_->Now() - failover_started_;
   last_failover_completed_at_ = sim_->Now();
   rebuilding_ = false;
@@ -115,7 +145,7 @@ sim::Task<void> ReplicatedTracker::WaitWhileRebuilding() {
 
 sim::Task<net::MsgPtr> ReplicatedTracker::CallHeadWithFailover(
     core::ServerContext& ctx, std::shared_ptr<core::TrackerOp> op) {
-  for (int round = 0; round < config_.op_retry_rounds; ++round) {
+  for (int round = 0; round < kOpRetryRounds; ++round) {
     if (rebuilding_) {
       co_await WaitWhileRebuilding();
     }
@@ -123,8 +153,7 @@ sim::Task<net::MsgPtr> ReplicatedTracker::CallHeadWithFailover(
     if (head < 0) {
       break;  // every replica is down
     }
-    auto r = co_await ctx.rpc->Call(nodes_[head]->node_id(), op,
-                                    config_.op_call);
+    auto r = co_await ctx.rpc->Call(nodes_[head]->node_id(), op, OpCall());
     if (!r.ok()) {
       SuspectIndex(head);
       continue;
@@ -218,7 +247,7 @@ sim::Task<void> ReplicatedTracker::ClientPreRead(net::RpcEndpoint& rpc,
   auto q = std::make_shared<core::TrackerOp>();
   q->op = net::DsOp::kQuery;
   q->fp = fp;
-  auto r = co_await rpc.Call(nodes_[tail]->node_id(), q, config_.op_call);
+  auto r = co_await rpc.Call(nodes_[tail]->node_id(), q, OpCall());
   const auto* resp = r.ok() ? net::MsgAs<core::TrackerResp>(*r) : nullptr;
   if (resp == nullptr) {
     SuspectIndex(tail);

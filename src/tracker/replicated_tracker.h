@@ -1,20 +1,24 @@
-// Chain-replicated dirty-tracker group (§7.3.3 extension; NetChain-style
-// chain replication): 2-3 TrackerServer replicas ordered head -> tail.
-// Writes (insert / remove-with-seq) enter at the head, propagate down the
-// chain, and are acknowledged by the tail's ack bubbling back — so an acked
-// entry is on every live replica. Queries are served by the tail, whose
-// state is always fully replicated.
+// The tracker service (§7.3.3): a chain of TrackerServer replicas ordered
+// head -> tail, NetChain-style. One replica is the paper's dedicated DPDK
+// tracker (Fig 15); two or three make the replicated group. Writes (insert /
+// remove-with-seq) enter at the head, propagate down the chain, and are
+// acknowledged by the tail's ack bubbling back — so an acked entry is on
+// every live replica. Queries are served by the tail, whose state is always
+// fully replicated.
 //
 // Failure handling: there is no standing heartbeat (the simulator drains to
 // quiescence between bursts); detection is lazy and sim-clock driven — the
 // first operation whose RPC budget expires against a replica (or whose
 // chain ack reports a dead downstream hop) triggers failover. Failover
-// removes the dead replica, re-wires the survivors into a shorter chain,
-// and reconstructs the dirty set from the metadata servers' pending
-// change-log state (the durable scattered-key state of §5.4.2 recovery).
-// Operations arriving during the rebuild wait for it; client queries
-// conservatively report "scattered", which at worst costs one spurious
-// aggregation and never hides a deferred update.
+// removes the dead replica and runs the rebuild over the survivors; a
+// recovered replica (RecoverNode) rejoins at the tail through the same
+// rebuild. The rebuild re-wires the members and reconstructs the dirty set
+// from the metadata servers' pending change-log state (the durable
+// scattered-key state of §5.4.2 recovery). Operations arriving during the
+// rebuild wait for it; client queries conservatively report "scattered",
+// which at worst costs one spurious aggregation and never hides a deferred
+// update. With no live replica left, inserts fall back to the synchronous
+// parent update and every read is treated as scattered.
 #ifndef SRC_TRACKER_REPLICATED_TRACKER_H_
 #define SRC_TRACKER_REPLICATED_TRACKER_H_
 
@@ -28,23 +32,6 @@
 
 namespace switchfs::tracker {
 
-struct ReplicatedTrackerConfig {
-  int replicas = 3;
-  psw::DirtySetConfig dirty_set;
-  // Per-call budget for tracker ops. Full exhaustion against one replica is
-  // the failure-detection signal, so detection latency is roughly
-  // timeout * max_attempts of simulated time.
-  net::CallOptions op_call = [] {
-    net::CallOptions o;
-    o.timeout = sim::Microseconds(250);
-    o.max_attempts = 4;
-    return o;
-  }();
-  // Whole-operation retries around failovers before giving up (an exhausted
-  // insert falls back to the synchronous parent update, staying correct).
-  int op_retry_rounds = 4;
-};
-
 // Chain membership (nodes_/chain_) is rewired by failover while query
 // coroutines are suspended mid-RPC, so borrows of it must not cross a
 // co_await (sfs-lint rule borrow-across-suspend).
@@ -52,7 +39,7 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
  public:
   ReplicatedTracker(sim::Simulator* sim, net::Network* net,
                     core::ClusterContext* cluster, const sim::CostModel* costs,
-                    ReplicatedTrackerConfig config);
+                    int replicas);
 
   const char* name() const override { return "replicated"; }
 
@@ -80,6 +67,10 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
   // Kills a replica. Detection stays lazy: the next op that hits the dead
   // node starts the failover.
   void CrashNode(int i) { nodes_[i]->Crash(); }
+  // Restarts crashed replica `i` empty, appends it at the chain's tail and
+  // runs the failover's rebuild over the extended chain. Completes when the
+  // chain serves the rebuilt set again.
+  sim::Task<void> RecoverNode(int i);
 
   bool rebuilding() const { return rebuilding_; }
   uint64_t failovers() const { return failovers_; }
@@ -97,7 +88,9 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
   void SuspectNode(net::NodeId id);
   void SuspectIndex(int idx);
   void RewireChain();
-  sim::Task<void> Rebuild(int dead_idx);
+  // Parks ops and starts Rebuild over the current chain_.
+  void StartRebuild();
+  sim::Task<void> Rebuild();
   sim::Task<void> WaitWhileRebuilding();
   // Shared write-path scaffolding: sends `op` to the current head, waiting
   // out rebuilds and suspecting unresponsive / chain-faulted replicas
@@ -109,7 +102,6 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
   sim::Simulator* sim_;
   core::ClusterContext* cluster_;
   const sim::CostModel* costs_;
-  ReplicatedTrackerConfig config_;
   std::vector<std::unique_ptr<TrackerServer>> nodes_;
   std::vector<int> chain_;    // live replica indices, head first
   net::RpcEndpoint ctl_rpc_;  // failover/reconstruction control traffic

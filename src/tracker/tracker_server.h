@@ -1,15 +1,16 @@
-// Dedicated dirty-set tracker server (paper §7.3.3, Fig 15): a regular DPDK
-// server maintaining the same set-associative dirty set the switch would.
-// Unlike the switch, every operation costs server CPU (per-packet processing
-// at ~1 us on 12 cores caps it near 11 Mops/s) and an extra RTT, which is
+// Dirty-set tracker server (paper §7.3.3, Fig 15): a regular DPDK server
+// maintaining the same set-associative dirty set the switch would. Unlike
+// the switch, every operation costs server CPU (per-packet processing at
+// ~1 us on 12 cores caps it near 11 Mops/s) and an extra RTT, which is
 // exactly the trade-off Fig 15 quantifies.
 //
-// The same node type doubles as one replica of the chain-replicated tracker
-// group (NetChain-style): with a successor configured, insert/remove ops are
-// applied locally, forwarded downstream, and acknowledged only once the rest
-// of the chain has acknowledged — so the tail's state is always a subset of
-// every predecessor's and queries served at the tail observe fully
-// replicated entries.
+// Each node is one replica of the tracker chain (ReplicatedTracker,
+// NetChain-style); a one-replica chain is the paper's dedicated tracker.
+// With a successor configured, insert/remove ops are applied locally,
+// forwarded downstream, and acknowledged only once the rest of the chain
+// has acknowledged — so the tail's state is always a subset of every
+// predecessor's and queries served at the tail observe fully replicated
+// entries.
 #ifndef SRC_TRACKER_TRACKER_SERVER_H_
 #define SRC_TRACKER_TRACKER_SERVER_H_
 
@@ -24,13 +25,11 @@ namespace switchfs::tracker {
 class TrackerServer {
  public:
   TrackerServer(sim::Simulator* sim, net::Network* net,
-                const sim::CostModel* costs,
-                psw::DirtySetConfig ds_config = psw::DirtySetConfig{})
+                const sim::CostModel* costs)
       : sim_(sim),
         costs_(costs),
         cpu_(sim, costs->tracker_cores),
-        rpc_(sim, net),
-        dirty_set_(ds_config) {
+        rpc_(sim, net) {
     rpc_.SetRequestHandler([this](net::Packet p) {
       sim::Spawn(Handle(std::move(p)));
     });
@@ -41,7 +40,7 @@ class TrackerServer {
   void SetForceInsertOverflow(bool v) { force_overflow_ = v; }
 
   // Chain replication: forward insert/remove to `n` before acknowledging.
-  // kInvalidNode (the default) makes this node a standalone tracker / tail.
+  // kInvalidNode (the default) makes this node the tail.
   void SetSuccessor(net::NodeId n) { successor_ = n; }
   net::NodeId successor() const { return successor_; }
   // RPC budget for the forward hop. Budgets must SHRINK down the chain
@@ -61,7 +60,7 @@ class TrackerServer {
     rpc_.ResetVolatileState();
     dirty_set_.Clear();
   }
-  // Restart with an empty dirty set; reconstruction reinstalls entries.
+  // Restart with an empty dirty set; the chain's rebuild reinstalls entries.
   void Restart() {
     alive_ = true;
     rpc_.SetEnabled(true);

@@ -19,36 +19,6 @@ MixRatios PanguMix() {
   return m;
 }
 
-MixRatios CnnTrainingMix() {
-  // Tab 5 row 2: CNN training on an image dataset.
-  MixRatios m;
-  m.open_close = 42.8;
-  m.stat = 21.4;
-  m.data_read = 14.2;
-  m.data_write = 7.1;
-  m.create = 7.1;
-  m.unlink = 7.1;
-  m.mkdir = 0.1;
-  m.rmdir = 0.1;
-  m.statdir = 0.1;
-  m.readdir = 0.1;
-  return m;
-}
-
-MixRatios ThumbnailMix() {
-  // Tab 5 row 3: thumbnail generation over an image corpus.
-  MixRatios m;
-  m.open_close = 43.9;
-  m.stat = 21.9;
-  m.data_read = 12.2;
-  m.data_write = 10.9;
-  m.create = 10.9;
-  m.mkdir = 0.1;
-  m.statdir = 0.1;
-  m.readdir = 0.1;
-  return m;
-}
-
 namespace {
 
 enum MixOp {
@@ -62,8 +32,6 @@ enum MixOp {
   kMixStatDir,
   kMixMkdir,
   kMixRmdir,
-  kMixDataRead,
-  kMixDataWrite,
   kMixPagedReaddir,
   kMixStatBurst,
   kMixSetAttr,
@@ -74,8 +42,7 @@ enum MixOp {
 }  // namespace
 
 MixStream::MixStream(MixRatios ratios, std::vector<std::string> dirs,
-                     int preloaded_per_dir, double skew, uint64_t io_bytes,
-                     uint64_t seed)
+                     int preloaded_per_dir, double skew)
     : dirs_(std::move(dirs)),
       sampler_([&] {
         std::vector<double> weights;
@@ -95,8 +62,6 @@ MixStream::MixStream(MixRatios ratios, std::vector<std::string> dirs,
         add(ratios.statdir, kMixStatDir);
         add(ratios.mkdir, kMixMkdir);
         add(ratios.rmdir, kMixRmdir);
-        add(ratios.data_read, kMixDataRead);
-        add(ratios.data_write, kMixDataWrite);
         add(ratios.paged_readdir, kMixPagedReaddir);
         add(ratios.stat_burst, kMixStatBurst);
         add(ratios.setattr, kMixSetAttr);
@@ -104,11 +69,9 @@ MixStream::MixStream(MixRatios ratios, std::vector<std::string> dirs,
         add(ratios.hot_read, kMixHotRead);
         return DiscreteSampler(weights);
       }()),
-      skew_(skew),
-      io_bytes_(io_bytes) {
+      skew_(skew) {
   assert(!dirs_.empty());
   state_.resize(dirs_.size());
-  Rng rng(seed);
   for (DirState& ds : state_) {
     ds.live.reserve(preloaded_per_dir);
     for (int i = 0; i < preloaded_per_dir; ++i) {
@@ -139,8 +102,7 @@ std::optional<Op> MixStream::Next(Rng& rng) {
     case kMixOpen:
     case kMixStat:
     case kMixChmod:
-    case kMixSetAttr:
-    case kMixDataRead: {
+    case kMixSetAttr: {
       if (ds.live.empty()) {
         op.type = core::OpType::kStatDir;
         op.path = dir;
@@ -155,10 +117,6 @@ std::optional<Op> MixStream::Next(Rng& rng) {
         op.type = core::OpType::kOpen;
       }
       op.path = dir + "/" + name;
-      if (kind == kMixDataRead) {
-        op.io_bytes = io_bytes_;
-        op.is_data_read = true;
-      }
       return op;
     }
     case kMixStatBurst: {
@@ -209,16 +167,11 @@ std::optional<Op> MixStream::Next(Rng& rng) {
       }
       return op;
     }
-    case kMixCreate:
-    case kMixDataWrite: {
+    case kMixCreate: {
       const std::string name = "n" + std::to_string(ds.next_fresh++);
       ds.live.push_back(name);
       op.type = core::OpType::kCreate;
       op.path = dir + "/" + name;
-      if (kind == kMixDataWrite) {
-        op.io_bytes = io_bytes_;
-        op.is_data_write = true;
-      }
       return op;
     }
     case kMixUnlink: {

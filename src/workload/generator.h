@@ -168,8 +168,6 @@ struct MixRatios {
   double statdir = 0;
   double mkdir = 0;
   double rmdir = 0;
-  double data_read = 0;   // open+read of io_bytes
-  double data_write = 0;  // create+write of io_bytes
   // MetadataService v2 op kinds:
   double paged_readdir = 0;  // full OpenDir/ReaddirPage*/CloseDir scan
   double stat_burst = 0;     // one BatchStat over stat_burst_size live files
@@ -181,20 +179,17 @@ struct MixRatios {
   double hot_read = 0;
 };
 
-// The PanguFS data-center mix (Tab 5 row 1 / Tab 2).
+// The PanguFS data-center mix (Tab 5 row 1 / Tab 2). Tab 5's CNN-training
+// and thumbnail rows replay the traces in traces.h instead.
 MixRatios PanguMix();
-// CNN-training and thumbnail-generation mixes (Tab 5 rows 2-3).
-MixRatios CnnTrainingMix();
-MixRatios ThumbnailMix();
 
 class MixStream : public OpStream {
  public:
   // `dirs`: preloaded directories; `preloaded_per_dir`: files already present
   // as "f<i>" in each. skew: fraction of ops hitting the hot 20% of dirs
-  // (0 = uniform). io_bytes: data volume for data_read/data_write ops.
+  // (0 = uniform).
   MixStream(MixRatios ratios, std::vector<std::string> dirs,
-            int preloaded_per_dir, double skew, uint64_t io_bytes,
-            uint64_t seed);
+            int preloaded_per_dir, double skew);
 
   std::optional<Op> Next(Rng& rng) override;
 
@@ -221,7 +216,6 @@ class MixStream : public OpStream {
   std::vector<int> op_for_weight_;
   DiscreteSampler sampler_;
   double skew_;
-  uint64_t io_bytes_;
   // Lazily (re)built when the hot directory's live population changes.
   std::unique_ptr<ZipfGenerator> hot_zipf_;
 };

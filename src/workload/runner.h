@@ -24,7 +24,6 @@ struct Op {
   std::string path;
   std::string path2;      // rename destination
   uint64_t io_bytes = 0;  // data read/write volume (end-to-end runs)
-  bool is_data_read = false;
   bool is_data_write = false;
   // v2 op kinds:
   //  * kReaddirPage — paged scan: OpenDir(path), drain the page stream,

@@ -55,7 +55,6 @@ CvTrainingTrace::CvTrainingTrace(std::vector<std::string> dirs,
       rd.path = files[idx];
       if (config.with_data) {
         rd.io_bytes = config.file_bytes;
-        rd.is_data_read = true;
       }
       script_.push_back(rd);
       Op cl;
@@ -94,7 +93,6 @@ ThumbnailTrace::ThumbnailTrace(std::vector<std::string> dirs,
       open.path = src;
       if (config.with_data) {
         open.io_bytes = config.file_bytes;
-        open.is_data_read = true;
       }
       script_.push_back(open);
       Op st;

@@ -17,7 +17,6 @@
 
 #include "src/common/strings.h"
 #include "src/core/cluster.h"
-#include "src/tracker/dedicated_tracker.h"
 #include "src/tracker/replicated_tracker.h"
 #include "src/tracker/tracker_server.h"
 #include "tests/switchfs_test_util.h"
@@ -1386,10 +1385,11 @@ TEST(SwitchFsFault, ReplicatedTrackerHeadCrashMidBurstLosesNoEntries) {
   EXPECT_EQ(sd->size, static_cast<uint64_t>(kFilesPerDir) + 1);
 }
 
-// The dedicated tracker is a single point of failure: while it is down,
-// inserts degrade to synchronous fallbacks (correct but slow). Operator
-// recovery restarts it empty and reconstructs the set from the servers'
-// pending change-logs, after which reads observe every deferred update.
+// The dedicated tracker is the one-replica chain, a single point of
+// failure: while its node is down, inserts degrade to synchronous fallbacks
+// and every directory read is treated as scattered, so the reads still see
+// the deferred updates that were pending at the crash. RecoverNode restarts
+// it empty and reconstructs the set from the servers' pending change-logs.
 TEST(SwitchFsFault, DedicatedTrackerCrashRecoveryRebuildsDirtySet) {
   ClusterConfig cfg = SmallClusterConfig();
   cfg.tracker = TrackerMode::kDedicatedServer;
@@ -1397,6 +1397,9 @@ TEST(SwitchFsFault, DedicatedTrackerCrashRecoveryRebuildsDirtySet) {
   cfg.server_template.owner_quiet_period = sim::Seconds(100);
   cfg.server_template.push_mtu_entries = 1000000;
   FsHarness fs(cfg);
+  auto* rep = fs.cluster.replicated_tracker();
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->replica_count(), 1);
 
   // Setup + 8 pre-crash creates whose deferred updates stay pending.
   std::vector<Status> pre(10, InternalError(""));
@@ -1413,7 +1416,7 @@ TEST(SwitchFsFault, DedicatedTrackerCrashRecoveryRebuildsDirtySet) {
   }
   ASSERT_GT(fs.cluster.TotalPendingChangeLogEntries(), 0u);
 
-  fs.cluster.tracker()->Crash();
+  rep->CrashNode(0);
   // Ops during the outage succeed via the synchronous fallback (against a
   // different directory so /d's backlog is untouched by the fallback flush).
   std::vector<Status> during(4, InternalError(""));
@@ -1427,16 +1430,27 @@ TEST(SwitchFsFault, DedicatedTrackerCrashRecoveryRebuildsDirtySet) {
     ASSERT_TRUE(s.ok()) << s.ToString();
   }
   EXPECT_GT(fs.cluster.TotalStats().fallbacks, 0u);
+  EXPECT_TRUE(rep->chain().empty());
+
+  // Reads during the outage aggregate: every acked create of /d is visible.
+  std::vector<DirCheck> outage(1);
+  RunWindow(fs, sim::Milliseconds(100),
+            CheckDirs(fs.client.get(), {"/d"}, &outage));
+  ASSERT_TRUE(outage[0].stat_status.ok());
+  EXPECT_EQ(outage[0].size, 8u) << "statdir during the tracker outage";
+  ASSERT_TRUE(outage[0].list_status.ok());
+  EXPECT_EQ(outage[0].entries, 8u) << "readdir during the tracker outage";
 
   // Operator-driven recovery: restart + reconstruct from server snapshots.
   bool recovered = false;
   RunWindow(fs, sim::Milliseconds(100),
-            [](Cluster* c, bool* out) -> sim::Task<void> {
-              co_await c->dedicated_tracker()->RecoverAndRebuild();
+            [](tracker::ReplicatedTracker* t, bool* out) -> sim::Task<void> {
+              co_await t->RecoverNode(0);
               *out = true;
-            }(&fs.cluster, &recovered));
+            }(rep, &recovered));
   ASSERT_TRUE(recovered);
-  EXPECT_GT(fs.cluster.dedicated_tracker()->reconstructed_entries(), 0u);
+  EXPECT_EQ(rep->chain(), std::vector<int>{0});
+  EXPECT_GT(rep->reconstructed_entries(), 0u);
 
   // Reads now observe every pre-crash deferred update via the rebuilt set.
   std::vector<DirCheck> checks(3);
@@ -1457,6 +1471,173 @@ TEST(SwitchFsFault, DedicatedTrackerCrashRecoveryRebuildsDirtySet) {
   auto sd = fs.StatDir("/d");
   ASSERT_TRUE(sd.ok());
   EXPECT_EQ(sd->size, 9u);
+}
+
+// A crashed replica rejoins the chain at its tail through the failover's
+// rebuild (RecoverNode), so a second crash later still leaves two replicas
+// serving instead of one.
+TEST(SwitchFsFault, RecoveredTrackerReplicaRejoinsTheChain) {
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.tracker = TrackerMode::kReplicated;
+  cfg.server_template.push_idle_timeout = sim::Seconds(100);
+  cfg.server_template.owner_quiet_period = sim::Seconds(100);
+  cfg.server_template.push_mtu_entries = 1000000;
+  FsHarness fs(cfg);
+  auto* rep = fs.cluster.replicated_tracker();
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->chain().size(), 3u);
+
+  constexpr int kDirs = 4;
+  std::vector<std::string> dirs;
+  for (int d = 0; d < kDirs; ++d) {
+    dirs.push_back("/d" + std::to_string(d));
+  }
+  // Creates `per_dir` files named <tag><i> in every directory.
+  auto creates = [&fs, &dirs](const std::string& tag, int per_dir) {
+    std::vector<Status> results(dirs.size() * per_dir, InternalError(""));
+    RunWindow(fs, sim::Milliseconds(100),
+              [](SwitchFsClient* c, std::vector<std::string> ds, std::string t,
+                 std::vector<Status>* out) -> sim::Task<void> {
+                for (size_t i = 0; i < out->size(); ++i) {
+                  (*out)[i] = co_await c->Create(ds[i % ds.size()] + "/" + t +
+                                                 std::to_string(i / ds.size()));
+                }
+              }(fs.client.get(), dirs, tag, &results));
+    return results;
+  };
+  std::vector<Status> mkdirs(kDirs, InternalError(""));
+  RunWindow(fs, sim::Milliseconds(20),
+            [](SwitchFsClient* c, std::vector<std::string> ds,
+               std::vector<Status>* out) -> sim::Task<void> {
+              for (size_t i = 0; i < ds.size(); ++i) {
+                (*out)[i] = co_await c->Mkdir(ds[i]);
+              }
+            }(fs.client.get(), dirs, &mkdirs));
+  for (const Status& st : mkdirs) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  // The head dies; the next insert fails the chain over to two replicas.
+  const int old_head = rep->head_index();
+  rep->CrashNode(old_head);
+  for (const Status& st : creates("a", 3)) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  ASSERT_EQ(rep->chain().size(), 2u);
+  EXPECT_EQ(rep->failovers(), 1u);
+
+  // The crashed replica rejoins at the tail, and every member holds the
+  // rebuilt set: each directory's deferred creates are still pending.
+  bool recovered = false;
+  RunWindow(fs, sim::Milliseconds(100),
+            [](tracker::ReplicatedTracker* t, int i,
+               bool* out) -> sim::Task<void> {
+              co_await t->RecoverNode(i);
+              *out = true;
+            }(rep, old_head, &recovered));
+  ASSERT_TRUE(recovered);
+  ASSERT_EQ(rep->chain().size(), 3u);
+  EXPECT_EQ(rep->tail_index(), old_head);
+  EXPECT_FALSE(rep->rebuilding());
+  ASSERT_GT(fs.cluster.TotalPendingChangeLogEntries(), 0u);
+  for (const std::string& d : dirs) {
+    const psw::Fingerprint fp = FingerprintOf(RootId(), d.substr(1));
+    for (int i : rep->chain()) {
+      EXPECT_TRUE(rep->node(i).dirty_set().Query(fp))
+          << d << " on replica " << i;
+    }
+  }
+
+  // Another replica dies: the chain fails over to two and keeps serving.
+  rep->CrashNode(rep->head_index());
+  for (const Status& st : creates("b", 3)) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_EQ(rep->failovers(), 2u);
+  ASSERT_EQ(rep->chain().size(), 2u);
+  EXPECT_EQ(std::count(rep->chain().begin(), rep->chain().end(), old_head), 1);
+
+  std::vector<DirCheck> checks(kDirs + 1);
+  std::vector<std::string> read_dirs = dirs;
+  read_dirs.push_back("/");
+  RunWindow(fs, sim::Milliseconds(100),
+            CheckDirs(fs.client.get(), read_dirs, &checks));
+  for (int d = 0; d < kDirs; ++d) {
+    ASSERT_TRUE(checks[d].stat_status.ok()) << dirs[d];
+    EXPECT_EQ(checks[d].size, 6u) << dirs[d];
+    ASSERT_TRUE(checks[d].list_status.ok()) << dirs[d];
+    EXPECT_EQ(checks[d].entries, 6u) << dirs[d];
+  }
+  ASSERT_TRUE(checks[kDirs].stat_status.ok());
+  EXPECT_EQ(checks[kDirs].size, static_cast<uint64_t>(kDirs));
+  EXPECT_EQ(fs.cluster.TotalPendingChangeLogEntries(), 0u);
+
+  // Keeps serving through the two survivors (the helpers drain the parked
+  // long timers, so teardown is quiescent).
+  ASSERT_TRUE(fs.Create("/d0/after_rejoin").ok());
+  auto sd = fs.StatDir("/d0");
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 7u);
+}
+
+// Owner-tracked mode: a create whose MarkScattered call to the directory's
+// owner fails must not be acked as deferred, since the owner's next read
+// would skip aggregation. It falls back to the synchronous parent update.
+TEST(SwitchFsFault, OwnerTrackerFallsBackWhenMarkScatteredFails) {
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.tracker = TrackerMode::kOwnerServer;
+  cfg.server_template.push_idle_timeout = sim::Seconds(100);
+  cfg.server_template.owner_quiet_period = sim::Seconds(100);
+  cfg.server_template.push_mtu_entries = 1000000;
+  FsHarness fs(cfg);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  const uint32_t owner = fs.cluster.ring().Owner(FingerprintOf(RootId(), "d"));
+  auto dir = fs.StatDir("/d");
+  ASSERT_TRUE(dir.ok());
+  // Eight names whose creates run on a server other than /d's owner, so
+  // each one marks /d scattered through a MarkScattered RPC.
+  std::vector<std::string> names;
+  for (int i = 0; names.size() < 8; ++i) {
+    const std::string name = "f" + std::to_string(i);
+    if (fs.cluster.ring().Owner(FingerprintOf(dir->id, name)) != owner) {
+      names.push_back(name);
+    }
+  }
+
+  net::PlainSwitch plain(fs.cluster.costs().plain_switch_delay);
+  std::vector<net::NodeId> group;
+  for (uint32_t i = 0; i < fs.cluster.ServerCount(); ++i) {
+    group.push_back(fs.cluster.ServerNode(i));
+  }
+  plain.SetServerGroup(group);
+  HoldPackets dropper(&plain, [](const net::Packet& q) {
+    return net::MsgAs<MarkScattered>(q.body) != nullptr;
+  });
+  dropper.armed = true;
+  fs.cluster.network().SetSwitch(&dropper);
+
+  std::vector<Status> results(names.size(), InternalError(""));
+  RunWindow(fs, sim::Milliseconds(100),
+            [](SwitchFsClient* c, std::vector<std::string> ns,
+               std::vector<Status>* out) -> sim::Task<void> {
+              for (size_t i = 0; i < ns.size(); ++i) {
+                (*out)[i] = co_await c->Create("/d/" + ns[i]);
+              }
+            }(fs.client.get(), names, &results));
+  for (const Status& st : results) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_GE(dropper.held, 8);
+
+  std::vector<DirCheck> checks(1);
+  RunWindow(fs, sim::Milliseconds(100),
+            CheckDirs(fs.client.get(), {"/d"}, &checks));
+  ASSERT_TRUE(checks[0].stat_status.ok());
+  EXPECT_EQ(checks[0].size, 8u);
+  ASSERT_TRUE(checks[0].list_status.ok());
+  EXPECT_EQ(checks[0].entries, 8u);
+  EXPECT_EQ(fs.cluster.TotalPendingChangeLogEntries(), 0u);
+  fs.cluster.sim().Run();  // retire the parked timers while `dropper` lives
 }
 
 TEST(SwitchFsFault, ReconfigurationMigratesAndKeepsServing) {

@@ -443,7 +443,10 @@ TEST(SwitchFsOps, DedicatedTrackerModeWorks) {
   auto sd = fs.StatDir("/a");
   ASSERT_TRUE(sd.ok());
   EXPECT_EQ(sd->size, 1u);
-  EXPECT_GT(fs.cluster.tracker()->ops(), 0u);
+  auto* rep = fs.cluster.replicated_tracker();
+  ASSERT_NE(rep, nullptr);
+  EXPECT_EQ(rep->replica_count(), 1);
+  EXPECT_GT(rep->node(0).ops(), 0u);
 }
 
 TEST(SwitchFsOps, ReplicatedTrackerModeWorks) {

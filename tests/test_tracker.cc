@@ -1,9 +1,9 @@
 // Unit tests for the tracker subsystem (src/tracker/): each tracker
 // implementation is driven against a bare ServerContext on a simulated
 // network — no Cluster, no SwitchFsClient — covering the ROADMAP fault
-// paths (insert-ack retry exhaustion, dedicated-tracker overflow) plus the
-// chain-replicated group's propagation, lazy failure detection, and
-// dirty-set reconstruction.
+// paths (insert-ack retry exhaustion, tracker overflow) plus the tracker
+// chain's propagation, lazy failure detection, and dirty-set
+// reconstruction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/core/keys.h"
-#include "src/tracker/dedicated_tracker.h"
 #include "src/tracker/replicated_tracker.h"
 #include "src/tracker/switch_tracker.h"
 #include "src/tracker/tracker_server.h"
@@ -121,17 +120,19 @@ TEST(SwitchTrackerTest, InsertAckRetryExhaustionIsCountedAndCleanedUp) {
   EXPECT_TRUE(h.vol->op_waits.empty());
 }
 
-// ROADMAP fault path: a full dedicated tracker signals overflow, which the
-// server turns into the synchronous-update fallback (§7.3.2 analog).
+// ROADMAP fault path: a full dedicated tracker (the one-replica chain)
+// signals overflow, which the server turns into the synchronous-update
+// fallback (§7.3.2 analog).
 TEST(DedicatedTrackerTest, OverflowSignalsSynchronousFallback) {
   TrackerHarness h;
-  TrackerServer server(&h.sim, &h.net, &h.costs);
-  server.SetForceInsertOverflow(true);
-  DedicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs, &server);
+  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs,
+                            /*replicas=*/1);
+  tracker.node(0).SetForceInsertOverflow(true);
   EXPECT_EQ(h.RunInsert(tracker, 77), InsertResult::kOverflow);
-  server.SetForceInsertOverflow(false);
+  tracker.node(0).SetForceInsertOverflow(false);
   EXPECT_EQ(h.RunInsert(tracker, 77), InsertResult::kPublished);
-  EXPECT_TRUE(server.dirty_set().Query(77));
+  EXPECT_TRUE(tracker.node(0).dirty_set().Query(77));
+  EXPECT_EQ(tracker.failovers(), 0u);
 }
 
 // Satellite regression: a malformed / unknown-op packet must get an
@@ -163,9 +164,8 @@ TEST(TrackerServerTest, RepliesOkFalseToMalformedPackets) {
 
 TEST(ReplicatedTrackerTest, WritesPropagateDownTheChain) {
   TrackerHarness h;
-  ReplicatedTrackerConfig rc;
-  rc.replicas = 3;
-  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs, rc);
+  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs,
+                            /*replicas=*/3);
   EXPECT_EQ(h.RunInsert(tracker, 4242), InsertResult::kPublished);
   for (int i = 0; i < tracker.replica_count(); ++i) {
     EXPECT_TRUE(tracker.node(i).dirty_set().Query(4242)) << "replica " << i;
@@ -189,9 +189,8 @@ TEST(ReplicatedTrackerTest, WritesPropagateDownTheChain) {
 // the new head — nothing is lost.
 TEST(ReplicatedTrackerTest, HeadCrashFailsOverAndReconstructs) {
   TrackerHarness h;
-  ReplicatedTrackerConfig rc;
-  rc.replicas = 3;
-  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs, rc);
+  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs,
+                            /*replicas=*/3);
 
   // Pre-crash state: fp 7 acked through the chain and still pending in the
   // server's change-log (the durable scattered-key state).
@@ -227,9 +226,8 @@ TEST(ReplicatedTrackerTest, HeadCrashFailsOverAndReconstructs) {
 // degraded 3 -> 1 with the middle alive but expelled).
 TEST(ReplicatedTrackerTest, TailCrashEvictsOnlyTheTail) {
   TrackerHarness h;
-  ReplicatedTrackerConfig rc;
-  rc.replicas = 3;
-  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs, rc);
+  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs,
+                            /*replicas=*/3);
   h.AddPendingEntry(11, /*tag=*/110);
   EXPECT_EQ(h.RunInsert(tracker, 11), InsertResult::kPublished);
 
@@ -252,9 +250,8 @@ TEST(ReplicatedTrackerTest, TailCrashEvictsOnlyTheTail) {
 // same way; queries during/after the rebuild stay conservative.
 TEST(ReplicatedTrackerTest, TailCrashDetectedByQueryPath) {
   TrackerHarness h;
-  ReplicatedTrackerConfig rc;
-  rc.replicas = 2;
-  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs, rc);
+  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs,
+                            /*replicas=*/2);
   EXPECT_EQ(h.RunInsert(tracker, 5), InsertResult::kPublished);
 
   tracker.CrashNode(tracker.tail_index());

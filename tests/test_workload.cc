@@ -63,7 +63,7 @@ TEST(Generators, MixStreamRespectsRatiosApproximately) {
   for (int i = 0; i < 50; ++i) {
     dirs.push_back("/dir" + std::to_string(i));
   }
-  MixStream stream(PanguMix(), dirs, 100, /*skew=*/0.0, 0, 5);
+  MixStream stream(PanguMix(), dirs, 100, /*skew=*/0.0);
   Rng rng(2);
   int creates = 0;
   int opens = 0;
@@ -87,7 +87,7 @@ TEST(Generators, MixStreamSkewConcentratesOnHotDirs) {
   for (int i = 0; i < 100; ++i) {
     dirs.push_back("/dir" + std::to_string(i));
   }
-  MixStream stream(PanguMix(), dirs, 10, /*skew=*/0.8, 0, 5);
+  MixStream stream(PanguMix(), dirs, 10, /*skew=*/0.8);
   Rng rng(2);
   int hot = 0;
   constexpr int kN = 20000;
@@ -131,7 +131,7 @@ TEST(Generators, MixStreamEmitsV2OpKinds) {
   ratios.stat_burst = 40;
   ratios.setattr = 30;
   std::vector<std::string> dirs = {"/a", "/b"};
-  MixStream stream(ratios, dirs, /*preloaded_per_dir=*/10, 0.0, 0, 9);
+  MixStream stream(ratios, dirs, /*preloaded_per_dir=*/10, 0.0);
   stream.stat_burst_size = 5;
   Rng rng(3);
   int scans = 0;
@@ -164,7 +164,7 @@ TEST(Generators, MixStreamEmitsBulkCreateBatches) {
   MixRatios ratios;
   ratios.bulk_create = 100;
   std::vector<std::string> dirs = {"/a", "/b"};
-  MixStream stream(ratios, dirs, /*preloaded_per_dir=*/0, 0.0, 0, 9);
+  MixStream stream(ratios, dirs, /*preloaded_per_dir=*/0, 0.0);
   stream.bulk_create_size = 12;
   Rng rng(3);
   std::set<std::string> seen;
@@ -280,7 +280,7 @@ TEST(Runner, ExecutesV2OpKindsOnEverySystem) {
   for (auto& world : worlds) {
     auto dirs = PreloadDirs(*world, 4);
     PreloadFiles(*world, dirs, 40);
-    MixStream stream(ratios, dirs, 40, 0.0, 0, 11);
+    MixStream stream(ratios, dirs, 40, 0.0);
     RunnerConfig rc;
     rc.workers = 8;
     rc.total_ops = 400;
@@ -289,7 +289,7 @@ TEST(Runner, ExecutesV2OpKindsOnEverySystem) {
     EXPECT_EQ(result.completed, 350u) << world->name();
     EXPECT_EQ(result.failed, 0u) << world->name();
 
-    MixStream bulk_stream(bulk_ratios, dirs, 0, 0.0, 0, 13);
+    MixStream bulk_stream(bulk_ratios, dirs, 0, 0.0);
     bulk_stream.bulk_create_size = 12;
     RunnerConfig brc;
     brc.workers = 8;
