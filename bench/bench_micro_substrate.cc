@@ -111,12 +111,12 @@ BENCHMARK(BM_KvStoreGet);
 
 // Schema-shaped rows as a loaded cluster holds them: inode keys "i" + a
 // 32-byte directory id + "fNN" for 2048 directories x 64 names, spread over
-// 32 stores (8 servers x 4 shards), and 64k lookups drawn 80/20 over the
+// 8 stores (8 servers, one store each), and 64k lookups drawn 80/20 over the
 // directories (80% of them go to the first 20%).
 struct InodeKeyRows {
   static constexpr uint32_t kDirs = 2048;
   static constexpr uint32_t kNames = 64;
-  static constexpr uint32_t kStores = 32;
+  static constexpr uint32_t kStores = 8;
   static constexpr uint32_t kPicks = 1 << 16;
 
   std::vector<kv::KvStore> stores = std::vector<kv::KvStore>(kStores);

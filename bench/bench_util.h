@@ -54,8 +54,8 @@ inline std::unique_ptr<core::Cluster> MakeSwitchFs(
   cfg.num_servers = servers;
   cfg.cores_per_server = cores;
   cfg.tracker = tracker;
-  cfg.async_updates = async_updates;
-  cfg.compaction = compaction;
+  cfg.server_template.async_updates = async_updates;
+  cfg.server_template.compaction = compaction;
   cfg.seed = seed;
   // Modest dirty-set sizing keeps construction fast; no overflow occurs in
   // the evaluation workloads (matching §7.1 "no dirty-set overflow occurs").

@@ -44,8 +44,9 @@ Rules
       partitions state by fingerprint-group shard; only functions annotated
       SFS_SHARD_ROUTER (ShardFor/ShardAt/ShardForKey/SessionShard and the
       constructor) may touch it. Everything else must resolve a shard
-      through a router at op entry — cross-shard work goes through the
-      handoff lane — or carry a suppression naming the handoff argument.
+      through a router at op entry — a lock on another shard's key through
+      ShardForKey — or carry a suppression naming why the direct index is
+      safe.
 
 Suppression
 -----------
@@ -419,9 +420,10 @@ class Analyzer:
             self.report(
                 "cross-shard-direct", at,
                 "shard-private state accessed outside a SFS_SHARD_ROUTER "
-                "accessor; resolve the shard via ShardFor/ShardAt/"
-                "SessionShard at op entry (cross-shard work goes through "
-                "the handoff lane) or suppress naming the handoff argument")
+                "accessor; resolve the shard via ShardFor/ShardForKey/"
+                "SessionShard at op entry (a lock on another shard's key "
+                "resolves through ShardForKey) or suppress naming why the "
+                "direct index is safe")
 
     # -- R1 -----------------------------------------------------------------
 

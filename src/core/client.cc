@@ -28,6 +28,17 @@ bool Retryable(StatusCode code) {
 // client can speculatively request page p+1..p+k while consuming page p;
 // the owner overlaps their scans across its cores.
 constexpr int kPrefetchPages = 3;
+// OpenDir is the directory stream's one heavyweight op: the owner aggregates
+// every deferred entry of the directory before it opens the cursor, so the
+// open's cost scales with the pending backlog. Pages stay on the tight
+// Config::call deadline — each scans one mtu-bounded page — but the open
+// needs a directory-scale one.
+const net::CallOptions kOpenDirCall = [] {
+  net::CallOptions o;
+  o.timeout = sim::Seconds(2);
+  o.max_attempts = 3;
+  return o;
+}();
 
 }  // namespace
 
@@ -62,7 +73,7 @@ const MetaResp* SwitchFsClient::UnwrapResponse(const net::MsgPtr& msg) {
 const net::CallOptions& SwitchFsClient::CallOptionsFor(OpType op) const {
   switch (op) {
     case OpType::kOpenDir:
-      return config_.opendir_call;
+      return kOpenDirCall;
     case OpType::kRename:
     case OpType::kLink:
       return config_.txn_call;

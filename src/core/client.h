@@ -51,17 +51,6 @@ class SwitchFsClient : public MetadataService {
       o.max_attempts = 3;
       return o;
     }();
-    // OpenDir is the directory stream's one heavyweight op: the owner
-    // aggregates every deferred entry of the directory before it opens the
-    // cursor, so the open's cost scales with the pending backlog. Pages stay
-    // on the tight `call` deadline — each scans one mtu-bounded page — but
-    // the open needs a directory-scale one.
-    net::CallOptions opendir_call = [] {
-      net::CallOptions o;
-      o.timeout = sim::Seconds(2);
-      o.max_attempts = 3;
-      return o;
-    }();
     // In-switch metadata read cache: stamp lookup/stat requests with an
     // mc.kRead header so the data plane can answer hits without touching the
     // owner (cluster MakeClient copies the servers' setting).

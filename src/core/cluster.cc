@@ -49,16 +49,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     ring_.AddServer(i);
   }
   for (uint32_t i = 0; i < config_.num_servers; ++i) {
-    durables_.push_back(std::make_unique<DurableState>());
-    ServerConfig sc = config_.server_template;
-    sc.index = i;
-    sc.cores = config_.cores_per_server;
-    sc.async_updates = config_.async_updates;
-    sc.compaction = config_.compaction;
-    sc.cluster_id = config_.cluster_id;
-    servers_.push_back(std::make_unique<SwitchServer>(
-        sim_, net_.get(), this, durables_.back().get(), &config_.costs,
-        dirty_tracker_.get(), sc));
+    AddServer(i);
   }
   std::vector<net::NodeId> group;
   for (const auto& s : servers_) {
@@ -82,6 +73,17 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 }
 
 Cluster::~Cluster() = default;
+
+void Cluster::AddServer(uint32_t index) {
+  ServerConfig sc = config_.server_template;
+  sc.index = index;
+  sc.cores = config_.cores_per_server;
+  durables_.push_back(std::make_unique<DurableState>());
+  servers_.push_back(std::make_unique<SwitchServer>(
+      sim_, net_.get(), this, durables_.back().get(), &config_.costs,
+      dirty_tracker_.get(), sc));
+  servers_.back()->SetWanSink(wan_sink_);
+}
 
 std::unique_ptr<SwitchFsClient> Cluster::MakeClient() {
   SwitchFsClient::Config cc;
@@ -145,17 +147,7 @@ sim::Task<void> Cluster::AddServerAndRebalance() {
   // commit degenerates to install-then-delete here because the simulated
   // coordinator cannot crash mid-procedure; see DESIGN.md).
   const uint32_t new_index = static_cast<uint32_t>(servers_.size());
-  durables_.push_back(std::make_unique<DurableState>());
-  ServerConfig sc = config_.server_template;
-  sc.index = new_index;
-  sc.cores = config_.cores_per_server;
-  sc.async_updates = config_.async_updates;
-  sc.compaction = config_.compaction;
-  sc.cluster_id = config_.cluster_id;
-  servers_.push_back(std::make_unique<SwitchServer>(
-      sim_, net_.get(), this, durables_.back().get(), &config_.costs,
-      dirty_tracker_.get(), sc));
-  servers_.back()->SetWanSink(wan_sink_);
+  AddServer(new_index);
   ring_.AddServer(new_index);
 
   std::vector<net::NodeId> group;

@@ -30,21 +30,18 @@ namespace switchfs::core {
 struct ClusterConfig {
   uint32_t num_servers = 8;
   int cores_per_server = 4;
-  // Geo-replication (src/wan/): this cluster's identity in LWW commit
-  // stamps, and an optional externally-owned simulator so several clusters
-  // share one event loop and virtual clock (the multi-cluster harness owns
-  // it). Null = the cluster owns a private simulator (the default, and the
-  // single-cluster behavior).
-  uint32_t cluster_id = 0;
+  // Geo-replication (src/wan/): an optional externally-owned simulator so
+  // several clusters share one event loop and virtual clock (the
+  // multi-cluster harness owns it). Null = the cluster owns a private
+  // simulator (the default, and the single-cluster behavior).
   sim::Simulator* shared_sim = nullptr;
-  bool async_updates = true;
-  bool compaction = true;
   TrackerMode tracker = TrackerMode::kSwitch;
   psw::DataPlaneConfig switch_config;
   net::Network::FaultConfig faults;
   sim::CostModel costs;
   uint64_t seed = 42;
-  // Copied into every server's config (timers, MTU, retry budgets).
+  // Copied into every server's config (feature flags, timers, MTU, retry
+  // budgets, cluster_id); only `index` and `cores` are set per server.
   ServerConfig server_template;
 };
 
@@ -135,6 +132,10 @@ class Cluster : public ClusterContext, public FsWorld {
 
  private:
   void BumpPreloadedDirSize(const std::string& dir_path);
+  // Appends server `index` (its durable state and its SwitchServer, built
+  // from server_template) to the cluster; the ring and switch group are
+  // the caller's.
+  void AddServer(uint32_t index);
 
   ClusterConfig config_;
   // Owned unless ClusterConfig::shared_sim points at an external simulator

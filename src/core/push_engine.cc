@@ -428,8 +428,8 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
     // Plain-callable thunk: captures copies, builds the coroutine only when
     // the lane runs it (a coroutine lambda's captures would dangle once the
     // lambda object queued in the lane is destroyed).
-    EnqueueShardTask(
-        v, shard, ShardLane::kApply,
+    EnqueueApply(
+        v, shard,
         [this, v, pd = msg->dirs[i], src = msg->src_server, rows, i, jc]() {
           return ApplySectionTask(v, pd, src, rows, i, jc);
         });

@@ -39,12 +39,11 @@ SwitchServer::SwitchServer(sim::Simulator* sim, net::Network* net,
   rpc_.SetCpu(&cpu_);
   rpc_.SetRequestHandler([this](net::Packet p) { OnRequest(std::move(p)); });
   rpc_.SetRawHandler([this](net::Packet p) { OnRaw(std::move(p)); });
-  // Run-while-work-pending: the shard run queues hold work the event queue
-  // cannot see. The lambdas read vol_ at call time, so one registration
-  // covers every incarnation across crashes.
-  work_source_id_ = sim_->RegisterWorkSource(sim::Simulator::WorkSource{
-      [this]() { return PendingShardTasks(*vol_); },
-      [this]() { KickShardDrains(vol_); }});
+  // Parked-work probe: tasks queued on the shard apply lanes are invisible
+  // to the event queue. The lambda reads vol_ at call time, so one
+  // registration covers every incarnation across crashes.
+  work_source_id_ = sim_->RegisterWorkSource(
+      sim::Simulator::WorkSource{[this]() { return PendingShardTasks(*vol_); }});
 }
 
 SwitchServer::~SwitchServer() { sim_->UnregisterWorkSource(work_source_id_); }
@@ -206,47 +205,18 @@ void SwitchServer::OnRequest(net::Packet p) {
     case AggregateReq::kType:
       spawn(rename_.HandleAggregateReq(std::move(p), std::move(v)));
       break;
-    case RenamePrepare::kType: {
-      // Cross-shard handoff (sanctioned flow #1, rename legs): the prepare
-      // locks the leg's inode key, which lives on the (pid, name)
-      // fingerprint's shard — route the whole leg there as a handoff task.
-      const auto* msg = static_cast<const RenamePrepare*>(p.body.get());
-      const size_t shard = ShardIndexForFp(
-          FingerprintOf(msg->pid, msg->name), v->num_shards());
-      stats_.cross_shard_handoffs++;
-      EnqueueShardTask(v, shard, ShardLane::kHandoff, [this, p, v]() {
-        return rename_.HandleRenamePrepare(p, v);
-      });
+    case RenamePrepare::kType:
+      spawn(rename_.HandleRenamePrepare(std::move(p), std::move(v)));
       break;
-    }
-    case RenameCommit::kType: {
-      // Commit leg routes by the leg's (parent, name) key — the shard whose
-      // inode lock the prepare leg parked in txn_locks.
-      const auto* msg = static_cast<const RenameCommit*>(p.body.get());
-      const size_t shard = ShardIndexForFp(
-          FingerprintOf(msg->parent_dir, msg->parent_entry_name),
-          v->num_shards());
-      stats_.cross_shard_handoffs++;
-      EnqueueShardTask(v, shard, ShardLane::kHandoff, [this, p, v]() {
-        return rename_.HandleRenameCommit(p, v);
-      });
+    case RenameCommit::kType:
+      spawn(rename_.HandleRenameCommit(std::move(p), std::move(v)));
       break;
-    }
     case InvalCloneReq::kType:
       spawn(HandleInvalClone(std::move(p), std::move(v)));
       break;
-    case LinkConvert::kType: {
-      // Cross-shard handoff (sanctioned flow #2, hard-link splits): the
-      // convert rewrites the source name's inode row under its shard's lock.
-      const auto* msg = static_cast<const LinkConvert*>(p.body.get());
-      const size_t shard = ShardIndexForFp(
-          FingerprintOf(msg->pid, msg->name), v->num_shards());
-      stats_.cross_shard_handoffs++;
-      EnqueueShardTask(v, shard, ShardLane::kHandoff, [this, p, v]() {
-        return links_.HandleLinkConvert(p, v);
-      });
+    case LinkConvert::kType:
+      spawn(links_.HandleLinkConvert(std::move(p), std::move(v)));
       break;
-    }
     case LinkRefUpdate::kType:
       spawn(links_.HandleLinkRefUpdate(std::move(p), std::move(v)));
       break;
@@ -1435,12 +1405,11 @@ void SwitchServer::EnqueueWanApply(const WanEntry& entry,
                                    std::shared_ptr<sim::JoinCounter> jc) {
   VolPtr v = vol_;
   const size_t shard = ShardIndexForFp(entry.dir_fp, v->num_shards());
-  // Plain-callable thunk (EnqueueShardTask contract): copies only, the
-  // coroutine is built when the lane runs it.
-  EnqueueShardTask(v, shard, ShardLane::kApply,
-                   [this, v, entry, result, jc]() {
-                     return ApplyWanEntryTask(v, entry, result, jc);
-                   });
+  // Plain-callable thunk (EnqueueApply contract): copies only, the coroutine
+  // is built when the lane runs it.
+  EnqueueApply(v, shard, [this, v, entry, result, jc]() {
+    return ApplyWanEntryTask(v, entry, result, jc);
+  });
 }
 
 sim::Task<void> SwitchServer::ApplyWanEntryTask(

@@ -73,7 +73,7 @@ class SwitchServer : public UpdatePublisher {
   const Stats& stats() const { return stats_; }
   size_t PendingChangeLogEntries() const;
   size_t KvSize() const { return vol_->kv.size(); }
-  const ShardedKv& kv_for_test() const { return vol_->kv; }
+  const kv::KvStore& kv_for_test() const { return vol_->kv; }
   size_t wal_records_for_test() const { return durable_->wal.record_count(); }
   // Read-only shard-state access (per-shard counters, session tables).
   const ServerVolatile& vol_for_test() const { return *vol_; }
@@ -199,7 +199,7 @@ class SwitchServer : public UpdatePublisher {
   VolPtr vol_;
   bool serving_ = true;
   Stats stats_;
-  uint64_t work_source_id_ = 0;  // shard run queues (RunWhileWorkPending)
+  uint64_t work_source_id_ = 0;  // apply-lane probe (pending_source_work)
 
   // Shared view + protocol modules (declaration order matters: ctx_ views
   // the members above; the modules hold references to ctx_ and each other).

@@ -67,10 +67,10 @@ struct ServerConfig {
   uint32_t index = 0;
   int cores = 4;
   // Fingerprint-group shards per server (clamped to [1, kMaxShards]). Each
-  // shard owns its slice of the KV namespace, its lock tables, change logs,
-  // pushers, and dir sessions, and drains its apply lane serially — so the
-  // owner's apply throughput scales with min(shard_count, cores). 1 restores
-  // the pre-sharding single-owner behavior (the bench_shard_scaling A/B).
+  // shard owns its lock tables, change logs, pushers, and dir sessions, and
+  // drains its apply lane serially — so the owner's apply throughput scales
+  // with min(shard_count, cores). 1 restores the pre-sharding single-owner
+  // behavior (the bench_shard_scaling A/B).
   int shard_count = 4;
   // Feature flags for the Fig 14 ablation: Baseline = async_updates off;
   // +Async = async on, compaction off; +Compaction = both on.
@@ -229,12 +229,13 @@ struct ServerStats {
 // pointers, and iterators into them must not live across a co_await
 // (sfs-lint rule borrow-across-suspend).
 //
-// Most hot-path state now lives on the fingerprint-group shards
+// Most hot-path state lives on the fingerprint-group shards
 // (src/core/shard.h): lock tables, change logs, pushers, agg sessions, dir
-// sessions, and the KV slices. What remains here is genuinely server-global:
-// crash/incarnation state, the invalidation list, hwm dedup lanes and moved
-// tombstones (consulted across rename-era fingerprints), rename transaction
-// locks, switch-cache bookkeeping, and the push idempotency tokens.
+// sessions, and the apply lanes. What remains here is server-global: the
+// one KV store, crash/incarnation state, the invalidation list, hwm dedup
+// lanes and moved tombstones (consulted across rename-era fingerprints),
+// rename transaction locks, switch-cache bookkeeping, and the push
+// idempotency tokens.
 struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   // Relocated to shard.h (the shards own them); aliases keep module
   // signatures readable.
@@ -298,8 +299,7 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   // seeded with the incarnation's creation time so a handle minted before a
   // crash cannot alias a post-recovery session.
   SFS_SHARD_ROUTER ServerVolatile(sim::Simulator* sim, int shard_count = 1)
-      : kv(&shards),
-        push_token_counter(static_cast<uint64_t>(sim->Now()) + 1) {
+      : push_token_counter(static_cast<uint64_t>(sim->Now()) + 1) {
     if (shard_count < 1) {
       shard_count = 1;
     }
@@ -315,12 +315,12 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
 
   // The fingerprint-group shards. Never index directly outside the router
   // helpers below (sfs-lint rule cross-shard-direct): resolve a shard at op
-  // entry via ShardFor/ShardForKey/SessionShard and route cross-shard work
-  // through the handoff lane (EnqueueShardTask).
+  // entry via ShardFor/ShardForKey/SessionShard, and lock a key on another
+  // shard through ShardForKey(key).
   SFS_SHARD_PRIVATE std::vector<std::unique_ptr<ServerShard>> shards;
-  // Key-routing view over the shards' KV slices (point ops route, short
-  // prefixes gather) — the one sanctioned way to reach another shard's rows.
-  ShardedKv kv;
+  // The server's metadata rows (§4.2: one RocksDB per server). Every shard
+  // reads and writes it; callers charge each access to the CpuPool.
+  kv::KvStore kv;
 
   SFS_SHARD_ROUTER size_t num_shards() const { return shards.size(); }
   SFS_SHARD_ROUTER ServerShard& ShardAt(size_t i) { return *shards[i]; }
@@ -496,35 +496,25 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
 };
 using VolPtr = std::shared_ptr<ServerVolatile>;
 
-// ---- shard run queues (defined in shard.cc) --------------------------------
+// ---- shard apply lanes (defined in shard.cc) -------------------------------
 
-enum class ShardLane {
-  kApply,    // serial per-shard drain (push-batch section applies)
-  kHandoff,  // cross-shard handoff (rename legs, hard-link splits): FIFO
-             // dispatch, each task its own chain
-};
-
-// Enqueues `fn` on shard `shard`'s lane and ensures a drain is running.
-// Lane tasks are chains bound to `v`. Tasks are retained (and still drained)
-// after a crash: each is cancelled at its first await, and draining lets its
-// scope guards settle the captured completion state (JoinCounters, WAN
-// tallies) instead of leaking it.
+// Enqueues `fn` on shard `shard`'s apply lane and starts its drainer if none
+// runs. The lane runs its tasks one at a time, as chains bound to `v`. Tasks
+// are retained (and still drained) after a crash: each is cancelled at its
+// first await, and draining lets its scope guards settle the captured
+// completion state (JoinCounters, WAN tallies) instead of leaking it.
 //
 // `fn` must be a PLAIN (non-coroutine) callable that builds its Task from a
 // coroutine function taking the state as parameters (copied into the
-// frame). A capturing coroutine lambda would dangle: lambda captures live
-// in the lambda object, not the coroutine frame, and the handoff lane
-// destroys `fn` right after spawning the task.
-void EnqueueShardTask(VolPtr v, size_t shard, ShardLane lane,
-                      std::function<sim::Task<void>()> fn);
+// frame). Lambda captures live in the lambda object, not the coroutine
+// frame, so a capturing coroutine lambda would tie its task to the queued
+// `fn`, whose lifetime the lane does not promise.
+void EnqueueApply(VolPtr v, size_t shard, std::function<sim::Task<void>()> fn);
 
-// Queued-but-undrained tasks across all lanes of all shards (the
-// simulator's run-while-work-pending predicate for this server).
+// Tasks queued on the shards' apply lanes and not yet started: the work a
+// lane stuck behind a blocked task holds (this server's work source, which
+// the simulator reports as pending_source_work()).
 size_t PendingShardTasks(const ServerVolatile& v);
-
-// Re-spawns drains for any lane with queued work (the simulator's kick
-// hook: work enqueued from outside a running event needs a fresh drainer).
-void KickShardDrains(VolPtr v);
 
 // Non-owning view over one server's fixed parts, shared by all protocol
 // modules. All pointers outlive the modules (SwitchServer owns both).

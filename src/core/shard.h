@@ -2,30 +2,29 @@
 // ServerVolatile used to be a single bundle of shared maps, so the simulated
 // k-core CpuPool bought nothing on the hot apply path: every handler
 // serialized on the same lock tables and the same owner pusher. This header
-// splits the per-incarnation state into kMaxShards-bounded ServerShard
-// slices, each owning
-//   * its slice of the KV namespace (ShardedKv routes keys),
+// splits the per-incarnation lock and queue state into kMaxShards-bounded
+// ServerShard slices, each owning
 //   * its inode/change-log/agg-gate/append lock tables,
 //   * its change logs and per-owner pushers,
 //   * its directory-stream sessions (ids embed the shard index), and
-//   * two run-queue lanes drained by the CpuPool cores: the serial `apply`
-//     lane (push-batch section applies — one in flight per shard, so shard
-//     state is single-writer) and the `handoff` lane (cross-shard work
-//     another shard routed here: rename legs, hard-link splits).
+//   * its apply lane, drained serially by the CpuPool cores (push-batch
+//     section applies and WAN applies, one in flight per shard).
+// The rows live in the server's one KV store (ServerVolatile::kv), as each
+// metadata server of the paper keeps one RocksDB (§4.2); every access is
+// charged to the CpuPool by its caller.
 //
-// Routing: a fingerprint group fp lives on shard fp % num_shards. Inode keys
-// "i" + pid + name route by their (pid, name) fingerprint — the same hash
-// that picked the owner server — so a directory's inode row, its entry-list
-// group locks, and its change-log aggregation all land on one shard.
-// Id-keyed auxiliary rows ("e"/"d"/"a"/"c" + id) route by the id's hash.
-// Short prefixes (recovery's "d" sweep, migration's "i" sweep) gather across
-// shards in key order.
+// Routing: a fingerprint group fp lives on shard fp % num_shards. An inode
+// key "i" + pid + name locks on the shard of its (pid, name) fingerprint —
+// the same hash that picked the owner server — so a directory's inode lock,
+// its change-log group locks, and its aggregation all land on one shard.
+// Id-keyed rows ("e"/"d"/"a"/"c" + id) lock on the shard of the id's hash.
 //
 // Discipline: modules resolve a shard at op entry through the
 // ServerVolatile router helpers (SFS_SHARD_ROUTER) and never index the
 // shard vector directly (SFS_SHARD_PRIVATE; sfs-lint rule
-// cross-shard-direct). The two sanctioned cross-shard flows — rename legs
-// and hard-link splits — arrive as enqueued handoff-lane tasks, and the
+// cross-shard-direct). The flows that lock a name on another shard than
+// the request's fingerprint — rename legs and hard-link splits — are
+// spawned like every handler and resolve that lock through ShardForKey; the
 // lock-level counterpart (a chain mixing same-class locks from two shards)
 // is enforced at runtime by the DisciplineChecker's cross-shard-lock rule.
 #ifndef SRC_CORE_SHARD_H_
@@ -37,9 +36,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -54,7 +51,6 @@
 #include "src/core/messages.h"
 #include "src/core/schema.h"
 #include "src/core/types.h"
-#include "src/kv/kvstore.h"
 #include "src/pswitch/fingerprint.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -86,9 +82,8 @@ inline size_t ShardIndexForId(const InodeId& id, size_t num_shards) {
   return num_shards <= 1 ? 0 : static_cast<size_t>(id.Hash64() % num_shards);
 }
 
-// A key (or scan prefix) that pins down one shard: the schema prefixes whose
-// first 33 bytes carry a full inode id. Anything shorter ("i" alone, the "d"
-// recovery sweep) is a gather across every shard.
+// A key whose lock a shard can be picked for: the schema keys whose first
+// 33 bytes carry a full inode id. Any other key locks on shard 0.
 inline bool KeyIsRoutable(std::string_view key) {
   if (key.size() < 33) {
     return false;
@@ -164,9 +159,6 @@ struct SFS_SUSPENSION_SHARED ServerShard {
   const int index;
   const int discipline_tag;
 
-  // This shard's slice of the KV namespace (accessed through ShardedKv).
-  kv::KvStore kv;
-
   LockTable inode_locks;      // key: inode key (fp-routed to this shard)
   LockTable changelog_locks;  // key: FpKey(fp) — one per fingerprint group
   LockTable agg_gates;        // key: FpKey(fp) — owner-side read/agg gate
@@ -198,20 +190,14 @@ struct SFS_SUSPENSION_SHARED ServerShard {
   std::unordered_set<psw::Fingerprint> owner_scattered;
   std::map<uint32_t, OwnerPusher> pushers;  // key: owner server index
 
-  // Run-queue lanes (drained via EnqueueShardTask / KickShardDrains).
-  //
-  // apply lane: push-batch section applies, executed strictly one at a time
-  // per shard by a single drainer coroutine — the shard's single-writer
-  // guarantee for its kv slice and hwm lanes under a storm of concurrent
-  // PushReqs. The drainer charges the CpuPool, so k shards on k cores give
-  // the intra-server scaling of Fig 2(d).
+  // Apply lane (EnqueueApply): push-batch section applies and WAN applies,
+  // executed strictly one at a time per shard by a single drainer
+  // coroutine — one writer at a time for the rows and hwm lanes of the
+  // shard's fingerprint groups under a storm of concurrent PushReqs. The
+  // drainer charges the CpuPool, so k shards on k cores give the
+  // intra-server scaling of Fig 2(d).
   std::deque<std::function<sim::Task<void>()>> apply_queue;
   bool apply_draining = false;
-  // handoff lane: cross-shard work routed here by another shard's handler
-  // (rename legs, hard-link splits). Dispatch is FIFO but not serialized —
-  // each task is spawned as its own chain; the shard's lock tables take it
-  // from there.
-  std::deque<std::function<sim::Task<void>()>> handoff_queue;
 
   // The per-directory change-log within `fp`'s group, created on demand.
   // Only meaningful on the shard owning `fp` (ServerVolatile::GetChangeLog
@@ -233,51 +219,6 @@ struct SFS_SUSPENSION_SHARED ServerShard {
     auto it = logs->second.find(dir);
     return it == logs->second.end() ? nullptr : &it->second;
   }
-};
-
-// KvStore-shaped router over the shard vector: point reads/writes route by
-// key, scans with a routable prefix delegate to one shard, short-prefix
-// scans gather across shards in global key order. This is the sanctioned
-// way for protocol code to touch another shard's rows (e.g. an apply
-// writing the id-routed "e" entry rows of a directory whose inode row is
-// fp-routed elsewhere): storage routing stays inside the router; the lock
-// and queue state of a shard is never reached this way.
-class SFS_SUSPENSION_SHARED ShardedKv {
- public:
-  explicit ShardedKv(std::vector<std::unique_ptr<ServerShard>>* shards)
-      : shards_(shards) {}
-
-  std::optional<std::string> Get(const std::string& key) const;
-  bool Contains(const std::string& key) const;
-  void Put(const std::string& key, std::string value);
-  // Returns true if the key existed.
-  bool Delete(const std::string& key);
-
-  // Visits all (key, value) pairs whose key starts with `prefix`, in global
-  // key order. Visitor returns false to stop early.
-  void ScanPrefix(std::string_view prefix,
-                  const std::function<bool(const std::string&,
-                                           const std::string&)>& visit) const;
-  size_t CountPrefix(std::string_view prefix) const;
-
-  // Cursor variant of ScanPrefix: visits pairs with key strictly greater
-  // than `after` (still restricted to `prefix`), in key order.
-  void ScanFrom(std::string_view prefix, const std::string& after,
-                const std::function<bool(const std::string&,
-                                         const std::string&)>& visit) const;
-
-  size_t size() const;
-  void Clear();
-
-  uint64_t gets() const;
-  uint64_t puts() const;
-  uint64_t deletes() const;
-
- private:
-  const kv::KvStore& Route(std::string_view key) const;
-  kv::KvStore& Route(std::string_view key);
-
-  std::vector<std::unique_ptr<ServerShard>>* shards_;
 };
 
 }  // namespace switchfs::core

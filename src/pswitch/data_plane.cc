@@ -14,7 +14,7 @@ DataPlane::DataPlane(const DataPlaneConfig& config) : config_(config) {
   shard.registers_per_stage =
       std::max<uint32_t>(1, shard.registers_per_stage /
                                 static_cast<uint32_t>(config_.num_pipes));
-  MetaCacheConfig cache_shard = config_.meta_cache;
+  MetaCacheConfig cache_shard;
   cache_shard.num_sets =
       std::max<uint32_t>(1, cache_shard.num_sets /
                                 static_cast<uint32_t>(config_.num_pipes));
@@ -55,13 +55,13 @@ size_t DataPlane::EvictCachedIf(const std::function<bool(Fingerprint)>& pred) {
 }
 
 sim::SimTime DataPlane::PipelineDelay() const {
-  sim::SimTime d = config_.pipeline_delay;
+  sim::SimTime d = kPipelineDelay;
   if (last_crossed_pipes_) {
-    d += config_.cross_pipe_mirror_delay;
+    d += kCrossPipeMirrorDelay;
     last_crossed_pipes_ = false;
   }
   if (last_cache_served_) {
-    d += config_.cache_serve_delay;
+    d += kCacheServeDelay;
     last_cache_served_ = false;
   }
   return d;

@@ -33,14 +33,17 @@ namespace switchfs::psw {
 
 struct DataPlaneConfig {
   DirtySetConfig dirty_set;
-  MetaCacheConfig meta_cache;
   int num_pipes = 4;  // Tofino 6.4Tbps: 4 pipes
-  sim::SimTime pipeline_delay = sim::Nanoseconds(350);
-  sim::SimTime cross_pipe_mirror_delay = sim::Nanoseconds(120);
-  // Extra stages traversed when a read is answered from the metadata cache
-  // (record read + response rewrite).
-  sim::SimTime cache_serve_delay = sim::Nanoseconds(150);
 };
+
+// Latency of one pass through the pipeline.
+inline constexpr sim::SimTime kPipelineDelay = sim::Nanoseconds(350);
+// Added when a packet enters through another pipe than its fingerprint's
+// home pipe and is mirrored there.
+inline constexpr sim::SimTime kCrossPipeMirrorDelay = sim::Nanoseconds(120);
+// Extra stages traversed when a read is answered from the metadata cache
+// (record read + response rewrite).
+inline constexpr sim::SimTime kCacheServeDelay = sim::Nanoseconds(150);
 
 class DataPlane : public net::SwitchBehavior {
  public:

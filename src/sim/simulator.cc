@@ -151,28 +151,8 @@ size_t Simulator::pending_source_work() const {
 }
 
 SimTime Simulator::RunWhileWorkPending(SimTime deadline) {
-  for (;;) {
-    // Drain the visible event queue first (bounded by the deadline).
-    RunThrough(deadline);
-    if (!idle()) {
-      return now_;  // remaining events are all past the deadline
-    }
-    const size_t before = pending_source_work();
-    if (before == 0) {
-      return now_;  // quiescent: no events, no parked work
-    }
-    // Kick every source with parked work; their drains schedule events.
-    for (auto& [id, source] : sources_) {
-      if (source.pending() > 0) {
-        source.kick();
-      }
-    }
-    // Livelock guard: a kick that schedules nothing and shrinks nothing is
-    // a stuck source — stop rather than spin forever.
-    if (idle() && pending_source_work() >= before) {
-      return now_;
-    }
-  }
+  RunThrough(deadline);
+  return now_;
 }
 
 }  // namespace switchfs::sim

@@ -72,26 +72,22 @@ class Simulator {
   // Timer lanes built so far: one per distinct ScheduleTimer delay.
   size_t timer_lanes() const { return lanes_.size(); }
 
-  // ---- work sources (run-while-work-pending mode) -------------------------
-  // A work source is a component holding work the event queue cannot see:
-  // tasks parked in per-shard run queues, standing control-plane backlogs.
-  // `pending` reports how much is queued; `kick` starts drains for it
-  // (scheduling events). Sources let RunWhileWorkPending make background
-  // work progress without an external op driving it.
+  // ---- work sources ---------------------------------------------------------
+  // A work source is a probe of work the event queue cannot see: tasks
+  // parked in a server's shard apply lanes behind a task that never
+  // finishes. Every queued task already has a drainer whose events are in
+  // the queue, so a source only reports; a nonzero pending_source_work()
+  // once the queue is empty means work is stuck.
   struct WorkSource {
     std::function<size_t()> pending;
-    std::function<void()> kick;
   };
   uint64_t RegisterWorkSource(WorkSource source);
   void UnregisterWorkSource(uint64_t id);
   size_t pending_source_work() const;
 
-  // Like Run()/RunUntil(deadline), but after the event queue drains, polls
-  // the registered work sources: if any reports pending work, kicks them
-  // all and keeps running. Returns when (a) the queue is empty AND every
-  // source reports zero pending, (b) the deadline passes, or (c) a kick
-  // round makes no progress (no events scheduled and pending unchanged —
-  // a stuck source must not livelock the loop).
+  // Runs every event due at or before `deadline` (all of them by default).
+  // Unlike RunUntil, the clock stays at the last event run rather than
+  // moving to the deadline.
   SimTime RunWhileWorkPending(SimTime deadline = kSimTimeMax);
 
  private:
@@ -139,7 +135,7 @@ class Simulator {
   std::vector<Lane> lanes_;  // few: one per distinct fixed delay
   size_t least_lane_ = kNoLane;  // cached LeastLane()
   uint64_t next_source_id_ = 1;
-  std::map<uint64_t, WorkSource> sources_;  // ordered: deterministic kicks
+  std::map<uint64_t, WorkSource> sources_;
 };
 
 }  // namespace switchfs::sim

@@ -50,7 +50,6 @@ enum class InsertResult {
 class DirtyTracker {
  public:
   virtual ~DirtyTracker() = default;
-  virtual const char* name() const = 0;
 
   // --- server side (runs inside the calling server's coroutines) ---
 

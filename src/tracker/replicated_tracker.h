@@ -41,8 +41,6 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
                     core::ClusterContext* cluster, const sim::CostModel* costs,
                     int replicas);
 
-  const char* name() const override { return "replicated"; }
-
   sim::Task<InsertResult> Insert(core::ServerContext& ctx, core::VolPtr v,
                                  psw::Fingerprint fp, const core::InodeId& dir,
                                  const net::Packet* client_req,

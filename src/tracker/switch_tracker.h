@@ -13,8 +13,6 @@ namespace switchfs::tracker {
 
 class SwitchTracker : public DirtyTracker {
  public:
-  const char* name() const override { return "switch"; }
-
   sim::Task<InsertResult> Insert(core::ServerContext& ctx, core::VolPtr v,
                                  psw::Fingerprint fp, const core::InodeId& dir,
                                  const net::Packet* client_req,

@@ -11,7 +11,7 @@ GeoCluster::GeoCluster(GeoConfig config)
   assert(config_.hub < config_.num_clusters);
   for (uint32_t i = 0; i < config_.num_clusters; ++i) {
     core::ClusterConfig cc = config_.cluster_template;
-    cc.cluster_id = i;
+    cc.server_template.cluster_id = i;
     cc.shared_sim = &sim_;
     cc.seed = config_.seed + 1000 * i;  // distinct intra-DC jitter per site
     clusters_.push_back(std::make_unique<core::Cluster>(std::move(cc)));

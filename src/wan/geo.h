@@ -20,8 +20,9 @@
 // Run discipline: replication timers are one-shot and armed only while
 // work is pending, so sim().Run() terminates once every cluster is synced.
 // While a partition stands, retry timers keep the queue non-empty — drive
-// partitioned phases with sim().RunUntil(deadline) (or RunWhileWorkPending
-// with a deadline), heal, then Run()/RunWhileWorkPending to quiesce.
+// partitioned phases with sim().RunUntil(deadline), heal, then sim().Run()
+// to quiesce. (RunWhileWorkPending(deadline) runs the same events as
+// RunUntil but leaves the clock at the last event instead of the deadline.)
 #ifndef SRC_WAN_GEO_H_
 #define SRC_WAN_GEO_H_
 
@@ -41,8 +42,8 @@ namespace switchfs::wan {
 struct GeoConfig {
   uint32_t num_clusters = 2;
   uint32_t hub = 0;
-  // Template for every member; cluster_id, shared_sim, and seed are
-  // overwritten per cluster.
+  // Template for every member; server_template.cluster_id, shared_sim, and
+  // seed are overwritten per cluster.
   core::ClusterConfig cluster_template;
   WanLinkConfig link;
   WanReplicatorConfig replication;

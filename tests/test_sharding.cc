@@ -2,8 +2,9 @@
 // lost or duplicated when creates/renames/unlinks land on different
 // fingerprint-group shards of the same servers), duplicate-push idempotency
 // (a retransmitted batch applies exactly once, across the owner's token
-// era), per-shard dir-session caps, shard run-queue lane semantics, the
-// sharded KV's gather scans, and the simulator's run-while-work-pending mode.
+// era), per-shard dir-session caps, and the shard apply lanes: serial per
+// shard, drained through a crash, and reported to the simulator's work-source
+// probe while stuck.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,10 +36,10 @@ namespace {
 
 // Random create/rename/unlink traffic over directories spread across the
 // fingerprint-group shards of a 4-server cluster, checked against a model
-// map. Renames between directories exercise the sanctioned cross-shard
-// handoff (prepare/commit legs on different shards); the discipline checker
-// must see no cross-shard lock violation (meaningful in Debug builds where
-// SFS_DISCIPLINE_CHECKS is on; trivially zero in Release).
+// map. Renames between directories lock names on different shards (each
+// prepare/commit leg resolves its lock's shard by key); the discipline
+// checker must see no cross-shard lock violation (meaningful in Debug builds
+// where SFS_DISCIPLINE_CHECKS is on; trivially zero in Release).
 TEST(MultiShardStorm, RandomOpsAcrossShardsMatchModel) {
   constexpr int kDirs = 6;
   constexpr int kOps = 110;
@@ -92,8 +93,9 @@ TEST(MultiShardStorm, RandomOpsAcrossShardsMatchModel) {
       }
     }
 
-    // Drain parked shard-queue work (apply lanes, handoffs) before reading.
-    fs.cluster.sim().RunWhileWorkPending();
+    // Run the queue dry; no apply-lane task may be left parked.
+    fs.cluster.sim().Run();
+    EXPECT_EQ(fs.cluster.sim().pending_source_work(), 0u);
 
     for (int d = 0; d < kDirs; ++d) {
       auto listing = fs.Readdir("/s" + std::to_string(d));
@@ -369,23 +371,18 @@ TEST(PerShardDirSessions, EvictionsLandOnTheOwningShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard run-queue lanes
+// Shard apply lanes
 // ---------------------------------------------------------------------------
 
 // A lane task for the tests below: free coroutine over copied args (a
-// coroutine lambda's captures would dangle once the queued thunk object is
-// destroyed — same rule production call sites follow).
+// coroutine lambda's captures live in the queued thunk object, not in the
+// task — the same rule production call sites follow).
 sim::Task<void> RecordTask(sim::Simulator* sim,
                            std::vector<std::string>* events, std::string tag,
                            sim::SimTime busy) {
   events->push_back(tag + ":start");
   co_await sim::Delay(sim, busy);
   events->push_back(tag + ":end");
-}
-
-sim::Task<void> BumpTask(int* counter) {
-  ++*counter;
-  co_return;
 }
 
 // The apply lane is a serial drainer: per shard, task N+1 starts only after
@@ -397,11 +394,9 @@ TEST(ShardLanes, ApplyLaneSerializesPerShardOnly) {
   std::vector<std::string> events;
 
   auto task = [&](std::string tag, size_t shard) {
-    EnqueueShardTask(vol, shard, ShardLane::kApply,
-                     [&sim, &events, tag]() {
-                       return RecordTask(&sim, &events, tag,
-                                         sim::Milliseconds(1));
-                     });
+    EnqueueApply(vol, shard, [&sim, &events, tag]() {
+      return RecordTask(&sim, &events, tag, sim::Milliseconds(1));
+    });
   };
   task("a1", 0);
   task("a2", 0);  // same shard: must wait for a1
@@ -424,156 +419,78 @@ TEST(ShardLanes, ApplyLaneSerializesPerShardOnly) {
             std::find(events.begin(), events.end(), "a2:start"));
 }
 
-// Handoff-lane tasks dispatch FIFO but run as independent chains: a task
-// that parks (awaiting a later event) must not block the next one.
-TEST(ShardLanes, HandoffLaneDoesNotSerialize) {
-  sim::Simulator sim;
-  auto vol = std::make_shared<ServerVolatile>(&sim, 2);
-  std::vector<std::string> events;
-
-  EnqueueShardTask(vol, 0, ShardLane::kHandoff, [&sim, &events]() {
-    return RecordTask(&sim, &events, "slow", sim::Milliseconds(5));
-  });
-  EnqueueShardTask(vol, 0, ShardLane::kHandoff, [&sim, &events]() {
-    return RecordTask(&sim, &events, "fast", sim::SimTime{0});
-  });
-  sim.Run();
-
-  EXPECT_EQ(events,
-            (std::vector<std::string>{"slow:start", "fast:start", "fast:end",
-                                      "slow:end"}));
+// One lane task that settles its tally in a scope guard, as the push and
+// WAN apply tasks settle their JoinCounters.
+sim::Task<void> GuardedTask(sim::Simulator* sim, int* settled, int* finished) {
+  sim::ScopeExit settle([settled] { ++*settled; });
+  co_await sim::Delay(sim, sim::Milliseconds(1));
+  ++*finished;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded KV gather scans
-// ---------------------------------------------------------------------------
-
-// A short-prefix scan gathers every shard's rows in global key order, so a
-// 4-shard ShardedKv scans exactly like a 1-shard one over the same rows,
-// cursor scans included.
-TEST(ShardedKvGather, FourShardsScanLikeOne) {
-  sim::Simulator sim;
-  ServerVolatile one(&sim, 1);
-  ServerVolatile four(&sim, 4);
-  Rng rng(7);
-  for (int d = 0; d < 24; ++d) {
-    InodeId dir;
-    dir.w[0] = rng.Next();
-    dir.w[1] = rng.Next();
-    const std::string name = "d" + std::to_string(d);
-    for (ServerVolatile* v : {&one, &four}) {
-      v->kv.Put(InodeKey(InodeId{}, name), "attr" + name);
-      v->kv.Put(DirIndexKey(dir), "index" + name);
-      v->kv.Put(AttrKey(dir), "shared" + name);
-      for (int f = 0; f < 6; ++f) {
-        const std::string file = "file-with-a-long-name-" + std::to_string(f);
-        v->kv.Put(InodeKey(dir, file), "attr" + file);
-        v->kv.Put(EntryKey(dir, file), "e");
-        v->kv.Put(LwwStampKey(dir, file), "stamp");
-      }
-    }
-  }
-  auto scan = [](const ServerVolatile& v, std::string_view prefix,
-                 const std::string& after) {
-    std::vector<std::pair<std::string, std::string>> rows;
-    auto visit = [&rows](const std::string& k, const std::string& val) {
-      rows.emplace_back(k, val);
-      return true;
-    };
-    if (after.empty()) {
-      v.kv.ScanPrefix(prefix, visit);
-    } else {
-      v.kv.ScanFrom(prefix, after, visit);
-    }
-    return rows;
-  };
-  for (const std::string prefix : {"", "i"}) {
-    SCOPED_TRACE("prefix \"" + prefix + "\"");
-    const auto all = scan(one, prefix, "");
-    ASSERT_FALSE(all.empty());
-    EXPECT_EQ(scan(four, prefix, ""), all);
-    EXPECT_EQ(four.kv.CountPrefix(prefix), all.size());
-    // Cursors below the prefix, inside it, and on its last row.
-    for (const std::string& after :
-         {std::string("a"), all[all.size() / 2].first, all.back().first}) {
-      EXPECT_EQ(scan(four, prefix, after), scan(one, prefix, after));
-    }
-  }
-  EXPECT_EQ(four.kv.size(), one.kv.size());
-}
-
-// ---------------------------------------------------------------------------
-// Run-while-work-pending mode
-// ---------------------------------------------------------------------------
-
-// Run() stops at an empty event queue even when a registered source still
-// holds parked work; RunWhileWorkPending kicks the source until it drains.
-TEST(RunWhileWorkPending, DrainsRegisteredSourceBacklog) {
-  sim::Simulator sim;
-  std::vector<int> backlog = {1, 2, 3};
-  int processed = 0;
-  bool drain_scheduled = false;
-  const uint64_t id = sim.RegisterWorkSource(sim::Simulator::WorkSource{
-      [&backlog] { return backlog.size(); },
-      [&] {
-        if (backlog.empty() || drain_scheduled) {
-          return;
-        }
-        drain_scheduled = true;
-        sim.ScheduleAfter(sim::Microseconds(1), [&] {
-          drain_scheduled = false;
-          if (!backlog.empty()) {
-            backlog.pop_back();
-            ++processed;
-          }
-        });
-      }});
-
-  sim.Run();
-  EXPECT_EQ(processed, 0);
-  EXPECT_EQ(sim.pending_source_work(), 3u);
-
-  sim.RunWhileWorkPending();
-  EXPECT_EQ(processed, 3);
-  EXPECT_EQ(sim.pending_source_work(), 0u);
-  sim.UnregisterWorkSource(id);
-}
-
-// A source that reports pending work but never schedules anything must not
-// livelock the loop (the no-progress guard).
-TEST(RunWhileWorkPending, StuckSourceDoesNotLivelock) {
-  sim::Simulator sim;
-  const uint64_t id = sim.RegisterWorkSource(sim::Simulator::WorkSource{
-      [] { return static_cast<size_t>(1); }, [] {}});
-  sim.RunWhileWorkPending();  // must return
-  EXPECT_EQ(sim.pending_source_work(), 1u);
-  sim.UnregisterWorkSource(id);
-}
-
-// Parked shard-queue work on a server volatile drains through the same
-// source mechanism SwitchServer registers: pending counts it, a kick round
-// starts the lane drainers.
-TEST(RunWhileWorkPending, KickStartsShardLaneDrains) {
+// A crash mid-drain strands nothing: the drainer runs on through the dead
+// incarnation, every task left is cancelled at its first await with its
+// scope guard run, and each lane ends idle — under plain Run(), with no
+// work-source step to restart a lane.
+TEST(ShardLanes, ApplyLaneDrainsThroughACrash) {
   sim::Simulator sim;
   auto vol = std::make_shared<ServerVolatile>(&sim, 4);
-  int ran = 0;
-  // Park tasks without the auto-kick by enqueueing from inside an event:
-  // EnqueueShardTask spawns a drainer, but the drainer is itself an event —
-  // after Run() both are done; the interesting case is a fresh backlog
-  // surfacing between Run() and the verify, which the source reports.
-  const uint64_t id = sim.RegisterWorkSource(sim::Simulator::WorkSource{
-      [&vol] { return PendingShardTasks(*vol); },
-      [&vol] { KickShardDrains(vol); }});
+  constexpr int kPerShard = 3;
+  int settled = 0;
+  int finished = 0;
+  for (size_t shard : {size_t{0}, size_t{2}}) {
+    for (int i = 0; i < kPerShard; ++i) {
+      EnqueueApply(vol, shard, [&sim, &settled, &finished]() {
+        return GuardedTask(&sim, &settled, &finished);
+      });
+    }
+  }
+  // Each lane's first task ends at 1 ms; the crash lands inside its second.
+  sim.ScheduleAt(sim::Microseconds(1500), [&vol] { vol->dead = true; });
+  sim.Run();
 
-  // Seed a backlog directly onto the queue the way a crashed drain leaves
-  // it: tasks present, no drainer running.
-  vol->ShardAt(1).apply_queue.push_back([&ran]() { return BumpTask(&ran); });
-  vol->ShardAt(3).handoff_queue.push_back([&ran]() { return BumpTask(&ran); });
-  EXPECT_EQ(sim.pending_source_work(), 2u);
-
-  sim.RunWhileWorkPending();
-  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(finished, 2);  // the first task of each lane
+  EXPECT_EQ(settled, 2 * kPerShard);
   EXPECT_EQ(PendingShardTasks(*vol), 0u);
+  for (size_t i = 0; i < vol->num_shards(); ++i) {
+    EXPECT_FALSE(vol->ShardAt(i).apply_draining) << "shard " << i;
+  }
+}
+
+sim::Task<void> HoldMutex(sim::Mutex* mu, sim::Mutex::Guard* held) {
+  *held = co_await mu->Acquire();
+}
+
+sim::Task<void> LockedTask(sim::Mutex* mu, int* ran) {
+  auto guard = co_await mu->Acquire();
+  ++*ran;
+}
+
+// A lane whose running task waits on a lock nobody releases holds the tasks
+// queued behind it: the event queue empties without them, and the server's
+// work source is what still reports them (perfbench's parked_end check).
+TEST(ShardLanes, BlockedLaneReportsQueuedTaskAsSourceWork) {
+  sim::Simulator sim;
+  auto vol = std::make_shared<ServerVolatile>(&sim, 2);
+  const uint64_t id = sim.RegisterWorkSource(
+      sim::Simulator::WorkSource{[&vol] { return PendingShardTasks(*vol); }});
+  sim::Mutex mu(&sim);
+  sim::Mutex::Guard held;
+  sim::Spawn(HoldMutex(&mu, &held));
+  int ran = 0;
+  for (int i = 0; i < 2; ++i) {
+    EnqueueApply(vol, 1, [&mu, &ran]() { return LockedTask(&mu, &ran); });
+  }
+  sim.Run();
+
+  EXPECT_EQ(ran, 0);
+  EXPECT_TRUE(vol->ShardAt(1).apply_draining);
+  EXPECT_EQ(sim.pending_source_work(), 1u);  // the task behind the blocked one
+
+  // Releasing the lock lets the lane finish (and frees the parked frames).
+  held.Release();
+  sim.Run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.pending_source_work(), 0u);
   sim.UnregisterWorkSource(id);
 }
 

@@ -98,17 +98,7 @@ class OrderCheck {
   static constexpr SimTime kGrid = 50;  // every time is on it, so ties abound
   static constexpr SimTime kLaneDelays[] = {150, 300, 2000, 20000};
 
-  explicit OrderCheck(uint64_t seed) : rng_(seed) {
-    // pending: parked work plus kicked work whose lane event has not run;
-    // a kick schedules lane events only and leaves pending unchanged.
-    sim_.RegisterWorkSource(
-        {[this] { return parked_ + kicked_; },
-         [this] {
-           for (; parked_ > 0; --parked_, ++kicked_) {
-             Schedule(kTimer, Lane(), /*completes_kick=*/true);
-           }
-         }});
-  }
+  explicit OrderCheck(uint64_t seed) : rng_(seed) {}
 
   // Stops at the first failed check: after one event out of order, every
   // later comparison would fail too.
@@ -134,19 +124,19 @@ class OrderCheck {
           break;
         }
         default: {
+          // Like RunUntil, but the clock stops at the last event run.
+          const SimTime before = sim_.Now();
+          const uint64_t fired_before = fired_;
           const SimTime deadline = Deadline();
-          sim_.RunWhileWorkPending(deadline);
+          const SimTime now = sim_.RunWhileWorkPending(deadline);
+          EXPECT_EQ(now, fired_ == fired_before ? before : last_at_);
           EXPECT_TRUE(ref_.empty() || ref_.top().at > deadline);
-          if (ref_.empty()) {
-            EXPECT_EQ(parked_ + kicked_, 0u);  // quiescent
-          }
           break;
         }
       }
     }
     sim_.RunWhileWorkPending();
     EXPECT_TRUE(ref_.empty());
-    EXPECT_EQ(parked_ + kicked_, 0u);
   }
 
   uint64_t scheduled() const { return next_seq_; }
@@ -181,29 +171,27 @@ class OrderCheck {
                           10 * kGrid;
     switch (rng_.NextBelow(4)) {
       case 0:
-        Schedule(kAt, sim_.Now() + value, false);
+        Schedule(kAt, sim_.Now() + value);
         break;
       case 1:
-        Schedule(kNow, 0, false);
+        Schedule(kNow, 0);
         break;
       case 2:
-        Schedule(kAfter, value, false);
+        Schedule(kAfter, value);
         break;
       default:
-        Schedule(kTimer, Lane(), false);
+        Schedule(kTimer, Lane());
         break;
     }
   }
 
-  void Schedule(Kind kind, SimTime value, bool completes_kick) {
+  void Schedule(Kind kind, SimTime value) {
     --budget_;
     const SimTime now = sim_.Now();
     const SimTime at =
         kind == kAt ? std::max(now, value) : now + std::max<SimTime>(value, 0);
     const Key key{at, next_seq_++};
-    auto fn = [this, key, kind, completes_kick] {
-      Fire(key, kind, completes_kick);
-    };
+    auto fn = [this, key, kind] { Fire(key, kind); };
     switch (kind) {
       case kAt:
         sim_.ScheduleAt(value, fn);
@@ -223,7 +211,7 @@ class OrderCheck {
     max_lane_ = std::max(max_lane_, sim_.lane_events());
   }
 
-  void Fire(Key key, Kind kind, bool completes_kick) {
+  void Fire(Key key, Kind kind) {
     ++fired_;
     EXPECT_EQ(sim_.Now(), key.at);
     if (!ref_.empty() && ref_.top() == key) {
@@ -237,12 +225,6 @@ class OrderCheck {
     }
     last_at_ = key.at;
     last_kind_ = kind;
-    if (completes_kick) {
-      --kicked_;
-    }
-    if (rng_.NextBelow(16) == 0) {
-      ++parked_;
-    }
     // Mean one child per event keeps the population near what Run()
     // injects; the budget ends the run.
     for (uint64_t n = rng_.NextBelow(3); n > 0 && budget_ > 0; --n) {
@@ -260,8 +242,6 @@ class OrderCheck {
   uint64_t cross_kind_ties_ = 0;
   SimTime last_at_ = -1;
   Kind last_kind_ = kAt;
-  size_t parked_ = 0;
-  size_t kicked_ = 0;
   size_t max_heap_ = 0;
   size_t max_lane_ = 0;
 };

@@ -235,7 +235,7 @@ std::string DescribeKvDiff(const KvRows& before, const KvRows& after) {
 
 TEST_P(ServerCrashReplay, ServerCrashRecoversCommittedState) {
   ClusterConfig cfg = SmallClusterConfig();
-  cfg.async_updates = GetParam();
+  cfg.server_template.async_updates = GetParam();
   FsHarness fs(cfg);
   // One commit through every writer: mkdir, create, unlink, rmdir, rename,
   // link, SetAttr through a link, SetAttr on a directory.
@@ -844,7 +844,8 @@ enum class ParentUpdateChannel {
 // no change-log entry stays pending.
 void RunRenameRacingParentUpdate(ParentUpdateChannel channel) {
   ClusterConfig cfg = SmallClusterConfig();
-  cfg.async_updates = channel == ParentUpdateChannel::kOverflow;
+  cfg.server_template.async_updates =
+      channel == ParentUpdateChannel::kOverflow;
   FsHarness fs(cfg);
   if (channel == ParentUpdateChannel::kOverflow) {
     fs.cluster.data_plane()->SetForceInsertOverflow(true);

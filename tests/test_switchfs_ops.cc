@@ -472,7 +472,7 @@ TEST(SwitchFsOps, SynchronousBaselineModeWorks) {
   // Fig 14's Baseline: every writer updates its parent in place, so not one
   // deferred update ever reaches the dirty set.
   ClusterConfig cfg = SmallClusterConfig();
-  cfg.async_updates = false;
+  cfg.server_template.async_updates = false;
   FsHarness fs(cfg);
   const auto expect_size = [&fs](const std::string& dir, uint64_t size) {
     auto sd = fs.StatDir(dir);
