@@ -1,6 +1,6 @@
 // Shard scaling (multi-core owners): one owner server absorbs a burst of
 // batched change-log pushes — a create storm skewed entirely onto its
-// fingerprint groups — with its state split into 1 vs 4 shards. Every
+// fingerprint groups — with 1 vs 4 shard apply lanes. Every
 // section funnels through HandlePush's real apply path (shard apply lane,
 // WAL records, idempotency-token commit). With a single shard the sections
 // serialize on one apply lane while the owner's other cores idle; with 4

@@ -112,14 +112,11 @@ Row RunOne(const std::string& label, int lag_ms, double volume,
   }
 
   // Drive the world in short slices and record the first slice boundary at
-  // which the writers are done and everything is quiescent. RunUntil chases
-  // RunWhileWorkPending because the latter does not advance the clock past
-  // a gap (e.g. an ack still in flight beyond the slice).
+  // which the writers are done and everything is quiescent.
   const sim::SimTime slice = sim::Microseconds(250);
   const sim::SimTime cap = sim::Seconds(120);
   while (geo.sim().Now() < cap) {
     const sim::SimTime t = geo.sim().Now() + slice;
-    geo.sim().RunWhileWorkPending(t);
     geo.sim().RunUntil(t);
     if (writers_left == 0 && geo.Converged()) {
       break;

@@ -41,12 +41,11 @@ Rules
       naming the out-of-band witness.
   cross-shard-direct     (R5)
       A data member annotated SFS_SHARD_PRIVATE (ServerVolatile::shards)
-      partitions state by fingerprint-group shard; only functions annotated
-      SFS_SHARD_ROUTER (ShardFor/ShardAt/ShardForKey/SessionShard and the
-      constructor) may touch it. Everything else must resolve a shard
-      through a router at op entry — a lock on another shard's key through
-      ShardForKey — or carry a suppression naming why the direct index is
-      safe.
+      holds the per-shard apply lanes and push streams; only functions
+      annotated SFS_SHARD_ROUTER (the lane routers ShardFor/ShardAt/
+      num_shards and the constructor) may touch it. Everything else must
+      reach a shard through a lane router, or carry a suppression naming
+      why the direct index is safe.
 
 Suppression
 -----------
@@ -420,10 +419,9 @@ class Analyzer:
             self.report(
                 "cross-shard-direct", at,
                 "shard-private state accessed outside a SFS_SHARD_ROUTER "
-                "accessor; resolve the shard via ShardFor/ShardForKey/"
-                "SessionShard at op entry (a lock on another shard's key "
-                "resolves through ShardForKey) or suppress naming why the "
-                "direct index is safe")
+                "accessor; reach the shard through a lane router "
+                "(ShardFor/ShardAt) or suppress naming why the direct index "
+                "is safe")
 
     # -- R1 -----------------------------------------------------------------
 

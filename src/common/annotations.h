@@ -21,13 +21,14 @@
 //                             exclusive guard of lock member `l` (or carry a
 //                             suppression); the function body itself may
 //                             assume the lock (rule evict-requires-lock).
-//  SFS_SHARD_PRIVATE          on a data member: the member partitions
-//                             per-shard state — only router functions may
-//                             index it directly (rule cross-shard-direct).
-//  SFS_SHARD_ROUTER           on a function: this function IS a shard
+//  SFS_SHARD_PRIVATE          on a data member: the member holds the
+//                             per-shard apply lanes and push streams — only
+//                             router functions may index it directly (rule
+//                             cross-shard-direct).
+//  SFS_SHARD_ROUTER           on a function: this function IS a lane
 //                             router/accessor and may touch SFS_SHARD_PRIVATE
 //                             members directly; everything else must go
-//                             through a router or an enqueued shard task.
+//                             through a router.
 //
 // Suppressions (reason mandatory, checked by the linter):
 //   // sfs-lint: allow(<rule>, <reason>)

@@ -33,7 +33,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   ctx_.stats->aggregations++;
   // Stamped before the local snapshot and the dirty-set remove: this run
   // collects every entry committed before now (see GateDirRead).
-  v->ShardFor(fp).last_agg_start[fp] = ctx_.Now();
+  v->last_agg_start[fp] = ctx_.Now();
   Outcome outcome;
 
   auto w = std::make_shared<ServerVolatile::AggWait>();
@@ -42,7 +42,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
       w->pending.insert(s);
     }
   }
-  v->ShardFor(fp).agg_waits[fp] = w;
+  v->agg_waits[fp] = w;
 
   if (invalidate.has_value()) {
     v->inval.Add(*invalidate, ctx_.Now());
@@ -113,7 +113,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
       push_->SettleVerdict(v, fp, row.verdict, /*from_aggregation=*/true);
     }
   }
-  v->ShardFor(fp).agg_waits.erase(fp);
+  v->agg_waits.erase(fp);
 
   if (defer_done) {
     outcome.deferred_done = done;
@@ -135,7 +135,7 @@ void Aggregation::SendAggDone(net::MsgPtr done_msg) {
 }
 
 sim::Task<void> Aggregation::GateAndAggregate(VolPtr v, psw::Fingerprint fp) {
-  auto gate = co_await v->ShardFor(fp).agg_gates.AcquireExclusive(FpKey(fp));
+  auto gate = co_await v->agg_gates.AcquireExclusive(FpKey(fp));
   co_await RunAggregation(v, fp, std::nullopt, 0, "", false);
 }
 
@@ -172,7 +172,7 @@ sim::Task<SectionVerdict> Aggregation::ApplySection(
     // no-op unless this owner installed the fingerprint (in async mode the
     // entries' dirty-set inserts already evicted it in flight).
     if (ikey != held_inode_key) {
-      lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
+      lock = co_await v->inode_locks.AcquireExclusive(ikey);
     }
     co_await EvictSwitchCacheEntry(ctx_, v, fp);
     live = co_await ApplyEntries(v, dir, src, section_fp, std::move(entries),
@@ -405,8 +405,7 @@ sim::Task<void> Aggregation::SnapshotOwnLogs(
     std::shared_ptr<ServerVolatile::AggWait> w) {
   LockTable::Handle local_lock;
   if (fp != held_cl_fp) {
-    local_lock =
-        co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
+    local_lock = co_await v->changelog_locks.AcquireShared(FpKey(fp));
   }
   const uint32_t self = ctx_.config->index;
   std::vector<AggEntries::PerDir> collected;
@@ -417,8 +416,8 @@ sim::Task<void> Aggregation::SnapshotOwnLogs(
       collected_src.push_back(w->collected_src[i]);
     }
   }
-  auto it = v->ShardFor(fp).changelogs.find(fp);
-  if (it != v->ShardFor(fp).changelogs.end()) {
+  auto it = v->changelogs.find(fp);
+  if (it != v->changelogs.end()) {
     for (auto& [dir, log] : it->second) {
       if (log.empty()) {
         continue;
@@ -453,19 +452,18 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
   }
 
   const psw::Fingerprint fp = msg->fp;
-  auto it = v->ShardFor(fp).agg_sessions.find(fp);
-  if (it == v->ShardFor(fp).agg_sessions.end()) {
-    auto lock =
-        co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
+  auto it = v->agg_sessions.find(fp);
+  if (it == v->agg_sessions.end()) {
+    auto lock = co_await v->changelog_locks.AcquireShared(FpKey(fp));
     // Re-check: a concurrent collect may have created the session while we
     // waited for the lock; keep the first session's lock and drop ours.
-    it = v->ShardFor(fp).agg_sessions.find(fp);
-    if (it == v->ShardFor(fp).agg_sessions.end()) {
+    it = v->agg_sessions.find(fp);
+    if (it == v->agg_sessions.end()) {
       ServerVolatile::AggSession session;
       session.seq = msg->agg_seq;
       session.lock = std::move(lock);
       session.started_at = ctx_.Now();
-      it = v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session)).first;
+      it = v->agg_sessions.emplace(fp, std::move(session)).first;
       sim::Spawn(ResponderSessionWatchdog(v, fp, msg->agg_seq), v.get());
     } else {
       it->second.seq = std::max(it->second.seq, msg->agg_seq);
@@ -478,8 +476,8 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
   reply->fp = fp;
   reply->agg_seq = msg->agg_seq;
   reply->src_server = ctx_.config->index;
-  auto logs = v->ShardFor(fp).changelogs.find(fp);
-  if (logs != v->ShardFor(fp).changelogs.end()) {
+  auto logs = v->changelogs.find(fp);
+  if (logs != v->changelogs.end()) {
     for (auto& [dir, log] : logs->second) {
       if (log.empty()) {
         continue;
@@ -503,8 +501,8 @@ void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
     return;
   }
   ctx_.rpc->Respond(p, net::MakeMsg<Ack>());
-  auto it = v->ShardFor(msg->fp).agg_waits.find(msg->fp);
-  if (it == v->ShardFor(msg->fp).agg_waits.end()) {
+  auto it = v->agg_waits.find(msg->fp);
+  if (it == v->agg_waits.end()) {
     return;  // aggregation already finished
   }
   auto& w = *it->second;
@@ -521,11 +519,11 @@ void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
 }
 
 void Aggregation::HandleAggDone(const AggDone& done, VolPtr v) {
-  auto it = v->ShardFor(done.fp).agg_sessions.find(done.fp);
+  auto it = v->agg_sessions.find(done.fp);
   // A stale completion (of an earlier attempt) or one whose session the
   // watchdog reaped trims nothing; a moved verdict is settled regardless,
   // so a reaped session cannot drop a rebind.
-  const bool current = it != v->ShardFor(done.fp).agg_sessions.end() &&
+  const bool current = it != v->agg_sessions.end() &&
                        done.agg_seq >= it->second.seq;
   for (const AggDone::Row& row : done.rows) {
     if (row.src_server == ctx_.config->index &&
@@ -534,7 +532,7 @@ void Aggregation::HandleAggDone(const AggDone& done, VolPtr v) {
     }
   }
   if (current) {
-    v->ShardFor(done.fp).agg_sessions.erase(it);  // releases the lock (9a)
+    v->agg_sessions.erase(it);  // releases the lock (9a)
   }
 }
 
@@ -543,8 +541,8 @@ sim::Task<void> Aggregation::ResponderSessionWatchdog(VolPtr v,
                                                       uint64_t seq) {
   while (true) {
     co_await sim::FixedDelay(ctx_.sim, kResponderSessionTimeout);
-    auto it = v->ShardFor(fp).agg_sessions.find(fp);
-    if (it == v->ShardFor(fp).agg_sessions.end()) {
+    auto it = v->agg_sessions.find(fp);
+    if (it == v->agg_sessions.end()) {
       co_return;  // finished normally
     }
     if (it->second.seq != seq) {
@@ -553,7 +551,7 @@ sim::Task<void> Aggregation::ResponderSessionWatchdog(VolPtr v,
     }
     // The initiator went silent (likely crashed): release the lock. Pending
     // entries stay; recovery or the next aggregation re-collects them.
-    v->ShardFor(fp).agg_sessions.erase(it);
+    v->agg_sessions.erase(it);
     co_return;
   }
 }

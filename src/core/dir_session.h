@@ -27,16 +27,13 @@
 // cookies (index into the snapshot) — they never prefetch.
 //
 // Sessions are volatile: they expire after an inactivity TTL (watchdog +
-// lazy check), are LRU-evicted past the per-table cap (a crash-looping
-// scanner abandoning handles must not bloat the owner), and die with the
-// server incarnation. A page call against a missing session fails with
+// lazy check), are LRU-evicted past the table cap (a crash-looping scanner
+// abandoning handles must not bloat the owner), and die with the server
+// incarnation. A page call against a missing session fails with
 // kStaleHandle and the client re-opens. Session ids embed an incarnation
 // epoch so a handle minted before a crash can never alias a session created
-// after recovery, plus the owning shard's index in the low kShardIdBits so
-// a page call can route back to the shard that minted the handle without a
-// broadcast (ServerVolatile::SessionShard). The SwitchFS owner keeps one
-// table per shard with a per-shard slice of the session cap; baselines keep
-// a single table at shard 0.
+// after recovery. Each server keeps one table: a SwitchFS server caps it at
+// ServerConfig::max_dir_sessions, a baseline server leaves it uncapped.
 #ifndef SRC_CORE_DIR_SESSION_H_
 #define SRC_CORE_DIR_SESSION_H_
 
@@ -53,12 +50,6 @@
 #include "src/sim/time.h"
 
 namespace switchfs::core {
-
-// Session-id / shard-index geometry (shared with src/core/shard.h): the low
-// kShardIdBits of a session id name the shard whose table minted it, which
-// caps a server at kMaxShards shards.
-inline constexpr int kShardIdBits = 4;
-inline constexpr size_t kMaxShards = size_t{1} << kShardIdBits;
 
 // Inactivity TTL of a directory-stream session at the owner, in all five
 // systems. A page call after expiry gets kStaleHandle and the client
@@ -88,17 +79,14 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
  public:
   // `epoch` disambiguates server incarnations (pass the sim time the
   // incarnation was created; only one incarnation can exist per instant).
-  // `shard` is stamped into the low kShardIdBits of every minted id so the
-  // owner can route page/close calls back to this table.
-  explicit DirSessionTable(int64_t epoch, int shard = 0)
-      : epoch_(static_cast<uint64_t>(epoch)),
-        shard_(static_cast<uint64_t>(shard) & (kMaxShards - 1)) {}
+  explicit DirSessionTable(int64_t epoch)
+      : epoch_(static_cast<uint64_t>(epoch)) {}
 
   // Opens a snapshot session over a pre-scanned entry list.
   DirSession& Open(const InodeId& dir, std::vector<DirEntry> entries,
                    int64_t now) {
     DirSession s;
-    s.id = (epoch_ << 20) | (next_id_++ << kShardIdBits) | shard_;
+    s.id = (epoch_ << 20) | next_id_++;
     s.dir = dir;
     s.snapshot_at = now;
     s.entries = std::move(entries);
@@ -189,7 +177,6 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
 
  private:
   uint64_t epoch_;
-  uint64_t shard_;
   uint64_t next_id_ = 1;
   std::map<uint64_t, DirSession> sessions_;
 };

@@ -5,15 +5,33 @@
 #ifndef SRC_CORE_KEYS_H_
 #define SRC_CORE_KEYS_H_
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
 
 #include "src/common/bytes.h"
+#include "src/core/schema.h"
 #include "src/core/types.h"
 #include "src/pswitch/fingerprint.h"
 
 namespace switchfs::core {
+
+// Decodes the 32-byte inode id embedded at offset 1 of a schema key: the pid
+// half of an inode key "i" + pid + name, or the id of an id-keyed row.
+inline InodeId IdFromKeyBytes(std::string_view key) {
+  InodeId id;
+  for (int i = 0; i < 4; ++i) {
+    std::memcpy(&id.w[i], key.data() + 1 + i * 8, sizeof(uint64_t));
+  }
+  return id;
+}
+
+// Fingerprint of an inode key "i" + pid(32B) + name: the (pid, name) hash
+// that picks the key's owner server.
+inline psw::Fingerprint FingerprintFromInodeKey(std::string_view key) {
+  return FingerprintOf(IdFromKeyBytes(key), key.substr(33));
+}
 
 // Lock-table key of a fingerprint group: "f" + raw 8-byte fingerprint. Used
 // for change-log locks and owner-side aggregation gates (one per group).

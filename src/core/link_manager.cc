@@ -9,7 +9,6 @@
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
 #include "src/core/write_path.h"
-#include "src/sim/discipline.h"
 
 namespace switchfs::core {
 
@@ -19,14 +18,11 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
                                                const AttrDelta& attr_delta) {
   if (attr_server == ctx_.config->index) {
     const std::string akey = AttrKey(file_id);
-    // Sanctioned cross-shard handoff (hard-link split): callers hold the
-    // link's inode lock on its name's shard while this acquires the shared
-    // attributes object's lock on the object-id's shard. Deadlock-free
-    // because attr locks are only ever taken innermost (no chain holds an
-    // attr lock while waiting on a name lock).
-    sim::CrossShardScope link_xs(co_await sim::discipline::CurrentChainId{});
-    auto lock = co_await v->ShardForKey(akey).inode_locks.AcquireExclusive(akey);
-    link_xs.Release();
+    // Callers hold the link's inode lock while this takes the shared
+    // attributes object's. Deadlock-free because attr locks are only ever
+    // taken innermost (no chain holds an attr lock while waiting on a name
+    // lock).
+    auto lock = co_await v->inode_locks.AcquireExclusive(akey);
     co_await ctx_.cpu->Run(ctx_.costs->kv_get);
     auto value = v->kv.Get(akey);
     if (!value.has_value()) {
@@ -89,7 +85,7 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
   const std::string ikey = InodeKey(msg->pid, msg->name);
   auto resp = std::make_shared<LinkConvertResp>();
-  auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
+  auto lock = co_await v->inode_locks.AcquireExclusive(ikey);
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
   auto value = v->kv.Get(ikey);
   if (!value.has_value()) {
@@ -155,10 +151,8 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   const std::string ikey = InodeKey(dst.pid, dst.name);
   const psw::Fingerprint pfp = dst.parent_fp;
 
-  auto cl_lock =
-      co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
-  auto ino_lock =
-      co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
+  auto cl_lock = co_await v->changelog_locks.AcquireExclusive(FpKey(pfp));
+  auto ino_lock = co_await v->inode_locks.AcquireExclusive(ikey);
   co_await ctx_.cpu->Run(PathCheckCost(ctx_, dst.ancestors));
   auto stale = CheckAncestors(ctx_, *v, dst.ancestors);
   if (!stale.empty()) {

@@ -26,14 +26,9 @@ namespace switchfs::core {
 
 class SFS_LOCKABLE LockTable {
  public:
-  // `shard` is the table's shard domain tag for the cross-shard-lock rule
-  // (src/sim/discipline.h): every per-shard table carries a process-unique
-  // tag, so a chain mixing same-class locks from two shards is caught even
-  // across server incarnations. -1 = untagged (clients, baselines, tests).
   explicit LockTable(sim::Simulator* sim,
-                     sim::LockClass cls = sim::LockClass::kOther,
-                     int shard = -1)
-      : sim_(sim), class_(cls), shard_(shard) {}
+                     sim::LockClass cls = sim::LockClass::kOther)
+      : sim_(sim), class_(cls) {}
   LockTable(const LockTable&) = delete;
   LockTable& operator=(const LockTable&) = delete;
 
@@ -104,8 +99,8 @@ class SFS_LOCKABLE LockTable {
       sim::SharedMutex::Guard guard = inner_.await_resume();
       uint64_t hold_id = 0;
 #if SFS_DISCIPLINE_CHECKS
-      hold_id = sim::DisciplineChecker::OnAcquired(
-          chain_, table_->class_, exclusive_, key_, table_->shard_);
+      hold_id = sim::DisciplineChecker::OnAcquired(chain_, table_->class_,
+                                                   exclusive_, key_);
 #endif
       return Handle(table_, std::move(key_), std::move(guard), hold_id);
     }
@@ -127,7 +122,6 @@ class SFS_LOCKABLE LockTable {
 
   size_t slot_count() const { return slots_.size(); }
   sim::LockClass lock_class() const { return class_; }
-  int shard() const { return shard_; }
 
  private:
   struct Slot {
@@ -155,7 +149,6 @@ class SFS_LOCKABLE LockTable {
 
   sim::Simulator* sim_;
   sim::LockClass class_;
-  int shard_ = -1;
   std::unordered_map<std::string, std::unique_ptr<Slot>> slots_;
 };
 

@@ -408,7 +408,6 @@ struct InvalBroadcast : net::Message {
   // Rename-only rebind hint (moved = true); SetAttr broadcasts leave it unset.
   bool moved = false;
   psw::Fingerprint old_fp = 0;
-  psw::Fingerprint new_fp = 0;
 };
 
 // Asks a directory's owner to aggregate a fingerprint group now (rename of a

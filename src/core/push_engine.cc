@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/discipline.h"
 #include "src/sim/sync.h"
 #include "src/tracker/dirty_tracker.h"
 
@@ -32,11 +31,11 @@ void PushEngine::EnqueueBacklog(VolPtr v, psw::Fingerprint fp,
 
 void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
                                    const InodeId& dir) {
-  const size_t shard = ShardIndexForFp(fp, v->num_shards());
-  const ChangeLog* log = v->ShardAt(shard).FindChangeLog(fp, dir);
+  const ChangeLog* log = v->FindChangeLog(fp, dir);
   if (log == nullptr || log->empty()) {
     return;
   }
+  const size_t shard = ShardIndexForFp(fp, v->num_shards());
   const uint32_t owner = ctx_.OwnerOf(fp);
   // sfs-lint: allow(borrow-across-suspend, non-coroutine function — pushers is a std::map whose slots are never erased)
   auto& st = v->ShardAt(shard).pushers[owner];
@@ -48,7 +47,7 @@ void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
     return;
   }
   if (static_cast<int>(log->size()) >= ctx_.config->push_mtu_entries ||
-      ReadyEntries(v->ShardAt(shard), st, ctx_.config->push_mtu_entries) >=
+      ReadyEntries(*v, st, ctx_.config->push_mtu_entries) >=
           ctx_.config->push_mtu_entries) {
     if (ctx_.Now() < st.pace_until) {
       // The owner asked for breathing room (PushResp::retry_after): defer
@@ -70,10 +69,11 @@ void PushEngine::MaybeSchedulePush(VolPtr v, psw::Fingerprint fp,
   }
 }
 
-int PushEngine::ReadyEntries(ServerShard& sh, OwnerPusher& st, int cap) const {
+int PushEngine::ReadyEntries(ServerVolatile& v, OwnerPusher& st,
+                             int cap) const {
   int total = 0;
   for (auto it = st.ready.begin(); it != st.ready.end();) {
-    const ChangeLog* log = sh.FindChangeLog(it->first, it->second);
+    const ChangeLog* log = v.FindChangeLog(it->first, it->second);
     if (log == nullptr || log->empty()) {
       // Drained by a concurrent aggregation (or rebound away): prune, so
       // repeated scans stay O(mtu) instead of degrading to O(ready). A
@@ -181,12 +181,10 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
     size_t i = 0;
     while (i < want.size() && budget > 0) {
       const psw::Fingerprint fp = want[i].first;
-      auto lock =
-          co_await v->ShardAt(shard).changelog_locks.AcquireShared(FpKey(fp));
+      auto lock = co_await v->changelog_locks.AcquireShared(FpKey(fp));
       for (; i < want.size() && want[i].first == fp && budget > 0; ++i) {
         st.ready.erase(want[i]);
-        const ChangeLog* log =
-            v->ShardAt(shard).FindChangeLog(fp, want[i].second);
+        const ChangeLog* log = v->FindChangeLog(fp, want[i].second);
         if (log == nullptr || log->empty()) {
           continue;  // already drained by an aggregation
         }
@@ -230,7 +228,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
             v, pd.dir, req->src_server, pd.fp, std::move(pd.entries), "",
             pd.batch_token);
         acked.push_back(row);
-        v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
+        v->last_push[pd.fp] = ctx_.Now();
         ArmOwnerQuietTimer(v, pd.fp);
       }
     } else {
@@ -301,9 +299,8 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
         continue;
       }
       const uint64_t acked_seq = row == nullptr ? 0 : row->acked_seq;
-      auto lock = co_await v->ShardAt(shard).changelog_locks.AcquireExclusive(
-          FpKey(pd.fp));
-      ChangeLog* log = v->ShardAt(shard).FindChangeLog(pd.fp, pd.dir);
+      auto lock = co_await v->changelog_locks.AcquireExclusive(FpKey(pd.fp));
+      ChangeLog* log = v->FindChangeLog(pd.fp, pd.dir);
       if (log == nullptr) {
         continue;
       }
@@ -349,7 +346,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
       break;
     }
     if (!to_completion && !heavy_leftover && !st.ready.empty() &&
-        ReadyEntries(v->ShardAt(shard), st, ctx_.config->push_mtu_entries) <
+        ReadyEntries(*v, st, ctx_.config->push_mtu_entries) <
             ctx_.config->push_mtu_entries) {
       // The remainder is a sub-MTU tail that trickled in while we were
       // pushing. Hand it to the idle timer (or the aggregate MTU trigger,
@@ -397,7 +394,7 @@ sim::Task<void> PushEngine::ApplySectionTask(
   });
   (*rows)[slot] = co_await agg_.ApplySection(
       v, pd.dir, src, pd.fp, std::move(pd.entries), "", pd.batch_token);
-  v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
+  v->last_push[pd.fp] = ctx_.Now();
   ArmOwnerQuietTimer(v, pd.fp);
 }
 
@@ -458,26 +455,17 @@ sim::Task<void> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
   }
   size_t moved_entries = 0;
   {
-    // The (old, new) pairs below straddle two shard domains when the rename
-    // changed the fingerprint's shard — one of the two sanctioned cross-
-    // shard handoffs. The witness sanctions the same-class pairs for the
-    // discipline checker; ordering by fingerprint value stays globally
-    // consistent across shards, so the pairs remain deadlock-free.
-    sim::CrossShardScope xs(co_await sim::discipline::CurrentChainId{});
-    // Two group locks in fingerprint order (the rmdir discipline) — the
-    // rebind reads the old group's log and appends into the new group's.
+    // Two group locks in fingerprint order (the rmdir discipline, which
+    // keeps the pairs deadlock-free) — the rebind reads the old group's log
+    // and appends into the new group's.
     LockTable::Handle first;
     LockTable::Handle second;
     if (old_fp < new_fp) {
-      first = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
-          FpKey(old_fp));
-      second = co_await v->ShardFor(new_fp).changelog_locks.AcquireExclusive(
-          FpKey(new_fp));
+      first = co_await v->changelog_locks.AcquireExclusive(FpKey(old_fp));
+      second = co_await v->changelog_locks.AcquireExclusive(FpKey(new_fp));
     } else {
-      first = co_await v->ShardFor(new_fp).changelog_locks.AcquireExclusive(
-          FpKey(new_fp));
-      second = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
-          FpKey(old_fp));
+      first = co_await v->changelog_locks.AcquireExclusive(FpKey(new_fp));
+      second = co_await v->changelog_locks.AcquireExclusive(FpKey(old_fp));
     }
 
     // Per-log append mutexes, in key order: DrainInto renumbers the target
@@ -487,21 +475,17 @@ sim::Task<void> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
     LockTable::Handle append_first;
     LockTable::Handle append_second;
     if (old_fp < new_fp) {
-      append_first =
-          co_await v->ShardFor(old_fp).changelog_append_locks.AcquireExclusive(
-              ClAppendKey(old_fp, dir));
+      append_first = co_await v->changelog_append_locks.AcquireExclusive(
+          ClAppendKey(old_fp, dir));
       // sfs-lint: allow(append-innermost, same-class pair in ClAppendKey order — deadlock-free; the rebind must hold both ends to renumber)
-      append_second =
-          co_await v->ShardFor(new_fp).changelog_append_locks.AcquireExclusive(
-              ClAppendKey(new_fp, dir));
+      append_second = co_await v->changelog_append_locks.AcquireExclusive(
+          ClAppendKey(new_fp, dir));
     } else {
-      append_first =
-          co_await v->ShardFor(new_fp).changelog_append_locks.AcquireExclusive(
-              ClAppendKey(new_fp, dir));
+      append_first = co_await v->changelog_append_locks.AcquireExclusive(
+          ClAppendKey(new_fp, dir));
       // sfs-lint: allow(append-innermost, same-class pair in ClAppendKey order — deadlock-free; the rebind must hold both ends to renumber)
-      append_second =
-          co_await v->ShardFor(old_fp).changelog_append_locks.AcquireExclusive(
-              ClAppendKey(old_fp, dir));
+      append_second = co_await v->changelog_append_locks.AcquireExclusive(
+          ClAppendKey(old_fp, dir));
     }
 
     ChangeLog* from = v->FindChangeLog(old_fp, dir);
@@ -557,12 +541,9 @@ sim::Task<void> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
 }
 
 sim::Task<void> PushEngine::EagerRebindMoved(VolPtr v, InodeId dir,
-                                             psw::Fingerprint old_fp,
-                                             psw::Fingerprint new_fp) {
-  (void)new_fp;
+                                             psw::Fingerprint old_fp) {
   {
-    auto lock = co_await v->ShardFor(old_fp).changelog_locks.AcquireExclusive(
-        FpKey(old_fp));
+    auto lock = co_await v->changelog_locks.AcquireExclusive(FpKey(old_fp));
     const ChangeLog* log = v->FindChangeLog(old_fp, dir);
     if (log == nullptr || log->empty()) {
       // Nothing pending. The empty slot is kept: per-(fp, dir) numbering is
@@ -593,7 +574,7 @@ void PushEngine::ArmOwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
   if (!ctx_.config->async_updates) {
     return;  // synchronous mode never defers
   }
-  if (v->ShardFor(fp).quiet_timer_armed.insert(fp).second) {
+  if (v->quiet_timer_armed.insert(fp).second) {
     sim::Spawn(OwnerQuietTimer(v, fp), v.get());
   }
 }
@@ -602,13 +583,11 @@ sim::Task<void> PushEngine::OwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
   {
     // The armed marker goes however the wait ends — a crash cancelling it
     // included — so no state carries a phantom timer.
-    sim::ScopeExit disarm(
-        [&v, fp] { v->ShardFor(fp).quiet_timer_armed.erase(fp); });
+    sim::ScopeExit disarm([&v, fp] { v->quiet_timer_armed.erase(fp); });
     while (true) {
       co_await sim::FixedDelay(ctx_.sim, ctx_.config->owner_quiet_period);
-      auto it = v->ShardFor(fp).last_push.find(fp);
-      const int64_t last =
-          it == v->ShardFor(fp).last_push.end() ? 0 : it->second;
+      auto it = v->last_push.find(fp);
+      const int64_t last = it == v->last_push.end() ? 0 : it->second;
       if (ctx_.Now() - last >= ctx_.config->owner_quiet_period) {
         break;
       }

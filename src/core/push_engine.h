@@ -100,8 +100,7 @@ class PushEngine {
   // monotonic so straggler commits cannot restart at seqs the tombstone's
   // marks would trim as already-applied.
   sim::Task<void> EagerRebindMoved(VolPtr v, InodeId dir,
-                                   psw::Fingerprint old_fp,
-                                   psw::Fingerprint new_fp);
+                                   psw::Fingerprint old_fp);
 
  private:
   sim::Task<void> DrainOwnerImpl(VolPtr v, size_t shard, uint32_t owner,
@@ -118,14 +117,14 @@ class PushEngine {
       std::shared_ptr<std::vector<SectionVerdict>> rows, size_t slot,
       std::shared_ptr<sim::JoinCounter> jc);
   void ArmRetry(VolPtr v, size_t shard, uint32_t owner);
-  // Exact count of live pending entries across the pusher's ready logs
-  // (whose fingerprints all belong to `sh`), saturating at `cap` (the
+  // Exact count of live pending entries across the pusher's ready logs,
+  // saturating at `cap` (the
   // aggregate-MTU trigger only compares against push_mtu_entries, so the
   // scan is O(mtu) amortized: entries whose logs turned out empty are pruned
   // as it goes, not re-visited per commit). Counting live entries — not
   // commits — keeps logs drained by a concurrent aggregation from inflating
   // the trigger into early sub-MTU batches.
-  int ReadyEntries(ServerShard& sh, OwnerPusher& st, int cap) const;
+  int ReadyEntries(ServerVolatile& v, OwnerPusher& st, int cap) const;
 
   ServerContext& ctx_;
   Aggregation& agg_;

@@ -184,7 +184,6 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     bcast->id = src_attr.id;
     bcast->moved = true;
     bcast->old_fp = sfp;
-    bcast->new_fp = dfp;
     net::Packet mc;
     mc.dst = net::kServerMulticast;
     mc.ds.origin = ctx_.node_id();
@@ -198,7 +197,7 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     ctx_.rpc->Send(std::move(mc));
     // The multicast does not loop back to this server: rebind our own
     // old-era log for the directory, if any.
-    sim::Spawn(push_.EagerRebindMoved(v, src_attr.id, sfp, dfp), v.get());
+    sim::Spawn(push_.EagerRebindMoved(v, src_attr.id, sfp), v.get());
   }
   ctx_.RespondStatus(p, StatusCode::kOk);
 }
@@ -209,7 +208,7 @@ sim::Task<void> RenameCoordinator::HandleRenamePrepare(net::Packet p,
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch + ctx_.costs->txn_prepare);
   const std::string ikey = InodeKey(msg->pid, msg->name);
   auto resp = std::make_shared<RenamePrepareResp>();
-  auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
+  auto ino = co_await v->inode_locks.AcquireExclusive(ikey);
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
   auto value = v->kv.Get(ikey);
   if (msg->must_exist && !value.has_value()) {

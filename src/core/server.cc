@@ -9,7 +9,6 @@
 #include "src/core/schema.h"
 #include "src/core/wal_records.h"
 #include "src/core/write_path.h"
-#include "src/sim/discipline.h"
 #include "src/sim/task.h"
 #include "src/tracker/dirty_tracker.h"
 
@@ -91,11 +90,9 @@ void SwitchServer::PreloadDirIndex(const InodeId& id,
 
 size_t SwitchServer::PendingChangeLogEntries() const {
   size_t total = 0;
-  for (size_t i = 0; i < vol_->num_shards(); ++i) {
-    for (const auto& [fp, dirs] : vol_->ShardAt(i).changelogs) {
-      for (const auto& [dir, log] : dirs) {
-        total += log.size();
-      }
+  for (const auto& [fp, dirs] : vol_->changelogs) {
+    for (const auto& [dir, log] : dirs) {
+      total += log.size();
     }
   }
   return total;
@@ -180,7 +177,7 @@ void SwitchServer::OnRequest(net::Packet p) {
       break;
     case MarkScattered::kType: {
       const auto* msg = static_cast<const MarkScattered*>(p.body.get());
-      v->ShardFor(msg->fp).owner_scattered.insert(msg->fp);
+      v->owner_scattered.insert(msg->fp);
       rpc_.Respond(p, net::MakeMsg<Ack>());
       break;
     }
@@ -189,16 +186,7 @@ void SwitchServer::OnRequest(net::Packet p) {
       // holds pending change-log entries (answered even while !serving_ —
       // the rebuilt tracker must not wait out our recovery).
       auto resp = std::make_shared<ScatteredSnapshotResp>();
-      for (size_t i = 0; i < v->num_shards(); ++i) {
-        for (const auto& [fp, dirs] : v->ShardAt(i).changelogs) {
-          for (const auto& [dir, log] : dirs) {
-            if (!log.empty()) {
-              resp->fps.push_back(fp);
-              break;
-            }
-          }
-        }
-      }
+      resp->fps = v->ScatteredFingerprints();
       rpc_.Respond(p, resp);
       break;
     }
@@ -274,7 +262,7 @@ void SwitchServer::OnRaw(net::Packet p) {
         // directory now, before any client can have re-resolved the new
         // path (keeps old-era entries ordered ahead of same-name new-era
         // ones; see InvalBroadcast in messages.h).
-        spawn(push_.EagerRebindMoved(v, msg->id, msg->old_fp, msg->new_fp));
+        spawn(push_.EagerRebindMoved(v, msg->id, msg->old_fp));
       }
       break;
     }
@@ -297,14 +285,8 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   const psw::Fingerprint pfp = ref.parent_fp;
 
   // Step 2: locking — parent change-log (write) + target inode (write).
-  // Both route to the target's shard: the inode key's fingerprint is
-  // exactly pfp's group only for the parent's own row; here the target key
-  // hashes to its own group, which the ring maps to this server and the
-  // shard router maps to one shard — same fp, same shard for both tables.
-  auto cl_lock =
-      co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
-  auto ino_lock =
-      co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
+  auto cl_lock = co_await v->changelog_locks.AcquireExclusive(FpKey(pfp));
+  auto ino_lock = co_await v->inode_locks.AcquireExclusive(ikey);
 
   // Step 3: validation — invalidation list, then existence.
   co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
@@ -435,13 +417,10 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
   }
   SectionVerdict verdict;
   if (IsOwner(fp)) {
-    // Sanctioned cross-shard pair: the awaiting op chain (a sync-mode
-    // writer, tracker-overflow fallback) still holds ITS target's inode
-    // lock on that key's shard, and the apply takes the parent directory's,
-    // whose group can live on another shard. The pair is deadlock-free — op
-    // chains always lock child-then-parent, and parent keys are distinct
-    // from child keys — so witness it instead of handing off the apply.
-    sim::CrossShardScope sync_xs(co_await sim::discipline::CurrentChainId{});
+    // The awaiting op chain (a sync-mode writer, tracker-overflow fallback)
+    // still holds its target's inode lock, and the apply takes the parent
+    // directory's. The pair is deadlock-free: op chains always lock
+    // child-then-parent, and parent keys are distinct from child keys.
     verdict = co_await agg_.ApplySection(v, dir, config_.index, fp,
                                          std::move(entries));
   } else {
@@ -581,25 +560,22 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
 
   LockTable::Handle gate;
   while (true) {
-    gate = co_await v->ShardFor(dir_fp).agg_gates.AcquireShared(FpKey(dir_fp));
+    gate = co_await v->agg_gates.AcquireShared(FpKey(dir_fp));
     if (!scattered) {
       break;
     }
     {
-      auto& started = v->ShardFor(dir_fp).last_agg_start;
-      auto last = started.find(dir_fp);
-      if (last != started.end() && last->second > observed_at) {
+      auto last = v->last_agg_start.find(dir_fp);
+      if (last != v->last_agg_start.end() && last->second > observed_at) {
         break;  // an aggregation that started after our check has finished
       }
     }
     gate.Release();
-    auto xgate =
-        co_await v->ShardFor(dir_fp).agg_gates.AcquireExclusive(FpKey(dir_fp));
+    auto xgate = co_await v->agg_gates.AcquireExclusive(FpKey(dir_fp));
     bool need_agg = false;
     {
-      auto& started = v->ShardFor(dir_fp).last_agg_start;
-      auto last = started.find(dir_fp);
-      need_agg = last == started.end() || last->second <= observed_at;
+      auto last = v->last_agg_start.find(dir_fp);
+      need_agg = last == v->last_agg_start.end() || last->second <= observed_at;
     }
     if (need_agg) {
       co_await agg_.RunAggregation(v, dir_fp, std::nullopt, 0, "", false);
@@ -634,7 +610,7 @@ sim::Task<void> SwitchServer::HandleRead(net::Packet p, VolPtr v) {
   if (dir_read) {
     gate = co_await GateDirRead(v, p, *req, fp);
   }
-  auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
+  auto ino = co_await v->inode_locks.AcquireShared(ikey);
   co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
   auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
@@ -671,21 +647,10 @@ sim::Task<void> SwitchServer::HandleRead(net::Packet p, VolPtr v) {
   } else if (req->op == OpType::kOpenDir) {
     // A cursor session stores only a scan position, so OpenDir is O(1) and
     // each page charges its own bounded seek+scan (HandleReaddirPage).
-    // Sessions are minted by (and live on) the directory fingerprint's
-    // shard; the session id embeds the shard index so page/close/watchdog
-    // route back without knowing the fingerprint. The LRU cap divides
-    // across shards (at least 1 each) so one hot directory's scanners cannot
-    // evict every other shard's cursors; evictions are counted per shard
-    // and in the server-wide stat.
-    const uint64_t session_id =
-        v->ShardFor(fp).dir_sessions.OpenCursor(attr.id, Now()).id;
+    const uint64_t session_id = v->dir_sessions.OpenCursor(attr.id, Now()).id;
     stats_.dir_opens++;
-    const size_t shard_cap =
-        std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
-    const uint64_t evicted =
-        v->ShardFor(fp).dir_sessions.EvictLruOverCap(shard_cap);
-    v->ShardFor(fp).dir_sessions_evicted += evicted;
-    stats_.dir_sessions_evicted += evicted;
+    stats_.dir_sessions_evicted +=
+        v->dir_sessions.EvictLruOverCap(config_.max_dir_sessions);
     sim::Spawn(DirSessionWatchdog(v, session_id), v.get());
     resp->dir_session = session_id;
   } else if (attr.type == FileType::kReference) {
@@ -717,11 +682,9 @@ sim::Task<void> SwitchServer::HandleRead(net::Packet p, VolPtr v) {
 sim::Task<void> SwitchServer::DirSessionWatchdog(VolPtr v, uint64_t session_id) {
   while (true) {
     co_await sim::FixedDelay(sim_, kDirSessionTtl);
-    const size_t before = v->SessionShard(session_id).dir_sessions.size();
-    if (v->SessionShard(session_id)
-            .dir_sessions.ExpireIfIdle(session_id, Now(),
-                                       kDirSessionTtl)) {
-      if (v->SessionShard(session_id).dir_sessions.size() < before) {
+    const size_t before = v->dir_sessions.size();
+    if (v->dir_sessions.ExpireIfIdle(session_id, Now(), kDirSessionTtl)) {
+      if (v->dir_sessions.size() < before) {
         stats_.dir_sessions_expired++;
       }
       co_return;
@@ -742,9 +705,8 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
   // eviction, or a crash may erase it during an await.
   const uint64_t want = req->cookie;
   for (int spin = 0;; ++spin) {
-    DirSession* session = v->SessionShard(req->dir_session)
-                              .dir_sessions.Touch(req->dir_session, Now(),
-                                                  kDirSessionTtl);
+    DirSession* session =
+        v->dir_sessions.Touch(req->dir_session, Now(), kDirSessionTtl);
     if (session == nullptr) {
       // Expired, evicted, closed, or minted by a previous incarnation:
       // resuming mid-stream could drop or duplicate entries, so the client
@@ -847,7 +809,7 @@ sim::Task<void> SwitchServer::HandleCloseDir(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   stats_.ops++;
   co_await cpu_.Run(costs_->op_dispatch);
-  v->SessionShard(req->dir_session).dir_sessions.Close(req->dir_session);
+  v->dir_sessions.Close(req->dir_session);
   RespondStatus(p, StatusCode::kOk);
 }
 
@@ -868,8 +830,7 @@ sim::Task<void> SwitchServer::HandleBatchStat(net::Packet p, VolPtr v) {
     const PathRef& ref = req->targets[i];
     stats_.batch_stat_targets++;
     const std::string ikey = InodeKey(ref.pid, ref.name);
-    auto lock =
-        co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
+    auto lock = co_await v->inode_locks.AcquireShared(ikey);
     co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
     auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
     if (!stale.empty()) {
@@ -915,8 +876,7 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
 
   const PathRef& ref = req->ref;
   const std::string ikey = InodeKey(ref.pid, ref.name);
-  auto lock =
-      co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
+  auto lock = co_await v->inode_locks.AcquireExclusive(ikey);
   co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
   auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
   if (!stale.empty()) {
@@ -1000,8 +960,7 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   // (write), then every target inode (write) — in name order, so two bulks
   // racing on overlapping name sets cannot deadlock on the entry locks.
   // All locks are held through the commit.
-  auto cl_lock =
-      co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
+  auto cl_lock = co_await v->changelog_locks.AcquireExclusive(FpKey(pfp));
   std::vector<size_t> order(req->bulk_names.size());
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = i;
@@ -1009,12 +968,6 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return req->bulk_names[a] < req->bulk_names[b];
   });
-  // The admitted names hash to independent fingerprints, so their inode
-  // locks may live on different shards — one chain holding same-class locks
-  // from two shards is exactly what the cross-shard-lock rule flags. The
-  // batch is a sanctioned multi-shard writer (name-ordered acquisition
-  // keeps it deadlock-free), witnessed by the scope below.
-  sim::CrossShardScope bulk_xs(co_await sim::discipline::CurrentChainId{});
   std::vector<LockTable::Handle> ino_locks;
   ino_locks.reserve(order.size());
   for (size_t k = 0; k < order.size(); ++k) {
@@ -1023,11 +976,8 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
       continue;  // duplicate within the batch: one lock suffices
     }
     const std::string name_key = InodeKey(ref.pid, name);
-    ino_locks.push_back(
-        co_await v->ShardForKey(name_key).inode_locks.AcquireExclusive(
-            name_key));
+    ino_locks.push_back(co_await v->inode_locks.AcquireExclusive(name_key));
   }
-  bulk_xs.Release();
 
   // One validation pass for the shared parent path.
   co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
@@ -1077,9 +1027,8 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   rec.parent_dir = ref.pid;
   rec.parent_fp = pfp;
   {
-    auto append_lock =
-        co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-            ClAppendKey(pfp, ref.pid));
+    auto append_lock = co_await v->changelog_append_locks.AcquireExclusive(
+        ClAppendKey(pfp, ref.pid));
     // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
     ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
     uint64_t seq = clog.last_appended_seq();
@@ -1140,38 +1089,21 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   const std::string ikey = InodeKey(ref.pid, ref.name);
 
   // Lock order: agg gate -> change-log locks (fp order) -> target inode.
-  // pfp and target_fp are independent hashes, so their group locks may live
-  // on different shards: rmdir is a sanctioned two-group writer (global fp
-  // order keeps it deadlock-free across shards), witnessed by the scope —
-  // which also spans RunAggregation below, whose snapshot takes the target
-  // group's shared lock while the parent's is still held.
-  auto gate =
-      co_await v->ShardFor(target_fp).agg_gates.AcquireExclusive(
-          FpKey(target_fp));
-  sim::CrossShardScope rmdir_xs(co_await sim::discipline::CurrentChainId{});
+  // rmdir is a two-group writer; taking the groups in fp order keeps it
+  // deadlock-free.
+  auto gate = co_await v->agg_gates.AcquireExclusive(FpKey(target_fp));
   LockTable::Handle cl_first;
   LockTable::Handle cl_second;
   if (pfp == target_fp) {
-    cl_first = co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(
-        FpKey(pfp));
+    cl_first = co_await v->changelog_locks.AcquireExclusive(FpKey(pfp));
   } else if (pfp < target_fp) {
-    cl_first = co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(
-        FpKey(pfp));
-    cl_second =
-        co_await v->ShardFor(target_fp).changelog_locks.AcquireExclusive(
-            FpKey(target_fp));
+    cl_first = co_await v->changelog_locks.AcquireExclusive(FpKey(pfp));
+    cl_second = co_await v->changelog_locks.AcquireExclusive(FpKey(target_fp));
   } else {
-    cl_first =
-        co_await v->ShardFor(target_fp).changelog_locks.AcquireExclusive(
-            FpKey(target_fp));
-    cl_second = co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(
-        FpKey(pfp));
+    cl_first = co_await v->changelog_locks.AcquireExclusive(FpKey(target_fp));
+    cl_second = co_await v->changelog_locks.AcquireExclusive(FpKey(pfp));
   }
-  auto ino = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  // Everything further this chain locks (RunAggregation's applies, the
-  // append mutex) stays on the target group's shard or changes class, so
-  // the witness can end here.
-  rmdir_xs.Release();
+  auto ino = co_await v->inode_locks.AcquireExclusive(ikey);
 
   co_await cpu_.Run(PathCheckCost(ctx_, ref.ancestors));
   auto stale = CheckAncestors(ctx_, *v, ref.ancestors);
@@ -1249,7 +1181,7 @@ sim::Task<void> SwitchServer::HandleLookup(net::Packet p, VolPtr v) {
   const auto* req = static_cast<const LookupReq*>(p.body.get());
   co_await cpu_.Run(costs_->op_dispatch);
   const std::string ikey = InodeKey(req->pid, req->name);
-  auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
+  auto lock = co_await v->inode_locks.AcquireShared(ikey);
   co_await cpu_.Run(PathCheckCost(ctx_, req->ancestors));
   auto resp = std::make_shared<LookupResp>();
   auto stale = CheckAncestors(ctx_, *v, req->ancestors);
@@ -1441,7 +1373,7 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
     outcome = &result->dropped;
     co_return;
   }
-  lock = co_await v->ShardFor(fp).inode_locks.AcquireExclusive(ikey);
+  lock = co_await v->inode_locks.AcquireExclusive(ikey);
   const LwwStamp incoming{we.entry.timestamp, we.origin_cluster,
                           we.src_server, we.entry.seq};
   const std::string skey = LwwStampKey(we.dir, we.entry.name);
@@ -1495,13 +1427,11 @@ sim::Task<void> SwitchServer::FlushAllChangeLogs() {
   VolPtr v = vol_;
   co_await sim::BindTo{v.get()};  // a crash of this server ends the flush
   std::set<uint32_t> owners;
-  for (size_t i = 0; i < v->num_shards(); ++i) {
-    for (const auto& [fp, dirs] : v->ShardAt(i).changelogs) {
-      for (const auto& [dir, log] : dirs) {
-        if (!log.empty()) {
-          push_.EnqueueBacklog(v, fp, dir);
-          owners.insert(OwnerOf(fp));
-        }
+  for (const auto& [fp, dirs] : v->changelogs) {
+    for (const auto& [dir, log] : dirs) {
+      if (!log.empty()) {
+        push_.EnqueueBacklog(v, fp, dir);
+        owners.insert(OwnerOf(fp));
       }
     }
   }

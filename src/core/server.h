@@ -75,8 +75,6 @@ class SwitchServer : public UpdatePublisher {
   size_t KvSize() const { return vol_->kv.size(); }
   const kv::KvStore& kv_for_test() const { return vol_->kv; }
   size_t wal_records_for_test() const { return durable_->wal.record_count(); }
-  // Read-only shard-state access (per-shard counters, session tables).
-  const ServerVolatile& vol_for_test() const { return *vol_; }
 
   // Direct KV injection used by cluster preload (bench setup fast path).
   void PreloadInode(const std::string& key, const Attr& attr);

@@ -66,11 +66,10 @@ enum class TrackerMode {
 struct ServerConfig {
   uint32_t index = 0;
   int cores = 4;
-  // Fingerprint-group shards per server (clamped to [1, kMaxShards]). Each
-  // shard owns its lock tables, change logs, pushers, and dir sessions, and
-  // drains its apply lane serially — so the owner's apply throughput scales
-  // with min(shard_count, cores). 1 restores the pre-sharding single-owner
-  // behavior (the bench_shard_scaling A/B).
+  // Shards per server (at least 1): k apply lanes, each drained serially,
+  // and k push streams toward each owner — so the owner's apply throughput
+  // scales with min(shard_count, cores). 1 restores the pre-sharding
+  // single-owner behavior (the bench_shard_scaling A/B).
   int shard_count = 4;
   // Feature flags for the Fig 14 ablation: Baseline = async_updates off;
   // +Async = async on, compaction off; +Compaction = both on.
@@ -88,9 +87,9 @@ struct ServerConfig {
   bool batch_pushes = true;
   sim::SimTime push_idle_timeout = sim::Microseconds(300);
   sim::SimTime owner_quiet_period = sim::Microseconds(400);
-  // Table-wide session cap: past it, the least-recently-used session is
-  // evicted (kStaleHandle on its next page) so a crash-looping scanner
-  // abandoning handles cannot bloat the owner.
+  // Cap on the server's directory-stream sessions: past it, the
+  // least-recently-used session is evicted (kStaleHandle on its next page)
+  // so a crash-looping scanner abandoning handles cannot bloat the owner.
   size_t max_dir_sessions = 4096;
   // In-switch metadata read cache (requires TrackerMode::kSwitch — the cache
   // lives in the same data plane as the dirty set). Off by default; the
@@ -229,20 +228,27 @@ struct ServerStats {
 // pointers, and iterators into them must not live across a co_await
 // (sfs-lint rule borrow-across-suspend).
 //
-// Most hot-path state lives on the fingerprint-group shards
-// (src/core/shard.h): lock tables, change logs, pushers, agg sessions, dir
-// sessions, and the apply lanes. What remains here is server-global: the
-// one KV store, crash/incarnation state, the invalidation list, hwm dedup
-// lanes and moved tombstones (consulted across rename-era fingerprints),
-// rename transaction locks, switch-cache bookkeeping, and the push
-// idempotency tokens.
+// The shards (src/core/shard.h) hold only the apply lanes and the per-owner
+// pushers; everything else is one per server: the KV store, the lock
+// tables, change logs, aggregation state and directory sessions, the
+// invalidation list, hwm dedup lanes and moved tombstones, rename
+// transaction locks, switch-cache bookkeeping, and the push idempotency
+// tokens.
 struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
-  // Relocated to shard.h (the shards own them); aliases keep module
-  // signatures readable.
-  using AggWait = core::AggWait;
-  using AggSession = core::AggSession;
-  using OwnerPusher = core::OwnerPusher;
-
+  // Aggregation initiator state (one in flight per fingerprint group).
+  struct AggWait {
+    uint64_t seq = 0;
+    std::set<uint32_t> pending;  // server indices yet to reply for `seq`
+    std::vector<AggEntries::PerDir> collected;
+    std::vector<uint32_t> collected_src;       // parallel to `collected`
+    std::shared_ptr<sim::OneShot<bool>> slot;  // armed per attempt
+  };
+  // Aggregation responder state (holds the snapshot-side change-log lock).
+  struct AggSession {
+    uint64_t seq = 0;
+    LockTable::Handle lock;
+    int64_t started_at = 0;
+  };
   struct OpWait {  // insert-ack / overflow-fallback wait (§5.2.1 step 7)
     bool acked = false;
     bool fallback_done = false;
@@ -293,54 +299,65 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
     }
   };
 
-  // `shard_count` is clamped to [1, kMaxShards]; dir-session ids only have
-  // kShardIdBits of routing space. Each shard's lock tables carry a
-  // process-unique discipline tag, and each shard's DirSessionTable is
-  // seeded with the incarnation's creation time so a handle minted before a
-  // crash cannot alias a post-recovery session.
+  // `shard_count` lanes, at least one. The session table is seeded with the
+  // incarnation's creation time so a handle minted before a crash cannot
+  // alias a post-recovery session.
   SFS_SHARD_ROUTER ServerVolatile(sim::Simulator* sim, int shard_count = 1)
-      : push_token_counter(static_cast<uint64_t>(sim->Now()) + 1) {
-    if (shard_count < 1) {
-      shard_count = 1;
-    }
-    if (shard_count > static_cast<int>(kMaxShards)) {
-      shard_count = static_cast<int>(kMaxShards);
-    }
-    const int64_t epoch = sim->Now();
-    shards.reserve(static_cast<size_t>(shard_count));
-    for (int i = 0; i < shard_count; ++i) {
-      shards.push_back(std::make_unique<ServerShard>(sim, i, epoch));
-    }
-  }
+      : shards(static_cast<size_t>(std::max(1, shard_count))),
+        inode_locks(sim, sim::LockClass::kInode),
+        changelog_locks(sim, sim::LockClass::kChangelogGroup),
+        agg_gates(sim, sim::LockClass::kAggGate),
+        changelog_append_locks(sim, sim::LockClass::kAppend),
+        dir_sessions(sim->Now()),
+        push_token_counter(static_cast<uint64_t>(sim->Now()) + 1) {}
 
-  // The fingerprint-group shards. Never index directly outside the router
-  // helpers below (sfs-lint rule cross-shard-direct): resolve a shard at op
-  // entry via ShardFor/ShardForKey/SessionShard, and lock a key on another
-  // shard through ShardForKey(key).
-  SFS_SHARD_PRIVATE std::vector<std::unique_ptr<ServerShard>> shards;
+  // The apply lanes and push streams, sized once here and never resized, so
+  // a shard stays put for the incarnation's life. Never index directly
+  // outside the router helpers below (sfs-lint rule cross-shard-direct):
+  // resolve a fingerprint group's shard via ShardFor, or walk them via
+  // ShardAt.
+  SFS_SHARD_PRIVATE std::vector<ServerShard> shards;
   // The server's metadata rows (§4.2: one RocksDB per server). Every shard
   // reads and writes it; callers charge each access to the CpuPool.
   kv::KvStore kv;
 
   SFS_SHARD_ROUTER size_t num_shards() const { return shards.size(); }
-  SFS_SHARD_ROUTER ServerShard& ShardAt(size_t i) { return *shards[i]; }
+  SFS_SHARD_ROUTER ServerShard& ShardAt(size_t i) { return shards[i]; }
   SFS_SHARD_ROUTER const ServerShard& ShardAt(size_t i) const {
-    return *shards[i];
+    return shards[i];
   }
   SFS_SHARD_ROUTER ServerShard& ShardFor(psw::Fingerprint fp) {
-    return *shards[ShardIndexForFp(fp, shards.size())];
+    return shards[ShardIndexForFp(fp, shards.size())];
   }
-  SFS_SHARD_ROUTER const ServerShard& ShardFor(psw::Fingerprint fp) const {
-    return *shards[ShardIndexForFp(fp, shards.size())];
-  }
-  SFS_SHARD_ROUTER ServerShard& ShardForKey(std::string_view key) {
-    return *shards[ShardIndexForKey(key, shards.size())];
-  }
-  // Shard that minted a directory-stream session id (the id's low bits; a
-  // garbage handle clamps to a valid shard and misses in its table).
-  SFS_SHARD_ROUTER ServerShard& SessionShard(uint64_t session_id) {
-    return *shards[(session_id & (kMaxShards - 1)) % shards.size()];
-  }
+
+  // Lock order: agg gate -> change-log group -> inode -> append mutex.
+  LockTable inode_locks;      // key: inode key, or AttrKey for a link's attrs
+  LockTable changelog_locks;  // key: FpKey(fp) — one per fingerprint group
+  LockTable agg_gates;        // key: FpKey(fp) — owner-side read/agg gate
+  // Per-change-log append mutex (key: ClAppendKey(fp, dir)), innermost in
+  // the lock order: held only across {seq capture -> WAL append -> Restore}
+  // (or a rebind's renumbering DrainInto) with no other lock acquired
+  // inside. Every appender takes it — including the rename/link commit legs
+  // that cannot take the fp-group lock — so a captured seq can no longer go
+  // stale against a concurrent append or rebind renumber of the same log.
+  SFS_LOCK_INNERMOST LockTable changelog_append_locks;
+
+  // Directory-stream sessions, capped at ServerConfig::max_dir_sessions.
+  DirSessionTable dir_sessions;
+
+  // Change logs: fingerprint group -> directory -> log.
+  std::unordered_map<psw::Fingerprint, std::map<InodeId, ChangeLog>>
+      changelogs;
+  std::unordered_map<psw::Fingerprint, std::shared_ptr<AggWait>> agg_waits;
+  std::unordered_map<psw::Fingerprint, AggSession> agg_sessions;
+  // Owner-side: start time of the last aggregation per fingerprint, stamped
+  // before its local snapshot and dirty-set remove (read by GateDirRead).
+  std::unordered_map<psw::Fingerprint, int64_t> last_agg_start;
+  // Owner-side: last push arrival per fingerprint (quiet-period timer).
+  std::unordered_map<psw::Fingerprint, int64_t> last_push;
+  std::unordered_set<psw::Fingerprint> quiet_timer_armed;
+  // Owner-server tracker mode: local scattered set.
+  std::unordered_set<psw::Fingerprint> owner_scattered;
 
   InvalidationList inval;
   // Owner-side applied high-water marks: (dir, src server, fingerprint the
@@ -420,14 +437,35 @@ struct SFS_SUSPENSION_SHARED ServerVolatile : sim::Incarnation {
   // (dir, src) lanes — per-lane monotonicity is all the owner checks).
   uint64_t push_token_counter = 1;
 
-  // The per-directory change-log within `fp`'s group, created on demand
-  // (routes to fp's shard; call sites are shard-agnostic).
+  // The per-directory change-log within `fp`'s group, created on demand.
   ChangeLog& GetChangeLog(psw::Fingerprint fp, const InodeId& dir) {
-    return ShardFor(fp).GetChangeLog(fp, dir);
+    auto& per_dir = changelogs[fp];
+    auto it = per_dir.find(dir);
+    if (it == per_dir.end()) {
+      it = per_dir.emplace(dir, ChangeLog(dir, fp)).first;
+    }
+    return it->second;
   }
   // The same log, or nullptr if there is none.
   ChangeLog* FindChangeLog(psw::Fingerprint fp, const InodeId& dir) {
-    return ShardFor(fp).FindChangeLog(fp, dir);
+    auto logs = changelogs.find(fp);
+    if (logs == changelogs.end()) {
+      return nullptr;
+    }
+    auto it = logs->second.find(dir);
+    return it == logs->second.end() ? nullptr : &it->second;
+  }
+  // The fingerprint groups holding a pending change-log entry: what this
+  // server reports to a rebuilding tracker (ScatteredSnapshotReq).
+  std::vector<psw::Fingerprint> ScatteredFingerprints() const {
+    std::vector<psw::Fingerprint> fps;
+    for (const auto& [fp, dirs] : changelogs) {
+      if (std::any_of(dirs.begin(), dirs.end(),
+                      [](const auto& d) { return !d.second.empty(); })) {
+        fps.push_back(fp);
+      }
+    }
+    return fps;
   }
 
   // Resolves a directory id to its inode key + fingerprint via the "d" index.

@@ -4,13 +4,6 @@
 
 namespace switchfs::core {
 
-int NextShardDomainTag() {
-  static int next = 0;
-  return next++;
-}
-
-// ---- shard apply lanes -----------------------------------------------------
-
 namespace {
 
 // Serial apply drainer: one in flight per shard, bound to the incarnation.

@@ -129,9 +129,8 @@ sim::Task<std::vector<DirEntry>> CommitOp(ServerContext& ctx, VolPtr v,
                                           sim::SimTime kv_cost) {
   LockTable::Handle append_lock;
   if (rec.has_entry) {
-    append_lock = co_await v->ShardFor(rec.parent_fp)
-                      .changelog_append_locks.AcquireExclusive(
-                          ClAppendKey(rec.parent_fp, rec.parent_dir));
+    append_lock = co_await v->changelog_append_locks.AcquireExclusive(
+        ClAppendKey(rec.parent_fp, rec.parent_dir));
     rec.entry.seq =
         v->GetChangeLog(rec.parent_fp, rec.parent_dir).last_appended_seq() +
         1;

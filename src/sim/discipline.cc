@@ -14,7 +14,6 @@ struct Hold {
   uint64_t chain = 0;
   LockClass cls = LockClass::kOther;
   bool exclusive = false;
-  int shard = -1;  // shard domain tag; -1 = untagged (rule exempt)
   std::string key;
 };
 
@@ -22,8 +21,6 @@ struct Registry {
   std::unordered_map<uint64_t, Hold> holds;  // hold id -> hold
   // chain id -> live hold ids (small per chain; O(holds-per-chain) scans).
   std::unordered_map<uint64_t, std::vector<uint64_t>> by_chain;
-  // chain id -> open CrossShardScope count (cross-shard-lock witnesses).
-  std::unordered_map<uint64_t, int> cross_shard_scopes;
   uint64_t next_hold_id = 1;
   uint64_t next_chain_id = 1;
   uint64_t current_chain = 0;
@@ -70,8 +67,7 @@ std::string_view LockClassName(LockClass cls) {
 void DisciplineChecker::SetHandler(Handler h) { Reg().handler = std::move(h); }
 
 uint64_t DisciplineChecker::OnAcquired(uint64_t chain, LockClass cls,
-                                       bool exclusive, std::string_view key,
-                                       int shard) {
+                                       bool exclusive, std::string_view key) {
   auto& reg = Reg();
   if (chain != 0 && cls != LockClass::kAppend) {
     // append-innermost: a chain already holding an append mutex must not
@@ -92,57 +88,10 @@ uint64_t DisciplineChecker::OnAcquired(uint64_t chain, LockClass cls,
       }
     }
   }
-  if (chain != 0 && shard >= 0) {
-    // cross-shard-lock: a chain holding a same-class lock tagged with a
-    // DIFFERENT shard domain must carry a CrossShardScope witness. Cross-
-    // class holds are the ordinary lock order's business, not this rule's.
-    auto scope_it = reg.cross_shard_scopes.find(chain);
-    const bool sanctioned =
-        scope_it != reg.cross_shard_scopes.end() && scope_it->second > 0;
-    if (!sanctioned) {
-      auto it = reg.by_chain.find(chain);
-      if (it != reg.by_chain.end()) {
-        for (uint64_t id : it->second) {
-          const Hold& h = reg.holds.at(id);
-          if (h.cls == cls && h.shard >= 0 && h.shard != shard) {
-            Report("cross-shard-lock",
-                   "chain " + std::to_string(chain) + " acquired " +
-                       std::string(LockClassName(cls)) + " lock '" +
-                       std::string(key) + "' (shard tag " +
-                       std::to_string(shard) +
-                       ") while holding same-class lock '" + h.key +
-                       "' (shard tag " + std::to_string(h.shard) +
-                       ") without a CrossShardScope");
-            break;
-          }
-        }
-      }
-    }
-  }
   const uint64_t id = reg.next_hold_id++;
-  reg.holds.emplace(id, Hold{chain, cls, exclusive, shard, std::string(key)});
+  reg.holds.emplace(id, Hold{chain, cls, exclusive, std::string(key)});
   reg.by_chain[chain].push_back(id);
   return id;
-}
-
-void DisciplineChecker::BeginCrossShard(uint64_t chain) {
-  if (chain != 0) {
-    Reg().cross_shard_scopes[chain]++;
-  }
-}
-
-void DisciplineChecker::EndCrossShard(uint64_t chain) {
-  if (chain == 0) {
-    return;
-  }
-  auto& reg = Reg();
-  auto it = reg.cross_shard_scopes.find(chain);
-  if (it == reg.cross_shard_scopes.end()) {
-    return;  // scope outlived a Reset(); nothing to close
-  }
-  if (--it->second <= 0) {
-    reg.cross_shard_scopes.erase(it);
-  }
 }
 
 void DisciplineChecker::OnReleased(uint64_t hold_id) {
@@ -201,7 +150,6 @@ void DisciplineChecker::Reset() {
   auto& reg = Reg();
   reg.holds.clear();
   reg.by_chain.clear();
-  reg.cross_shard_scopes.clear();
   reg.current_chain = 0;
   reg.violations = 0;
 }

@@ -24,15 +24,6 @@
 //    an exclusive LockClass::kInode lock, unless the caller passes the
 //    kExternal witness (rename 2PC: the locks live in txn_locks, acquired by
 //    the prepare chain).
-//  * cross-shard-lock — a chain holding a lock that belongs to one server
-//    shard must not acquire a SAME-class lock belonging to a different shard
-//    unless it carries an explicit CrossShardScope witness (the sanctioned
-//    cross-shard handoffs: rmdir's parent/target change-log pair, the
-//    moved_fp rebind's (old, new) pairs, BulkInsert's multi-name inode
-//    locks). Cross-CLASS acquisitions stay governed by the ordinary lock
-//    order — an upsert legitimately holds the parent group's change-log lock
-//    while locking the child inode in another shard. Locks with no shard
-//    tag (shard < 0: client caches, baselines, tests) are exempt.
 //
 // Everything compiles away when SFS_DISCIPLINE_CHECKS is 0 (the default for
 // NDEBUG builds — RelWithDebInfo/Release); Debug and Asan builds keep it on.
@@ -78,22 +69,15 @@ class DisciplineChecker {
   static void SetHandler(Handler h);
 
   // Registers a granted lock. chain 0 = unknown origin (skips the checks but
-  // still tracks the hold). `shard` is the acquiring table's shard domain
-  // tag (-1 = untagged, exempt from the cross-shard rule). Returns the hold
-  // id the guard must pass to OnReleased; 0 is the "no hold" sentinel for
-  // default-constructed guards.
+  // still tracks the hold). Returns the hold id the guard must pass to
+  // OnReleased; 0 is the "no hold" sentinel for default-constructed guards.
   static uint64_t OnAcquired(uint64_t chain, LockClass cls, bool exclusive,
-                             std::string_view key, int shard = -1);
+                             std::string_view key);
   static void OnReleased(uint64_t hold_id);
 
   // evict-requires-lock: the calling chain must hold an exclusive kInode
   // lock. `context` names the evicted fingerprint for the report.
   static void CheckEvictAllowed(uint64_t chain, std::string_view context);
-
-  // cross-shard-lock witness: while a chain has a scope open, same-class
-  // acquisitions across shard domains are sanctioned (nesting refcounts).
-  static void BeginCrossShard(uint64_t chain);
-  static void EndCrossShard(uint64_t chain);
 
   // Observability for tests.
   static size_t live_holds();
@@ -103,48 +87,6 @@ class DisciplineChecker {
   // Crash-heavy tests abandon guards mid-flight by design; suites call this
   // between scenarios so leaked holds cannot cross-talk.
   static void Reset();
-};
-
-// RAII witness sanctioning same-class cross-shard lock pairs on one chain:
-//   sim::CrossShardScope xs(co_await sim::discipline::CurrentChainId{});
-// Open it BEFORE the second acquisition of the pair; the destructor closes
-// it. Chain 0 (checks compiled out / non-coroutine caller) is a no-op.
-class [[nodiscard]] CrossShardScope {
- public:
-  CrossShardScope() = default;
-  explicit CrossShardScope(uint64_t chain) : chain_(chain) {
-#if SFS_DISCIPLINE_CHECKS
-    if (chain_ != 0) {
-      DisciplineChecker::BeginCrossShard(chain_);
-    }
-#endif
-  }
-  CrossShardScope(CrossShardScope&& o) noexcept : chain_(o.chain_) {
-    o.chain_ = 0;
-  }
-  CrossShardScope& operator=(CrossShardScope&& o) noexcept {
-    if (this != &o) {
-      Release();
-      chain_ = o.chain_;
-      o.chain_ = 0;
-    }
-    return *this;
-  }
-  CrossShardScope(const CrossShardScope&) = delete;
-  CrossShardScope& operator=(const CrossShardScope&) = delete;
-  ~CrossShardScope() { Release(); }
-
-  void Release() {
-#if SFS_DISCIPLINE_CHECKS
-    if (chain_ != 0) {
-      DisciplineChecker::EndCrossShard(chain_);
-    }
-#endif
-    chain_ = 0;
-  }
-
- private:
-  uint64_t chain_ = 0;
 };
 
 namespace discipline {

@@ -15,7 +15,7 @@ sim::Task<InsertResult> OwnerTracker::Insert(core::ServerContext& ctx,
   (void)client_req;
   (void)client_resp;
   if (ctx.IsOwner(fp)) {
-    v->ShardFor(fp).owner_scattered.insert(fp);
+    v->owner_scattered.insert(fp);
   } else {
     auto msg = std::make_shared<core::MarkScattered>();
     msg->fp = fp;
@@ -35,7 +35,7 @@ sim::Task<void> OwnerTracker::RemoveAndMulticast(core::ServerContext& ctx,
                                                  psw::Fingerprint fp,
                                                  uint64_t seq, net::Packet rm) {
   (void)seq;
-  v->ShardFor(fp).owner_scattered.erase(fp);
+  v->owner_scattered.erase(fp);
   rm.ds.origin = ctx.node_id();
   ctx.rpc->Send(std::move(rm));
   co_return;
@@ -49,7 +49,7 @@ bool OwnerTracker::ReadScattered(const core::ServerContext& ctx,
   (void)ctx;
   (void)p;
   (void)req;
-  return v.ShardFor(fp).owner_scattered.count(fp) > 0;
+  return v.owner_scattered.count(fp) > 0;
 }
 
 sim::Task<void> OwnerTracker::ClientPreRead(net::RpcEndpoint& rpc,

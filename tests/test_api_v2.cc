@@ -1013,10 +1013,7 @@ TEST(BulkInsertTest, SendsFarFewerPacketsThanPerEntryCreates) {
 
 TEST(DirSessionEviction, TableCapEvictsLruAndSurfacesStaleHandle) {
   ClusterConfig cfg = SmallClusterConfig(4);
-  // The configured cap divides across the server's fingerprint-group shards
-  // (sessions for one directory all land on its group's shard): 8 over the
-  // default 4 shards = 2 sessions per shard.
-  cfg.server_template.max_dir_sessions = 8;
+  cfg.server_template.max_dir_sessions = 2;
   FsHarness fs(cfg);
   ASSERT_TRUE(fs.Mkdir("/d").ok());
   for (int i = 0; i < 10; ++i) {
@@ -1050,6 +1047,61 @@ TEST(DirSessionEviction, TableCapEvictsLruAndSurfacesStaleHandle) {
   EXPECT_EQ(oldest.code(), StatusCode::kStaleHandle) << oldest.ToString();
   EXPECT_TRUE(newest.ok()) << newest.ToString();
   EXPECT_EQ(fs.cluster.TotalStats().dir_sessions_evicted, 3u);
+}
+
+// The cap counts every session on the server, whichever shard runs its
+// directory's fingerprint group: three directories with one owner, on three
+// different shards, one session each under a cap of 2 — the third open
+// evicts the first.
+TEST(DirSessionEviction, CapCountsEverySessionOnTheServer) {
+  ClusterConfig cfg = SmallClusterConfig(4);
+  cfg.server_template.shard_count = 4;
+  cfg.server_template.max_dir_sessions = 2;
+  FsHarness fs(cfg);
+  std::vector<std::string> dirs;
+  std::set<size_t> shards;
+  uint32_t owner = 0;
+  for (int i = 0; i < 1000 && dirs.size() < 3; ++i) {
+    const std::string name = "d" + std::to_string(i);
+    const psw::Fingerprint fp = FingerprintOf(RootId(), name);
+    const uint32_t server = fs.cluster.ring().Owner(fp);
+    if (dirs.empty()) {
+      owner = server;
+    }
+    if (server == owner && shards.insert(ShardIndexForFp(fp, 4)).second) {
+      dirs.push_back("/" + name);
+    }
+  }
+  ASSERT_EQ(dirs.size(), 3u);
+  for (const std::string& d : dirs) {
+    ASSERT_TRUE(fs.Mkdir(d).ok()) << d;
+  }
+
+  Status first = InternalError("not run");
+  Status third = InternalError("not run");
+  fs.Run([](SwitchFsClient* c, std::vector<std::string> dirs, Status* first,
+            Status* third) -> sim::Task<void> {
+    std::vector<DirHandle> handles;
+    for (const std::string& d : dirs) {
+      auto h = co_await c->OpenDir(d);
+      if (!h.ok()) {
+        *first = h.status();
+        co_return;
+      }
+      handles.push_back(*h);
+    }
+    auto p_first = co_await c->ReaddirPage(handles[0], kDirStreamStart);
+    *first = p_first.ok() ? OkStatus() : p_first.status();
+    auto p_third = co_await c->ReaddirPage(handles[2], kDirStreamStart);
+    *third = p_third.ok() ? OkStatus() : p_third.status();
+    for (const DirHandle& h : handles) {
+      (void)co_await c->CloseDir(h);
+    }
+  }(fs.client.get(), dirs, &first, &third));
+
+  EXPECT_EQ(first.code(), StatusCode::kStaleHandle) << first.ToString();
+  EXPECT_TRUE(third.ok()) << third.ToString();
+  EXPECT_EQ(fs.cluster.TotalStats().dir_sessions_evicted, 1u);
 }
 
 // ---------------------------------------------------------------------------

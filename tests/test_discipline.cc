@@ -184,9 +184,8 @@ TEST_F(DisciplineTest, EvictUnderExclusiveInodeLockIsSilent) {
   EvictFixture fx;
   bool done = false;
   sim::Spawn([](EvictFixture* fx, bool* flag) -> sim::Task<void> {
-    auto lock =
-        co_await fx->vol_->ShardForKey(InodeKey(Dir(1), "f"))
-            .inode_locks.AcquireExclusive(InodeKey(Dir(1), "f"));
+    auto lock = co_await fx->vol_->inode_locks.AcquireExclusive(
+        InodeKey(Dir(1), "f"));
     co_await core::EvictSwitchCacheEntry(fx->ctx_, fx->vol_, EvictFixture::kFp);
     *flag = true;
   }(&fx, &done));
@@ -214,8 +213,8 @@ TEST_F(DisciplineTest, SharedInodeLockDoesNotSatisfyTheEvict) {
   EvictFixture fx;
   bool done = false;
   sim::Spawn([](EvictFixture* fx, bool* flag) -> sim::Task<void> {
-    auto lock = co_await fx->vol_->ShardForKey(InodeKey(Dir(1), "f"))
-                    .inode_locks.AcquireShared(InodeKey(Dir(1), "f"));
+    auto lock =
+        co_await fx->vol_->inode_locks.AcquireShared(InodeKey(Dir(1), "f"));
     co_await core::EvictSwitchCacheEntry(fx->ctx_, fx->vol_, EvictFixture::kFp);
     *flag = true;
   }(&fx, &done));

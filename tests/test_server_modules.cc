@@ -768,20 +768,20 @@ TEST(PushEngineModule, AggregationMovedRowRebindsCollectedEntries) {
 TEST(PushEngineModule, OwnerQuietTimerFiresOnceAndRearmsAfterCompletion) {
   ModuleHarness h;
   const psw::Fingerprint fp = 91;
-  h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
+  h.vol->last_push[fp] = h.sim.Now();
   h.push->ArmOwnerQuietTimer(h.vol, fp);
   h.push->ArmOwnerQuietTimer(h.vol, fp);  // suppressed: already armed
   h.push->ArmOwnerQuietTimer(h.vol, fp);
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 1u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_TRUE(h.vol->quiet_timer_armed.empty());
 
   // The timer completed: arming again schedules a fresh aggregation.
   h.push->ArmOwnerQuietTimer(h.vol, fp);
   h.sim.Run();
   EXPECT_EQ(h.stats.aggregations, 2u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_TRUE(h.vol->quiet_timer_armed.empty());
 }
 
 // A push arriving mid-wait postpones the quiet-period aggregation (the timer
@@ -789,17 +789,17 @@ TEST(PushEngineModule, OwnerQuietTimerFiresOnceAndRearmsAfterCompletion) {
 TEST(PushEngineModule, OwnerQuietTimerPostponesWhilePushesArrive) {
   ModuleHarness h;
   const psw::Fingerprint fp = 92;
-  h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
+  h.vol->last_push[fp] = h.sim.Now();
   h.push->ArmOwnerQuietTimer(h.vol, fp);
   // Halfway through the quiet period another push lands.
   h.sim.ScheduleAfter(h.config.owner_quiet_period / 2, [&h, fp] {
-    h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
+    h.vol->last_push[fp] = h.sim.Now();
     h.push->ArmOwnerQuietTimer(h.vol, fp);  // suppressed, timer keeps looping
   });
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 1u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_TRUE(h.vol->quiet_timer_armed.empty());
 }
 
 // A crash (v->dead) mid-wait must leak no timer state: no aggregation runs
@@ -807,14 +807,14 @@ TEST(PushEngineModule, OwnerQuietTimerPostponesWhilePushesArrive) {
 TEST(PushEngineModule, OwnerQuietTimerCrashMidWaitLeaksNoState) {
   ModuleHarness h;
   const psw::Fingerprint fp = 93;
-  h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
+  h.vol->last_push[fp] = h.sim.Now();
   h.push->ArmOwnerQuietTimer(h.vol, fp);
   h.sim.ScheduleAfter(h.config.owner_quiet_period / 2,
                       [&h] { h.vol->dead = true; });
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 0u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_TRUE(h.vol->quiet_timer_armed.empty());
 }
 
 // §5.3 consolidated attribute update: N pending entries cost one attribute
@@ -934,7 +934,7 @@ TEST(AggregationModule, GateAndAggregateDrainsLocalChangeLog) {
     EXPECT_TRUE(h.durable.wal.records()[i].applied) << "lsn " << i;
   }
   // The read path's freshness check sees the aggregation's start.
-  EXPECT_EQ(h.vol->ShardFor(fp).last_agg_start.count(fp), 1u);
+  EXPECT_EQ(h.vol->last_agg_start.count(fp), 1u);
 }
 
 // ROADMAP fault path: a responder session whose initiator goes silent (it
@@ -965,11 +965,11 @@ TEST(AggregationModule, ResponderWatchdogReleasesAbandonedSession) {
 
   // Watchdog expired: session gone, and the change-log lock is free again —
   // an exclusive acquire (what an upsert takes) completes immediately.
-  EXPECT_TRUE(h.vol->ShardFor(fp).agg_sessions.empty());
+  EXPECT_TRUE(h.vol->agg_sessions.empty());
   bool acquired = false;
   sim::Spawn([](ModuleHarness* hh, psw::Fingerprint f,
                 bool* out) -> sim::Task<void> {
-    auto lock = co_await hh->vol->ShardFor(f).changelog_locks.AcquireExclusive(FpKey(f));
+    auto lock = co_await hh->vol->changelog_locks.AcquireExclusive(FpKey(f));
     *out = true;
   }(&h, fp, &acquired));
   h.sim.Run();

@@ -50,16 +50,7 @@ class TrackerHarness {
     rpc.SetRequestHandler([this](net::Packet p) {
       if (p.body != nullptr && p.body->type == core::ScatteredSnapshotReq::kType) {
         auto resp = std::make_shared<core::ScatteredSnapshotResp>();
-        for (size_t i = 0; i < vol->num_shards(); ++i) {
-          for (const auto& [fp, dirs] : vol->ShardAt(i).changelogs) {
-            for (const auto& [dir, log] : dirs) {
-              if (!log.empty()) {
-                resp->fps.push_back(fp);
-                break;
-              }
-            }
-          }
-        }
+        resp->fps = vol->ScatteredFingerprints();
         rpc.Respond(p, resp);
       }
     });
